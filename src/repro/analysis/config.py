@@ -39,7 +39,7 @@ class AnalysisConfig:
     exclude: tuple[str, ...] = ()
     #: Rule IDs disabled wholesale.
     disable: tuple[str, ...] = ()
-    #: Modules subject to the kernel-numerics rules (RPR002).
+    #: Modules subject to the kernel-numerics rules (RPR002, RPR010).
     kernel_globs: tuple[str, ...] = ("*/greens/*.py", "*/swm/*.py")
     #: Modules carrying the wire format (RPR004, RPR009).
     wire_globs: tuple[str, ...] = ("*/service/wire.py",

@@ -1,4 +1,4 @@
-"""The shipped rules (RPR001–RPR009).
+"""The shipped rules (RPR001–RPR010).
 
 Each rule encodes an invariant this repo has broken and fixed by hand
 at least once; the rule docstrings cite the incident. All checks are
@@ -939,3 +939,70 @@ class WireBaselineFreshness(Rule):
                         and isinstance(node.args[0].value, str)):
                     soft.add(node.args[0].value)
         return hard, soft
+
+
+# ----------------------------------------------------------------------
+# RPR010 — one factorization path per solver
+# ----------------------------------------------------------------------
+
+@register_rule
+class OneFactorization(Rule):
+    """Dense solves in kernel modules go through one stacked helper.
+
+    numpy and scipy wheels each bundle their own LAPACK, and the two
+    builds can disagree in the last ulp on small systems. Per-sample
+    ``scipy.linalg.lu_factor``/``lu_solve`` next to stacked
+    ``np.linalg.solve`` batches broke single-vs-batched bit identity
+    under multithreaded BLAS (the 2D parity failures at 2n = 32). In
+    ``kernel-globs`` modules (``greens/``, ``swm/``), flags every
+    ``scipy.linalg`` or ``numpy.linalg`` solve or factorization outside
+    a ``_factor_stack*`` helper: a single solve is a batch of one
+    through that helper.
+    """
+
+    id = "RPR010"
+    name = "one-factorization"
+    description = ("dense solves in kernel modules (greens/, swm/) must "
+                   "go through the stacked _factor_stack* helper")
+
+    _SOLVES = frozenset({"solve", "inv", "lstsq", "lu", "lu_factor",
+                         "lu_solve", "cho_factor", "cho_solve",
+                         "cholesky", "solve_triangular"})
+
+    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
+        if not ctx.matches(ctx.config.kernel_globs):
+            return
+        imports = _imports(ctx)
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            target = self._resolve(imports, node.func) or ""
+            module, _, name = target.rpartition(".")
+            if (module in ("scipy.linalg", "numpy.linalg")
+                    and name in self._SOLVES
+                    and not self._in_helper(ctx, node)):
+                yield self.finding(
+                    ctx, node,
+                    f"{target} outside the _factor_stack* helper; numpy "
+                    "and scipy LAPACK builds can round differently, so "
+                    "every solve goes through that one call (a single "
+                    "solve is a batch of one)")
+
+    @staticmethod
+    def _resolve(imports: _Imports, func: ast.expr) -> str | None:
+        """Dotted target of ``a.b.c(...)`` through the module's imports."""
+        parts: list[str] = []
+        while isinstance(func, ast.Attribute):
+            parts.append(func.attr)
+            func = func.value
+        if not isinstance(func, ast.Name):
+            return None
+        root = imports.modules.get(func.id) or imports.names.get(func.id)
+        if root is None:
+            return None
+        return ".".join([root, *reversed(parts)])
+
+    @staticmethod
+    def _in_helper(ctx: ModuleContext, node: ast.AST) -> bool:
+        fn = ctx.enclosing_function(node)
+        return fn is not None and fn.name.startswith("_factor_stack")

@@ -37,6 +37,7 @@ import numpy as np
 from ..errors import MeshError
 from ..greens.ewald import EwaldConfig, periodic_green, periodic_green_gradient
 from ..greens.freespace import green3d, green3d_radial_derivative
+from .fastkernel import KERNEL_REVISION, tables_for_mesh
 from .geometry import SurfaceMesh3D
 from .plan import AssemblyPlan3D, _near_pairs, _subcell_offsets, _wrap
 
@@ -64,11 +65,13 @@ class AssemblyOptions:
 
     def to_spec(self) -> dict:
         """Content-hashable dict of every knob that affects numerics
-        (keys the engine's result cache). ``asdict`` so a field added
-        later can never be silently left out of the hash."""
+        (keys the engine's result cache), plus the kernel revision so a
+        cache never mixes values from two kernel implementations.
+        ``asdict`` so a field added later can never be silently left out
+        of the hash."""
         import dataclasses
 
-        return dataclasses.asdict(self)
+        return {**dataclasses.asdict(self), "kernel": KERNEL_REVISION}
 
 
 def rectangle_inverse_distance_integral(a: float, b: float) -> float:
@@ -105,7 +108,7 @@ def assemble_media_multi_k(plan: AssemblyPlan3D, media) -> list[tuple]:
 
     The multi-frequency hot path: one fused kernel pass over all
     tables (two media x F stacked frequencies share the plan's gather
-    weights, distances and mode phases), then one per-k consumption of
+    positions, distances and shell phase sums), then one per-k consumption of
     the plan per entry. Returns ``[(d, s), ...]`` as ``(B, N, N)``
     stacks in ``media`` order, **bit-identical** to assembling each
     ``(k, tables)`` independently against the same tables.
@@ -165,7 +168,7 @@ def assemble_media_pair_many(meshes: "Sequence[SurfaceMesh3D]",
     The batched hot path of the solver. On top of the sample-axis
     vectorization of :func:`assemble_medium_many`, every k-independent
     intermediate — wrapped separations, distances and their
-    reciprocals, interpolation gather weights, mode phases, near-pair
+    reciprocals, interpolation gather positions, shell phase sums, near-pair
     sub-cell geometry, free-space direction factors — is computed once
     and shared between the two media (the per-medium reference path
     recomputes all of it per medium on full-size arrays).
@@ -196,8 +199,6 @@ def assemble_medium(mesh: SurfaceMesh3D, k: complex,
     the batched hot path instead of paying a naive per-call price; the
     exact-Ewald validation path keeps its direct scalar implementation.
     """
-    from .fastkernel import KernelTables, tables_for_mesh
-
     options = options or AssemblyOptions()
     cfg = options.ewald_config(mesh.period)
 

@@ -1,19 +1,36 @@
 """Tabulated fast path for the doubly-periodic Ewald kernel.
 
-Profiling shows the assembly cost is completely dominated by complex
-Faddeeva (``wofz``) evaluations inside the Ewald brackets. But those
-brackets are smooth *one-dimensional* functions:
+Exact Ewald assembly is dominated by complex Faddeeva (``wofz``)
+evaluations, but its brackets are smooth *one-dimensional* functions:
+the spatial bracket of an image depends only on its distance ``R``, and
+each spectral bracket only on ``dz`` (one per shell of equal
+``m^2 + n^2``, since ``gamma_mn`` depends on ``|k_mn|`` only). A
+:class:`KernelTables` tabulates them once per (medium wavenumber, patch
+period) on dense uniform grids, and every Monte-Carlo / collocation
+sample at that frequency reuses them.
 
-- the spatial bracket depends only on the scalar distance ``R``;
-- each spectral bracket depends only on ``dz`` (one per unique
-  ``m^2 + n^2``, since ``gamma_mn`` depends on ``|k_mn|`` only).
+What one sample then pays for is organized by what the work depends on:
 
-So we tabulate them once per (medium wavenumber, patch period) on dense
-uniform grids and evaluate by linear interpolation — O(10) flops per
-matrix entry instead of O(10) ``wofz`` calls. The tables are cached by the
-solver and shared across *all* Monte-Carlo / collocation samples at a
-given frequency, which is what makes the paper's stochastic experiments
-tractable in pure Python.
+- **per table** (built once, reused by every sample): the radial and
+  spectral tables, packed in slope form so one gather fetches a value,
+  its slope, its derivative and the derivative's slope; and the
+  zero-separation self term :meth:`KernelTables.regular_at_zero`;
+- **per grid** (cached by ``(n, period, n_modes)`` in
+  :mod:`repro.swm.plan`): the spectral phase factors, summed per shell
+  into real cos/sin arrays (:func:`shell_phase_sums`) — the ``(m, n)``
+  and ``(-m, -n)`` modes cancel every imaginary part, so a shell costs
+  four real-by-complex multiply-adds whatever its mode count;
+- **per sample** (on ``(B, N, N)`` arrays): one distance, one gather
+  and a few multiply-adds per lattice image, and one gather plus the
+  shell multiply-adds per spectral shell (6 shells for the default 25
+  modes).
+
+:func:`green_and_gradient_multi` runs the per-sample work for any
+number of tables that share grids (two media x F frequencies in the
+assembly plan), so everything k-independent is computed once per call.
+All per-sample products are real-by-complex, which rounds the same in
+place or out of place, so batched and per-sample evaluations agree bit
+for bit.
 
 Accuracy: grids are sized so the linear-interpolation error is below
 1e-6 relative; ``tests/test_swm_assembly.py`` compares the fast path
@@ -38,39 +55,82 @@ from ..greens.special import (
 )
 
 
-def _interp_weights(x0: float, inv_h: float, x: np.ndarray, size: int
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shared gather indices/weights for same-grid table lookups.
+#: Identifies the tabulated kernel's arithmetic in content hashes
+#: (``AssemblyOptions.to_spec``). Kernels that agree only to rounding
+#: must never share a result-cache entry, so bump this with any change
+#: that moves a kernel value.
+KERNEL_REVISION = 2
 
-    Every table interpolated at the same abscissas reuses one
-    ``(idx, idx + 1, frac, 1 - frac)`` tuple — the abscissa arithmetic
-    dominates a single lookup, so sharing it across the paired
-    value/derivative tables (and across all spectral tables, which share
-    the dz grid) nearly halves the interpolation cost without changing a
-    bit of the result.
+
+def _slope_form(value: np.ndarray, deriv: np.ndarray) -> np.ndarray:
+    """Pack a tabulated function and its derivative for one-gather lookup.
+
+    Column ``i`` holds ``(v[i], v[i+1] - v[i], d[i], d[i+1] - d[i])``,
+    so linear interpolation at ``i + frac`` reads one column. The last
+    column's slopes are zero (a lookup exactly at the grid end returns
+    the end value).
     """
-    t = (x - x0) * inv_h
-    idx = np.clip(t.astype(np.int64), 0, size - 2)
-    frac = t - idx
-    return idx, idx + 1, frac, 1.0 - frac
+    packed = np.zeros((4, value.size), dtype=np.complex128)
+    packed[0] = value
+    packed[1, :-1] = np.diff(value)
+    packed[2] = deriv
+    packed[3, :-1] = np.diff(deriv)
+    return packed
 
 
-def _interp_apply(table: np.ndarray, idx: np.ndarray, idx1: np.ndarray,
-                  frac: np.ndarray, omf: np.ndarray) -> np.ndarray:
-    return table[idx] * omf + table[idx1] * frac
+def _lerp(packed: np.ndarray, idx: np.ndarray, frac: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Interpolated ``(value, derivative)`` from a slope-form table."""
+    rows = np.take(packed, idx, axis=1)
+    return rows[0] + frac * rows[1], rows[2] + frac * rows[3]
 
 
-def _interp_uniform(table: np.ndarray, x0: float, inv_h: float,
-                    x: np.ndarray) -> np.ndarray:
-    """Linear interpolation on a uniform grid (complex-valued tables)."""
-    return _interp_apply(table, *_interp_weights(x0, inv_h, x, table.size))
+def _split(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column index and fractional offset of grid position ``t >= 0``."""
+    idx = t.astype(np.intp)
+    return idx, t - idx
 
 
 @dataclass(frozen=True)
-class _SpectralTable:
-    gamma: complex
-    bracket: np.ndarray
-    minus: np.ndarray
+class ShellPhases:
+    """Spectral phase factors of one grid, summed per shell.
+
+    ``shells`` holds ``(s, c, sx, sy)`` for every nonzero shell
+    ``s = m^2 + n^2`` of the mode set, with ``c = sum cos(phi)``,
+    ``sx = -sum kx sin(phi)`` and ``sy = -sum ky sin(phi)`` over the
+    shell's modes, ``phi = kx dx + ky dy``. Because the mode set is
+    symmetric under ``(m, n) -> (-m, -n)``, these real sums are exactly
+    ``sum e^{j phi}``, ``sum j kx e^{j phi}`` and ``sum j ky e^{j phi}``.
+    """
+
+    period: float
+    n_modes: int
+    shells: tuple
+
+
+def shell_phase_sums(dx: np.ndarray, dy: np.ndarray, period: float,
+                     n_modes: int) -> ShellPhases:
+    """Per-shell real phase sums at the in-plane separations."""
+    sums: dict[int, tuple] = {}
+    for m in range(-n_modes, n_modes + 1):
+        for n in range(-n_modes, n_modes + 1):
+            s = m * m + n * n
+            if s == 0:
+                continue
+            kx = 2.0 * math.pi * m / period
+            ky = 2.0 * math.pi * n / period
+            phi = kx * dx + ky * dy
+            sin_phi = np.sin(phi)
+            terms = (np.cos(phi), -kx * sin_phi, -ky * sin_phi)
+            acc = sums.get(s)
+            sums[s] = terms if acc is None else tuple(
+                a + t for a, t in zip(acc, terms))
+    shells = tuple((s, *sums[s]) for s in sorted(sums))
+    for _, *arrays in shells:
+        for arr in arrays:
+            arr.setflags(write=False)
+    return ShellPhases(period=float(period), n_modes=int(n_modes),
+                       shells=shells)
 
 
 class KernelTables:
@@ -111,53 +171,47 @@ class KernelTables:
         r_grid = np.linspace(0.0, r_max, nr)
         bracket = erfc_scaled_pair(r_grid, k, e)
         dbracket = erfc_scaled_pair_derivative(r_grid, k, e)
-        self._r0 = 0.0
         self._r_inv_h = (nr - 1) / r_max
-        self._bracket = bracket * inv8pi
-        self._dbracket = dbracket * inv8pi
+        self._image = _slope_form(bracket * inv8pi, dbracket * inv8pi)
         # Regularized primary numerator n(R) = bracket - 2 e^{jkR} and its
         # derivative (for the primary image with the free-space part
         # removed: term = n(R) / (8 pi R)), same 1/(8 pi) folding.
         exp_jkr = np.exp(1j * k * r_grid)
-        self._numer = (bracket - 2.0 * exp_jkr) * inv8pi
-        self._dnumer = (dbracket - 2j * k * exp_jkr) * inv8pi
-        self._reg_limit = _primary_minus_free_limit(k, e)
+        self._primary = _slope_form((bracket - 2.0 * exp_jkr) * inv8pi,
+                                    (dbracket - 2j * k * exp_jkr) * inv8pi)
 
-        # --- spectral tables over dz in [-z_max, z_max] ---
-        # Each unique-gamma table is pre-multiplied by its mode
-        # coefficient ``coef = j / (4 L^2 gamma)`` (and the minus table
-        # additionally by ``j gamma``, its derivative factor), so the
-        # per-mode accumulation is a bare multiply-add.
+        # --- spectral tables over dz in [-z_max, z_max], one per shell ---
+        # Each shell's table is pre-multiplied by its mode coefficient
+        # ``coef = j / (4 L^2 gamma)`` (and the minus table additionally
+        # by ``j gamma``, its derivative factor), so the per-shell
+        # accumulation is a bare multiply-add.
         z_grid = np.linspace(-z_max, z_max, nz)
         self._z0 = -z_max
         self._z_inv_h = (nz - 1) / (2.0 * z_max)
         self._z_max = z_max
         area = lat * lat
-        tables: dict[int, _SpectralTable] = {}
         nmod = cfg.n_modes
-        for m in range(-nmod, nmod + 1):
-            for n in range(-nmod, nmod + 1):
-                s = m * m + n * n
-                if s in tables:
-                    continue
-                kx = 2.0 * math.pi * m / lat
-                ky = 2.0 * math.pi * n / lat
-                g = complex(_gamma_mn(k, np.array(kx), np.array(ky)))
-                coef = 1j / (4.0 * area * g)
-                minus_coef = (1j * g) * coef
-                minus = np.asarray(
-                    ewald_spectral_bracket_minus(z_grid, g, e))
-                tables[s] = _SpectralTable(
-                    gamma=g,
-                    bracket=np.asarray(
-                        ewald_spectral_bracket(z_grid, g, e)) * coef,
-                    minus=minus * minus_coef,
-                )
-        self._spectral = tables
         self._modes = [(m, n) for m in range(-nmod, nmod + 1)
                        for n in range(-nmod, nmod + 1)]
         self._images = [(p, q) for p in range(-nim, nim + 1)
                         for q in range(-nim, nim + 1)]
+        self._gamma: dict[int, complex] = {}
+        self._shells: dict[int, np.ndarray] = {}
+        for m, n in self._modes:
+            s = m * m + n * n
+            if s in self._gamma:
+                continue
+            kx = 2.0 * math.pi * m / lat
+            ky = 2.0 * math.pi * n / lat
+            g = complex(_gamma_mn(k, np.array(kx), np.array(ky)))
+            coef = 1j / (4.0 * area * g)
+            minus_coef = (1j * g) * coef
+            minus = np.asarray(ewald_spectral_bracket_minus(z_grid, g, e))
+            self._gamma[s] = g
+            self._shells[s] = _slope_form(
+                np.asarray(ewald_spectral_bracket(z_grid, g, e)) * coef,
+                minus * minus_coef)
+        self._reg0 = self._regular_at_zero()
 
     # ------------------------------------------------------------------
 
@@ -171,9 +225,32 @@ class KernelTables:
         """
         return self._z_max >= float(z_extent) * 1.0005 + 1e-12
 
+    def shares_grids(self, other: "KernelTables") -> bool:
+        """Whether ``other`` was built on the same abscissa grids.
+
+        True when both have the same period, radial and dz grids and
+        image/mode sets — the condition for one set of gather indices
+        and phase sums to serve both in :func:`green_and_gradient_multi`.
+        """
+        return (
+            self.period == other.period
+            and self._r_inv_h == other._r_inv_h
+            and self._image.shape == other._image.shape
+            and self._z0 == other._z0
+            and self._z_inv_h == other._z_inv_h
+            and self._images == other._images
+            and self._modes == other._modes
+        )
+
     def regular_at_zero(self) -> complex:
-        """``(G^pq - G_free)`` at zero separation (for diagonal self terms)."""
-        g = self._reg_limit
+        """``(G^pq - G_free)`` at zero separation (for diagonal self terms).
+
+        A pure function of the table, computed once at construction.
+        """
+        return self._reg0
+
+    def _regular_at_zero(self) -> complex:
+        g = _primary_minus_free_limit(self.k, self.cfg.effective_split)
         e = self.cfg.effective_split
         lat = self.period
         # Non-primary spatial images at zero separation.
@@ -185,239 +262,132 @@ class KernelTables:
         # Spectral part at dz = 0.
         area = lat * lat
         for (m, n) in self._modes:
-            s = m * m + n * n
-            tab = self._spectral[s]
-            b0 = complex(ewald_spectral_bracket(np.array(0.0), tab.gamma, e))
-            g += b0 * (1j / (4.0 * area * tab.gamma))
+            gamma = self._gamma[m * m + n * n]
+            b0 = complex(ewald_spectral_bracket(np.array(0.0), gamma, e))
+            g += b0 * (1j / (4.0 * area * gamma))
         return g
 
     def green_and_gradient(self, dx: np.ndarray, dy: np.ndarray,
-                           dz: np.ndarray, skip_mask: np.ndarray | None = None
+                           dz: np.ndarray
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Regularized kernel and gradient at the given (wrapped) separations.
 
         Returns ``(G_reg, Gx_reg, Gy_reg, Gz_reg)`` where "reg" means the
         free-space primary singularity has been subtracted (same contract
-        as ``periodic_green(..., exclude_primary=True)``). Entries where
-        ``skip_mask`` is True (e.g. the diagonal) are left as zero; the
-        caller patches them from :meth:`regular_at_zero`.
-
-        The inputs broadcast against each other, so a batched assembly
-        can pass shared in-plane separations ``(N, N)`` with a stacked
-        ``(B, N, N)`` ``dz`` and get ``(B, N, N)`` outputs.
+        as ``periodic_green(..., exclude_primary=True)``). The one-table
+        case of :func:`green_and_gradient_multi`.
         """
-        dx = np.asarray(dx, dtype=np.float64)
-        dy = np.asarray(dy, dtype=np.float64)
-        dz = np.asarray(dz, dtype=np.float64)
-        if np.max(np.abs(dz)) > self._z_max:
-            raise ConfigurationError(
-                "dz exceeds the tabulated z range; rebuild KernelTables "
-                "with a larger z_extent"
-            )
-        lat = self.period
-        shape = np.broadcast_shapes(dx.shape, dy.shape, dz.shape)
-        g = np.zeros(shape, dtype=np.complex128)
-        gx = np.zeros(shape, dtype=np.complex128)
-        gy = np.zeros(shape, dtype=np.complex128)
-        gz = np.zeros(shape, dtype=np.complex128)
-
-        dz2 = dz * dz  # invariant across images; hoisted out of the loop
-        nr = self._bracket.size
-        for (p, q) in self._images:
-            rx = dx - p * lat
-            ry = dy - q * lat
-            r2 = rx * rx + ry * ry + dz2
-            r = np.sqrt(r2)
-            primary = (p == 0 and q == 0)
-            safe = np.maximum(r, 1e-300) if primary else r
-            # The value and derivative tables share one abscissa array,
-            # so they share one set of gather weights.
-            idx, idx1, frac, omf = _interp_weights(self._r0, self._r_inv_h,
-                                                   r, nr)
-            inv_r = 1.0 / safe
-            safe2 = safe * safe
-            self._accumulate_image(primary, idx, idx1, frac, omf, safe,
-                                   safe2, rx * inv_r, ry * inv_r,
-                                   dz * inv_r, g, gx, gy, gz)
-
-        # Interpolate each unique-gamma table once; all spectral tables
-        # share the dz grid, hence one shared set of gather weights.
-        zw = _interp_weights(self._z0, self._z_inv_h, dz,
-                             self._spectral[0].bracket.size)
-        self._accumulate_spectral(dx, dy, zw, g, gx, gy, gz)
-
-        if skip_mask is not None:
-            g[skip_mask] = 0.0
-            gx[skip_mask] = 0.0
-            gy[skip_mask] = 0.0
-            gz[skip_mask] = 0.0
-        return g, gx, gy, gz
-
-    def _accumulate_image(self, primary: bool, idx, idx1, frac, omf,
-                          safe, safe2, rxi, ryi, dzi, g, gx, gy, gz) -> None:
-        """Add one lattice image's contribution in place.
-
-        All k-independent inputs (gather weights, distances and the
-        direction cosines ``rxi = rx / r`` etc.) come from the caller so
-        a two-media evaluation can share them; the tables carry the
-        folded ``1/(8 pi)``.
-        """
-        if primary:
-            b = _interp_apply(self._numer, idx, idx1, frac, omf)
-            db = _interp_apply(self._dnumer, idx, idx1, frac, omf)
-        else:
-            b = _interp_apply(self._bracket, idx, idx1, frac, omf)
-            db = _interp_apply(self._dbracket, idx, idx1, frac, omf)
-        g += b / safe
-        radial = db / safe - b / safe2
-        gx += radial * rxi
-        gy += radial * ryi
-        gz += radial * dzi
-
-    def _spectral_interp(self, zw) -> tuple[dict, dict]:
-        """Interpolate every unique-gamma table at shared weights."""
-        binterp = {s: _interp_apply(tab.bracket, *zw)
-                   for s, tab in self._spectral.items()}
-        minterp = {s: _interp_apply(tab.minus, *zw)
-                   for s, tab in self._spectral.items()}
-        return binterp, minterp
-
-    def _accumulate_spectral(self, dx, dy, zw, g, gx, gy, gz) -> None:
-        """Add every spectral mode's contribution in place.
-
-        The tables carry the folded mode coefficients (and the minus
-        table its ``j gamma`` derivative factor), so each mode is one
-        phase multiply plus bare accumulations.
-        """
-        binterp, minterp = self._spectral_interp(zw)
-        self._accumulate_modes(dx, dy, binterp, minterp, g, gx, gy, gz)
-
-    def _accumulate_modes(self, dx, dy, binterp, minterp,
-                          g, gx, gy, gz,
-                          phases: dict | None = None) -> None:
-        """Mode-sum accumulation; ``phases`` lets two media share the
-        (k-independent) per-mode phase factors."""
-        lat = self.period
-        for (m, n) in self._modes:
-            s = m * m + n * n
-            if m or n:
-                kx = 2.0 * math.pi * m / lat
-                ky = 2.0 * math.pi * n / lat
-                if phases is None:
-                    phase = np.exp(1j * (kx * dx + ky * dy))
-                else:
-                    phase = phases.get((m, n))
-                    if phase is None:
-                        phase = np.exp(1j * (kx * dx + ky * dy))
-                        phases[(m, n)] = phase
-                pb = phase * binterp[s]
-                g += pb
-                gx += (1j * kx) * pb
-                gy += (1j * ky) * pb
-                gz += phase * minterp[s]
-            else:
-                # Specular mode: unit phase, no transverse gradient.
-                g += binterp[s]
-                gz += minterp[s]
-
-    def _shares_grids(self, other: "KernelTables") -> bool:
-        """Whether two tables can share interpolation intermediates.
-
-        True when they were built on the same spatial/spectral grids
-        (same period, abscissa origin/step/size, image and mode sets) —
-        the condition for one set of gather weights and mode phases to
-        serve both.
-        """
-        return (
-            self.period == other.period
-            and self._r0 == other._r0
-            and self._r_inv_h == other._r_inv_h
-            and self._z0 == other._z0
-            and self._z_inv_h == other._z_inv_h
-            and self._bracket.size == other._bracket.size
-            and self._images == other._images
-            and self._modes == other._modes
-        )
-
-    def green_and_gradient_pair(self, other: "KernelTables",
-                                dx: np.ndarray, dy: np.ndarray,
-                                dz: np.ndarray):
-        """Two-media evaluation sharing all k-independent intermediates.
-
-        The two-table case of :func:`green_and_gradient_multi` (kept as
-        a method for the established call sites). Returns
-        ``((g, gx, gy, gz), (g2, gx2, gy2, gz2))`` for ``self`` and
-        ``other``.
-        """
-        return tuple(green_and_gradient_multi((self, other), dx, dy, dz))
+        return green_and_gradient_multi((self,), dx, dy, dz)[0]
 
 
 def green_and_gradient_multi(tables, dx: np.ndarray, dy: np.ndarray,
-                             dz: np.ndarray) -> list[tuple]:
-    """Evaluate N tables' kernels sharing all k-independent intermediates.
+                             dz: np.ndarray,
+                             phases: ShellPhases | None = None
+                             ) -> list[tuple]:
+    """Evaluate several tables' kernels at once.
 
-    The wrapped distances, gather weights, reciprocal distances and
-    mode phases depend only on the geometry, not on the medium
-    wavenumber, yet per-table evaluation recomputes them on full-size
-    arrays. This fused variant computes them once and runs every
-    table's lookups against them — **bit-identical** to calling
-    :meth:`KernelTables.green_and_gradient` on each table separately.
-    One call serves two media x F stacked frequencies (the
-    :class:`~repro.swm.plan.AssemblyPlan3D` consumer).
+    In-plane separations ``dx``/``dy`` must be minimum-image wrapped
+    (``|dx|, |dy| <= L/2``); the inputs broadcast, so shared ``(N, N)``
+    in-plane separations with a stacked ``(B, N, N)`` ``dz`` give
+    ``(B, N, N)`` outputs. Distances, gather indices and the shell phase
+    sums are computed once and serve every table, so one call evaluates
+    two media x F stacked frequencies (the
+    :class:`~repro.swm.plan.AssemblyPlan3D` consumer); each table's
+    result is bit-identical to evaluating it alone. ``phases`` passes
+    precomputed :func:`shell_phase_sums` of ``(dx, dy)``; without it
+    they are computed here.
 
-    Returns ``[(g, gx, gy, gz), ...]`` in table order. Falls back to
-    independent evaluations when the tables do not all share grid
-    geometry.
+    Returns ``[(g, gx, gy, gz), ...]`` in table order. Raises
+    :class:`~repro.errors.ConfigurationError` when the tables do not
+    share grids or ``dz`` exceeds their tabulated range.
     """
     tables = list(tables)
     if not tables:
         raise ConfigurationError(
             "green_and_gradient_multi needs at least one KernelTables")
     first = tables[0]
-    if not all(first._shares_grids(tab) for tab in tables[1:]):
-        return [tab.green_and_gradient(dx, dy, dz) for tab in tables]
+    if not all(first.shares_grids(tab) for tab in tables[1:]):
+        raise ConfigurationError(
+            "green_and_gradient_multi needs tables built on shared grids "
+            "(same period, z_extent and Ewald truncation)")
 
     dx = np.asarray(dx, dtype=np.float64)
     dy = np.asarray(dy, dtype=np.float64)
     dz = np.asarray(dz, dtype=np.float64)
-    if np.max(np.abs(dz)) > min(tab._z_max for tab in tables):
+    if np.max(np.abs(dz)) > first._z_max:
         raise ConfigurationError(
             "dz exceeds the tabulated z range; rebuild KernelTables "
             "with a larger z_extent"
         )
-    lat = first.period
-    shape = np.broadcast_shapes(dx.shape, dy.shape, dz.shape)
-    outs = [tuple(np.zeros(shape, dtype=np.complex128)
-                  for _ in range(4)) for _ in tables]
+    half = 0.5 * first.period * (1.0 + 1e-9)
+    if np.max(np.abs(dx)) > half or np.max(np.abs(dy)) > half:
+        raise ConfigurationError(
+            "in-plane separations must be wrapped to the minimum image "
+            "(|dx|, |dy| <= L/2)")
+    if phases is None:
+        phases = shell_phase_sums(dx, dy, first.period, first.cfg.n_modes)
+    elif (phases.period, phases.n_modes) != (first.period,
+                                              first.cfg.n_modes):
+        raise ConfigurationError(
+            "shell phases were built for a different period or mode set")
 
+    shape = np.broadcast_shapes(dx.shape, dy.shape, dz.shape)
+    outs = [tuple(np.zeros(shape, dtype=np.complex128) for _ in range(4))
+            for _ in tables]
+    _add_images(tables, outs, dx, dy, dz)
+    _add_shells(tables, outs, dz, phases)
+    return outs
+
+
+def _add_images(tables, outs, dx, dy, dz) -> None:
+    """Add every lattice image's spatial term to ``outs`` in place.
+
+    Per image: one distance and gather position shared by all tables,
+    then per table one gather from the packed radial table. With
+    ``w = 1/R`` the term is ``g = b w`` and its gradient
+    ``(db - b w) w^2 (rx, ry, dz)``.
+    """
+    first = tables[0]
+    lat = first.period
     dz2 = dz * dz
-    nr = first._bracket.size
     for (p, q) in first._images:
         rx = dx - p * lat
         ry = dy - q * lat
-        r2 = rx * rx + ry * ry + dz2
-        r = np.sqrt(r2)
+        r = np.sqrt(rx * rx + ry * ry + dz2)
         primary = (p == 0 and q == 0)
-        safe = np.maximum(r, 1e-300) if primary else r
-        idx, idx1, frac, omf = _interp_weights(first._r0, first._r_inv_h,
-                                               r, nr)
-        inv_r = 1.0 / safe
-        safe2 = safe * safe
-        rxi = rx * inv_r
-        ryi = ry * inv_r
-        dzi = dz * inv_r
+        if primary:
+            r = np.maximum(r, 1e-300)
+        idx, frac = _split(r * first._r_inv_h)
+        w = 1.0 / r
+        w2 = w * w
         for tab, (g, gx, gy, gz) in zip(tables, outs):
-            tab._accumulate_image(primary, idx, idx1, frac, omf, safe,
-                                  safe2, rxi, ryi, dzi, g, gx, gy, gz)
+            b, db = _lerp(tab._primary if primary else tab._image, idx, frac)
+            u = b * w
+            g += u
+            radial = (db - u) * w2
+            gx += radial * rx
+            gy += radial * ry
+            gz += radial * dz
 
-    zw = _interp_weights(first._z0, first._z_inv_h, dz,
-                         first._spectral[0].bracket.size)
-    phases: dict = {}
+
+def _add_shells(tables, outs, dz, phases: ShellPhases) -> None:
+    """Add every spectral shell's term to ``outs`` in place.
+
+    The shell tables share the dz grid, hence one gather position; the
+    specular shell has unit phase and no transverse gradient.
+    """
+    first = tables[0]
+    idx, frac = _split((dz - first._z0) * first._z_inv_h)
     for tab, (g, gx, gy, gz) in zip(tables, outs):
-        binterp, minterp = tab._spectral_interp(zw)
-        tab._accumulate_modes(dx, dy, binterp, minterp, g, gx, gy, gz,
-                              phases=phases)
-    return outs
+        b, minus = _lerp(tab._shells[0], idx, frac)
+        g += b
+        gz += minus
+        for s, c, sx, sy in phases.shells:
+            b, minus = _lerp(tab._shells[s], idx, frac)
+            g += c * b
+            gx += sx * b
+            gy += sy * b
+            gz += c * minus
 
 
 def tables_for_mesh(k: complex, mesh: SurfaceMesh3D,

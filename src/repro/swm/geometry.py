@@ -102,6 +102,11 @@ class SurfaceMesh3D:
         return float(np.sum(self.true_areas()))
 
 
+def grid_coords(n: int, period: float) -> np.ndarray:
+    """Cell-center coordinates of an n-point periodic grid along one axis."""
+    return (np.arange(n) + 0.0) * (period / n)
+
+
 def build_mesh_3d(heights: np.ndarray, period: float) -> SurfaceMesh3D:
     """Build a :class:`SurfaceMesh3D` from an n x n height map."""
     h = np.asarray(heights, dtype=np.float64)
@@ -112,8 +117,7 @@ def build_mesh_3d(heights: np.ndarray, period: float) -> SurfaceMesh3D:
     n = h.shape[0]
     if n < 4:
         raise MeshError(f"mesh needs at least 4 points per side, got {n}")
-    dx = period / n
-    coords = (np.arange(n) + 0.0) * dx
+    coords = grid_coords(n, period)
     xx, yy = np.meshgrid(coords, coords, indexing="ij")
     fx, fy = spectral_gradient_2d(h, period)
     fxx, fxy = spectral_gradient_2d(fx, period)

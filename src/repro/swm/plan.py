@@ -23,18 +23,49 @@ serve arbitrarily many wavenumbers.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from ..errors import MeshError
 from ..greens.freespace import green2d, green2d_radial_derivative, green3d
 from ..greens.periodic2d import EULER_GAMMA, periodic_green2d_pair
-from .geometry import SurfaceMesh2D, SurfaceMesh3D
+from .geometry import SurfaceMesh2D, SurfaceMesh3D, grid_coords
 
 
 def _wrap(d: np.ndarray, period: float) -> np.ndarray:
     """Wrap separations to the minimum image in (-L/2, L/2]."""
     return d - period * np.round(d / period)
+
+
+@lru_cache(maxsize=4)
+def _grid_offsets(n: int, period: float) -> tuple[np.ndarray, np.ndarray]:
+    """Wrapped in-plane separations ``(dx, dy)`` of the n x n grid.
+
+    Every 3D mesh shares :func:`~repro.swm.geometry.grid_coords`, so
+    the ``(N, N)`` separations depend on ``(n, period)`` only. The
+    diagonal of ``dx`` holds a harmless nonzero separation (the self
+    terms are patched analytically). Read-only: plans share them.
+    """
+    coords = grid_coords(n, period)
+    xx, yy = np.meshgrid(coords, coords, indexing="ij")
+    x, y = xx.ravel(), yy.ravel()
+    dx = _wrap(x[:, None] - x[None, :], period)
+    dy = _wrap(y[:, None] - y[None, :], period)
+    np.fill_diagonal(dx, 0.25 * period)
+    dx.setflags(write=False)
+    dy.setflags(write=False)
+    return dx, dy
+
+
+@lru_cache(maxsize=4)
+def _grid_phases(n: int, period: float, n_modes: int):
+    """Per-shell spectral phase sums of the n x n grid (see
+    :func:`~repro.swm.fastkernel.shell_phase_sums`), built once per
+    ``(n, period, n_modes)`` and shared by every plan on that grid."""
+    from .fastkernel import shell_phase_sums
+
+    return shell_phase_sums(*_grid_offsets(n, period), period, n_modes)
 
 
 def _near_pairs(mesh: SurfaceMesh3D, radius_cells: float
@@ -128,14 +159,12 @@ class AssemblyPlan3D:
         area = base.cell_area
         diag = np.arange(n)
 
-        dx = _wrap(base.x[:, None] - base.x[None, :], base.period)
-        dy = _wrap(base.y[:, None] - base.y[None, :], base.period)
+        dx, dy = _grid_offsets(base.n, base.period)
         z = np.stack([mesh.z for mesh in meshes])
         fx = np.stack([mesh.fx for mesh in meshes])
         fy = np.stack([mesh.fy for mesh in meshes])
         jac = np.stack([mesh.jac for mesh in meshes])
         dz = z[:, :, None] - z[:, None, :]
-        np.fill_diagonal(dx, 0.25 * base.period)
 
         # Free-space primary: shared distances/directions (the per-k
         # phase is applied in assemble_k).
@@ -174,14 +203,17 @@ class AssemblyPlan3D:
     def eval_tables(self, tables) -> list[tuple]:
         """Regularized kernel+gradient for each :class:`KernelTables`.
 
-        One fused pass over the plan's separations shares the gather
-        weights, reciprocal distances and mode phases across all tables
-        (any number of media x frequencies) — bit-identical to
-        evaluating each table independently.
+        One fused pass over the plan's separations shares the distances,
+        gather positions and the grid's cached shell phase sums across
+        all tables (any number of media x frequencies) — bit-identical
+        to evaluating each table independently.
         """
         from .fastkernel import green_and_gradient_multi
 
-        return green_and_gradient_multi(tables, self.dx, self.dy, self.dz)
+        phases = _grid_phases(self.meshes[0].n, self.period,
+                              self.options.n_modes)
+        return green_and_gradient_multi(tables, self.dx, self.dy, self.dz,
+                                        phases)
 
     def assemble_k(self, k: complex, regs, g_reg0: complex
                    ) -> tuple[np.ndarray, np.ndarray]:

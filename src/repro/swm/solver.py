@@ -30,7 +30,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from ..constants import METER_TO_UM
 from ..errors import ConfigurationError, SolverError
@@ -39,7 +38,6 @@ from ..telemetry import span
 from .assembly import (
     AssemblyOptions,
     assemble_media_multi_k,
-    assemble_medium,
     assemble_medium_many,
 )
 from .geometry import SurfaceMesh3D, build_mesh_3d
@@ -96,20 +94,14 @@ class SWMOptions:
 
     def to_spec(self) -> dict:
         """Content-hashable dict (keys the engine's result cache).
-        ``asdict`` recurses into :class:`AssemblyOptions` and picks up
-        any future field automatically. Knobs that cannot change
-        payloads (:data:`HASH_EXCLUDED`) are dropped so they never
-        split cache entries:
-        ``batch_size`` (batched solves are bit-identical) and
-        ``check_finite`` (it only turns a non-finite assembly into a
-        clear error — every payload that *returns* is identical either
-        way)."""
-        import dataclasses
-
-        spec = dataclasses.asdict(self)
-        spec.pop("batch_size")
-        spec.pop("check_finite")
-        return spec
+        The assembly part comes from :meth:`AssemblyOptions.to_spec`,
+        so the kernel revision reaches every 3D hash. Knobs that cannot
+        change payloads (:data:`HASH_EXCLUDED`) stay out so they never
+        split cache entries: ``batch_size`` (batched solves are
+        bit-identical) and ``check_finite`` (it only turns a non-finite
+        assembly into a clear error — every payload that *returns* is
+        identical either way)."""
+        return {"assembly": self.assembly.to_spec()}
 
 
 #: Target bytes per stacked (B, N, N) assembly array. Measured optimum
@@ -174,6 +166,10 @@ class SWMSolver3D:
             return None
         key = (which, float(frequency_hz), float(mesh.period))
         z_extent = float(np.max(mesh.z) - np.min(mesh.z))
+        if not np.isfinite(z_extent):
+            # Tables cannot be sized for it; fail like a non-finite
+            # assembly would.
+            raise SolverError("mesh heights contain non-finite values")
         cached = self._tables.get(key)
         if cached is not None and cached.covers(z_extent):
             return cached
@@ -211,7 +207,8 @@ class SWMSolver3D:
         # to the user's call site in all of them.
         self._check_resolution(mesh.spacing, frequency_hz, stacklevel=4)
         psi, v = self._solve_fields(mesh, frequency_hz)
-        return self._finish(mesh, frequency_hz, psi, v)
+        return self._finish_many([mesh], frequency_hz, psi[None],
+                                 v[None])[0]
 
     # ------------------------------------------------------------------
     # Batched sample solves (the MC/SSCM hot path)
@@ -222,10 +219,10 @@ class SWMSolver3D:
         """Batched :meth:`solve` for a ``(B, n, n)`` stack of height maps.
 
         Results are bit-identical to calling :meth:`solve` per map with
-        this solver (same kernel-table reuse policy, same LAPACK
-        factorization), but the B dense systems are assembled with the
-        sample axis vectorized and factored as one stacked
-        ``(B, 2n, 2n)`` batch.
+        this solver (same kernel-table reuse policy, same factorization
+        call), but the B dense systems are assembled with the sample
+        axis vectorized and factored as one stacked ``(B, 2n, 2n)``
+        batch.
         """
         heights_um = np.asarray(heights_m, dtype=np.float64) * METER_TO_UM
         return self._solve_many_um(heights_um, float(period_m) * METER_TO_UM,
@@ -285,59 +282,15 @@ class SWMSolver3D:
 
     def _solve_fields(self, mesh: SurfaceMesh3D, frequency_hz: float
                       ) -> tuple[np.ndarray, np.ndarray]:
+        """One sample's ``(psi, v)``: the stacked path with a batch of
+        one, so single and batched solves share every assembly and
+        factorization call."""
         k1, k2 = self._wavenumbers_um(frequency_hz)
-        beta = self.system.beta(frequency_hz)
-        n = mesh.size
-
         t1 = self._get_tables(1, k1, frequency_hz, mesh)
         t2 = self._get_tables(2, k2, frequency_hz, mesh)
-        if t1 is not None and t2 is not None:
-            # Single-sample calls share the batched hot path: one
-            # k-independent plan serves both media.
-            with span("plan", n=n):
-                plan = AssemblyPlan3D.build([mesh], self.options.assembly)
-        else:
-            plan = None
-
-        with span("assemble", n=n):
-            if plan is not None:
-                (d1b, s1b), (d2b, s2b) = assemble_media_multi_k(
-                    plan, ((k1, t1), (k2, t2)))
-                d1, s1 = d1b[0], s1b[0]
-                d2, s2 = d2b[0], s2b[0]
-            else:
-                d1, s1 = assemble_medium(mesh, k1, self.options.assembly,
-                                         tables=t1)
-                d2, s2 = assemble_medium(mesh, k2, self.options.assembly,
-                                         tables=t2)
-
-            half = 0.5 * np.eye(n)
-            # Column scaling: solve for v_hat = v / |k2| so both unknown
-            # blocks are O(1) (v ~ k2 * psi for a good conductor).
-            scale_v = abs(k2)
-            a = np.empty((2 * n, 2 * n), dtype=np.complex128)
-            a[:n, :n] = half - d1
-            a[:n, n:] = beta * s1 * scale_v
-            a[n:, :n] = half + d2
-            a[n:, n:] = -s2 * scale_v
-
-            rhs = np.zeros(2 * n, dtype=np.complex128)
-            rhs[:n] = np.exp(-1j * k1 * mesh.z)
-
-        if self.options.check_finite and not np.all(np.isfinite(a)):
-            raise SolverError("assembled SWM matrix contains non-finite entries")
-        try:
-            with span("factor", n=n):
-                lu, piv = lu_factor(a, check_finite=False)
-                sol = lu_solve((lu, piv), rhs, check_finite=False)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise SolverError(f"dense solve failed: {exc}") from exc
-        if not np.all(np.isfinite(sol)):
-            raise SolverError("SWM solution contains non-finite entries "
-                              "(singular system?)")
-        psi = sol[:n]
-        v = sol[n:] * scale_v
-        return psi, v
+        psi, v = self._solve_fields_many([mesh], frequency_hz, k1, k2,
+                                         t1, t2)
+        return psi[0], v[0]
 
     def _validate_same_grid(self, meshes: list[SurfaceMesh3D]) -> None:
         if not meshes:
@@ -407,11 +360,11 @@ class SWMSolver3D:
         :meth:`solve_mesh_many` once per frequency in order on this
         solver (same kernel-table replay policy per frequency — table
         cache keys include the frequency, so the replays are
-        independent — same chunking, same LAPACK path).
+        independent — same chunking, same factorization call).
 
         Falls back to per-frequency solves when the exact-Ewald path is
         selected (no tables to stack) or when warm table caches give the
-        frequencies diverging rebuild boundaries.
+        frequencies diverging rebuild boundaries or table grids.
         """
         meshes = list(meshes)
         freqs = [float(f) for f in frequencies_hz]
@@ -430,13 +383,20 @@ class SWMSolver3D:
             per.append((f, k1, k2,
                         self._replay_table_groups(meshes, f, k1, k2)))
 
-        # Stacking requires tables and identical rebuild boundaries at
-        # every frequency (guaranteed from a cold cache: rebuilds depend
-        # only on the shared z-extents; a warm cache can diverge).
+        # Stacking requires tables, and identical rebuild boundaries and
+        # table grids at every frequency (guaranteed from a cold cache:
+        # rebuilds and grids depend only on the shared z-extents; a warm
+        # cache can diverge).
         index_groups = [indices for _, _, indices in per[0][3]]
         stackable = (self.options.assembly.use_tables
                      and all([indices for _, _, indices in groups]
                              == index_groups for _, _, _, groups in per))
+        if stackable:
+            firsts = [t1 for t1, _, _ in per[0][3]]
+            stackable = all(firsts[gi].shares_grids(t)
+                            for _, _, _, groups in per
+                            for gi, (t1, t2, _) in enumerate(groups)
+                            for t in (t1, t2))
         if not stackable:
             return [self._solve_groups(meshes, f, k1, k2, groups)
                     for f, k1, k2, groups in per]
@@ -473,11 +433,7 @@ class SWMSolver3D:
                       d1: np.ndarray, s1: np.ndarray,
                       d2: np.ndarray, s2: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Stack the coupled ``(B, 2n, 2n)`` block systems and RHS.
-
-        The block structure, scaling and right-hand side mirror
-        :meth:`_solve_fields` entry for entry.
-        """
+        """Stack the coupled ``(B, 2n, 2n)`` block systems and RHS."""
         beta = self.system.beta(frequency_hz)
         nb = len(meshes)
         n = meshes[0].size
@@ -503,9 +459,10 @@ class SWMSolver3D:
                       n: int, nb: int) -> np.ndarray:
         """Finite-check and factor one stacked batch.
 
-        The LAPACK ``gesv`` behind ``np.linalg.solve`` runs the same
-        ``getrf``/``getrs`` pair as the sequential scipy path, so
-        solutions are bit-identical to per-sample solves.
+        Every 3D solve factors here — a single sample is a batch of
+        one — so per-sample and stacked solutions come from the same
+        ``np.linalg.solve`` call and one LAPACK build, and agree bit for
+        bit whatever BLAS threading is in effect.
         """
         if self.options.check_finite and not np.all(np.isfinite(a)):
             raise SolverError("assembled SWM matrix contains non-finite "
@@ -514,7 +471,7 @@ class SWMSolver3D:
             with span("factor", n=n, batch=nb):
                 sol = np.linalg.solve(a, rhs[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError as exc:
-            raise SolverError(f"batched dense solve failed: {exc}") from exc
+            raise SolverError(f"dense solve failed: {exc}") from exc
         if not np.all(np.isfinite(sol)):
             raise SolverError("SWM solution contains non-finite entries "
                               "(singular system?)")
@@ -525,9 +482,8 @@ class SWMSolver3D:
                            t1, t2) -> tuple[np.ndarray, np.ndarray]:
         """Assemble and factor a stack of sample systems at once.
 
-        Returns ``(psi, v)`` as ``(B, n)`` arrays, bit-identical to the
-        per-sample path (see :meth:`_block_system` /
-        :meth:`_factor_stack`).
+        Returns ``(psi, v)`` as ``(B, n)`` arrays; per-sample solves are
+        the ``B = 1`` case.
         """
         nb = len(meshes)
         n = meshes[0].size
@@ -579,24 +535,6 @@ class SWMSolver3D:
             )
             for i, mesh in enumerate(meshes)
         ]
-
-    def _finish(self, mesh: SurfaceMesh3D, frequency_hz: float,
-                psi: np.ndarray, v: np.ndarray) -> SWMResult:
-        with span("power"):
-            areas = mesh.true_areas()
-            pr = float(0.5 * np.sum(np.real(np.conj(psi) * v) * areas))
-            ps = self.smooth_power(mesh.period, frequency_hz)
-        if ps <= 0.0:
-            raise SolverError("smooth-surface reference power is non-positive")
-        return SWMResult(
-            frequency_hz=float(frequency_hz),
-            enhancement=pr / ps,
-            absorbed_power=pr,
-            smooth_power=ps,
-            psi=psi,
-            v=v,
-            mesh=mesh,
-        )
 
     def smooth_power(self, period_um: float, frequency_hz: float) -> float:
         """Smooth-surface absorbed power ``|T0|^2 L^2 / (2 delta)``.

@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from ..constants import METER_TO_UM
 from ..errors import ConfigurationError, SolverError
@@ -145,58 +144,9 @@ class SWMSolver2D:
         # above this, so stacklevel 4 attributes the resolution warning
         # to the user's call site in all of them.
         self._check_resolution(mesh.spacing, frequency_hz, stacklevel=4)
-        k1 = self.system.k1(frequency_hz) / METER_TO_UM
-        k2 = self.system.k2(frequency_hz) / METER_TO_UM
-        beta = self.system.beta(frequency_hz)
-        n = mesh.size
-
-        # Single-profile calls share the batched hot path: one
-        # k-independent plan serves both media.
-        with span("plan", n=n):
-            plan = AssemblyPlan2D.build([mesh], self.options.assembly)
-
-        with span("assemble", n=n):
-            (d1b, s1b), (d2b, s2b) = assemble_media_multi_k_2d(
-                plan, (k1, k2))
-            d1, s1 = d1b[0], s1b[0]
-            d2, s2 = d2b[0], s2b[0]
-
-            half = 0.5 * np.eye(n)
-            scale_v = abs(k2)
-            a = np.empty((2 * n, 2 * n), dtype=np.complex128)
-            a[:n, :n] = half - d1
-            a[:n, n:] = beta * s1 * scale_v
-            a[n:, :n] = half + d2
-            a[n:, n:] = -s2 * scale_v
-
-            rhs = np.zeros(2 * n, dtype=np.complex128)
-            rhs[:n] = np.exp(-1j * k1 * mesh.z)
-
-        if self.options.check_finite and not np.all(np.isfinite(a)):
-            raise SolverError("assembled 2D SWM matrix contains non-finite "
-                              "entries")
-        try:
-            with span("factor", n=n):
-                lu, piv = lu_factor(a, check_finite=False)
-                sol = lu_solve((lu, piv), rhs, check_finite=False)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise SolverError(f"dense 2D solve failed: {exc}") from exc
-        psi = sol[:n]
-        v = sol[n:] * scale_v
-
-        with span("power"):
-            lengths = mesh.true_lengths()
-            pr = float(0.5 * np.sum(np.real(np.conj(psi) * v) * lengths))
-            ps = self.smooth_power(mesh.period, frequency_hz)
-        return SWM2DResult(
-            frequency_hz=float(frequency_hz),
-            enhancement=pr / ps,
-            absorbed_power=pr,
-            smooth_power=ps,
-            psi=psi,
-            v=v,
-            mesh=mesh,
-        )
+        # A single profile is a stack of one: per-sample and batched
+        # solves share every assembly and factorization call.
+        return self._solve_mesh_stack([mesh], frequency_hz)[0]
 
     # ------------------------------------------------------------------
     # Batched sample solves (the 2D profile MC hot path)
@@ -277,7 +227,7 @@ class SWMSolver2D:
         ``list[SWM2DResult]`` per frequency (outer index follows
         ``frequencies_hz``), **bit-identical** to calling
         :meth:`solve_mesh_many` once per frequency (same chunking, same
-        LAPACK path).
+        factorization call).
         """
         meshes = list(meshes)
         freqs = [float(f) for f in frequencies_hz]
@@ -347,6 +297,12 @@ class SWMSolver2D:
 
     def _factor_stack_2d(self, a: np.ndarray, rhs: np.ndarray,
                          n: int, nb: int) -> np.ndarray:
+        """Finite-check and factor one stacked batch.
+
+        Every 2D solve factors here (a single profile is a batch of
+        one), so per-sample and stacked solutions share one
+        ``np.linalg.solve`` call and agree bit for bit.
+        """
         if self.options.check_finite and not np.all(np.isfinite(a)):
             raise SolverError("assembled 2D SWM matrix contains non-finite "
                               "entries")
@@ -354,8 +310,7 @@ class SWMSolver2D:
             with span("factor", n=n, batch=nb):
                 sol = np.linalg.solve(a, rhs[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError as exc:
-            raise SolverError(f"batched dense 2D solve failed: {exc}"
-                              ) from exc
+            raise SolverError(f"dense 2D solve failed: {exc}") from exc
         return sol
 
     def _finish_many_2d(self, meshes: list[SurfaceMesh2D],

@@ -52,7 +52,8 @@ class TestFramework:
         ids = [r.id for r in all_rules()]
         assert ids == sorted(ids)
         assert {"RPR001", "RPR002", "RPR003", "RPR004", "RPR005",
-                "RPR006", "RPR007", "RPR008", "RPR009"} <= set(ids)
+                "RPR006", "RPR007", "RPR008", "RPR009",
+                "RPR010"} <= set(ids)
 
     def test_get_rule_unknown_id(self):
         with pytest.raises(ConfigurationError, match="unknown rule"):
@@ -674,6 +675,87 @@ class TestWireBaselineFreshness:
     def test_rule_is_scoped_to_wire_modules(self):
         assert run(RPR009_UNRECORDED_GET, "RPR009",
                    path="src/repro/engine/spec.py") == []
+
+
+# ----------------------------------------------------------------------
+# RPR010 — one factorization path per solver
+# ----------------------------------------------------------------------
+
+SOLVER_PATH = "src/repro/swm/solver2d.py"
+
+RPR010_SCIPY_PER_SAMPLE = """
+import numpy as np
+from scipy.linalg import lu_factor, lu_solve
+
+class Solver:
+    def _solve_one(self, a, rhs):
+        lu, piv = lu_factor(a, check_finite=False)
+        return lu_solve((lu, piv), rhs, check_finite=False)
+
+    def _factor_stack(self, a, rhs):
+        return np.linalg.solve(a, rhs[:, :, None])[:, :, 0]
+"""
+
+RPR010_ONE_HELPER = """
+import numpy as np
+
+class Solver:
+    def _solve_one(self, a, rhs):
+        return self._factor_stack(a[None], rhs[None])[0]
+
+    def _factor_stack(self, a, rhs):
+        try:
+            return np.linalg.solve(a, rhs[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(exc) from exc
+"""
+
+
+class TestOneFactorization:
+    def test_scipy_factorization_flags(self):
+        findings = run(RPR010_SCIPY_PER_SAMPLE, "RPR010",
+                       path=SOLVER_PATH)
+        assert [f.line for f in findings] == [7, 8]
+        assert findings[0].message.startswith("scipy.linalg.lu_factor ")
+
+    def test_module_and_attribute_imports_resolve(self):
+        src = """
+        import scipy
+        import scipy.linalg as sla
+
+        def f(a, b):
+            return sla.solve(a, b) + scipy.linalg.cho_solve(a, b)
+        """
+        findings = run(src, "RPR010", path=SOLVER_PATH)
+        assert len(findings) == 2
+
+    def test_numpy_solve_outside_the_helper_flags(self):
+        src = """
+        import numpy as np
+
+        def solve_one(a, rhs):
+            return np.linalg.solve(a, rhs)
+        """
+        findings = run(src, "RPR010", path=SOLVER_PATH)
+        assert len(findings) == 1
+        assert "_factor_stack" in findings[0].message
+
+    def test_one_stacked_helper_passes(self):
+        assert run(RPR010_ONE_HELPER, "RPR010", path=SOLVER_PATH) == []
+
+    def test_non_solve_linalg_calls_pass(self):
+        src = """
+        import numpy as np
+        from scipy.linalg import norm
+
+        def f(a):
+            return np.linalg.norm(a) + norm(a)
+        """
+        assert run(src, "RPR010", path=SOLVER_PATH) == []
+
+    def test_rule_is_scoped_to_kernel_modules(self):
+        assert run(RPR010_SCIPY_PER_SAMPLE, "RPR010",
+                   path="src/repro/stochastic/hermite.py") == []
 
 
 # ----------------------------------------------------------------------

@@ -125,6 +125,36 @@ class TestSolver2DBatchedParity:
             SWMSolver2D().solve_many_um(np.zeros(16), 5.0, FREQ)
 
 
+class TestOneFactorization:
+    """Single and stacked solves share one factorization call, so they
+    agree bit for bit under any BLAS threading. numpy and scipy bundle
+    separate LAPACK builds that can disagree in the last ulp on systems
+    this small, so a per-sample path on the other library would not."""
+
+    @pytest.mark.parametrize("n", [16, 32])  # 2n = 32 and 64 unknowns
+    def test_2d_single_matches_stacked(self, n):
+        profiles = np.random.default_rng(n).normal(0.0, 0.3, (3, n))
+        solver = SWMSolver2D()
+        stacked = solver.solve_many_um(profiles, 5.0, FREQ)
+        for profile, got in zip(profiles, stacked):
+            one = solver.solve_um(profile, 5.0, FREQ)
+            np.testing.assert_array_equal(one.psi, got.psi)
+            np.testing.assert_array_equal(one.v, got.v)
+            assert one.enhancement == got.enhancement
+
+    def test_3d_single_matches_stacked(self):
+        heights = _random_heights(3, 4)  # 4 x 4 grid: 2N = 32 unknowns
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ref = SWMSolver3D()
+            serial = [ref.solve_um(h, 5.0, FREQ) for h in heights]
+            stacked = SWMSolver3D().solve_many_um(heights, 5.0, FREQ)
+        for one, got in zip(serial, stacked):
+            np.testing.assert_array_equal(one.psi, got.psi)
+            np.testing.assert_array_equal(one.v, got.v)
+            assert one.enhancement == got.enhancement
+
+
 class TestBatchedAssembly:
     def test_matches_per_mesh_assembly(self):
         heights = _random_heights(3, 8)

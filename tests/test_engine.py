@@ -154,6 +154,58 @@ class TestContentHash:
         assert p1.key != p3.key
 
 
+class TestKernelRevisionInContentHash:
+    """The tabulated 3D kernel's revision keys every 3D result, so a disk
+    cache never mixes values from two kernels; 2D keys, the perf-knob
+    exclusions and the wire format do not see it."""
+
+    @staticmethod
+    def _keys():
+        from repro.swm.solver2d import SWM2DOptions
+
+        det = DeterministicScenario("d", np.zeros((8, 8)), 5 * UM)
+        prof = ProfileScenario("p", GaussianCorrelation(1.0, 1.0),
+                               period_um=5.0, n=16, options=SWM2DOptions())
+        return (content_hash(small_scenario("x").to_spec()),
+                content_hash(det.to_spec()),
+                content_hash(prof.to_spec()))
+
+    def test_3d_keys_follow_the_revision_and_2d_keys_do_not(
+            self, monkeypatch):
+        from repro.swm import assembly
+
+        stochastic, deterministic, profile = self._keys()
+        monkeypatch.setattr(assembly, "KERNEL_REVISION",
+                            assembly.KERNEL_REVISION + 1)
+        bumped = self._keys()
+        assert bumped[0] != stochastic
+        assert bumped[1] != deterministic
+        assert bumped[2] == profile
+
+    def test_revision_reaches_the_solver_spec(self):
+        from repro.swm.assembly import AssemblyOptions
+        from repro.swm.fastkernel import KERNEL_REVISION
+        from repro.swm.solver import SWMOptions
+
+        spec = SWMOptions(batch_size=16, check_finite=False).to_spec()
+        assert spec == {"assembly": AssemblyOptions().to_spec()}
+        assert spec["assembly"]["kernel"] == KERNEL_REVISION
+        assert spec == SWMOptions().to_spec()
+
+    def test_wire_format_carries_no_revision(self):
+        from repro.service import wire
+        from repro.swm.solver import SWMOptions
+
+        scen = StochasticScenario("x", GaussianCorrelation(1 * UM, 1 * UM),
+                                  SMALL_CONFIG,
+                                  options=SWMOptions(batch_size=4))
+        doc = wire.to_wire(scen)
+        assert doc["options"]["assembly"]["use_tables"] is True
+        assert "kernel" not in json.dumps(doc)
+        decoded = wire.from_wire(json.loads(json.dumps(doc)))
+        assert decoded.key == scen.key
+
+
 class TestSweepSpec:
     def test_cartesian_product_order(self):
         spec = small_spec(frequencies=(2.0, 3.0, 4.0))

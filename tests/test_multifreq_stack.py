@@ -96,6 +96,26 @@ class TestLargeGridMultiKParity:
                                                                 freq))
 
 
+class TestWarmTableCaches:
+    def test_diverging_table_grids_fall_back_per_frequency(self):
+        """A warm cache can leave the frequencies with tables on
+        different z grids. The stacked solve must then fall back to
+        per-frequency solves instead of handing the kernel tables it
+        cannot share."""
+        rng = np.random.default_rng(2)
+        tall = build_mesh_3d(rng.normal(0.0, 0.6, (8, 8)), L)
+        flat = build_mesh_3d(rng.normal(0.0, 0.1, (8, 8)), L)
+        freqs = FREQS[:2]
+
+        solver = SWMSolver3D()
+        solver.solve_mesh(tall, freqs[0])  # warms freqs[0] only
+        stacked = solver.solve_mesh_many_multi_k([flat], freqs)
+        ref_solver = SWMSolver3D()
+        ref_solver.solve_mesh(tall, freqs[0])
+        for freq, row in zip(freqs, stacked):
+            _assert_results_equal(row[0], ref_solver.solve_mesh(flat, freq))
+
+
 def _payload_fields(payload):
     return {k: payload[k] for k in ("mean", "std", "n_evals", "seed")}
 

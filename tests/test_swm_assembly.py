@@ -10,8 +10,15 @@ from repro.swm.assembly import (
     assemble_medium,
     rectangle_inverse_distance_integral,
 )
-from repro.swm.fastkernel import KernelTables, tables_for_mesh
+from repro.swm import fastkernel
+from repro.swm.fastkernel import (
+    KernelTables,
+    green_and_gradient_multi,
+    shell_phase_sums,
+    tables_for_mesh,
+)
 from repro.swm.geometry import build_mesh_3d
+from repro.swm.plan import AssemblyPlan3D
 from repro.errors import MeshError
 
 
@@ -131,3 +138,108 @@ class TestStructure:
             d, s = assemble_medium(mesh, k, AssemblyOptions())
             assert np.all(np.isfinite(d))
             assert np.all(np.isfinite(s))
+
+
+class TestShellKernel:
+    """White-box checks of the tabulated kernel's per-sample work:
+    shell-collapsed spectral sum, cached self term, shared evaluation
+    across tables, and the shared-grid contract."""
+
+    @staticmethod
+    def _separations(mesh):
+        plan = AssemblyPlan3D.build([mesh], AssemblyOptions())
+        return plan.dx, plan.dy, plan.dz
+
+    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize("k", [K1, K2])
+    def test_shell_sum_matches_explicit_mode_sum(self, n, k):
+        mesh = _rough_mesh(n=n)
+        cfg = AssemblyOptions().ewald_config(mesh.period)
+        tab = tables_for_mesh(k, mesh, cfg)
+        dx, dy, dz = self._separations(mesh)
+        got = tuple(np.zeros(dz.shape, dtype=np.complex128)
+                    for _ in range(4))
+        phases = shell_phase_sums(dx, dy, mesh.period, cfg.n_modes)
+        fastkernel._add_shells([tab], [got], dz, phases)
+
+        # Explicit 25-mode sum over the same interpolated shell tables.
+        t = (dz - tab._z0) * tab._z_inv_h
+        idx = t.astype(np.intp)
+        frac = t - idx
+        ref = [np.zeros(dz.shape, dtype=np.complex128) for _ in range(4)]
+        for m in range(-cfg.n_modes, cfg.n_modes + 1):
+            for q in range(-cfg.n_modes, cfg.n_modes + 1):
+                rows = tab._shells[m * m + q * q][:, idx]
+                b = rows[0] + frac * rows[1]
+                minus = rows[2] + frac * rows[3]
+                kx = 2 * np.pi * m / mesh.period
+                ky = 2 * np.pi * q / mesh.period
+                phase = np.exp(1j * (kx * dx + ky * dy))
+                ref[0] += phase * b
+                ref[1] += 1j * kx * phase * b
+                ref[2] += 1j * ky * phase * b
+                ref[3] += phase * minus
+        for a, b in zip(got, ref):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+    def test_self_term_computed_once_per_table(self, monkeypatch):
+        calls = []
+        compute = KernelTables._regular_at_zero
+
+        def counted(self):
+            calls.append(self)
+            return compute(self)
+
+        monkeypatch.setattr(KernelTables, "_regular_at_zero", counted)
+        mesh = _rough_mesh()
+        tables = tables_for_mesh(K2, mesh, AssemblyOptions().ewald_config(
+            mesh.period))
+        first = assemble_medium(mesh, K2, AssemblyOptions(), tables=tables)
+        for _ in range(3):
+            again = assemble_medium(mesh, K2, AssemblyOptions(),
+                                    tables=tables)
+        assert calls == [tables]
+        np.testing.assert_array_equal(again[1], first[1])
+
+    def test_multi_table_evaluation_is_bit_identical(self):
+        meshes = [_rough_mesh(seed=0), _rough_mesh(amp=0.3, seed=1)]
+        cfg = AssemblyOptions().ewald_config(meshes[0].period)
+        tabs = [KernelTables(k, cfg, z_extent=2.0) for k in (K1, K2)]
+        plan = AssemblyPlan3D.build(meshes, AssemblyOptions())
+        fused = plan.eval_tables(tabs)
+        direct = green_and_gradient_multi(tabs, plan.dx, plan.dy, plan.dz)
+        single_sample = AssemblyPlan3D.build(meshes[1:], AssemblyOptions())
+        for tab, got, other in zip(tabs, fused, direct):
+            alone = tab.green_and_gradient(plan.dx, plan.dy, plan.dz)
+            sample = tab.green_and_gradient(single_sample.dx,
+                                            single_sample.dy,
+                                            single_sample.dz)
+            for a, b, c, d in zip(got, other, alone, sample):
+                np.testing.assert_array_equal(a, b)
+                np.testing.assert_array_equal(a, c)
+                np.testing.assert_array_equal(a[1:], d)
+
+    def test_tables_on_mismatched_grids_raise(self):
+        from repro.errors import ConfigurationError
+
+        mesh = _rough_mesh()
+        cfg = AssemblyOptions().ewald_config(mesh.period)
+        dx, dy, dz = self._separations(mesh)
+        narrow = KernelTables(K1, cfg, z_extent=2.0)
+        wide = KernelTables(K2, cfg, z_extent=3.0)
+        assert not narrow.shares_grids(wide)
+        with pytest.raises(ConfigurationError, match="shared grids"):
+            green_and_gradient_multi([narrow, wide], dx, dy, dz)
+        other_modes = shell_phase_sums(dx, dy, mesh.period, cfg.n_modes + 1)
+        with pytest.raises(ConfigurationError, match="mode set"):
+            green_and_gradient_multi([narrow], dx, dy, dz, other_modes)
+
+    def test_unwrapped_separations_raise(self):
+        from repro.errors import ConfigurationError
+
+        mesh = _rough_mesh()
+        tab = tables_for_mesh(K2, mesh, AssemblyOptions().ewald_config(
+            mesh.period))
+        with pytest.raises(ConfigurationError, match="minimum image"):
+            tab.green_and_gradient(np.array([0.6 * mesh.period]),
+                                   np.array([0.0]), np.array([0.0]))
