@@ -18,14 +18,31 @@ sum has the closed form::
 free-space ``-(1/2 pi) ln(rho)`` singularity, which is what the self-term
 regularization subtracts.
 
-The mode factors ``cos(k_m dx)`` / ``sin(k_m dx)`` are built by the
-Chebyshev angle-addition recurrence (one cos/sin pair of transcendental
-passes total, four multiply-adds per further mode), and
-:func:`periodic_green2d_pair` runs the whole mode loop *once* for the
-value, the gradient and any number of media, sharing every k-independent
-intermediate — the batched-assembly hot path of the 2D solver. The fused
-results are bit-identical to the per-call functions, which consume the
-same recurrence.
+There is one Kummer mode loop, :func:`periodic_green2d_pair`: it
+evaluates the value and the gradient for any number of wavenumbers,
+sharing every k-independent intermediate, and :func:`periodic_green2d` /
+:func:`periodic_green2d_gradient` are its one-wavenumber cases. The mode
+factors ``cos(k_m dx)`` / ``sin(k_m dx)`` come from the Chebyshev
+angle-addition recurrence (one cos/sin pair of transcendental passes
+total, four multiply-adds per further mode).
+
+Evanescent modes of a lossless medium run in real arithmetic. For real
+``k`` and ``k_m > |k|``, ``gamma_m = j beta_m`` with ``beta_m > 0``, so
+the mode's value, x-gradient and z-gradient terms are each ``j`` times a
+real quantity: they accumulate in float64 with a real ``np.exp``, and
+``j`` is applied once after the loop. Every ``m >= 1`` mode of the
+lossless dielectric takes this path; the conductor (complex ``k``) and
+any propagating mode keep the complex path. The path is chosen per
+``(k, m)`` from the wavenumber alone. The z-gradient sums likewise
+accumulate without their ``sign(dz)`` factor, which multiplies once after
+the loop (exact, since the sign is -1, 0 or 1).
+
+The 2D assembly plan (:class:`repro.swm.plan.AssemblyPlan2D`) evaluates
+the *total* kernel (``exclude_primary=False``) on its collocation pairs,
+none of which has zero separation: the closed-form log remainder already
+carries the line-source singularity, so Hankel functions are needed only
+at the near pairs, where the plan subtracts the free-space term to feed
+its sub-segment quadrature.
 
 Lengths are dimensionless (micrometers in practice).
 """
@@ -37,7 +54,7 @@ import math
 import numpy as np
 
 from ..errors import ConfigurationError
-from .freespace import green2d, green2d_gradient, green2d_radial_derivative
+from .freespace import green2d, green2d_radial_derivative
 
 #: Euler-Mascheroni constant (for the small-argument Hankel expansion).
 EULER_GAMMA = 0.5772156649015329
@@ -57,10 +74,10 @@ def _mode_seed(dx: np.ndarray, period: float
     Seeds the angle-addition recurrence ``cos((m+1)b) = cos(mb) cos b -
     sin(mb) sin b`` (and the sine analog): every further mode costs four
     multiply-adds instead of a transcendental pass. The factors depend
-    only on ``dx`` — in the batched assembly that is the shared ``(N, N)``
-    x-grid while ``dz`` carries the ``(B, N, N)`` sample axis, so they
-    are also built B times less often than the per-mode ``cos``/``sin``
-    they replace.
+    only on ``dx`` — in the batched assembly that is the shared pair
+    x-offsets while ``dz`` carries the sample axis, so they are also
+    built B times less often than the per-mode ``cos``/``sin`` they
+    replace.
     """
     b = 2.0 * math.pi * dx / period
     return np.cos(b), np.sin(b)
@@ -73,61 +90,11 @@ def periodic_green2d(dx: np.ndarray, dz: np.ndarray, k: complex,
 
     With ``exclude_primary=True`` the free-space line-source singularity
     ``(j/4) H0(k rho)`` is subtracted; the result is then smooth at zero
-    separation, where the analytic limit is returned.
+    separation, where the analytic limit is returned. The one-wavenumber
+    value of :func:`periodic_green2d_pair`.
     """
-    if period <= 0.0:
-        raise ConfigurationError(f"period must be positive, got {period}")
-    if m_max < 1:
-        raise ConfigurationError(f"m_max must be >= 1, got {m_max}")
-    dx = np.asarray(dx, dtype=np.float64)
-    dz = np.asarray(dz, dtype=np.float64)
-    adz = np.abs(dz)
-    lat = float(period)
-
-    # m = 0 mode plus Kummer-corrected m != 0 modes; the cosine factors
-    # come from the shared angle-addition recurrence.
-    c1, s1 = _mode_seed(dx, lat)
-    g0 = _gamma_m(k, 0.0)
-    total = np.exp(1j * g0 * adz) / g0
-    c, s = c1, s1
-    for m in range(1, m_max + 1):
-        km = 2.0 * math.pi * m / lat
-        gm = _gamma_m(k, km)
-        propag = np.exp(1j * gm * adz) / gm
-        asym = np.exp(-km * adz) / (1j * km)
-        # +m and -m combine into a cosine in dx.
-        total = total + (2.0 * c) * (propag - asym)
-        c, s = c * c1 - s * s1, s * c1 + c * s1
-    total = total * (1j / (2.0 * lat))
-
-    # Closed-form Kummer remainder:
-    #   (j/2L) * sum_{m!=0} e^{j k_m dx} e^{-|k_m||dz|}/(j |k_m|)
-    # = -(1/4pi) * ln(1 - 2 e^{-a} cos(b) + e^{-2a})
-    a = 2.0 * math.pi * adz / lat
-    ea = np.exp(-a)
-    d_arg = 1.0 - 2.0 * ea * c1 + ea * ea
-
-    rho = np.sqrt(dx * dx + dz * dz)
-    zero = rho == 0.0
-    if exclude_primary:
-        safe_d = np.where(zero, 1.0, d_arg)
-        log_term = -np.log(safe_d) / (4.0 * math.pi)
-        safe_rho = np.where(zero, 1.0, rho)
-        result = total + log_term - green2d(safe_rho, k)
-        if np.any(zero):
-            limit = (-math.log(2.0 * math.pi / lat) / (2.0 * math.pi)
-                     + (np.log(k / 2.0) + EULER_GAMMA) / (2.0 * math.pi)
-                     - 0.25j)
-            # 'total' is already smooth at rho = 0 and was evaluated there.
-            result = np.where(zero, total + limit, result)
-        return result
-
-    if np.any(zero):
-        raise ConfigurationError(
-            "periodic_green2d called at zero separation without "
-            "exclude_primary=True"
-        )
-    return total - np.log(d_arg) / (4.0 * math.pi)
+    return periodic_green2d_pair(dx, dz, (k,), period, m_max,
+                                 exclude_primary)[0][0]
 
 
 def periodic_green2d_gradient(dx: np.ndarray, dz: np.ndarray, k: complex,
@@ -140,68 +107,11 @@ def periodic_green2d_gradient(dx: np.ndarray, dz: np.ndarray, k: complex,
     principal-value sense (``sign(0) = 0``), which is the correct
     interpretation for the double-layer MOM kernel. With
     ``exclude_primary=True``, the free-space gradient is subtracted and
-    the zero-separation value is the PV limit 0.
+    the zero-separation value is the PV limit 0. The one-wavenumber
+    gradient of :func:`periodic_green2d_pair`.
     """
-    if period <= 0.0:
-        raise ConfigurationError(f"period must be positive, got {period}")
-    if m_max < 1:
-        raise ConfigurationError(f"m_max must be >= 1, got {m_max}")
-    dx = np.asarray(dx, dtype=np.float64)
-    dz = np.asarray(dz, dtype=np.float64)
-    adz = np.abs(dz)
-    sgn = np.sign(dz)
-    lat = float(period)
-    shape = np.broadcast_shapes(dx.shape, dz.shape)
-
-    c1, s1 = _mode_seed(dx, lat)
-    g0 = _gamma_m(k, 0.0)
-    gx = np.zeros(shape, dtype=np.complex128)
-    gz = np.zeros(shape, dtype=np.complex128)
-    e0 = np.exp(1j * g0 * adz)
-    gz += sgn * 1j * e0
-    c, s = c1, s1
-    for m in range(1, m_max + 1):
-        km = 2.0 * math.pi * m / lat
-        gm = _gamma_m(k, km)
-        egm = np.exp(1j * gm * adz)
-        em = np.exp(-km * adz)
-        propag = egm / gm
-        asym = em / (1j * km)
-        dpropag = 1j * egm
-        dasym = -km * em / (1j * km)
-        gx += (-2.0 * km) * s * (propag - asym)
-        gz += (2.0 * c) * sgn * (dpropag - dasym)
-        c, s = c * c1 - s * s1, s * c1 + c * s1
-    gx = gx * (1j / (2.0 * lat))
-    gz = gz * (1j / (2.0 * lat))
-
-    a = 2.0 * math.pi * adz / lat
-    ea = np.exp(-a)
-    d_arg = 1.0 - 2.0 * ea * c1 + ea * ea
-
-    rho = np.sqrt(dx * dx + dz * dz)
-    zero = rho == 0.0
-    safe_d = np.where(zero, 1.0, d_arg)
-    dd_db = 2.0 * ea * s1
-    dd_da = 2.0 * ea * c1 - 2.0 * ea * ea
-    scale = 2.0 * math.pi / lat
-    log_gx = -(dd_db * scale) / (4.0 * math.pi * safe_d)
-    log_gz = -(dd_da * sgn * scale) / (4.0 * math.pi * safe_d)
-
-    gx = gx + log_gx
-    gz = gz + log_gz
-
-    if exclude_primary:
-        fgx, fgz = _safe_free_gradient(dx, dz, k, zero)
-        gx = np.where(zero, 0.0, gx - fgx)
-        gz = np.where(zero, 0.0, gz - fgz)
-        return gx, gz
-
-    if np.any(zero):
-        raise ConfigurationError(
-            "periodic_green2d_gradient called at zero separation without "
-            "exclude_primary=True"
-        )
+    _, gx, gz = periodic_green2d_pair(dx, dz, (k,), period, m_max,
+                                      exclude_primary)[0]
     return gx, gz
 
 
@@ -209,22 +119,23 @@ def periodic_green2d_pair(dx: np.ndarray, dz: np.ndarray,
                           ks: "Sequence[complex]", period: float,
                           m_max: int = 64, exclude_primary: bool = False
                           ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Fused value + gradient of the periodic kernel for several media.
+    """Value + gradient of the periodic kernel for several media.
 
     One pass of the Kummer mode loop serves every wavenumber in ``ks``
     *and* both the Green's function and its gradient, sharing each
     k-independent intermediate: the recurrence-built ``cos(k_m dx)`` /
     ``sin(k_m dx)`` mode factors (evaluated on ``dx``'s own shape, not
-    the broadcast one — in the batched assembly ``dx`` is ``(N, N)``
-    while ``dz`` is ``(B, N, N)``), the quasi-static asymptotes
-    ``exp(-k_m |dz|)`` and their derivative factors, the closed-form
-    ``d_arg``/log remainder, ``rho`` and the zero-separation masks.
+    the broadcast one — in the batched assembly ``dx`` holds the shared
+    pair offsets while ``dz`` is ``(B, M)``), the quasi-static
+    asymptotes ``exp(-k_m |dz|)``, the closed-form log remainder,
+    ``rho`` and the zero-separation mask. Each wavenumber's sums are
+    independent of the others, so a medium's result does not depend on
+    which media share the call.
 
-    Returns a list of ``(g, gx, gz)`` triples aligned with ``ks``,
-    **bit-identical** to :func:`periodic_green2d` /
-    :func:`periodic_green2d_gradient` called per wavenumber: every
-    shared quantity is the exact expression the per-call path evaluates,
-    and the per-medium accumulations run in the same mode order.
+    Returns a list of ``(g, gx, gz)`` triples aligned with ``ks``.
+    Raises :class:`~repro.errors.ConfigurationError` for a nonpositive
+    period, ``m_max < 1``, or a zero separation without
+    ``exclude_primary=True``.
     """
     if period <= 0.0:
         raise ConfigurationError(f"period must be positive, got {period}")
@@ -232,108 +143,96 @@ def periodic_green2d_pair(dx: np.ndarray, dz: np.ndarray,
         raise ConfigurationError(f"m_max must be >= 1, got {m_max}")
     dx = np.asarray(dx, dtype=np.float64)
     dz = np.asarray(dz, dtype=np.float64)
-    adz = np.abs(dz)
-    sgn = np.sign(dz)
-    lat = float(period)
-    # Wavenumbers pass through untouched so every per-medium expression
-    # sees exactly the operand the per-call path would.
-    ks = list(ks)
-    shape = np.broadcast_shapes(dx.shape, dz.shape)
-
-    c1, s1 = _mode_seed(dx, lat)
-
-    totals: list[np.ndarray] = []
-    gxs: list[np.ndarray] = []
-    gzs: list[np.ndarray] = []
-    for kk in ks:
-        g0 = _gamma_m(kk, 0.0)
-        eg0 = np.exp(1j * g0 * adz)
-        t = np.zeros(shape, dtype=np.complex128)
-        t += eg0 / g0
-        gx = np.zeros(shape, dtype=np.complex128)
-        gz = np.zeros(shape, dtype=np.complex128)
-        gz += sgn * 1j * eg0
-        totals.append(t)
-        gxs.append(gx)
-        gzs.append(gz)
-
-    c, s = c1, s1
-    for m in range(1, m_max + 1):
-        km = 2.0 * math.pi * m / lat
-        em = np.exp(-km * adz)
-        asym = em / (1j * km)
-        dasym = -km * em / (1j * km)
-        gc = 2.0 * c
-        ax = -2.0 * km * s
-        az = 2.0 * c * sgn
-        for kk, t, gx, gz in zip(ks, totals, gxs, gzs):
-            gm = _gamma_m(kk, km)
-            egm = np.exp(1j * gm * adz)
-            propag = egm / gm
-            dpropag = 1j * egm
-            diff = propag - asym
-            t += gc * diff
-            gx += ax * diff
-            gz += az * (dpropag - dasym)
-        c, s = c * c1 - s * s1, s * c1 + c * s1
-    scale_mode = 1j / (2.0 * lat)
-    for i in range(len(ks)):
-        totals[i] = totals[i] * scale_mode
-        gxs[i] = gxs[i] * scale_mode
-        gzs[i] = gzs[i] * scale_mode
-
-    # Closed-form Kummer remainder and masks (all k-independent).
-    a = 2.0 * math.pi * adz / lat
-    ea = np.exp(-a)
-    d_arg = 1.0 - 2.0 * ea * c1 + ea * ea
     rho = np.sqrt(dx * dx + dz * dz)
     zero = rho == 0.0
     any_zero = bool(np.any(zero))
     if any_zero and not exclude_primary:
         raise ConfigurationError(
-            "periodic_green2d_pair called at zero separation without "
+            "periodic 2D kernel evaluated at zero separation without "
             "exclude_primary=True"
         )
-    safe_d = np.where(zero, 1.0, d_arg)
-    dd_db = 2.0 * ea * s1
-    dd_da = 2.0 * ea * c1 - 2.0 * ea * ea
-    scale = 2.0 * math.pi / lat
-    log_gx = -(dd_db * scale) / (4.0 * math.pi * safe_d)
-    log_gz = -(dd_da * sgn * scale) / (4.0 * math.pi * safe_d)
-    if exclude_primary:
-        log_term = -np.log(safe_d) / (4.0 * math.pi)
-        safe_rho = np.where(zero, 1.0, rho)
-        sdx = np.where(zero, 1.0, dx)
-        srho = np.sqrt(sdx * sdx + dz * dz)
+    adz = np.abs(dz)
+    lat = float(period)
+    ks = list(ks)
+    shape = np.broadcast_shapes(dx.shape, dz.shape)
 
-    results: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for kk, t, gx, gz in zip(ks, totals, gxs, gzs):
-        gx = gx + log_gx
-        gz = gz + log_gz
+    # Per medium: complex sums of the value, x-gradient and z-gradient
+    # (the last without its common j sign(dz) factor), and real sums of
+    # the evanescent lossless modes, each j times its complex analog.
+    sums = []
+    for kk in ks:
+        g0 = _gamma_m(kk, 0.0)
+        eg0 = np.exp(1j * g0 * adz)
+        t = np.zeros(shape, dtype=np.complex128)
+        t += eg0 / g0
+        gz = np.zeros(shape, dtype=np.complex128)
+        gz += eg0
+        sums.append((t, np.zeros(shape, dtype=np.complex128), gz,
+                     np.zeros(shape), np.zeros(shape), np.zeros(shape)))
+
+    c1, s1 = _mode_seed(dx, lat)
+    c, s = c1, s1
+    for m in range(1, m_max + 1):
+        km = 2.0 * math.pi * m / lat
+        em = np.exp(-km * adz)
+        ek = em / km
+        asym = None
+        gc = 2.0 * c
+        ax = -2.0 * km * s
+        for kk, (t, gx, gz, tr, gxr, gzr) in zip(ks, sums):
+            gm = _gamma_m(kk, km)
+            if kk.imag == 0.0 and km > abs(kk):
+                # gamma_m = j beta: propag - asym = j (ek - eb / beta).
+                beta = gm.imag
+                eb = np.exp(-beta * adz)
+                diff = ek - eb / beta
+                tr += gc * diff
+                gxr += ax * diff
+                gzr += gc * (eb - em)
+            else:
+                if asym is None:
+                    asym = em / (1j * km)
+                egm = np.exp(1j * gm * adz)
+                diff = egm / gm - asym
+                t += gc * diff
+                gx += ax * diff
+                gz += gc * (egm - em)
+        c, s = c * c1 - s * s1, s * c1 + c * s1
+
+    # Closed-form Kummer remainder:
+    #   (j/2L) * sum_{m!=0} e^{j k_m dx} e^{-|k_m||dz|}/(j |k_m|)
+    # = -(1/4pi) * ln(1 - 2 e^{-a} cos(b) + e^{-2a})
+    # and its gradient (the z part without its sign(dz) factor).
+    a = 2.0 * math.pi * adz / lat
+    ea = np.exp(-a)
+    d_arg = np.where(zero, 1.0, 1.0 - 2.0 * ea * c1 + ea * ea)
+    scale = 2.0 * math.pi / lat
+    log_g = -np.log(d_arg) / (4.0 * math.pi)
+    log_gx = -(2.0 * ea * s1 * scale) / (4.0 * math.pi * d_arg)
+    log_gz = -((2.0 * ea * c1 - 2.0 * ea * ea) * scale) / (4.0 * math.pi
+                                                          * d_arg)
+    sgn = np.sign(dz)
+    half = 0.5 / lat
+    safe_rho = np.where(zero, 1.0, rho)
+
+    results = []
+    for kk, (t, gx, gz, tr, gxr, gzr) in zip(ks, sums):
+        modes = (t + 1j * tr) * (1j * half)
+        g = modes + log_g
+        gx = (gx + 1j * gxr) * (1j * half) + log_gx
+        gz = ((gz + gzr) * -half + log_gz) * sgn
         if exclude_primary:
-            g = t + log_term - green2d(safe_rho, kk)
+            g = g - green2d(safe_rho, kk)
             if any_zero:
                 limit = (-math.log(2.0 * math.pi / lat) / (2.0 * math.pi)
                          + (np.log(kk / 2.0) + EULER_GAMMA) / (2.0 * math.pi)
                          - 0.25j)
-                g = np.where(zero, t + limit, g)
-            dgdr = green2d_radial_derivative(srho, kk)
-            fgx = np.where(zero, 0.0, dgdr * sdx / srho)
-            fgz = np.where(zero, 0.0, dgdr * dz / srho)
-            gx = np.where(zero, 0.0, gx - fgx)
-            gz = np.where(zero, 0.0, gz - fgz)
-        else:
-            g = t - np.log(d_arg) / (4.0 * math.pi)
+                g = np.where(zero, modes + limit, g)
+            dgdr_rho = green2d_radial_derivative(safe_rho, kk) / safe_rho
+            gx = np.where(zero, 0.0, gx - dgdr_rho * dx)
+            gz = np.where(zero, 0.0, gz - dgdr_rho * dz)
         results.append((g, gx, gz))
     return results
-
-
-def _safe_free_gradient(dx: np.ndarray, dz: np.ndarray, k: complex,
-                        zero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Free-space 2D gradient with zero-separation entries masked to 0."""
-    sdx = np.where(zero, 1.0, dx)
-    fgx, fgz = green2d_gradient(sdx, dz, k)
-    return np.where(zero, 0.0, fgx), np.where(zero, 0.0, fgz)
 
 
 def periodic_green2d_direct(dx: np.ndarray, dz: np.ndarray, k: complex,

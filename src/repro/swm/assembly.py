@@ -34,12 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import MeshError
+from ..errors import ConfigurationError, MeshError
 from ..greens.ewald import EwaldConfig, periodic_green, periodic_green_gradient
 from ..greens.freespace import green3d, green3d_radial_derivative
 from .fastkernel import KERNEL_REVISION, tables_for_mesh
 from .geometry import SurfaceMesh3D
-from .plan import AssemblyPlan3D, _near_pairs, _subcell_offsets, _wrap
+from .plan import (AssemblyPlan3D, _grid_pairs, _near_set, _subcell_offsets,
+                   _wrap, check_near_options)
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,16 @@ class AssemblyOptions:
     near_radius_cells: float = 2.0
     near_quadrature: int = 4
     use_tables: bool = True
+
+    def __post_init__(self) -> None:
+        if self.n_images < 0 or self.n_modes < 0:
+            raise ConfigurationError(
+                f"n_images and n_modes must be >= 0, got {self.n_images} "
+                f"and {self.n_modes}")
+        if self.ewald_split is not None and not self.ewald_split > 0.0:
+            raise ConfigurationError(
+                f"ewald_split must be None or > 0, got {self.ewald_split}")
+        check_near_options(self)
 
     def ewald_config(self, period: float) -> EwaldConfig:
         return EwaldConfig(period=period, split=self.ewald_split,
@@ -128,8 +139,8 @@ def assemble_medium_many(meshes: "Sequence[SurfaceMesh3D]", k: complex,
     All meshes must share the same grid (``n``, ``period``) — only the
     heights differ, which is exactly the MC/SSCM sample structure. The
     in-plane separations and near-pair sets are then shared across the
-    stack, and every kernel evaluation runs once on ``(B, N, N)`` arrays
-    instead of B times on ``(N, N)`` ones. Returns ``(B, N, N)`` matrix
+    stack, and every kernel evaluation runs once on ``(B, M)`` pair
+    arrays instead of B times on ``(M,)`` ones. Returns ``(B, N, N)`` matrix
     stacks **bit-identical** to calling :func:`assemble_medium` per mesh
     with the same ``tables``.
 
@@ -249,7 +260,8 @@ def assemble_medium(mesh: SurfaceMesh3D, k: complex,
     gz_total = gz_reg + g0z
 
     # Near-pair sub-cell quadrature of the free-space primary.
-    rows, cols = _near_pairs(mesh, options.near_radius_cells)
+    rows, cols, _, _ = _near_set(_grid_pairs(mesh.n, mesh.period),
+                                 options.near_radius_cells * d)
     if rows.size:
         q = options.near_quadrature
         du, dv = _subcell_offsets(q, d)

@@ -11,6 +11,11 @@ Self term of the single layer over a tilted segment of true length ``h``::
 
 (small-argument Hankel expansion, valid for ``|k| h << 1``), plus the
 regularized periodic remainder ``g_reg(0) * h``.
+
+Off the diagonal the plan (:class:`~repro.swm.plan.AssemblyPlan2D`)
+evaluates the total periodic kernel once per unordered pair of
+collocation points; only the near pairs subtract the free-space Hankel
+term, to replace it by its sub-segment average.
 """
 
 from __future__ import annotations
@@ -20,9 +25,16 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..errors import ConfigurationError
 from ..greens.periodic2d import periodic_green2d
 from .geometry import SurfaceMesh2D
-from .plan import AssemblyPlan2D
+from .plan import AssemblyPlan2D, check_near_options
+
+#: Identifies the 2D kernel's arithmetic in content hashes
+#: (``Assembly2DOptions.to_spec``). Kernels that agree only to rounding
+#: must never share a result-cache entry, so bump this with any change
+#: that moves a 2D kernel value.
+KERNEL_REVISION_2D = 1
 
 
 @dataclass(frozen=True)
@@ -33,9 +45,18 @@ class Assembly2DOptions:
     near_radius_cells: float = 2.0
     near_quadrature: int = 8
 
+    def __post_init__(self) -> None:
+        if self.m_max < 1:
+            raise ConfigurationError(f"m_max must be >= 1, got {self.m_max}")
+        check_near_options(self)
 
-def _wrap(d: np.ndarray, period: float) -> np.ndarray:
-    return d - period * np.round(d / period)
+    def to_spec(self) -> dict:
+        """Content-hashable dict of every knob that affects numerics,
+        plus the 2D kernel revision so a cache never mixes values from
+        two kernel implementations."""
+        import dataclasses
+
+        return {**dataclasses.asdict(self), "kernel": KERNEL_REVISION_2D}
 
 
 def _regularized_zero_limit(k: complex, period: float, m_max: int) -> complex:
@@ -85,7 +106,7 @@ def assemble_medium_2d_many(meshes: "Sequence[SurfaceMesh2D]", k: complex,
     Builds a single-k :class:`AssemblyPlan2D`, so the x-separations,
     near-pair sets and the regularized zero-limit are shared across the
     stack and each Kummer-accelerated kernel series runs once on
-    ``(B, N, N)`` arrays. Returns ``(B, N, N)`` stacks bit-identical to
+    ``(B, M)`` pair arrays. Returns ``(B, N, N)`` stacks bit-identical to
     per-mesh :func:`assemble_medium_2d`.
     """
     plan = AssemblyPlan2D.build(meshes, options or Assembly2DOptions())
@@ -101,9 +122,9 @@ def assemble_media_pair_2d_many(meshes: "Sequence[SurfaceMesh2D]",
     of the sample-axis vectorization of :func:`assemble_medium_2d_many`,
     the four independent Kummer mode-sum passes (green + gradient, two
     media) collapse into one fused :func:`periodic_green2d_pair` pass,
-    and every k-independent intermediate — the wrapped x-separations,
-    recurrence-built mode factors, quasi-static asymptotes, closed-form
-    log remainder, ``rho`` and its reciprocal, the near-pair sub-segment
+    and every k-independent intermediate — the wrapped pair
+    x-separations, recurrence-built mode factors, quasi-static
+    asymptotes, closed-form log remainder, the near-pair sub-segment
     geometry and the cached regularized zero limit — is computed once
     and shared between the two media.
 

@@ -20,10 +20,10 @@ What one sample then pays for is organized by what the work depends on:
   into real cos/sin arrays (:func:`shell_phase_sums`) — the ``(m, n)``
   and ``(-m, -n)`` modes cancel every imaginary part, so a shell costs
   four real-by-complex multiply-adds whatever its mode count;
-- **per sample** (on ``(B, N, N)`` arrays): one distance, one gather
-  and a few multiply-adds per lattice image, and one gather plus the
-  shell multiply-adds per spectral shell (6 shells for the default 25
-  modes).
+- **per sample** (on the assembly plan's ``(B, M)`` arrays, one entry
+  per unordered collocation pair): one distance, one gather and a few
+  multiply-adds per lattice image, and one gather plus the shell
+  multiply-adds per spectral shell (6 shells for the default 25 modes).
 
 :func:`green_and_gradient_multi` runs the per-sample work for any
 number of tables that share grids (two media x F frequencies in the
@@ -59,7 +59,7 @@ from ..greens.special import (
 #: (``AssemblyOptions.to_spec``). Kernels that agree only to rounding
 #: must never share a result-cache entry, so bump this with any change
 #: that moves a kernel value.
-KERNEL_REVISION = 2
+KERNEL_REVISION = 3
 
 
 def _slope_form(value: np.ndarray, deriv: np.ndarray) -> np.ndarray:
@@ -287,9 +287,9 @@ def green_and_gradient_multi(tables, dx: np.ndarray, dy: np.ndarray,
     """Evaluate several tables' kernels at once.
 
     In-plane separations ``dx``/``dy`` must be minimum-image wrapped
-    (``|dx|, |dy| <= L/2``); the inputs broadcast, so shared ``(N, N)``
-    in-plane separations with a stacked ``(B, N, N)`` ``dz`` give
-    ``(B, N, N)`` outputs. Distances, gather indices and the shell phase
+    (``|dx|, |dy| <= L/2``); the inputs broadcast, so shared ``(M,)``
+    pair offsets with a stacked ``(B, M)`` ``dz`` give ``(B, M)``
+    outputs. Distances, gather indices and the shell phase
     sums are computed once and serve every table, so one call evaluates
     two media x F stacked frequencies (the
     :class:`~repro.swm.plan.AssemblyPlan3D` consumer); each table's

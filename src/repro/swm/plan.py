@@ -1,36 +1,49 @@
 """Explicit k-independent assembly plans for the SWM hot path.
 
-PR 4/5 factored the k-independent work of one assembly — wrapped
-separations, distances and reciprocals, near-pair sub-cell geometry,
-self-term factors — out of the per-medium loop, but left it as
-implicit locals inside two 300-line fused functions, recomputed for
-every frequency of a sweep. An :class:`AssemblyPlan3D` /
-:class:`AssemblyPlan2D` gives those intermediates a first-class home:
-built once per mesh batch, consumed by any number of per-wavenumber
-assemblies (two media x F frequencies), which is what lets the solver
-stack neighboring frequencies (``solve_mesh_many_multi_k``) and the
-engine fuse same-scenario jobs.
+An :class:`AssemblyPlan3D` / :class:`AssemblyPlan2D` holds the
+k-independent intermediates of one mesh-batch assembly — pair
+separations and distances, near-pair sub-cell geometry, self-term
+factors — built once per mesh batch and consumed by any number of
+per-wavenumber assemblies (two media x F frequencies). That is what
+lets the solver stack neighboring frequencies
+(``solve_mesh_many_multi_k``) and the engine fuse same-scenario jobs.
 
-Every array a plan captures is computed by exactly the expressions the
-fused assembly paths used inline (same order, same temporaries), and
-:meth:`assemble_k` mirrors their per-k loop bodies entry for entry —
-the plan refactor is **bit-identical** to the PR 4/5 fused paths, which
-were themselves gated bit-identical to the per-mesh references. Plans
-never mutate their captured arrays in ``assemble_k``, so one plan can
-serve arbitrarily many wavenumbers.
+**Pair form.** The periodic kernel is reciprocal: with in-plane
+separations wrapped to the minimum image, ``G(r_i - r_j) = G(r_j -
+r_i)`` and its gradient is odd. A plan therefore keeps only the strict
+upper triangle of collocation pairs ``i < j`` (``M = N(N-1)/2``; pair
+``p`` is ``(iu[p], ju[p])``), and every kernel pass — :meth:`eval_tables`
+/ :meth:`eval_ks` and the 3D free-space primary — runs on ``(B, M)``
+arrays. :meth:`assemble_k` mirrors each medium's totals into
+``(B, N, N)`` by parity (:meth:`mirror`): the value is symmetric, the
+gradient antisymmetric and the diagonal zero. What is not symmetric
+stays full-size: the near-pair sub-cell quadrature (it averages over
+the *source* cell's tangent plane), the analytic self terms on the
+diagonal, and the ``D``/``S`` matrices, whose columns carry the source
+cell's Jacobian and slopes.
+
+Pair indices, wrapped offsets and the 3D shell phase sums depend only
+on the grid, so bounded caches keyed by the grid share them, as
+read-only arrays, with every plan on that grid.
+
+Plans never mutate their captured arrays in :meth:`assemble_k`, so one
+plan can serve arbitrarily many wavenumbers. Every per-entry expression
+is elementwise in the sample axis, so a plan over B meshes and B plans
+over one mesh give bit-identical stacks.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import MeshError
+from ..errors import ConfigurationError, MeshError
 from ..greens.freespace import green2d, green2d_radial_derivative, green3d
 from ..greens.periodic2d import EULER_GAMMA, periodic_green2d_pair
-from .geometry import SurfaceMesh2D, SurfaceMesh3D, grid_coords
+from .geometry import grid_coords
 
 
 def _wrap(d: np.ndarray, period: float) -> np.ndarray:
@@ -38,46 +51,82 @@ def _wrap(d: np.ndarray, period: float) -> np.ndarray:
     return d - period * np.round(d / period)
 
 
-@lru_cache(maxsize=4)
-def _grid_offsets(n: int, period: float) -> tuple[np.ndarray, np.ndarray]:
-    """Wrapped in-plane separations ``(dx, dy)`` of the n x n grid.
+class GridPairs(NamedTuple):
+    """The unique collocation pairs ``i < j`` of one grid.
 
-    Every 3D mesh shares :func:`~repro.swm.geometry.grid_coords`, so
-    the ``(N, N)`` separations depend on ``(n, period)`` only. The
-    diagonal of ``dx`` holds a harmless nonzero separation (the self
-    terms are patched analytically). Read-only: plans share them.
+    ``dx``/``dy`` are the wrapped in-plane offsets ``r_i - r_j`` of each
+    pair (``dy`` is None on a 2D profile). Wrapping is odd, so the
+    reversed pair has exactly the negated offsets, the ``L/2`` column
+    included.
     """
+
+    iu: np.ndarray
+    ju: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray | None
+
+
+def _pairs(x: np.ndarray, y: np.ndarray | None, period: float) -> GridPairs:
+    iu, ju = np.triu_indices(x.size, 1)
+    dx = _wrap(x[iu] - x[ju], period)
+    dy = None if y is None else _wrap(y[iu] - y[ju], period)
+    for arr in (iu, ju, dx, dy):
+        if arr is not None:
+            arr.setflags(write=False)
+    return GridPairs(iu, ju, dx, dy)
+
+
+@lru_cache(maxsize=4)
+def _grid_pairs(n: int, period: float) -> GridPairs:
+    """Pairs of the n x n grid every 3D mesh shares
+    (:func:`~repro.swm.geometry.grid_coords`)."""
     coords = grid_coords(n, period)
     xx, yy = np.meshgrid(coords, coords, indexing="ij")
-    x, y = xx.ravel(), yy.ravel()
-    dx = _wrap(x[:, None] - x[None, :], period)
-    dy = _wrap(y[:, None] - y[None, :], period)
-    np.fill_diagonal(dx, 0.25 * period)
-    dx.setflags(write=False)
-    dy.setflags(write=False)
-    return dx, dy
+    return _pairs(xx.ravel(), yy.ravel(), period)
+
+
+@lru_cache(maxsize=4)
+def _profile_pairs(n: int, period: float) -> GridPairs:
+    """Pairs of the n-point grid every 2D profile shares."""
+    return _pairs(grid_coords(n, period), None, period)
 
 
 @lru_cache(maxsize=4)
 def _grid_phases(n: int, period: float, n_modes: int):
-    """Per-shell spectral phase sums of the n x n grid (see
+    """Per-shell spectral phase sums at the grid's pair offsets (see
     :func:`~repro.swm.fastkernel.shell_phase_sums`), built once per
     ``(n, period, n_modes)`` and shared by every plan on that grid."""
     from .fastkernel import shell_phase_sums
 
-    return shell_phase_sums(*_grid_offsets(n, period), period, n_modes)
+    pairs = _grid_pairs(n, period)
+    return shell_phase_sums(pairs.dx, pairs.dy, period, n_modes)
 
 
-def _near_pairs(mesh: SurfaceMesh3D, radius_cells: float
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j), i != j, with wrapped parameter distance <= radius."""
-    d = mesh.spacing
-    dx = _wrap(mesh.x[:, None] - mesh.x[None, :], mesh.period)
-    dy = _wrap(mesh.y[:, None] - mesh.y[None, :], mesh.period)
-    rho = np.sqrt(dx * dx + dy * dy)
-    mask = rho <= radius_cells * d + 1e-12
-    np.fill_diagonal(mask, False)
-    return np.nonzero(mask)
+def _near_set(pairs: GridPairs, radius: float):
+    """Pairs within wrapped in-plane distance ``radius``, both orientations.
+
+    Returns ``(rows, cols, pair, sign)``: entry ``e`` of the near set is
+    matrix element ``(rows[e], cols[e])``, which is pair ``pair[e]`` read
+    with ``sign[e]`` (+1 on the upper triangle, -1 on the lower one).
+    """
+    dx, dy = pairs.dx, pairs.dy
+    rho = np.abs(dx) if dy is None else np.sqrt(dx * dx + dy * dy)
+    p = np.flatnonzero(rho <= radius + 1e-12)
+    return (np.concatenate([pairs.iu[p], pairs.ju[p]]),
+            np.concatenate([pairs.ju[p], pairs.iu[p]]),
+            np.concatenate([p, p]),
+            np.repeat([1.0, -1.0], p.size))
+
+
+def check_near_options(options) -> None:
+    """Reject near-pair knobs that no assembly can honor (an empty
+    sub-cell rule averages to NaN)."""
+    if not options.near_radius_cells >= 0.0:
+        raise ConfigurationError(f"near_radius_cells must be >= 0, got "
+                                 f"{options.near_radius_cells}")
+    if options.near_quadrature < 1:
+        raise ConfigurationError(f"near_quadrature must be >= 1, got "
+                                 f"{options.near_quadrature}")
 
 
 def _subcell_offsets(q: int, spacing: float) -> tuple[np.ndarray, np.ndarray]:
@@ -100,47 +149,44 @@ def _check_same_grid(meshes, what: str) -> None:
             )
 
 
-class AssemblyPlan3D:
-    """Every k-independent intermediate of one 3D mesh-batch assembly.
+class _PairPlan:
+    """What both plans share: the mesh batch and its grid pairs."""
 
-    Build with :meth:`build`; evaluate the tabulated regularized kernel
-    for any number of media/frequencies in one fused pass with
-    :meth:`eval_tables`; assemble each medium's ``(D, S)`` stacks with
-    :meth:`assemble_k`. The captured arrays are exactly what
-    ``assemble_media_pair_many`` computed inline before each per-k loop.
-    """
-
-    def __init__(self, meshes, options, *, n, spacing, area, diag, period,
-                 dx, dy, dz, fx, fy, r, inv_r, rows, cols,
-                 sx, sy, sz, rr, inv_rr, ds_true, i_rect, jac_area) -> None:
+    def __init__(self, meshes, options, pairs: GridPairs) -> None:
         self.meshes = meshes
         self.options = options
-        self.n = n
-        self.spacing = spacing
-        self.area = area
-        self.diag = diag
-        self.period = period
-        self.dx = dx
-        self.dy = dy
-        self.dz = dz
-        self.fx = fx
-        self.fy = fy
-        self.r = r
-        self.inv_r = inv_r
-        self.rows = rows
-        self.cols = cols
-        self.sx = sx
-        self.sy = sy
-        self.sz = sz
-        self.rr = rr
-        self.inv_rr = inv_rr
-        self.ds_true = ds_true
-        self.i_rect = i_rect
-        self.jac_area = jac_area
+        self.pairs = pairs
+        self.n = meshes[0].size
+        self.period = meshes[0].period
+        self.spacing = meshes[0].spacing
+        self.diag = np.arange(self.n)
 
     @property
     def batch(self) -> int:
         return len(self.meshes)
+
+    def mirror(self, values: np.ndarray, odd: bool) -> np.ndarray:
+        """``(B, N, N)`` stack of per-pair ``(B, M)`` values by parity.
+
+        Pair ``p`` fills ``(iu[p], ju[p])`` with its value and
+        ``(ju[p], iu[p])`` with the value (``odd=False``, a kernel) or
+        its negation (``odd=True``, a gradient); the diagonal is zero.
+        """
+        iu, ju = self.pairs.iu, self.pairs.ju
+        out = np.zeros((self.batch, self.n, self.n), dtype=np.complex128)
+        out[:, iu, ju] = values
+        out[:, ju, iu] = -values if odd else values
+        return out
+
+
+class AssemblyPlan3D(_PairPlan):
+    """Every k-independent intermediate of one 3D mesh-batch assembly.
+
+    Build with :meth:`build`; evaluate the tabulated regularized kernel
+    on the collocation pairs for any number of media/frequencies in one
+    fused pass with :meth:`eval_tables`; assemble each medium's
+    ``(D, S)`` stacks with :meth:`assemble_k`.
+    """
 
     @classmethod
     def build(cls, meshes, options) -> "AssemblyPlan3D":
@@ -152,61 +198,55 @@ class AssemblyPlan3D:
         """
         meshes = list(meshes)
         _check_same_grid(meshes, "batched assembly")
-        base = meshes[0]
-
-        n = base.size
-        d = base.spacing
-        area = base.cell_area
-        diag = np.arange(n)
-
-        dx, dy = _grid_offsets(base.n, base.period)
+        plan = cls(meshes, options, _grid_pairs(meshes[0].n,
+                                                meshes[0].period))
+        pairs, d = plan.pairs, plan.spacing
+        plan.area = meshes[0].cell_area
+        plan.dx, plan.dy = pairs.dx, pairs.dy
         z = np.stack([mesh.z for mesh in meshes])
-        fx = np.stack([mesh.fx for mesh in meshes])
-        fy = np.stack([mesh.fy for mesh in meshes])
+        plan.fx = fx = np.stack([mesh.fx for mesh in meshes])
+        plan.fy = fy = np.stack([mesh.fy for mesh in meshes])
         jac = np.stack([mesh.jac for mesh in meshes])
-        dz = z[:, :, None] - z[:, None, :]
+        plan.dz = dz = z[:, pairs.iu] - z[:, pairs.ju]
 
-        # Free-space primary: shared distances/directions (the per-k
-        # phase is applied in assemble_k).
-        r = np.sqrt(dx * dx + dy * dy + dz * dz)
-        r[:, diag, diag] = 1.0
-        inv_r = 1.0 / r
+        # Free-space primary distances on the pairs (the per-k phase is
+        # applied in assemble_k).
+        plan.r = np.sqrt(pairs.dx * pairs.dx + pairs.dy * pairs.dy
+                         + dz * dz)
+        plan.inv_r = 1.0 / plan.r
 
-        # Near-pair sub-cell geometry (k-independent, shared).
-        rows, cols = _near_pairs(base, options.near_radius_cells)
-        sx = sy = sz = rr = inv_rr = None
+        # Near-pair sub-cell geometry, in both orientations.
+        rows, cols, pair, sign = _near_set(
+            pairs, options.near_radius_cells * d)
+        plan.rows, plan.cols, plan.pair, plan.sign = rows, cols, pair, sign
         if rows.size:
-            q = options.near_quadrature
-            du, dv = _subcell_offsets(q, d)
-            sx = dx[rows, cols][:, None] - du[None, :]
-            sy = dy[rows, cols][:, None] - dv[None, :]
-            sz = (dz[:, rows, cols][:, :, None]
-                  - (fx[:, cols][:, :, None] * du[None, None, :]
-                     + fy[:, cols][:, :, None] * dv[None, None, :]))
-            rr = np.sqrt(sx * sx + sy * sy + sz * sz)
-            inv_rr = 1.0 / rr
+            du, dv = _subcell_offsets(options.near_quadrature, d)
+            plan.sx = (sign * pairs.dx[pair])[:, None] - du[None, :]
+            plan.sy = (sign * pairs.dy[pair])[:, None] - dv[None, :]
+            plan.sz = ((sign * dz[:, pair])[:, :, None]
+                       - (fx[:, cols][:, :, None] * du[None, None, :]
+                          + fy[:, cols][:, :, None] * dv[None, None, :]))
+            plan.rr = np.sqrt(plan.sx * plan.sx + plan.sy * plan.sy
+                              + plan.sz * plan.sz)
+            plan.inv_rr = 1.0 / plan.rr
 
-        # Self-term geometry (k-independent, shared).
-        ds_true = jac * area
+        # Self-term geometry.
+        plan.ds_true = jac * plan.area
         side_a = d * np.sqrt(1.0 + fx ** 2)
-        side_b = ds_true / side_a
-        i_rect = (2.0 * side_a * np.arcsinh(side_b / side_a)
-                  + 2.0 * side_b * np.arcsinh(side_a / side_b))
-        jac_area = jac[:, None, :] * area
-
-        return cls(meshes, options, n=n, spacing=d, area=area, diag=diag,
-                   period=base.period, dx=dx, dy=dy, dz=dz, fx=fx, fy=fy,
-                   r=r, inv_r=inv_r, rows=rows, cols=cols, sx=sx, sy=sy,
-                   sz=sz, rr=rr, inv_rr=inv_rr, ds_true=ds_true,
-                   i_rect=i_rect, jac_area=jac_area)
+        side_b = plan.ds_true / side_a
+        plan.i_rect = (2.0 * side_a * np.arcsinh(side_b / side_a)
+                       + 2.0 * side_b * np.arcsinh(side_a / side_b))
+        plan.jac_area = jac[:, None, :] * plan.area
+        return plan
 
     def eval_tables(self, tables) -> list[tuple]:
-        """Regularized kernel+gradient for each :class:`KernelTables`.
+        """Regularized kernel+gradient on the pairs for each table.
 
-        One fused pass over the plan's separations shares the distances,
+        Returns ``(B, M)`` arrays ``(g, gx, gy, gz)`` per
+        :class:`KernelTables`. One fused pass shares the distances,
         gather positions and the grid's cached shell phase sums across
         all tables (any number of media x frequencies) — bit-identical
-        to evaluating each table independently.
+        to evaluating each table independently on the same pairs.
         """
         from .fastkernel import green_and_gradient_multi
 
@@ -221,183 +261,134 @@ class AssemblyPlan3D:
 
         ``regs`` is this medium's ``(g_reg, gx_reg, gy_reg, gz_reg)``
         from :meth:`eval_tables`; ``g_reg0`` its
-        ``KernelTables.regular_at_zero()``. The body replicates the
-        per-k loop of the PR 5 fused pair path expression for
-        expression (``dgdr`` reproduces green3d_radial_derivative(r, k)
-        bit for bit: ``(1j k - 1/r) G`` with the same ``1/r``).
+        ``KernelTables.regular_at_zero()``. The free-space primary is
+        added on the pairs (``dG/dr = (jk - 1/r) G``), the totals are
+        mirrored, and the near pairs and the diagonal are then
+        overwritten with their sub-cell and self terms.
         """
         g_reg, gx_reg, gy_reg, gz_reg = regs
-        r, inv_r, dx, dy, dz = self.r, self.inv_r, self.dx, self.dy, self.dz
-        diag = self.diag
-        rows, cols = self.rows, self.cols
+        rows, cols, pair, sign = self.rows, self.cols, self.pair, self.sign
 
-        g0 = green3d(r, k)
-        dgdr = (1j * k - inv_r) * g0
-        g0x = dgdr * dx * inv_r
-        g0y = dgdr * dy * inv_r
-        g0z = dgdr * dz * inv_r
-        for arr in (g0, g0x, g0y, g0z):
-            arr[:, diag, diag] = 0.0
-
-        g_total = g_reg + g0
-        gx_total = gx_reg + g0x
-        gy_total = gy_reg + g0y
-        gz_total = gz_reg + g0z
+        g0 = green3d(self.r, k)
+        dgdr_r = (1j * k - self.inv_r) * g0 * self.inv_r
+        g_total = self.mirror(g_reg + g0, odd=False)
+        gx_total = self.mirror(gx_reg + dgdr_r * self.dx, odd=True)
+        gy_total = self.mirror(gy_reg + dgdr_r * self.dy, odd=True)
+        gz_total = self.mirror(gz_reg + dgdr_r * self.dz, odd=True)
 
         if rows.size:
             grr = green3d(self.rr, k)
-            g0_sub = grr.mean(axis=-1)
             dg_sub = ((1j * k - self.inv_rr) * grr) / self.rr
-            g0x_sub = (dg_sub * self.sx).mean(axis=-1)
-            g0y_sub = (dg_sub * self.sy).mean(axis=-1)
-            g0z_sub = (dg_sub * self.sz).mean(axis=-1)
-            g_total[:, rows, cols] = g_reg[:, rows, cols] + g0_sub
-            gx_total[:, rows, cols] = gx_reg[:, rows, cols] + g0x_sub
-            gy_total[:, rows, cols] = gy_reg[:, rows, cols] + g0y_sub
-            gz_total[:, rows, cols] = gz_reg[:, rows, cols] + g0z_sub
+            g_total[:, rows, cols] = g_reg[:, pair] + grr.mean(axis=-1)
+            gx_total[:, rows, cols] = (sign * gx_reg[:, pair]
+                                       + (dg_sub * self.sx).mean(axis=-1))
+            gy_total[:, rows, cols] = (sign * gy_reg[:, pair]
+                                       + (dg_sub * self.sy).mean(axis=-1))
+            gz_total[:, rows, cols] = (sign * gz_reg[:, pair]
+                                       + (dg_sub * self.sz).mean(axis=-1))
 
         s_mat = g_total * self.jac_area
-        s_mat[:, diag, diag] = (self.i_rect / (4.0 * math.pi)
-                                + (1j * k / (4.0 * math.pi)) * self.ds_true
-                                + g_reg0 * self.ds_true)
+        s_mat[:, self.diag, self.diag] = (
+            self.i_rect / (4.0 * math.pi)
+            + (1j * k / (4.0 * math.pi)) * self.ds_true
+            + g_reg0 * self.ds_true)
 
+        # The mirrored gradients have a zero diagonal, so D does too
+        # (the flat-cell principal value).
         d_mat = (gx_total * self.fx[:, None, :]
                  + gy_total * self.fy[:, None, :]
                  - gz_total) * self.area
-        d_mat[:, diag, diag] = 0.0
         return d_mat, s_mat
 
 
-class AssemblyPlan2D:
+class AssemblyPlan2D(_PairPlan):
     """Every k-independent intermediate of one 2D profile-batch assembly.
 
     The 2D analog of :class:`AssemblyPlan3D`: :meth:`build` once per
-    profile batch, :meth:`eval_ks` for the fused Kummer mode-sum pass
-    over any number of wavenumbers, :meth:`assemble_k` per medium.
+    profile batch, :meth:`eval_ks` for the fused Kummer mode-sum pass on
+    the pairs over any number of wavenumbers, :meth:`assemble_k` per
+    medium. The pass evaluates the *total* periodic kernel — no
+    off-diagonal pair has zero separation — so the free-space Hankel
+    terms are needed only at the near pairs.
     """
-
-    def __init__(self, meshes, options, *, n, spacing, diag, period,
-                 dx, dz, fx, rho, inv, rows, cols, sx, sz, rr,
-                 h, jac_d) -> None:
-        self.meshes = meshes
-        self.options = options
-        self.n = n
-        self.spacing = spacing
-        self.diag = diag
-        self.period = period
-        self.dx = dx
-        self.dz = dz
-        self.fx = fx
-        self.rho = rho
-        self.inv = inv
-        self.rows = rows
-        self.cols = cols
-        self.sx = sx
-        self.sz = sz
-        self.rr = rr
-        self.h = h
-        self.jac_d = jac_d
-
-    @property
-    def batch(self) -> int:
-        return len(self.meshes)
 
     @classmethod
     def build(cls, meshes, options) -> "AssemblyPlan2D":
         """Capture the k-independent assembly state of a profile batch."""
         meshes = list(meshes)
         _check_same_grid(meshes, "batched 2D assembly")
-        base = meshes[0]
-
-        n = base.size
-        d = base.spacing
-        diag = np.arange(n)
-
-        dx = _wrap(base.x[:, None] - base.x[None, :], base.period)
+        plan = cls(meshes, options, _profile_pairs(meshes[0].n,
+                                                   meshes[0].period))
+        pairs, d = plan.pairs, plan.spacing
+        plan.dx = pairs.dx
         z = np.stack([mesh.z for mesh in meshes])
-        fx = np.stack([mesh.fx for mesh in meshes])
+        plan.fx = fx = np.stack([mesh.fx for mesh in meshes])
         jac = np.stack([mesh.jac for mesh in meshes])
-        dz = z[:, :, None] - z[:, None, :]
-        np.fill_diagonal(dx, 0.25 * base.period)
+        plan.dz = dz = z[:, pairs.iu] - z[:, pairs.ju]
 
-        # Free-space primary: shared distances, per-k Hankel kernels.
-        rho = np.sqrt(dx * dx + dz * dz)
-        rho[:, diag, diag] = 1.0
-        inv = 1.0 / rho
-
-        # Near-pair sub-segment geometry (k-independent, shared).
-        rho_param = np.abs(dx)
-        near = (rho_param <= options.near_radius_cells * d + 1e-12)
-        np.fill_diagonal(near, False)
-        rows, cols = np.nonzero(near)
-        sx = sz = rr = None
+        # Near pairs, in both orientations: their separations (for the
+        # free-space term the total kernel carries) and sub-segment
+        # geometry.
+        rows, cols, pair, sign = _near_set(
+            pairs, options.near_radius_cells * d)
+        plan.rows, plan.cols, plan.pair, plan.sign = rows, cols, pair, sign
         if rows.size:
+            plan.near_dx = near_dx = sign * pairs.dx[pair]
+            plan.near_dz = near_dz = sign * dz[:, pair]
+            plan.near_rho = np.sqrt(near_dx * near_dx + near_dz * near_dz)
             q = options.near_quadrature
             du = ((np.arange(q) + 0.5) / q - 0.5) * d
-            sx = dx[rows, cols][:, None] - du[None, :]
-            sz = (dz[:, rows, cols][:, :, None]
-                  - fx[:, cols][:, :, None] * du[None, None, :])
-            rr = np.sqrt(sx * sx + sz * sz)
+            plan.sx = near_dx[:, None] - du[None, :]
+            plan.sz = (near_dz[:, :, None]
+                       - fx[:, cols][:, :, None] * du[None, None, :])
+            plan.rr = np.sqrt(plan.sx * plan.sx + plan.sz * plan.sz)
 
-        # Self-term geometry (k-independent, shared).
-        h = jac * d
-        jac_d = jac[:, None, :] * d
-
-        return cls(meshes, options, n=n, spacing=d, diag=diag,
-                   period=base.period, dx=dx, dz=dz, fx=fx, rho=rho,
-                   inv=inv, rows=rows, cols=cols, sx=sx, sz=sz, rr=rr,
-                   h=h, jac_d=jac_d)
+        # Self-term geometry.
+        plan.h = jac * d
+        plan.jac_d = jac[:, None, :] * d
+        return plan
 
     def eval_ks(self, ks) -> list[tuple]:
-        """Regularized 2D kernel+gradient for each wavenumber in ``ks``.
+        """Total 2D kernel+gradient on the pairs for each wavenumber.
 
-        One fused :func:`periodic_green2d_pair` pass — the
-        recurrence-built mode factors and quasi-static asymptotes are
-        shared across all wavenumbers, bit-identical to independent
-        per-k evaluation.
+        Returns ``(B, M)`` arrays ``(g, gx, gz)`` per wavenumber from one
+        fused :func:`periodic_green2d_pair` pass — the recurrence-built
+        mode factors and quasi-static asymptotes are shared across all
+        wavenumbers, bit-identical to independent per-k evaluation.
         """
         return periodic_green2d_pair(self.dx, self.dz, tuple(ks),
-                                     self.period,
-                                     m_max=self.options.m_max,
-                                     exclude_primary=True)
+                                     self.period, m_max=self.options.m_max)
 
-    def assemble_k(self, kk: complex, regs, g_reg0: complex
+    def assemble_k(self, kk: complex, totals, g_reg0: complex
                    ) -> tuple[np.ndarray, np.ndarray]:
         """Assemble one medium's ``(D, S)`` stacks at wavenumber ``kk``.
 
-        Replicates the per-k loop of the PR 5 fused 2D pair path
-        expression for expression.
+        ``totals`` is this medium's ``(g, gx, gz)`` from :meth:`eval_ks`
+        and ``g_reg0`` the regularized kernel's zero-separation limit.
+        At the near pairs the free-space term is subtracted from the
+        total and replaced by its sub-segment average.
         """
-        g_reg, gx_reg, gz_reg = regs
-        rho, inv, dx, dz = self.rho, self.inv, self.dx, self.dz
-        diag = self.diag
-        rows, cols = self.rows, self.cols
-
-        g0 = green2d(rho, kk)
-        dgdr = green2d_radial_derivative(rho, kk)
-        g0x = dgdr * dx * inv
-        g0z = dgdr * dz * inv
-        for arr in (g0, g0x, g0z):
-            arr[:, diag, diag] = 0.0
-
-        g_total = g_reg + g0
-        gx_total = gx_reg + g0x
-        gz_total = gz_reg + g0z
+        g, gx, gz = totals
+        rows, cols, pair, sign = self.rows, self.cols, self.pair, self.sign
+        g_total = self.mirror(g, odd=False)
+        gx_total = self.mirror(gx, odd=True)
+        gz_total = self.mirror(gz, odd=True)
 
         if rows.size:
-            g_total[:, rows, cols] = (g_reg[:, rows, cols]
+            h0 = green2d(self.near_rho, kk)
+            dh = green2d_radial_derivative(self.near_rho, kk) / self.near_rho
+            g_total[:, rows, cols] = ((g[:, pair] - h0)
                                       + green2d(self.rr, kk).mean(axis=-1))
             dg = green2d_radial_derivative(self.rr, kk) / self.rr
-            gx_total[:, rows, cols] = (gx_reg[:, rows, cols]
+            gx_total[:, rows, cols] = ((sign * gx[:, pair] - dh * self.near_dx)
                                        + (dg * self.sx).mean(axis=-1))
-            gz_total[:, rows, cols] = (gz_reg[:, rows, cols]
+            gz_total[:, rows, cols] = ((sign * gz[:, pair] - dh * self.near_dz)
                                        + (dg * self.sz).mean(axis=-1))
 
         s_mat = g_total * self.jac_d
         log_part = np.log(kk * self.h / 4.0) + EULER_GAMMA - 1.0
         free = 0.25j * self.h * (1.0 + (2j / math.pi) * log_part)
-        s_mat[:, diag, diag] = free + g_reg0 * self.h
+        s_mat[:, self.diag, self.diag] = free + g_reg0 * self.h
 
         d_mat = (gx_total * self.fx[:, None, :] - gz_total) * self.spacing
-        d_mat[:, diag, diag] = 0.0
         return d_mat, s_mat

@@ -76,17 +76,14 @@ class SWM2DOptions:
 
     def to_spec(self) -> dict:
         """Content-hashable dict (keys the engine's result cache).
-        Knobs that cannot change payloads are dropped so they never
-        split cache entries: ``batch_size`` (batched solves are
+        The assembly part comes from :meth:`Assembly2DOptions.to_spec`,
+        so the 2D kernel revision reaches every 2D hash. Knobs that
+        cannot change payloads (:data:`HASH_EXCLUDED`) stay out so they
+        never split cache entries: ``batch_size`` (batched solves are
         bit-identical) and ``check_finite`` (it only turns a non-finite
         assembly into a clear error — every payload that *returns* is
         identical either way)."""
-        import dataclasses
-
-        spec = dataclasses.asdict(self)
-        spec.pop("batch_size")
-        spec.pop("check_finite")
-        return spec
+        return {"assembly": self.assembly.to_spec()}
 
 
 class SWMSolver2D:
@@ -311,6 +308,9 @@ class SWMSolver2D:
                 sol = np.linalg.solve(a, rhs[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"dense 2D solve failed: {exc}") from exc
+        if not np.all(np.isfinite(sol)):
+            raise SolverError("2D SWM solution contains non-finite entries "
+                              "(singular system?)")
         return sol
 
     def _finish_many_2d(self, meshes: list[SurfaceMesh2D],

@@ -21,9 +21,14 @@ from repro.engine.spec import (
     ProfileScenario,
     StochasticScenario,
 )
-from repro.errors import ConfigurationError, MeshError
+from repro.errors import ConfigurationError, MeshError, SolverError
 from repro.surfaces import GaussianCorrelation
-from repro.swm.assembly import assemble_medium, assemble_medium_many
+from repro.swm.assembly import (
+    AssemblyOptions,
+    assemble_medium,
+    assemble_medium_many,
+)
+from repro.swm.assembly2d import Assembly2DOptions
 from repro.swm.fastkernel import KernelTables
 from repro.swm.geometry import build_mesh_3d
 from repro.swm.solver import SWMOptions, SWMSolver3D
@@ -442,3 +447,59 @@ class TestBatchSizeOutsideContentHash:
         back = loads(dumps(job))
         assert back.estimator.batch_size == 8
         assert back.key == job.key
+
+
+class TestMalformedOptions:
+    """Assembly knobs no assembly can honor raise at construction, so
+    wire decoding (which the service answers with 400) rejects them
+    too; a non-finite solution raises in both solvers."""
+
+    @pytest.mark.parametrize("bad", [
+        {"near_quadrature": 0}, {"near_radius_cells": -1.0},
+        {"n_images": -1}, {"n_modes": -1}, {"ewald_split": 0.0},
+        {"ewald_split": -0.5}])
+    def test_3d_fields_rejected(self, bad):
+        from repro.service import wire
+
+        with pytest.raises(ConfigurationError):
+            AssemblyOptions(**bad)
+        doc = wire.to_wire(StochasticScenario("m", CORR_3D, CONFIG_3D,
+                                              options=SWMOptions()))
+        doc["options"]["assembly"].update(bad)
+        with pytest.raises(ConfigurationError):
+            wire.from_wire(doc)
+
+    @pytest.mark.parametrize("bad", [
+        {"near_quadrature": 0}, {"near_radius_cells": -0.5},
+        {"m_max": 0}])
+    def test_2d_fields_rejected(self, bad):
+        from repro.service import wire
+
+        with pytest.raises(ConfigurationError):
+            Assembly2DOptions(**bad)
+        doc = wire.to_wire(ProfileScenario("p", CORR_2D, period_um=5.0,
+                                           n=16, options=SWM2DOptions()))
+        doc["options"]["assembly"].update(bad)
+        with pytest.raises(ConfigurationError):
+            wire.from_wire(doc)
+
+    def test_boundary_values_accepted(self):
+        AssemblyOptions(near_radius_cells=0.0, near_quadrature=1,
+                        n_images=0, n_modes=0)
+        Assembly2DOptions(near_radius_cells=0.0, near_quadrature=1,
+                          m_max=1)
+
+    @pytest.mark.parametrize("solve", [
+        lambda: SWMSolver3D(options=SWMOptions(check_finite=False))
+        .solve_um(_random_heights(1, 4)[0], 5.0, 5 * GHZ),
+        lambda: SWMSolver2D(options=SWM2DOptions(check_finite=False))
+        .solve_um(np.zeros(16), 5.0, 5 * GHZ)], ids=["3d", "2d"])
+    def test_non_finite_solution_raises(self, monkeypatch, solve):
+        def nan_solve(a, b):
+            return np.full(b.shape, np.nan, dtype=np.complex128)
+
+        monkeypatch.setattr(np.linalg, "solve", nan_solve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(SolverError, match="non-finite"):
+                solve()

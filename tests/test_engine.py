@@ -155,9 +155,10 @@ class TestContentHash:
 
 
 class TestKernelRevisionInContentHash:
-    """The tabulated 3D kernel's revision keys every 3D result, so a disk
-    cache never mixes values from two kernels; 2D keys, the perf-knob
-    exclusions and the wire format do not see it."""
+    """Each solver's kernel revision keys every result of that solver, so
+    a disk cache never mixes values from two kernels; the other
+    dimension's keys, the perf-knob exclusions and the wire format do
+    not see it."""
 
     @staticmethod
     def _keys():
@@ -182,28 +183,51 @@ class TestKernelRevisionInContentHash:
         assert bumped[1] != deterministic
         assert bumped[2] == profile
 
+    def test_2d_keys_follow_their_revision_and_3d_keys_do_not(
+            self, monkeypatch):
+        from repro.swm import assembly2d
+
+        stochastic, deterministic, profile = self._keys()
+        monkeypatch.setattr(assembly2d, "KERNEL_REVISION_2D",
+                            assembly2d.KERNEL_REVISION_2D + 1)
+        bumped = self._keys()
+        assert bumped[0] == stochastic
+        assert bumped[1] == deterministic
+        assert bumped[2] != profile
+
     def test_revision_reaches_the_solver_spec(self):
         from repro.swm.assembly import AssemblyOptions
+        from repro.swm.assembly2d import Assembly2DOptions, KERNEL_REVISION_2D
         from repro.swm.fastkernel import KERNEL_REVISION
         from repro.swm.solver import SWMOptions
+        from repro.swm.solver2d import SWM2DOptions
 
         spec = SWMOptions(batch_size=16, check_finite=False).to_spec()
         assert spec == {"assembly": AssemblyOptions().to_spec()}
         assert spec["assembly"]["kernel"] == KERNEL_REVISION
         assert spec == SWMOptions().to_spec()
+        spec2 = SWM2DOptions(batch_size=16, check_finite=False).to_spec()
+        assert spec2 == {"assembly": Assembly2DOptions().to_spec()}
+        assert spec2["assembly"]["kernel"] == KERNEL_REVISION_2D
+        assert spec2 == SWM2DOptions().to_spec()
 
     def test_wire_format_carries_no_revision(self):
         from repro.service import wire
         from repro.swm.solver import SWMOptions
+        from repro.swm.solver2d import SWM2DOptions
 
         scen = StochasticScenario("x", GaussianCorrelation(1 * UM, 1 * UM),
                                   SMALL_CONFIG,
                                   options=SWMOptions(batch_size=4))
-        doc = wire.to_wire(scen)
-        assert doc["options"]["assembly"]["use_tables"] is True
-        assert "kernel" not in json.dumps(doc)
-        decoded = wire.from_wire(json.loads(json.dumps(doc)))
-        assert decoded.key == scen.key
+        prof = ProfileScenario("p", GaussianCorrelation(1.0, 1.0),
+                               period_um=5.0, n=16,
+                               options=SWM2DOptions(batch_size=4))
+        for obj in (scen, prof):
+            doc = wire.to_wire(obj)
+            assert "kernel" not in json.dumps(doc)
+            decoded = wire.from_wire(json.loads(json.dumps(doc)))
+            assert decoded.key == obj.key
+        assert wire.to_wire(scen)["options"]["assembly"]["use_tables"] is True
 
 
 class TestSweepSpec:

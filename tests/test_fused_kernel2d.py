@@ -31,7 +31,9 @@ from repro.swm.assembly2d import (
     assemble_medium_2d,
     assemble_medium_2d_many,
 )
+from repro.greens.freespace import green2d, green2d_gradient
 from repro.swm.geometry import build_mesh_2d
+from repro.swm.plan import AssemblyPlan2D, _wrap
 from repro.swm.solver2d import SWM2DOptions, SWMSolver2D
 
 L = 5.0
@@ -165,6 +167,52 @@ class TestPairAssemblyParity:
         m2 = build_mesh_2d(np.zeros(8), L + 1.0)
         with pytest.raises(MeshError):
             assemble_media_pair_2d_many([m1, m2], k1, k2)
+
+
+class TestPairPlan2D:
+    """The plan evaluates the total kernel once per unordered pair."""
+
+    def _plan(self, b=3, n=24):
+        rng = np.random.default_rng(7)
+        meshes = [build_mesh_2d(rng.normal(0.0, 0.4, n), L)
+                  for _ in range(b)]
+        return AssemblyPlan2D.build(meshes, Assembly2DOptions())
+
+    def test_mirrored_kernel_matches_full_evaluation(self):
+        bound = 1e-13
+        plan = self._plan()
+        x = plan.meshes[0].x
+        dx = _wrap(x[:, None] - x[None, :], L)
+        np.fill_diagonal(dx, 0.25 * L)
+        z = np.stack([m.z for m in plan.meshes])
+        ks = _wavenumbers()
+        full = periodic_green2d_pair(dx, z[:, :, None] - z[:, None, :], ks,
+                                     L, m_max=96)
+        off = ~np.eye(plan.n, dtype=bool)
+        for pair_vals, ref in zip(plan.eval_ks(ks), full):
+            for comp, (got, want) in enumerate(zip(pair_vals, ref)):
+                mirrored = plan.mirror(got, odd=comp > 0)
+                assert np.all(mirrored[:, ~off] == 0.0)
+                err = np.max(np.abs(mirrored[:, off] - want[:, off]))
+                assert err <= bound * np.max(np.abs(want[:, off]))
+
+    def test_far_pairs_equal_regularized_plus_free_space(self):
+        bound = 1e-13
+        plan = self._plan()
+        far = np.ones(plan.dx.size, dtype=bool)
+        far[plan.pair] = False
+        dx, dz = plan.dx[far], plan.dz[:, far]
+        rho = np.sqrt(dx * dx + dz * dz)
+        for kk, (g, gx, gz) in zip(_wavenumbers(),
+                                   plan.eval_ks(_wavenumbers())):
+            reg = periodic_green2d_pair(dx, dz, (kk,), L, m_max=96,
+                                        exclude_primary=True)[0]
+            free = (green2d(rho, kk), *green2d_gradient(dx, dz, kk))
+            for got, r, f in zip((g[:, far], gx[:, far], gz[:, far]),
+                                 reg, free):
+                want = r + f
+                err = np.max(np.abs(got - want))
+                assert err <= bound * np.max(np.abs(want))
 
 
 class TestZeroLimitCache:

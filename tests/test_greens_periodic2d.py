@@ -9,6 +9,7 @@ from repro.greens.periodic2d import (
     periodic_green2d,
     periodic_green2d_direct,
     periodic_green2d_gradient,
+    periodic_green2d_pair,
 )
 
 L = 5.0
@@ -114,3 +115,28 @@ class TestStructure:
             periodic_green2d_gradient(z, z, K2, L, m_max=-3)
         with pytest.raises(ConfigurationError):
             periodic_green2d_gradient(z, z, K2, period=0.0)
+
+
+class TestEvanescentRealPath:
+    """Evanescent modes of a real wavenumber accumulate in real
+    arithmetic; a vanishing imaginary part forces the complex path."""
+
+    @pytest.mark.parametrize("exclude_primary", [False, True])
+    @pytest.mark.parametrize("k", [K1, 3.0 + 0j])  # 3.0: m = 1, 2 propagate
+    def test_matches_forced_complex_path(self, separations, k,
+                                         exclude_primary):
+        dx, dz = separations
+        (real,) = periodic_green2d_pair(dx, dz, (k,), L, 96,
+                                        exclude_primary)
+        (forced,) = periodic_green2d_pair(dx, dz, (k + 1e-30j,), L, 96,
+                                          exclude_primary)
+        for got, ref in zip(real, forced):
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_gz_exactly_zero_on_dz_zero_plane(self):
+        dx = np.linspace(-2.4, 2.4, 8)
+        dz = np.zeros_like(dx)
+        for exclude_primary in (False, True):
+            for _, _, gz in periodic_green2d_pair(dx, dz, (K1, K2), L,
+                                                  96, exclude_primary):
+                assert np.all(gz == 0.0)

@@ -17,8 +17,8 @@ from repro.swm.fastkernel import (
     shell_phase_sums,
     tables_for_mesh,
 )
-from repro.swm.geometry import build_mesh_3d
-from repro.swm.plan import AssemblyPlan3D
+from repro.swm.geometry import build_mesh_3d, grid_coords
+from repro.swm.plan import AssemblyPlan3D, _grid_pairs, _wrap
 from repro.errors import MeshError
 
 
@@ -202,6 +202,8 @@ class TestShellKernel:
         np.testing.assert_array_equal(again[1], first[1])
 
     def test_multi_table_evaluation_is_bit_identical(self):
+        """On the plan's pair arrays, the fused pass equals a direct
+        multi-table call, each table alone and a one-sample plan."""
         meshes = [_rough_mesh(seed=0), _rough_mesh(amp=0.3, seed=1)]
         cfg = AssemblyOptions().ewald_config(meshes[0].period)
         tabs = [KernelTables(k, cfg, z_extent=2.0) for k in (K1, K2)]
@@ -218,6 +220,46 @@ class TestShellKernel:
                 np.testing.assert_array_equal(a, b)
                 np.testing.assert_array_equal(a, c)
                 np.testing.assert_array_equal(a[1:], d)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_pair_offsets_are_exactly_antisymmetric(self, n):
+        """The reversed pair's wrapped offsets are the exact negation,
+        the +-L/2 column of an even grid included, so mirroring by
+        parity reads the right values."""
+        period = 5.0
+        pairs = _grid_pairs(n, period)
+        x = np.repeat(grid_coords(n, period), n)
+        y = np.tile(grid_coords(n, period), n)
+        for c, got in ((x, pairs.dx), (y, pairs.dy)):
+            full = _wrap(c[:, None] - c[None, :], period)
+            np.testing.assert_array_equal(full, -full.T)
+            np.testing.assert_array_equal(full[pairs.iu, pairs.ju], got)
+            assert np.any(np.abs(got) == period / 2) == (n % 2 == 0)
+        assert not (pairs.dx.flags.writeable or pairs.iu.flags.writeable)
+
+    def test_mirrored_kernel_matches_full_evaluation(self):
+        """Mirroring the pair kernel by parity reproduces a direct
+        evaluation on every ordered pair (which sums the images in
+        another order, hence a rounding-level bound)."""
+        bound = 1e-13
+        meshes = [_rough_mesh(seed=0), _rough_mesh(amp=0.3, seed=1)]
+        cfg = AssemblyOptions().ewald_config(meshes[0].period)
+        tabs = [KernelTables(k, cfg, z_extent=2.0) for k in (K1, K2)]
+        plan = AssemblyPlan3D.build(meshes, AssemblyOptions())
+        period = meshes[0].period
+        dx = _wrap(meshes[0].x[:, None] - meshes[0].x[None, :], period)
+        dy = _wrap(meshes[0].y[:, None] - meshes[0].y[None, :], period)
+        np.fill_diagonal(dx, 0.25 * period)
+        z = np.stack([m.z for m in meshes])
+        full = green_and_gradient_multi(tabs, dx, dy,
+                                        z[:, :, None] - z[:, None, :])
+        off = ~np.eye(plan.n, dtype=bool)
+        for pair_vals, ref in zip(plan.eval_tables(tabs), full):
+            for comp, (got, want) in enumerate(zip(pair_vals, ref)):
+                mirrored = plan.mirror(got, odd=comp > 0)
+                assert np.all(mirrored[:, ~off] == 0.0)
+                err = np.max(np.abs(mirrored[:, off] - want[:, off]))
+                assert err <= bound * np.max(np.abs(want[:, off]))
 
     def test_tables_on_mismatched_grids_raise(self):
         from repro.errors import ConfigurationError
