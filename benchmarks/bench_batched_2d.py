@@ -57,8 +57,8 @@ REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "3"))
 
 
 def _models():
-    """Scalar and batched xi -> enhancement maps (the engine's
-    ``_profile_models_for`` closures, built by hand)."""
+    """Scalar and batched xi -> enhancement maps for the public
+    :class:`MonteCarloEstimator`: white noise -> profile -> 2D solve."""
     gen = ProfileGenerator(GaussianCorrelation(sigma=1.0, eta=1.0),
                            period=PERIOD_UM, n=N_POINTS, normalize=True)
     solver = SWMSolver2D()

@@ -957,13 +957,19 @@ class OneFactorization(Rule):
     ``kernel-globs`` modules (``greens/``, ``swm/``), flags every
     ``scipy.linalg`` or ``numpy.linalg`` solve or factorization outside
     a ``_factor_stack*`` helper: a single solve is a batch of one
-    through that helper.
+    through that helper. It also flags every call of a
+    ``_factor_stack*`` helper that is called from more than one place
+    in its module: a second call site is a second solve path beside
+    the solver's one kernel (single-sample and single-frequency copies
+    of the assemble/factor loop once sat beside it, and every kernel
+    change had to be made and tested twice).
     """
 
     id = "RPR010"
     name = "one-factorization"
     description = ("dense solves in kernel modules (greens/, swm/) must "
-                   "go through the stacked _factor_stack* helper")
+                   "go through the stacked _factor_stack* helper, "
+                   "called from one place")
 
     _SOLVES = frozenset({"solve", "inv", "lstsq", "lu", "lu_factor",
                          "lu_solve", "cho_factor", "cho_solve",
@@ -973,9 +979,14 @@ class OneFactorization(Rule):
         if not ctx.matches(ctx.config.kernel_globs):
             return
         imports = _imports(ctx)
+        helper_calls: dict[str, list[ast.Call]] = {}
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
+            callee = (node.func.attr if isinstance(node.func, ast.Attribute)
+                      else getattr(node.func, "id", ""))
+            if callee.startswith("_factor_stack"):
+                helper_calls.setdefault(callee, []).append(node)
             target = self._resolve(imports, node.func) or ""
             module, _, name = target.rpartition(".")
             if (module in ("scipy.linalg", "numpy.linalg")
@@ -987,6 +998,16 @@ class OneFactorization(Rule):
                     "and scipy LAPACK builds can round differently, so "
                     "every solve goes through that one call (a single "
                     "solve is a batch of one)")
+        for callee, calls in helper_calls.items():
+            if len(calls) < 2:
+                continue
+            for call in calls:
+                yield self.finding(
+                    ctx, call,
+                    f"{callee}() has {len(calls)} call sites; keep one, "
+                    "in the solver's one solve kernel (single and "
+                    "one-frequency solves call the kernel with B = 1 / "
+                    "F = 1)")
 
     @staticmethod
     def _resolve(imports: _Imports, func: ast.expr) -> str | None:

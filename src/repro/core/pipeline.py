@@ -215,11 +215,14 @@ class StochasticLossModel:
                     batch_size: int | None = None) -> SSCMResult:
         """SSCM statistics computed in-process (no engine routing).
 
-        This is the raw evaluation the engine's workers run; prefer
-        :meth:`sscm`, which adds caching and executor policy on top.
-        ``progress`` here counts individual solver calls (sparse-grid
-        nodes). ``batch_size`` solves that many nodes per stacked dense
-        factorization (bit-identical node values).
+        Runs :class:`SSCMEstimator` over this model's solver directly;
+        the engine walks the same Smolyak node stream
+        (:func:`~repro.stochastic.sscm.node_blocks`), so its node values
+        are bit-identical. Prefer :meth:`sscm`, which adds caching and
+        executor policy on top. ``progress`` here counts individual
+        solver calls (sparse-grid nodes). ``batch_size`` solves that
+        many nodes per stacked dense factorization (bit-identical node
+        values).
         """
         est = SSCMEstimator(self.enhancement_model(frequency_hz),
                             self.dimension, order=order,

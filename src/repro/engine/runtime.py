@@ -1,11 +1,16 @@
 """Worker-side job execution.
 
-:func:`execute_job` is the single function every executor runs — in the
-parent process (serial) or in pool workers (parallel). It is a plain
-module-level function so :mod:`concurrent.futures` can pickle a
-reference to it, and it returns a plain payload dict (scalars + one
-float array) so results cross process boundaries and serialize to the
-cache without custom reducers.
+:func:`execute_job_group` is the one job executor: it runs a list of
+jobs sharing a scenario and estimator as one frequency stack, and
+:func:`execute_job` is a group of one. Every executor runs one of the
+two — in the parent process (serial) or in pool workers (parallel).
+They are plain module-level functions so :mod:`concurrent.futures` can
+pickle a reference to them, and they return plain payload dicts
+(scalars + one float array) so results cross process boundaries and
+serialize to the cache without custom reducers.
+:func:`execute_group_isolated` wraps a group for callers that must
+fail one job without failing its stackmates (the scheduler, the fleet
+worker).
 
 Models are memoized per *thread* keyed by the scenario's content hash:
 a sweep with F frequencies per scenario pays the KL eigendecomposition
@@ -28,6 +33,7 @@ from collections import OrderedDict
 
 import numpy as np
 
+from .. import telemetry
 from ..telemetry import record_spans, span
 from .spec import (
     DeterministicScenario,
@@ -39,6 +45,10 @@ from .spec import (
 #: Models/solvers kept alive per thread (LRU on scenario hash).
 _MEMO_MAX = 8
 _memo_local = threading.local()
+
+_M_GROUP_FALLBACKS = telemetry.counter(
+    "repro_engine_group_fallbacks_total",
+    "Failed job groups re-run one job at a time to isolate the failure.")
 
 
 def _thread_memo() -> OrderedDict:
@@ -69,7 +79,7 @@ def seed_model(scenario: StochasticScenario, model: object) -> None:
     forking thread's memo) instead of paying the KL eigendecomposition
     a second time. Other threads rebuild their own — sharing would
     race on the solver's adaptive kernel tables. Job purity is
-    unaffected: :func:`execute_job` resets the solver's kernel tables
+    unaffected: every job group resets the solver's kernel tables
     regardless of where the model came from.
     """
     _memoized(scenario.key, lambda: model)
@@ -102,33 +112,6 @@ def _profile_components(scenario: ProfileScenario):
     return _memoized(scenario.key, build)
 
 
-def _profile_models_for(scenario: ProfileScenario, frequency_hz: float):
-    """Scalar and batched ``xi -> enhancement`` maps for a 2D profile
-    scenario.
-
-    The components come from :func:`_profile_components`; the scalar
-    closure is the same map Fig. 6 historically built by hand: white
-    noise -> profile -> 2D solve. The batched closure stacks the sample
-    profiles into one
-    :meth:`~repro.swm.solver2d.SWMSolver2D.solve_many_um` call
-    (bit-identical values).
-    """
-    gen, solver = _profile_components(scenario)
-
-    def model(xi: np.ndarray) -> float:
-        profile = gen.from_white_noise(xi)
-        return solver.solve_um(profile, scenario.period_um,
-                               frequency_hz).enhancement
-
-    def batch_model(xis: np.ndarray) -> np.ndarray:
-        profiles = np.stack([gen.from_white_noise(xi) for xi in xis])
-        results = solver.solve_many_um(profiles, scenario.period_um,
-                                       frequency_hz)
-        return np.array([r.enhancement for r in results], dtype=np.float64)
-
-    return model, batch_model
-
-
 def _batch_size_for(estimator, options) -> int | None:
     """Worker-side batch size: the estimator's knob, else the solver
     options' default (both perf-only, excluded from content hashes)."""
@@ -152,7 +135,7 @@ def _solver_for(scenario: DeterministicScenario):
 
 
 def execute_job(job: Job) -> dict:
-    """Run one job and return its payload.
+    """Run one job and return its payload: a group of one.
 
     Payload schema (kept flat and serializable)::
 
@@ -167,91 +150,7 @@ def execute_job(job: Job) -> dict:
                          (only when :mod:`repro.telemetry` is enabled in
                          the executing process)
     """
-    start = time.perf_counter()
-    with record_spans() as spans, span(
-            "job", scenario=job.scenario.name,
-            frequency_hz=float(job.frequency_hz),
-            estimator=job.estimator_label, key=job.key):
-        mean, std, values, n_evals, seed = _run_job(job)
-    payload = {
-        "mean": float(mean),
-        "std": float(std),
-        "values": values,
-        "n_evals": int(n_evals),
-        "seed": seed,
-        "wall_time_s": time.perf_counter() - start,
-        "pid": os.getpid(),
-    }
-    if spans:
-        payload["spans"] = spans
-    return payload
-
-
-def _run_job(job: Job) -> tuple:
-    """Dispatch one job to its scenario kind's solve path."""
-    scenario = job.scenario
-    if isinstance(scenario, DeterministicScenario):
-        solver = _solver_for(scenario)
-        # Kernel tables adapt to the surfaces a solver has seen, so a
-        # job's value must not depend on what ran before it in this
-        # process: start every job from a history-free solver. Tables
-        # still amortize *within* the job (the estimator's samples).
-        solver.reset_tables()
-        res = solver.solve(scenario.heights_m, scenario.period_m,
-                           job.frequency_hz)
-        values = np.array([res.enhancement], dtype=np.float64)
-        mean, std = float(res.enhancement), 0.0
-        n_evals, seed = 1, None
-    elif isinstance(scenario, ProfileScenario):
-        # The 2D solver keeps no cross-solve state, so no reset needed.
-        fn, batch_fn = _profile_models_for(scenario, job.frequency_hz)
-        est = job.estimator
-        batch_size = _batch_size_for(est, scenario.options)
-        if est.kind == "sscm":
-            from ..stochastic.sscm import SSCMEstimator
-
-            res = SSCMEstimator(fn, scenario.n, order=est.order,
-                                batch_model=batch_fn).run(
-                batch_size=batch_size)
-            values = np.asarray(res.node_values, dtype=np.float64)
-            mean, std = res.mean, res.std
-            n_evals, seed = res.n_samples, None
-        else:
-            from ..stochastic.montecarlo import MonteCarloEstimator
-
-            res = MonteCarloEstimator(fn, scenario.n,
-                                      batch_model=batch_fn).run(
-                est.n_samples, seed=est.seed, batch_size=batch_size)
-            values = np.asarray(res.samples, dtype=np.float64)
-            mean, std = res.mean, res.std
-            n_evals, seed = res.n_samples, est.seed
-    else:
-        model = _model_for(scenario)
-        model.solver.reset_tables()  # same purity argument as above
-        est = job.estimator
-        batch_size = _batch_size_for(est, scenario.options)
-        if est.kind == "sscm":
-            # sscm_direct, not sscm(): the public wrapper routes back
-            # through the engine.
-            res = model.sscm_direct(job.frequency_hz, order=est.order,
-                                    batch_size=batch_size)
-            values = np.asarray(res.node_values, dtype=np.float64)
-            mean, std = res.mean, res.std
-            n_evals, seed = res.n_samples, None
-        else:
-            # Drive the estimator directly: the model's montecarlo()
-            # wrapper routes back through the engine.
-            from ..stochastic.montecarlo import MonteCarloEstimator
-
-            estimator = MonteCarloEstimator(
-                model.enhancement_model(job.frequency_hz), model.dimension,
-                batch_model=model.enhancement_batch_model(job.frequency_hz))
-            res = estimator.run(est.n_samples, seed=est.seed,
-                                batch_size=batch_size)
-            values = np.asarray(res.samples, dtype=np.float64)
-            mean, std = res.mean, res.std
-            n_evals, seed = res.n_samples, est.seed
-    return mean, std, values, n_evals, seed
+    return execute_job_group([job])[0]
 
 
 def group_by_scenario(items: list, job_of=lambda item: item) -> list[list]:
@@ -280,35 +179,32 @@ def group_by_scenario(items: list, job_of=lambda item: item) -> list[list]:
 def execute_job_group(jobs: list[Job]) -> list[dict]:
     """Run jobs sharing one scenario at different frequencies as a group.
 
-    The fused counterpart of :func:`execute_job`: every job must carry
-    the same scenario (equal content hash) and the same estimator spec,
-    differing only in ``frequency_hz``. The group realizes each sample
-    surface **once** and solves it as a frequency stack through
-    ``solve_mesh_many_multi_k``, so the k-independent assembly plan is
-    built once per mesh batch instead of once per frequency. Payloads
-    are bit-identical to ``[execute_job(j) for j in jobs]`` — the xi
-    streams, estimator chunk boundaries, and solver kernel-table
-    histories are replicated exactly (tests/test_multifreq_stack.py
+    The one job executor (:func:`execute_job` is a group of one). Every
+    job must carry the same scenario (equal content hash) and the same
+    estimator spec, differing only in ``frequency_hz``. The group
+    realizes each sample surface **once** and solves it as a frequency
+    stack through ``solve_mesh_many_multi_k``, so the k-independent
+    assembly plan is built once per mesh batch instead of once per
+    frequency. Payloads are bit-identical to running each job alone —
+    the estimators' point streams, block boundaries, and solver
+    kernel-table histories are the same (tests/test_multifreq_stack.py
     asserts this) — and per-job content hashes, cache entries, and wire
-    encoding are untouched.
+    encoding are untouched. Jobs of different scenarios run one at a
+    time, one payload per job in order. A failure raises, as in
+    :func:`execute_job`; :func:`execute_group_isolated` is the caller
+    that isolates it.
 
     The measured group wall time is split over the jobs in proportion to
     their :func:`repro.engine.cost.estimate_job_cost` weight, so the
     scheduler's :class:`~repro.telemetry.CostCalibrator` still receives
     one plausible ``(cost, wall)`` observation per job. Telemetry spans
     (when enabled) describe the shared solve and ride on the first
-    payload only.
-
-    Grouping is an optimization, never a liability: jobs that cannot be
-    grouped — and any grouped-path failure — fall back to per-job
-    :func:`execute_job` calls, where a genuinely failing job raises its
-    own error as before.
+    payload only, under one ``job`` span (``job_group`` for a stack of
+    two or more).
     """
     jobs = list(jobs)
     if not jobs:
         return []
-    if len(jobs) == 1:
-        return [execute_job(jobs[0])]
     first = jobs[0]
     groupable = all(job.scenario.key == first.scenario.key
                     and job.estimator == first.estimator
@@ -316,15 +212,12 @@ def execute_job_group(jobs: list[Job]) -> list[dict]:
     if not groupable:
         return [execute_job(job) for job in jobs]
     start = time.perf_counter()
-    try:
-        with record_spans() as spans, span(
-                "job_group", scenario=first.scenario.name,
-                estimator=first.estimator_label, jobs=len(jobs)):
-            per_job = _run_job_group(jobs)
-    except Exception:  # noqa: BLE001 — grouped path is an optimization
-        # Fall back to per-job execution: a genuinely failing job
-        # raises its own error there, exactly as before grouping.
-        return [execute_job(job) for job in jobs]
+    with record_spans() as spans, span(
+            "job" if len(jobs) == 1 else "job_group",
+            scenario=first.scenario.name,
+            frequency_hz=float(first.frequency_hz),
+            estimator=first.estimator_label, key=first.key, jobs=len(jobs)):
+        per_job = _run_job_group(jobs)
     wall = time.perf_counter() - start
 
     from .cost import estimate_job_cost
@@ -349,8 +242,39 @@ def execute_job_group(jobs: list[Job]) -> list[dict]:
     return payloads
 
 
+def execute_group_isolated(jobs: list[Job]
+                           ) -> list[tuple[dict | None, str | None]]:
+    """Run one job group so that a bad job fails only itself.
+
+    Returns ``(payload, None)`` or ``(None, error)`` per job, in order.
+    A healthy group runs once through :func:`execute_job_group`. Only
+    when the group raises and has two or more members does each member
+    run alone, so its stackmates still complete; each such fallback
+    counts in ``repro_engine_group_fallbacks_total``. A lone job that
+    raises reports its own error without a retry.
+    """
+    jobs = list(jobs)
+    try:
+        return [(payload, None) for payload in execute_job_group(jobs)]
+    except Exception as exc:  # noqa: BLE001 — reported per job
+        if len(jobs) < 2:
+            return [(None, _describe(exc))]
+    _M_GROUP_FALLBACKS.inc()
+    results: list[tuple[dict | None, str | None]] = []
+    for job in jobs:
+        try:
+            results.append((execute_job(job), None))
+        except Exception as exc:  # noqa: BLE001 — reported per job
+            results.append((None, _describe(exc)))
+    return results
+
+
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _run_job_group(jobs: list[Job]) -> list[tuple]:
-    """Grouped analogue of :func:`_run_job`: one result tuple per job."""
+    """One ``(mean, std, values, n_evals, seed)`` tuple per job."""
     scenario = jobs[0].scenario
     freqs = [float(job.frequency_hz) for job in jobs]
     est = jobs[0].estimator
@@ -359,7 +283,11 @@ def _run_job_group(jobs: list[Job]) -> list[tuple]:
         from ..swm.geometry import build_mesh_3d
 
         solver = _solver_for(scenario)
-        solver.reset_tables()  # same purity contract as _run_job
+        # Kernel tables adapt to the surfaces a solver has seen, so a
+        # job's value must not depend on what ran before it in this
+        # process: every group starts from a history-free solver, and
+        # tables amortize only *within* the group.
+        solver.reset_tables()
         # Mesh construction matches SWMSolver3D.solve exactly.
         heights_um = np.asarray(scenario.heights_m,
                                 dtype=np.float64) * METER_TO_UM
@@ -375,6 +303,7 @@ def _run_job_group(jobs: list[Job]) -> list[tuple]:
     if isinstance(scenario, ProfileScenario):
         from ..swm.geometry import build_mesh_2d
 
+        # The 2D solver keeps no cross-solve state, so no reset needed.
         gen, solver = _profile_components(scenario)
         period_um = float(scenario.period_um)
 
@@ -392,9 +321,9 @@ def _run_job_group(jobs: list[Job]) -> list[tuple]:
 
     model = _model_for(scenario)
     # One reset covers every frequency: kernel-table keys include the
-    # frequency, so each job's tables start cold exactly as they do on
-    # the per-job path, and accumulate over the estimator's blocks in
-    # the same order.
+    # frequency, so each job's tables start cold exactly as they do in a
+    # group of one, and accumulate over the estimator's blocks in the
+    # same order.
     model.solver.reset_tables()
     period_um = float(model.period_um)
 
@@ -412,84 +341,41 @@ def _estimate_group(est, options, dim: int, realize, solve_multi_k,
                     freqs: list[float]) -> list[tuple]:
     """Run one estimator over the frequency stack; one tuple per freq.
 
-    Replicates the per-job estimators' evaluation-point streams and
-    chunk boundaries exactly so grouped values are bit-identical:
-    Monte-Carlo draws each xi block once from a fresh seeded generator
-    (each per-job run draws the identical stream itself), SSCM walks
-    the deterministic Smolyak nodes in the same blocks.
+    Walks the estimator's own evaluation-point stream
+    (:func:`~repro.stochastic.montecarlo.sample_blocks` or
+    :func:`~repro.stochastic.sscm.node_blocks`) block by block: each
+    block's meshes are realized once and solved at every frequency in
+    one stacked call, so grouped values are bit-identical to the
+    public estimators' runs.
     """
+    from ..stochastic.montecarlo import MonteCarloResult, sample_blocks
+    from ..stochastic.sparsegrid import smolyak_grid
+    from ..stochastic.sscm import node_blocks, reproject_node_values
+
     batch_size = _batch_size_for(est, options)
     if est.kind == "sscm":
-        from ..stochastic.sparsegrid import smolyak_grid
-        from ..stochastic.sscm import reproject_node_values
-
-        nodes = smolyak_grid(dim, est.order).nodes
-        values = _stacked_values(nodes, realize, solve_multi_k, freqs,
-                                 batch_size)
-        out = []
-        for row in values:
+        blocks = node_blocks(smolyak_grid(dim, est.order), batch_size)
+    else:
+        blocks = sample_blocks(dim, int(est.n_samples), est.seed,
+                               batch_size)
+    columns = []
+    for xis in blocks:
+        stacks = solve_multi_k([realize(xi) for xi in xis], freqs)
+        columns.append([[r.enhancement for r in results]
+                        for results in stacks])
+    values = np.concatenate(columns, axis=1)  # (F, S) enhancements
+    out = []
+    for row in values:
+        if est.kind == "sscm":
             res = reproject_node_values(row, dim, est.order)
             out.append((res.mean, res.std,
                         np.asarray(res.node_values, dtype=np.float64),
                         res.n_samples, None))
-        return out
-
-    from ..stochastic.montecarlo import MonteCarloResult
-
-    points = _mc_points(dim, int(est.n_samples), est.seed, batch_size)
-    values = _stacked_values(points, realize, solve_multi_k, freqs,
-                             batch_size)
-    out = []
-    for row in values:
-        res = MonteCarloResult(samples=row, seed=est.seed)
-        out.append((res.mean, res.std,
-                    np.asarray(res.samples, dtype=np.float64),
-                    res.n_samples, est.seed))
-    return out
-
-
-def _mc_points(dim: int, n_samples: int, seed, batch_size) -> np.ndarray:
-    """Draw the exact xi stream the per-job Monte-Carlo runs consume.
-
-    Blocks are drawn in the estimator's order and shapes from one fresh
-    seeded generator — ``(take, dim)`` blocks when batching, single
-    ``(dim,)`` draws otherwise — so row ``s`` equals the s-th draw of
-    every per-job :meth:`MonteCarloEstimator.run` with the same seed.
-    """
-    rng = np.random.default_rng(seed)
-    out = np.empty((max(n_samples, 0), dim), dtype=np.float64)
-    done = 0
-    while done < n_samples:
-        if batch_size is not None:
-            take = min(batch_size, n_samples - done)
-            out[done:done + take] = rng.standard_normal((take, dim))
         else:
-            take = 1
-            out[done] = rng.standard_normal(dim)
-        done += take
-    return out
-
-
-def _stacked_values(points: np.ndarray, realize, solve_multi_k,
-                    freqs: list[float], batch_size) -> np.ndarray:
-    """(F, S) enhancement matrix walking ``points`` in estimator blocks.
-
-    Each block's meshes are realized once and solved for every
-    frequency in one stacked call; block boundaries follow the per-job
-    estimators (``batch_size`` chunks, or one point at a time) so the
-    solvers' adaptive table state evolves identically.
-    """
-    n_points = points.shape[0]
-    out = np.empty((len(freqs), n_points), dtype=np.float64)
-    done = 0
-    while done < n_points:
-        take = (min(batch_size, n_points - done)
-                if batch_size is not None else 1)
-        meshes = [realize(xi) for xi in points[done:done + take]]
-        stacks = solve_multi_k(meshes, freqs)
-        for fi, results in enumerate(stacks):
-            out[fi, done:done + take] = [r.enhancement for r in results]
-        done += take
+            res = MonteCarloResult(samples=row, seed=est.seed)
+            out.append((res.mean, res.std,
+                        np.asarray(res.samples, dtype=np.float64),
+                        res.n_samples, est.seed))
     return out
 
 

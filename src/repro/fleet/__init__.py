@@ -5,7 +5,8 @@ makes it *horizontally scalable*. The scheduler's global deduplicating
 queue is claimable over HTTP (``POST /v1/workers/claim`` leases jobs,
 heartbeats keep them, ``POST /v1/workers/result`` commits), and
 :class:`FleetWorker` is the pull loop that lives on the other end:
-claim a batch, execute each job via :func:`repro.engine.execute_job`
+claim a batch, execute each same-scenario group of jobs as one
+frequency stack (:func:`repro.engine.runtime.execute_group_isolated`)
 on a local thread pool (the solver's LAPACK calls release the GIL),
 upload the payloads, repeat until drained or told to stop.
 

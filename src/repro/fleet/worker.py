@@ -43,11 +43,7 @@ from concurrent.futures import wait as futures_wait
 
 from .. import telemetry
 from ..errors import ConfigurationError
-from ..engine.runtime import (
-    execute_job,
-    execute_job_group,
-    group_by_scenario,
-)
+from ..engine.runtime import execute_group_isolated, group_by_scenario
 from ..service.client import ServiceClient, ServiceUnavailable
 from ..service.wire import WorkerClaim, WorkerResult, WorkerTelemetry
 
@@ -170,48 +166,28 @@ class FleetWorker:
 
     # ------------------------------------------------------------------
 
-    def _execute(self, claim: WorkerClaim) -> tuple[dict | None,
-                                                    str | None]:
-        """Run one leased job; ``(payload, None)`` or ``(None, error)``.
-
-        Job failures are data, not worker crashes — they upload as
-        ``WorkerResult.error`` and fail only the tickets waiting on
-        this job, exactly like the scheduler's in-process capture.
-        """
-        start = time.perf_counter()
-        try:
-            payload = execute_job(claim.job)
-        except Exception as exc:  # noqa: BLE001 — reported to the server
-            _M_JOBS.inc(outcome="error")
-            return None, f"{type(exc).__name__}: {exc}"
-        _M_JOBS.inc(outcome="ok")
-        _M_JOB_SECONDS.observe(time.perf_counter() - start)
-        return payload, None
-
     def _execute_many(self, claims: list[WorkerClaim]
                       ) -> list[tuple[dict | None, str | None]]:
         """Run one claimed scenario group; one result tuple per claim.
 
-        Groups take the fused frequency-stack path of
-        :func:`repro.engine.runtime.execute_job_group` (bit-identical
-        payloads, shared assembly plan); any grouped-path failure falls
-        back to per-claim :meth:`_execute` so a bad job fails only its
-        own lease.
+        ``(payload, None)`` or ``(None, error)``: job failures are data,
+        not worker crashes — they upload as ``WorkerResult.error`` and
+        fail only the tickets waiting on that job, exactly like the
+        scheduler's in-process capture.
+        :func:`~repro.engine.runtime.execute_group_isolated` runs the
+        group as one frequency stack and re-runs a failed group's
+        members alone, so a bad job fails only its own lease.
         """
-        if len(claims) == 1:
-            return [self._execute(claims[0])]
-        try:
-            payloads = execute_job_group([c.job for c in claims])
-        except Exception:  # noqa: BLE001 — isolate failures per claim
-            return [self._execute(claim) for claim in claims]
-        if len(payloads) != len(claims):  # defensive: keep slots aligned
-            return [self._execute(claim) for claim in claims]
-        for payload in payloads:
+        results = execute_group_isolated([c.job for c in claims])
+        for payload, error in results:
+            if error is not None:
+                _M_JOBS.inc(outcome="error")
+                continue
             _M_JOBS.inc(outcome="ok")
-            # The group's wall time arrives pre-attributed per job (by
+            # A group's wall time arrives pre-attributed per job (by
             # cost weight), so the per-job histogram stays meaningful.
             _M_JOB_SECONDS.observe(float(payload.get("wall_time_s", 0.0)))
-        return [(payload, None) for payload in payloads]
+        return results
 
     def _push(self, claim: WorkerClaim, payload: dict | None,
               error: str | None) -> str:

@@ -55,7 +55,7 @@ from ..engine.cache import ResultCache
 from ..engine.cost import estimate_job_cost, job_kind
 from ..engine.executors import Executor, SerialExecutor
 from ..engine.results import PointResult, SweepResult
-from ..engine.runtime import execute_job, execute_job_group, group_by_scenario
+from ..engine.runtime import execute_group_isolated, group_by_scenario
 from ..engine.spec import Job, SweepSpec
 from .wire import WorkerClaim, WorkerTelemetry
 
@@ -82,39 +82,20 @@ _SLOW_FACTOR = 0.5
 _MAX_EXPIRATIONS = 64
 
 
-def _execute_safely(job: Job) -> dict:
-    """Run one job, folding its failure into the payload.
+def _execute_group_safely(jobs: list[Job]) -> list[dict]:
+    """Run one scenario group, folding job failures into the payloads.
 
     Module-level so process pools can pickle it. Capturing per-job
     errors here (instead of letting them escape ``Executor.run``) is
     what isolates failures in a multi-client round: a bad job fails
     only the tickets waiting on *it*, never the other clients' jobs
-    that happen to share the dispatch round. Executor-level errors
-    (worker pool died, etc.) still escape and fail the whole round.
+    that happen to share the dispatch round, nor its stackmates
+    (:func:`~repro.engine.runtime.execute_group_isolated` re-runs a
+    failed group's members alone). Executor-level errors (worker pool
+    died, etc.) still escape and fail the whole round.
     """
-    try:
-        return execute_job(job)
-    except Exception as exc:  # noqa: BLE001 — reported per waiter
-        return {_JOB_ERROR: f"{type(exc).__name__}: {exc}"}
-
-
-def _execute_group_safely(jobs: list[Job]) -> list[dict]:
-    """Run one scenario group, folding failures into per-job payloads.
-
-    The grouped analogue of :func:`_execute_safely` (same pickling and
-    isolation story): a healthy group runs the fused frequency-stack
-    path, and any grouped-path failure re-runs the jobs individually so
-    one bad job fails only its own waiters, never its stackmates.
-    """
-    if len(jobs) == 1:
-        return [_execute_safely(jobs[0])]
-    try:
-        payloads = execute_job_group(jobs)
-    except Exception:  # noqa: BLE001 — isolate failures per job
-        return [_execute_safely(job) for job in jobs]
-    if len(payloads) != len(jobs):  # defensive: never strand a slot
-        return [_execute_safely(job) for job in jobs]
-    return payloads
+    return [payload if error is None else {_JOB_ERROR: error}
+            for payload, error in execute_group_isolated(jobs)]
 
 
 @dataclass
@@ -887,7 +868,7 @@ class SweepScheduler:
         """Report a leased job's execution failure; 'committed'|'stale'.
 
         Routes the error through the same funnel as a locally captured
-        job failure (:func:`_execute_safely`), so only the tickets
+        job failure (:func:`_execute_group_safely`), so only the tickets
         waiting on this job fail.
         """
         with self._lock:

@@ -12,14 +12,15 @@ attached as ``batch_model``; ``run(..., batch_size=...)`` then evaluates
 samples in stacked blocks. The xi stream is drawn block-wise from the
 same bit stream the per-sample loop consumes (``standard_normal((S, M))``
 fills row-major), so a correct batch model makes batched runs
-bit-identical to per-sample runs.
+bit-identical to per-sample runs. :func:`sample_blocks` is that stream;
+the sweep engine walks it too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -118,6 +119,45 @@ class _RunningMoments:
         return math.sqrt(self._m2 / (self.count - 1)) / math.sqrt(self.count)
 
 
+def sample_blocks(dimension: int, n_samples: int, seed: int | None,
+                  batch_size: int | None = None) -> Iterator[np.ndarray]:
+    """The Monte-Carlo evaluation points: the seeded xi stream in blocks.
+
+    Yields ``(take, dimension)`` blocks of ``batch_size`` rows (the last
+    one shorter), or of one row when ``batch_size`` is None, drawn from
+    one ``default_rng(seed)``. ``standard_normal((take, M))`` fills
+    row-major, so the block shape never changes the draws: row ``s`` is
+    the ``s``-th xi of every run with this seed. :class:`MonteCarloEstimator`
+    and the sweep engine both walk this one stream.
+    """
+    rng = np.random.default_rng(seed)
+    step = 1 if batch_size is None else batch_size
+    done = 0
+    while done < n_samples:
+        take = min(step, n_samples - done)
+        yield rng.standard_normal((take, dimension))
+        done += take
+
+
+def evaluate_block(model: Callable[[np.ndarray], float],
+                   batch_model: BatchModel | None,
+                   points: np.ndarray) -> np.ndarray:
+    """Model values at the rows of an ``(S, M)`` block of points.
+
+    One stacked ``batch_model`` call when one is given, else one
+    ``model`` call per row; the estimators evaluate every block here.
+    """
+    if batch_model is None:
+        return np.array([float(model(x)) for x in points], dtype=np.float64)
+    values = np.asarray(batch_model(points), dtype=np.float64)
+    if values.shape != (len(points),):
+        raise StochasticError(
+            f"batch model returned shape {values.shape} for a "
+            f"{points.shape} input; expected ({len(points)},)"
+        )
+    return values
+
+
 class MonteCarloEstimator:
     """Plain Monte-Carlo over a ``xi -> scalar`` model.
 
@@ -143,27 +183,6 @@ class MonteCarloEstimator:
         self.dimension = int(dimension)
         self.batch_model = batch_model
 
-    def _eval_block(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        """Fill ``out`` with ``out.size`` model evaluations.
-
-        Uses the vectorized model when available; either way consumes
-        exactly the same xi bit stream as ``out.size`` sequential draws.
-        """
-        take = out.size
-        if self.batch_model is not None:
-            xi = rng.standard_normal((take, self.dimension))
-            values = np.asarray(self.batch_model(xi), dtype=np.float64)
-            if values.shape != (take,):
-                raise StochasticError(
-                    f"batch model returned shape {values.shape} for an "
-                    f"({take}, {self.dimension}) input; expected ({take},)"
-                )
-            out[:] = values
-        else:
-            for j in range(take):
-                xi = rng.standard_normal(self.dimension)
-                out[j] = float(self.model(xi))
-
     def run(self, n_samples: int, seed: int | None = None,
             progress: Callable[[int, int], None] | None = None,
             batch_size: int | None = None) -> MonteCarloResult:
@@ -181,22 +200,19 @@ class MonteCarloEstimator:
             raise StochasticError(
                 f"batch_size must be >= 1, got {batch_size}"
             )
-        rng = np.random.default_rng(seed)
+        # Batched only with both a batch size and a batch model; a
+        # per-sample run is a run in blocks of one.
+        if self.batch_model is None:
+            batch_size = None
+        batch_model = self.batch_model if batch_size is not None else None
         values = np.empty(n_samples, dtype=np.float64)
-        if batch_size is not None and self.batch_model is not None:
-            done = 0
-            while done < n_samples:
-                take = min(batch_size, n_samples - done)
-                self._eval_block(rng, values[done:done + take])
-                done += take
-                if progress is not None:
-                    progress(done, n_samples)
-        else:
-            for s in range(n_samples):
-                xi = rng.standard_normal(self.dimension)
-                values[s] = float(self.model(xi))
-                if progress is not None:
-                    progress(s + 1, n_samples)
+        done = 0
+        for xi in sample_blocks(self.dimension, n_samples, seed, batch_size):
+            values[done:done + len(xi)] = evaluate_block(
+                self.model, batch_model, xi)
+            done += len(xi)
+            if progress is not None:
+                progress(done, n_samples)
         return MonteCarloResult(samples=values, seed=seed)
 
     def run_until(self, rel_stderr: float, batch: int = 32,
@@ -222,16 +238,14 @@ class MonteCarloEstimator:
             raise StochasticError(
                 f"max_samples must be >= 2, got {max_samples}"
             )
-        rng = np.random.default_rng(seed)
         values = np.empty(max_samples, dtype=np.float64)
         moments = _RunningMoments()
         count = 0
-        while count < max_samples:
-            take = min(batch, max_samples - count)
-            block = values[count:count + take]
-            self._eval_block(rng, block)
+        for xi in sample_blocks(self.dimension, max_samples, seed, batch):
+            block = evaluate_block(self.model, self.batch_model, xi)
+            values[count:count + len(block)] = block
             moments.push_block(block)
-            count += take
+            count += len(block)
             if count >= 2:
                 mean, stderr = moments.mean, moments.stderr
                 if mean != 0.0 and stderr / abs(mean) < rel_stderr:

@@ -12,12 +12,13 @@ evaluations instead of 10^5 boundary-element solves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from ..errors import StochasticError
 from .hermite import chaos_basis_matrix, total_degree_indices
+from .montecarlo import evaluate_block
 from .sparsegrid import SparseGrid, smolyak_grid
 
 
@@ -70,6 +71,19 @@ class SSCMResult:
         return vals, f
 
 
+def node_blocks(grid: SparseGrid, batch_size: int | None = None
+                ) -> Iterator[np.ndarray]:
+    """The SSCM evaluation points: the Smolyak nodes in order, in blocks.
+
+    Yields ``(take, M)`` views of ``grid.nodes`` of ``batch_size`` rows
+    (the last one shorter), or of one row when ``batch_size`` is None.
+    :class:`SSCMEstimator` and the sweep engine both walk this stream.
+    """
+    step = 1 if batch_size is None else batch_size
+    for lo in range(0, grid.n_points, step):
+        yield grid.nodes[lo:lo + step]
+
+
 class SSCMEstimator:
     """Order-p SSCM over a ``xi -> scalar`` model.
 
@@ -116,30 +130,20 @@ class SSCMEstimator:
             raise StochasticError(
                 f"batch_size must be >= 1, got {batch_size}"
             )
+        # Batched only with both a batch size and a batch model; a
+        # per-node run is a run in blocks of one.
+        if self.batch_model is None:
+            batch_size = None
+        batch_model = self.batch_model if batch_size is not None else None
         grid = smolyak_grid(self.dimension, self.order)
         values = np.empty(grid.n_points, dtype=np.float64)
-        if batch_size is not None and self.batch_model is not None:
-            done = 0
-            while done < grid.n_points:
-                take = min(batch_size, grid.n_points - done)
-                block = np.asarray(
-                    self.batch_model(grid.nodes[done:done + take]),
-                    dtype=np.float64)
-                if block.shape != (take,):
-                    raise StochasticError(
-                        f"batch model returned shape {block.shape} for a "
-                        f"({take}, {self.dimension}) input; expected "
-                        f"({take},)"
-                    )
-                values[done:done + take] = block
-                done += take
-                if progress is not None:
-                    progress(done, grid.n_points)
-        else:
-            for s in range(grid.n_points):
-                values[s] = float(self.model(grid.nodes[s]))
-                if progress is not None:
-                    progress(s + 1, grid.n_points)
+        done = 0
+        for nodes in node_blocks(grid, batch_size):
+            values[done:done + len(nodes)] = evaluate_block(
+                self.model, batch_model, nodes)
+            done += len(nodes)
+            if progress is not None:
+                progress(done, grid.n_points)
         return self.project(grid, values)
 
     def project(self, grid: SparseGrid, values: np.ndarray) -> SSCMResult:

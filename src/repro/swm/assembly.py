@@ -170,30 +170,6 @@ def assemble_medium_many(meshes: "Sequence[SurfaceMesh3D]", k: complex,
     return assemble_media_multi_k(plan, ((k, tables),))[0]
 
 
-def assemble_media_pair_many(meshes: "Sequence[SurfaceMesh3D]",
-                             k1: complex, tables1: "KernelTables",
-                             k2: complex, tables2: "KernelTables",
-                             options: AssemblyOptions | None = None):
-    """Assemble (D, S) for *both* media across a stack of meshes.
-
-    The batched hot path of the solver. On top of the sample-axis
-    vectorization of :func:`assemble_medium_many`, every k-independent
-    intermediate — wrapped separations, distances and their
-    reciprocals, interpolation gather positions, shell phase sums, near-pair
-    sub-cell geometry, free-space direction factors — is computed once
-    and shared between the two media (the per-medium reference path
-    recomputes all of it per medium on full-size arrays).
-
-    Returns ``((d1, s1), (d2, s2))`` as ``(B, N, N)`` stacks,
-    **bit-identical** to per-mesh :func:`assemble_medium` with the same
-    tables: every shared quantity is a deterministic recomputation of
-    what the per-medium path evaluates, and every per-medium expression
-    mirrors the reference entry for entry.
-    """
-    plan = AssemblyPlan3D.build(meshes, options or AssemblyOptions())
-    return tuple(assemble_media_multi_k(plan, ((k1, tables1), (k2, tables2))))
-
-
 def assemble_medium(mesh: SurfaceMesh3D, k: complex,
                     options: AssemblyOptions | None = None,
                     tables: "KernelTables | None" = None

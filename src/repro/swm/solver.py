@@ -187,28 +187,18 @@ class SWMSolver3D:
         heights_um = np.asarray(heights_m, dtype=np.float64) * METER_TO_UM
         period_um = float(period_m) * METER_TO_UM
         mesh = build_mesh_3d(heights_um, period_um)
-        return self._solve_mesh(mesh, frequency_hz)
+        return self._solve_stack([mesh], [frequency_hz], stacklevel=4)[0][0]
 
     def solve_um(self, heights_um: np.ndarray, period_um: float,
                  frequency_hz: float) -> SWMResult:
         """Same as :meth:`solve` with the geometry already in micrometers."""
         mesh = build_mesh_3d(np.asarray(heights_um, dtype=np.float64),
                              float(period_um))
-        return self._solve_mesh(mesh, frequency_hz)
+        return self._solve_stack([mesh], [frequency_hz], stacklevel=4)[0][0]
 
     def solve_mesh(self, mesh: SurfaceMesh3D, frequency_hz: float) -> SWMResult:
         """Solve on a prebuilt (micrometer-unit) mesh."""
-        return self._solve_mesh(mesh, frequency_hz)
-
-    def _solve_mesh(self, mesh: SurfaceMesh3D, frequency_hz: float
-                    ) -> SWMResult:
-        # Every public single-solve entry point is exactly one frame
-        # above this, so stacklevel 4 attributes the resolution warning
-        # to the user's call site in all of them.
-        self._check_resolution(mesh.spacing, frequency_hz, stacklevel=4)
-        psi, v = self._solve_fields(mesh, frequency_hz)
-        return self._finish_many([mesh], frequency_hz, psi[None],
-                                 v[None])[0]
+        return self._solve_stack([mesh], [frequency_hz], stacklevel=4)[0][0]
 
     # ------------------------------------------------------------------
     # Batched sample solves (the MC/SSCM hot path)
@@ -238,7 +228,8 @@ class SWMSolver3D:
     def solve_mesh_many(self, meshes: list[SurfaceMesh3D],
                         frequency_hz: float) -> list[SWMResult]:
         """Batched :meth:`solve_mesh` over prebuilt same-grid meshes."""
-        return self._solve_mesh_many(list(meshes), frequency_hz, stacklevel=4)
+        return self._solve_stack(list(meshes), [frequency_hz],
+                                 stacklevel=4)[0]
 
     def _solve_many_um(self, heights_um: np.ndarray, period_um: float,
                        frequency_hz: float, stacklevel: int
@@ -249,7 +240,7 @@ class SWMSolver3D:
                 f"{heights_um.shape}"
             )
         meshes = [build_mesh_3d(h, period_um) for h in heights_um]
-        return self._solve_mesh_many(meshes, frequency_hz, stacklevel)
+        return self._solve_stack(meshes, [frequency_hz], stacklevel)[0]
 
     def _check_resolution(self, spacing_um: float, frequency_hz: float,
                           stacklevel: int) -> None:
@@ -279,18 +270,6 @@ class SWMSolver3D:
         k1 = self.system.k1(frequency_hz) / METER_TO_UM
         k2 = self.system.k2(frequency_hz) / METER_TO_UM
         return k1, k2
-
-    def _solve_fields(self, mesh: SurfaceMesh3D, frequency_hz: float
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """One sample's ``(psi, v)``: the stacked path with a batch of
-        one, so single and batched solves share every assembly and
-        factorization call."""
-        k1, k2 = self._wavenumbers_um(frequency_hz)
-        t1 = self._get_tables(1, k1, frequency_hz, mesh)
-        t2 = self._get_tables(2, k2, frequency_hz, mesh)
-        psi, v = self._solve_fields_many([mesh], frequency_hz, k1, k2,
-                                         t1, t2)
-        return psi[0], v[0]
 
     def _validate_same_grid(self, meshes: list[SurfaceMesh3D]) -> None:
         if not meshes:
@@ -324,29 +303,6 @@ class SWMSolver3D:
                 groups.append((t1, t2, [i]))
         return groups
 
-    def _solve_mesh_many(self, meshes: list[SurfaceMesh3D],
-                         frequency_hz: float, stacklevel: int
-                         ) -> list[SWMResult]:
-        self._validate_same_grid(meshes)
-        self._check_resolution(meshes[0].spacing, frequency_hz,
-                               stacklevel=stacklevel)
-        k1, k2 = self._wavenumbers_um(frequency_hz)
-        groups = self._replay_table_groups(meshes, frequency_hz, k1, k2)
-        return self._solve_groups(meshes, frequency_hz, k1, k2, groups)
-
-    def _solve_groups(self, meshes: list[SurfaceMesh3D], frequency_hz: float,
-                      k1: complex, k2: complex, groups) -> list[SWMResult]:
-        max_stack = self.options.batch_size or _auto_stack(meshes[0].size)
-        results: list[SWMResult] = []
-        for t1, t2, indices in groups:
-            for lo in range(0, len(indices), max_stack):
-                chunk = indices[lo:lo + max_stack]
-                sub = [meshes[i] for i in chunk]
-                psi, v = self._solve_fields_many(sub, frequency_hz,
-                                                 k1, k2, t1, t2)
-                results.extend(self._finish_many(sub, frequency_hz, psi, v))
-        return results
-
     def solve_mesh_many_multi_k(self, meshes: list[SurfaceMesh3D],
                                 frequencies_hz) -> list[list[SWMResult]]:
         """Solve a same-grid mesh batch at several frequencies at once.
@@ -366,7 +322,16 @@ class SWMSolver3D:
         selected (no tables to stack) or when warm table caches give the
         frequencies diverging rebuild boundaries or table grids.
         """
-        meshes = list(meshes)
+        return self._solve_stack(list(meshes), frequencies_hz, stacklevel=4)
+
+    def _solve_stack(self, meshes: list[SurfaceMesh3D], frequencies_hz,
+                     stacklevel: int) -> list[list[SWMResult]]:
+        """The solve kernel behind :meth:`solve_mesh_many_multi_k`.
+
+        Every 3D solve runs here: a single solve is one mesh at one
+        frequency, a batched solve one frequency. ``stacklevel`` is the
+        resolution warning's, threaded from the public entry point.
+        """
         freqs = [float(f) for f in frequencies_hz]
         if not freqs:
             raise ConfigurationError(
@@ -375,57 +340,69 @@ class SWMSolver3D:
         self._validate_same_grid(meshes)
         base = meshes[0]
         for f in freqs:
-            self._check_resolution(base.spacing, f, stacklevel=3)
+            self._check_resolution(base.spacing, f, stacklevel=stacklevel)
 
-        per: list[tuple[float, complex, complex, list]] = []
-        for f in freqs:
+        per: list[tuple[int, float, complex, complex, list]] = []
+        for fi, f in enumerate(freqs):
             k1, k2 = self._wavenumbers_um(f)
-            per.append((f, k1, k2,
+            per.append((fi, f, k1, k2,
                         self._replay_table_groups(meshes, f, k1, k2)))
 
         # Stacking requires tables, and identical rebuild boundaries and
         # table grids at every frequency (guaranteed from a cold cache:
         # rebuilds and grids depend only on the shared z-extents; a warm
-        # cache can diverge).
-        index_groups = [indices for _, _, indices in per[0][3]]
-        stackable = (self.options.assembly.use_tables
+        # cache can diverge). Otherwise each frequency solves alone from
+        # the groups replayed above: a second replay could rebuild a
+        # table partway through the batch and hand earlier samples a
+        # different table.
+        index_groups = [indices for _, _, indices in per[0][4]]
+        use_tables = self.options.assembly.use_tables
+        stackable = (use_tables
                      and all([indices for _, _, indices in groups]
-                             == index_groups for _, _, _, groups in per))
+                             == index_groups for *_, groups in per))
         if stackable:
-            firsts = [t1 for t1, _, _ in per[0][3]]
+            firsts = [t1 for t1, _, _ in per[0][4]]
             stackable = all(firsts[gi].shares_grids(t)
-                            for _, _, _, groups in per
+                            for *_, groups in per
                             for gi, (t1, t2, _) in enumerate(groups)
                             for t in (t1, t2))
-        if not stackable:
-            return [self._solve_groups(meshes, f, k1, k2, groups)
-                    for f, k1, k2, groups in per]
+        stacks = [per] if stackable else [[entry] for entry in per]
 
         n = base.size
         max_stack = self.options.batch_size or _auto_stack(n)
         results: list[list[SWMResult]] = [[] for _ in freqs]
-        for gi, indices in enumerate(index_groups):
-            for lo in range(0, len(indices), max_stack):
-                chunk = indices[lo:lo + max_stack]
-                sub = [meshes[i] for i in chunk]
-                nb = len(sub)
-                with span("plan", n=n, batch=nb, freqs=len(freqs)):
-                    plan = AssemblyPlan3D.build(sub, self.options.assembly)
-                media = []
-                for _, k1, k2, groups in per:
-                    t1, t2, _ = groups[gi]
-                    media.append((k1, t1))
-                    media.append((k2, t2))
-                with span("assemble", n=n, batch=nb, freqs=len(freqs)):
-                    mats = assemble_media_multi_k(plan, media)
-                for fi, (f, k1, k2, _) in enumerate(per):
-                    d1, s1 = mats[2 * fi]
-                    d2, s2 = mats[2 * fi + 1]
-                    a, rhs, scale_v = self._block_system(
-                        sub, f, k1, k2, d1, s1, d2, s2)
-                    sol = self._factor_stack(a, rhs, n, nb)
-                    results[fi].extend(self._finish_many(
-                        sub, f, sol[:, :n], sol[:, n:] * scale_v))
+        for stack in stacks:
+            for gi, (_, _, indices) in enumerate(stack[0][4]):
+                for lo in range(0, len(indices), max_stack):
+                    sub = [meshes[i] for i in indices[lo:lo + max_stack]]
+                    nb = len(sub)
+                    media = []
+                    for _, _, k1, k2, groups in stack:
+                        t1, t2, _ = groups[gi]
+                        media += [(k1, t1), (k2, t2)]
+                    if use_tables:
+                        with span("plan", n=n, batch=nb, freqs=len(stack)):
+                            plan = AssemblyPlan3D.build(
+                                sub, self.options.assembly)
+                    with span("assemble", n=n, batch=nb, freqs=len(stack)):
+                        if use_tables:
+                            mats = assemble_media_multi_k(plan, media)
+                        else:
+                            # Exact Ewald, the validation reference:
+                            # no plan, one medium at a time.
+                            mats = [assemble_medium_many(
+                                sub, k, self.options.assembly, tables=None)
+                                for k, _ in media]
+                        systems = []
+                        for _, f, k1, k2, _ in stack:
+                            (d1, s1), (d2, s2) = mats.pop(0), mats.pop(0)
+                            systems.append(self._block_system(
+                                sub, f, k1, k2, d1, s1, d2, s2))
+                    for fi, f, _, _, _ in stack:
+                        a, rhs, scale_v = systems.pop(0)
+                        sol = self._factor_stack(a, rhs, n, nb)
+                        results[fi].extend(self._finish_many(
+                            sub, f, sol[:, :n], sol[:, n:] * scale_v))
         return results
 
     def _block_system(self, meshes: list[SurfaceMesh3D], frequency_hz: float,
@@ -477,43 +454,6 @@ class SWMSolver3D:
                               "(singular system?)")
         return sol
 
-    def _solve_fields_many(self, meshes: list[SurfaceMesh3D],
-                           frequency_hz: float, k1: complex, k2: complex,
-                           t1, t2) -> tuple[np.ndarray, np.ndarray]:
-        """Assemble and factor a stack of sample systems at once.
-
-        Returns ``(psi, v)`` as ``(B, n)`` arrays; per-sample solves are
-        the ``B = 1`` case.
-        """
-        nb = len(meshes)
-        n = meshes[0].size
-
-        if t1 is not None and t2 is not None:
-            # Fused hot path: one k-independent plan serves both media
-            # (bit-identical to the per-medium reference).
-            with span("plan", n=n, batch=nb):
-                plan = AssemblyPlan3D.build(meshes, self.options.assembly)
-            with span("assemble", n=n, batch=nb):
-                (d1, s1), (d2, s2) = assemble_media_multi_k(
-                    plan, ((k1, t1), (k2, t2)))
-                a, rhs, scale_v = self._block_system(
-                    meshes, frequency_hz, k1, k2, d1, s1, d2, s2)
-        else:
-            with span("assemble", n=n, batch=nb):
-                d1, s1 = assemble_medium_many(meshes, k1,
-                                              self.options.assembly,
-                                              tables=t1)
-                d2, s2 = assemble_medium_many(meshes, k2,
-                                              self.options.assembly,
-                                              tables=t2)
-                a, rhs, scale_v = self._block_system(
-                    meshes, frequency_hz, k1, k2, d1, s1, d2, s2)
-
-        sol = self._factor_stack(a, rhs, n, nb)
-        psi = sol[:, :n]
-        v = sol[:, n:] * scale_v
-        return psi, v
-
     def _finish_many(self, meshes: list[SurfaceMesh3D], frequency_hz: float,
                      psi: np.ndarray, v: np.ndarray) -> list[SWMResult]:
         """Vectorized power evaluation over the sample stack."""
@@ -553,12 +493,13 @@ class SWMSolver3D:
 def enhancement_sweep(solver: SWMSolver3D, heights_m: np.ndarray,
                       period_m: float, frequencies_hz: np.ndarray
                       ) -> np.ndarray:
-    """Loss-enhancement factor of one surface over a frequency sweep."""
+    """Loss-enhancement factor of one surface over a frequency sweep
+    (one frequency-stacked solve)."""
     freqs = np.atleast_1d(np.asarray(frequencies_hz, dtype=np.float64))
-    out = np.empty(freqs.shape, dtype=np.float64)
+    if not freqs.size:
+        return np.empty(0, dtype=np.float64)
     heights_um = np.asarray(heights_m, dtype=np.float64) * METER_TO_UM
     period_um = float(period_m) * METER_TO_UM
     mesh = build_mesh_3d(heights_um, period_um)
-    for i, f in enumerate(freqs):
-        out[i] = solver.solve_mesh(mesh, float(f)).enhancement
-    return out
+    stacks = solver.solve_mesh_many_multi_k([mesh], freqs)
+    return np.array([row[0].enhancement for row in stacks], dtype=np.float64)

@@ -99,19 +99,19 @@ class SWMSolver2D:
         """Solve for a profile given in meters."""
         profile_um = np.asarray(profile_m, dtype=np.float64) * METER_TO_UM
         mesh = build_mesh_2d(profile_um, float(period_m) * METER_TO_UM)
-        return self._solve_mesh(mesh, frequency_hz)
+        return self._solve_stack([mesh], [frequency_hz], stacklevel=4)[0][0]
 
     def solve_um(self, profile_um: np.ndarray, period_um: float,
                  frequency_hz: float) -> SWM2DResult:
         """Solve with geometry already in micrometers."""
         mesh = build_mesh_2d(np.asarray(profile_um, dtype=np.float64),
                              float(period_um))
-        return self._solve_mesh(mesh, frequency_hz)
+        return self._solve_stack([mesh], [frequency_hz], stacklevel=4)[0][0]
 
     def solve_mesh(self, mesh: SurfaceMesh2D, frequency_hz: float
                    ) -> SWM2DResult:
         """Solve on a prebuilt (micrometer-unit) mesh."""
-        return self._solve_mesh(mesh, frequency_hz)
+        return self._solve_stack([mesh], [frequency_hz], stacklevel=4)[0][0]
 
     def _check_resolution(self, spacing_um: float, frequency_hz: float,
                           stacklevel: int) -> None:
@@ -134,16 +134,6 @@ class SWMSolver2D:
                 RuntimeWarning,
                 stacklevel=stacklevel,
             )
-
-    def _solve_mesh(self, mesh: SurfaceMesh2D, frequency_hz: float
-                    ) -> SWM2DResult:
-        # Every public single-solve entry point is exactly one frame
-        # above this, so stacklevel 4 attributes the resolution warning
-        # to the user's call site in all of them.
-        self._check_resolution(mesh.spacing, frequency_hz, stacklevel=4)
-        # A single profile is a stack of one: per-sample and batched
-        # solves share every assembly and factorization call.
-        return self._solve_mesh_stack([mesh], frequency_hz)[0]
 
     # ------------------------------------------------------------------
     # Batched sample solves (the 2D profile MC hot path)
@@ -173,7 +163,8 @@ class SWMSolver2D:
     def solve_mesh_many(self, meshes: list[SurfaceMesh2D],
                         frequency_hz: float) -> list[SWM2DResult]:
         """Batched :meth:`solve_mesh` over prebuilt same-grid meshes."""
-        return self._solve_mesh_many(list(meshes), frequency_hz, stacklevel=4)
+        return self._solve_stack(list(meshes), [frequency_hz],
+                                 stacklevel=4)[0]
 
     def _solve_many_um(self, profiles_um: np.ndarray, period_um: float,
                        frequency_hz: float, stacklevel: int
@@ -184,7 +175,7 @@ class SWMSolver2D:
                 f"{profiles_um.shape}"
             )
         meshes = [build_mesh_2d(p, period_um) for p in profiles_um]
-        return self._solve_mesh_many(meshes, frequency_hz, stacklevel)
+        return self._solve_stack(meshes, [frequency_hz], stacklevel)[0]
 
     def _validate_same_grid(self, meshes: list[SurfaceMesh2D]) -> None:
         if not meshes:
@@ -197,21 +188,6 @@ class SWMSolver2D:
                     f"got n={mesh.n} L={mesh.period} vs n={base.n} "
                     f"L={base.period}"
                 )
-
-    def _solve_mesh_many(self, meshes: list[SurfaceMesh2D],
-                         frequency_hz: float, stacklevel: int
-                         ) -> list[SWM2DResult]:
-        self._validate_same_grid(meshes)
-        self._check_resolution(meshes[0].spacing, frequency_hz,
-                               stacklevel=stacklevel)
-        from .solver import _auto_stack
-
-        max_stack = self.options.batch_size or _auto_stack(meshes[0].size)
-        results: list[SWM2DResult] = []
-        for lo in range(0, len(meshes), max_stack):
-            results.extend(self._solve_mesh_stack(meshes[lo:lo + max_stack],
-                                                  frequency_hz))
-        return results
 
     def solve_mesh_many_multi_k(self, meshes: list[SurfaceMesh2D],
                                 frequencies_hz) -> list[list[SWM2DResult]]:
@@ -226,7 +202,16 @@ class SWMSolver2D:
         :meth:`solve_mesh_many` once per frequency (same chunking, same
         factorization call).
         """
-        meshes = list(meshes)
+        return self._solve_stack(list(meshes), frequencies_hz, stacklevel=4)
+
+    def _solve_stack(self, meshes: list[SurfaceMesh2D], frequencies_hz,
+                     stacklevel: int) -> list[list[SWM2DResult]]:
+        """The solve kernel behind :meth:`solve_mesh_many_multi_k`.
+
+        Every 2D solve runs here: a single solve is one profile at one
+        frequency, a batched solve one frequency. ``stacklevel`` is the
+        resolution warning's, threaded from the public entry point.
+        """
         freqs = [float(f) for f in frequencies_hz]
         if not freqs:
             raise ConfigurationError(
@@ -235,13 +220,14 @@ class SWMSolver2D:
         self._validate_same_grid(meshes)
         base = meshes[0]
         for f in freqs:
-            self._check_resolution(base.spacing, f, stacklevel=3)
+            self._check_resolution(base.spacing, f, stacklevel=stacklevel)
         from .solver import _auto_stack
 
         ks = []
         for f in freqs:
             ks.append((f, self.system.k1(f) / METER_TO_UM,
                        self.system.k2(f) / METER_TO_UM))
+        flat_ks = [k for _, k1, k2 in ks for k in (k1, k2)]
 
         n = base.size
         max_stack = self.options.batch_size or _auto_stack(n)
@@ -251,17 +237,15 @@ class SWMSolver2D:
             nb = len(sub)
             with span("plan", n=n, batch=nb, freqs=len(freqs)):
                 plan = AssemblyPlan2D.build(sub, self.options.assembly)
-            flat_ks = []
-            for _, k1, k2 in ks:
-                flat_ks.append(k1)
-                flat_ks.append(k2)
             with span("assemble", n=n, batch=nb, freqs=len(freqs)):
                 mats = assemble_media_multi_k_2d(plan, flat_ks)
-            for fi, (f, k1, k2) in enumerate(ks):
-                d1, s1 = mats[2 * fi]
-                d2, s2 = mats[2 * fi + 1]
-                a, rhs, scale_v = self._block_system_2d(
-                    sub, f, k1, k2, d1, s1, d2, s2)
+                systems = []
+                for f, k1, k2 in ks:
+                    (d1, s1), (d2, s2) = mats.pop(0), mats.pop(0)
+                    systems.append(self._block_system_2d(
+                        sub, f, k1, k2, d1, s1, d2, s2))
+            for fi, (f, _, _) in enumerate(ks):
+                a, rhs, scale_v = systems.pop(0)
                 sol = self._factor_stack_2d(a, rhs, n, nb)
                 results[fi].extend(self._finish_many_2d(
                     sub, f, sol[:, :n], sol[:, n:] * scale_v))
@@ -333,28 +317,6 @@ class SWMSolver2D:
             )
             for i, mesh in enumerate(meshes)
         ]
-
-    def _solve_mesh_stack(self, meshes: list[SurfaceMesh2D],
-                          frequency_hz: float) -> list[SWM2DResult]:
-        k1 = self.system.k1(frequency_hz) / METER_TO_UM
-        k2 = self.system.k2(frequency_hz) / METER_TO_UM
-        nb = len(meshes)
-        n = meshes[0].size
-
-        # Fused hot path: both media, green and gradient, one Kummer
-        # mode-sum pass off one k-independent plan (bit-identical to
-        # per-medium assembly).
-        with span("plan", n=n, batch=nb):
-            plan = AssemblyPlan2D.build(meshes, self.options.assembly)
-        with span("assemble", n=n, batch=nb):
-            (d1, s1), (d2, s2) = assemble_media_multi_k_2d(plan, (k1, k2))
-            a, rhs, scale_v = self._block_system_2d(
-                meshes, frequency_hz, k1, k2, d1, s1, d2, s2)
-
-        sol = self._factor_stack_2d(a, rhs, n, nb)
-        psi = sol[:, :n]
-        v = sol[:, n:] * scale_v
-        return self._finish_many_2d(meshes, frequency_hz, psi, v)
 
     def smooth_power(self, period_um: float, frequency_hz: float) -> float:
         """Smooth-surface absorbed power per unit y-length."""

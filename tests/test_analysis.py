@@ -711,6 +711,37 @@ class Solver:
 """
 
 
+RPR010_TWO_CALL_SITES = """
+import numpy as np
+
+class Solver:
+    def _solve_one(self, a, rhs):
+        return self._factor_stack(a[None], rhs[None])[0]
+
+    def _solve_stack(self, a, rhs):
+        return self._factor_stack(a, rhs)
+
+    def _factor_stack(self, a, rhs):
+        return np.linalg.solve(a, rhs[:, :, None])[:, :, 0]
+"""
+
+RPR010_ONE_CALL_SITE_EACH = """
+import numpy as np
+
+def _factor_stack(a, rhs):
+    return np.linalg.solve(a, rhs[:, :, None])[:, :, 0]
+
+def _factor_stack_2d(a, rhs):
+    return np.linalg.solve(a, rhs[:, :, None])[:, :, 0]
+
+class Solver:
+    def _solve_stack(self, a, rhs, planar):
+        if planar:
+            return _factor_stack_2d(a, rhs)
+        return _factor_stack(a, rhs)
+"""
+
+
 class TestOneFactorization:
     def test_scipy_factorization_flags(self):
         findings = run(RPR010_SCIPY_PER_SAMPLE, "RPR010",
@@ -756,6 +787,18 @@ class TestOneFactorization:
     def test_rule_is_scoped_to_kernel_modules(self):
         assert run(RPR010_SCIPY_PER_SAMPLE, "RPR010",
                    path="src/repro/stochastic/hermite.py") == []
+        assert run(RPR010_TWO_CALL_SITES, "RPR010",
+                   path="src/repro/stochastic/hermite.py") == []
+
+    def test_second_helper_call_site_flags(self):
+        findings = run(RPR010_TWO_CALL_SITES, "RPR010", path=SOLVER_PATH)
+        assert [f.line for f in findings] == [6, 9]
+        assert all(f.message.startswith("_factor_stack() has 2 call sites")
+                   for f in findings)
+
+    def test_one_call_site_per_helper_passes(self):
+        assert run(RPR010_ONE_CALL_SITE_EACH, "RPR010",
+                   path=SOLVER_PATH) == []
 
 
 # ----------------------------------------------------------------------

@@ -265,6 +265,13 @@ class TestWarningAttribution:
         self._assert_warns_here(
             lambda: solver.solve_mesh_many(meshes, self.FREQ_COARSE))
 
+    def test_solve_mesh_many_multi_k_points_at_caller(self):
+        solver = SWMSolver3D()
+        meshes = [build_mesh_3d(np.zeros((8, 8)), 5.0)]
+        self._assert_warns_here(
+            lambda: solver.solve_mesh_many_multi_k(
+                meshes, [self.FREQ_COARSE]))
+
 
 class TestWarningAttribution2D(TestWarningAttribution):
     """The 2D solver now carries the same skin-depth check as the 3D
@@ -308,6 +315,15 @@ class TestWarningAttribution2D(TestWarningAttribution):
         meshes = [build_mesh_2d(np.zeros(8), 5.0)]
         self._assert_warns_here(
             lambda: solver.solve_mesh_many(meshes, self.FREQ_COARSE))
+
+    def test_solve_mesh_many_multi_k_points_at_caller(self):
+        from repro.swm.geometry import build_mesh_2d
+
+        solver = SWMSolver2D()
+        meshes = [build_mesh_2d(np.zeros(8), 5.0)]
+        self._assert_warns_here(
+            lambda: solver.solve_mesh_many_multi_k(
+                meshes, [self.FREQ_COARSE]))
 
     def test_fine_mesh_does_not_warn(self):
         solver = SWMSolver2D()

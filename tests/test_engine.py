@@ -448,7 +448,7 @@ class TestCachedSweeps:
         def no_solves(self, *args, **kwargs):
             raise AssertionError("SWM solve performed on warm cache")
 
-        monkeypatch.setattr(SWMSolver3D, "_solve_fields", no_solves)
+        monkeypatch.setattr(SWMSolver3D, "_solve_stack", no_solves)
         replay = run_sweep(spec, executor=SerialExecutor(),
                            cache=ResultCache(disk_dir=tmp_path))
         assert replay.cache_hits == 4
@@ -709,11 +709,45 @@ class TestPipelineRouting:
         return StochasticLossModel(GaussianCorrelation(1 * UM, 1 * UM),
                                    SMALL_CONFIG)
 
-    def test_montecarlo_matches_direct_estimator(self, model):
-        routed = model.montecarlo(5 * GHZ, 8, seed=0, cache=ResultCache())
-        direct = MonteCarloEstimator(model.enhancement_model(5 * GHZ),
-                                     model.dimension).run(8, seed=0)
+    @pytest.mark.parametrize("batch_size", [None, 3])
+    def test_montecarlo_matches_direct_estimator(self, model, batch_size):
+        routed = model.montecarlo(5 * GHZ, 8, seed=0, cache=ResultCache(),
+                                  batch_size=batch_size)
+        model.solver.reset_tables()  # history-free, like engine jobs
+        direct = MonteCarloEstimator(
+            model.enhancement_model(5 * GHZ), model.dimension,
+            batch_model=model.enhancement_batch_model(5 * GHZ)).run(
+                8, seed=0, batch_size=batch_size)
         np.testing.assert_array_equal(routed.samples, direct.samples)
+
+    @pytest.mark.parametrize("batch_size", [None, 3])
+    def test_profile_montecarlo_matches_direct_estimator(self, batch_size):
+        """The engine and the public estimator walk one xi stream."""
+        from repro.surfaces import ProfileGenerator
+        from repro.swm.solver2d import SWMSolver2D
+
+        corr = GaussianCorrelation(1.0, 1.0)
+        spec = SweepSpec(
+            ProfileScenario("prof", corr, period_um=5.0, n=16),
+            5 * GHZ, EstimatorSpec(kind="montecarlo", n_samples=7, seed=4,
+                                   batch_size=batch_size))
+        routed = run_sweep(spec, cache=ResultCache()).point("prof", 5 * GHZ)
+
+        gen = ProfileGenerator(corr, period=5.0, n=16, normalize=True)
+        solver = SWMSolver2D()
+
+        def model(xi):
+            return solver.solve_um(gen.from_white_noise(xi), 5.0,
+                                   5 * GHZ).enhancement
+
+        def batch_model(xis):
+            profiles = np.stack([gen.from_white_noise(xi) for xi in xis])
+            return np.array([r.enhancement for r in solver.solve_many_um(
+                profiles, 5.0, 5 * GHZ)])
+
+        direct = MonteCarloEstimator(model, 16, batch_model=batch_model).run(
+            7, seed=4, batch_size=batch_size)
+        np.testing.assert_array_equal(routed.values, direct.samples)
 
     def test_sscm_matches_direct_and_replays_from_cache(self, model,
                                                         monkeypatch):
@@ -730,7 +764,7 @@ class TestPipelineRouting:
         def no_solves(self, *args, **kwargs):
             raise AssertionError("SWM solve performed on warm cache")
 
-        monkeypatch.setattr(SWMSolver3D, "_solve_fields", no_solves)
+        monkeypatch.setattr(SWMSolver3D, "_solve_stack", no_solves)
         replay = model.sscm(5 * GHZ, order=1, cache=cache)
         np.testing.assert_array_equal(replay.node_values,
                                       routed.node_values)

@@ -17,21 +17,31 @@ path a 12 x 12 stochastic-size grid (N = 144 unknowns) and a 24 x 24
 deterministic grid (N = 576 unknowns).
 """
 
-import numpy as np
+from collections import Counter
 
+import numpy as np
+import pytest
+
+from repro import telemetry
 from repro.constants import GHZ, UM
 from repro.core import StochasticLossConfig
 from repro.engine import (
     DeterministicScenario,
     EstimatorSpec,
     ProfileScenario,
+    ResultCache,
     StochasticScenario,
     SweepSpec,
 )
 from repro.engine.runtime import execute_job, execute_job_group
+from repro.errors import SolverError
+from repro.fleet import FleetWorker
+from repro.service.scheduler import SweepScheduler
+from repro.service.wire import WorkerClaim
 from repro.surfaces import GaussianCorrelation, ProfileGenerator
+from repro.swm.assembly import AssemblyOptions
 from repro.swm.geometry import build_mesh_2d, build_mesh_3d
-from repro.swm.solver import SWMSolver3D
+from repro.swm.solver import SWMOptions, SWMSolver3D
 from repro.swm.solver2d import SWMSolver2D
 
 L = 5.0
@@ -96,6 +106,28 @@ class TestLargeGridMultiKParity:
                                                                 freq))
 
 
+class TestExactEwaldSolve:
+    """``use_tables=False`` (the exact-Ewald validation reference) runs
+    in the solver's one chunk loop, one frequency at a time."""
+
+    def test_stack_matches_single_solves(self):
+        rng = np.random.default_rng(3)
+        meshes = [build_mesh_3d(rng.normal(0.0, 0.2, (6, 6)), L)
+                  for _ in range(2)]
+        freqs = FREQS[:2]
+        exact = SWMSolver3D(options=SWMOptions(
+            assembly=AssemblyOptions(use_tables=False)))
+        stacked = exact.solve_mesh_many_multi_k(meshes, freqs)
+        tabulated = SWMSolver3D().solve_mesh_many_multi_k(meshes, freqs)
+        for freq, row, fast_row in zip(freqs, stacked, tabulated):
+            for mesh, got, fast in zip(meshes, row, fast_row):
+                _assert_results_equal(got, exact.solve_mesh(mesh, freq))
+                # Tables interpolate the exact kernel to ~1e-6; the
+                # enhancements measured here differ by ~2e-7.
+                assert abs(got.enhancement - fast.enhancement) \
+                    <= 1e-5 * got.enhancement
+
+
 class TestWarmTableCaches:
     def test_diverging_table_grids_fall_back_per_frequency(self):
         """A warm cache can leave the frequencies with tables on
@@ -114,6 +146,27 @@ class TestWarmTableCaches:
         ref_solver.solve_mesh(tall, freqs[0])
         for freq, row in zip(freqs, stacked):
             _assert_results_equal(row[0], ref_solver.solve_mesh(flat, freq))
+
+    def test_fallback_solves_from_the_first_replay(self):
+        """The per-frequency fallback must use the tables it replayed
+        before deciding to fall back. ``high`` outgrows the warm table,
+        so replaying again would hand ``low`` the rebuilt table instead
+        of the warm one its sequential solve uses."""
+        rng = np.random.default_rng(4)
+        mid = build_mesh_3d(rng.normal(0.0, 0.3, (8, 8)), L)
+        low = build_mesh_3d(rng.normal(0.0, 0.1, (8, 8)), L)
+        high = build_mesh_3d(rng.normal(0.0, 0.8, (8, 8)), L)
+        freqs = FREQS[:2]
+
+        solver = SWMSolver3D()
+        solver.solve_mesh(mid, freqs[0])  # warms freqs[0] only
+        stacked = solver.solve_mesh_many_multi_k([low, high], freqs)
+        ref_solver = SWMSolver3D()
+        ref_solver.solve_mesh(mid, freqs[0])
+        for freq, row in zip(freqs, stacked):
+            for got, ref in zip(row, ref_solver.solve_mesh_many([low, high],
+                                                                freq)):
+                _assert_results_equal(got, ref)
 
 
 def _payload_fields(payload):
@@ -191,3 +244,74 @@ class TestGroupedExecutionParity:
         # group wall; they must reconstitute it (same-cost jobs here,
         # so equal shares).
         np.testing.assert_allclose(walls, walls[0])
+
+
+class TestGroupFailureIsolation:
+    """A job group with one failing member, run by the scheduler and by
+    a fleet worker: only that job fails, each healthy member is solved
+    at most twice (the group attempt, then alone), and the fallback is
+    counted once. A lone failing job is not retried."""
+
+    FAIL_HZ = 3 * GHZ
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Block systems built per frequency; FAIL_HZ raises."""
+        counts = Counter()
+        real = SWMSolver3D._block_system
+
+        def counted(solver, meshes, frequency_hz, *args):
+            counts[frequency_hz] += 1
+            if frequency_hz == self.FAIL_HZ:
+                raise SolverError("synthetic failure")
+            return real(solver, meshes, frequency_hz, *args)
+
+        monkeypatch.setattr(SWMSolver3D, "_block_system", counted)
+        was = telemetry.enabled()
+        telemetry.enable()  # the fallback counter is a no-op otherwise
+        yield counts
+        (telemetry.enable if was else telemetry.disable)()
+
+    @staticmethod
+    def _spec(freqs_ghz):
+        scenario = DeterministicScenario(
+            "isolate", np.full((8, 8), 0.1) * UM, 5 * UM)
+        return SweepSpec(scenario, [f * GHZ for f in freqs_ghz])
+
+    @staticmethod
+    def _fallbacks():
+        return telemetry.REGISTRY.counter(
+            "repro_engine_group_fallbacks_total").value()
+
+    @staticmethod
+    def _succeeded(route, spec):
+        """Per job, whether it completed when run through ``route``."""
+        jobs = spec.jobs()
+        if route == "fleet":
+            worker = FleetWorker("http://127.0.0.1:9")
+            claims = [WorkerClaim(f"slot{i}", "token", job.key, 30.0, job)
+                      for i, job in enumerate(jobs)]
+            return [error is None for _, error in worker._execute_many(claims)]
+        cache = ResultCache()
+        scheduler = SweepScheduler(cache=cache)
+        try:
+            assert scheduler.wait(scheduler.submit(spec), timeout=120)
+        finally:
+            scheduler.shutdown()
+        return [cache.get(job.key) is not None for job in jobs]
+
+    @pytest.mark.parametrize("route", ["scheduler", "fleet"])
+    def test_only_the_failing_member_fails(self, solves, route):
+        before = self._fallbacks()
+        spec = self._spec((1, 2, 3, 4))
+        assert self._succeeded(route, spec) == [True, True, False, True]
+        assert solves[self.FAIL_HZ] == 2
+        assert all(solves[f * GHZ] <= 2 for f in (1, 2, 4))
+        assert self._fallbacks() - before == 1
+
+    @pytest.mark.parametrize("route", ["scheduler", "fleet"])
+    def test_lone_failing_job_runs_once(self, solves, route):
+        before = self._fallbacks()
+        assert self._succeeded(route, self._spec((3,))) == [False]
+        assert solves[self.FAIL_HZ] == 1
+        assert self._fallbacks() == before

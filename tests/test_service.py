@@ -430,22 +430,22 @@ class TestScheduler:
     def test_job_failure_is_isolated_per_slot(self, monkeypatch):
         """A failing job fails only the tickets waiting on it — other
         clients' jobs in the same dispatch round are unaffected."""
-        import repro.service.scheduler as scheduler_module
+        import repro.engine.runtime as runtime_module
 
-        real = scheduler_module.execute_job
+        real = runtime_module.execute_job_group
 
-        def flaky(job):
-            if job.scenario.name == "bad":
+        def flaky(jobs):
+            if any(job.scenario.name == "bad" for job in jobs):
                 raise RuntimeError("synthetic solver failure")
-            return real(job)
+            return real(jobs)
 
-        monkeypatch.setattr(scheduler_module, "execute_job", flaky)
+        monkeypatch.setattr(runtime_module, "execute_job_group", flaky)
         # Different frequencies: scenario *names* are excluded from
         # content hashes, so same-physics specs would dedup into one
         # slot and the "bad" job would never actually run. The bad
         # scenario also differs physically (eta), otherwise the two
-        # jobs would fuse into one frequency-stacked group and bypass
-        # the per-job execution path this test instruments.
+        # jobs would fuse into one frequency-stacked group and the
+        # good job would share the bad one's group.
         good = _tiny_spec(freqs=(1.0,), name="good")
         bad = SweepSpec(
             scenarios=[StochasticScenario(
