@@ -60,7 +60,7 @@ def _model() -> StochasticLossModel:
 
 def _run_mc(model: StochasticLossModel, batch_size: int | None):
     # reset_tables: every run pays the same cold-table cost the engine's
-    # per-job purity reset imposes, in both modes.
+    # per-job table release imposes, in both modes.
     model.solver.reset_tables()
     est = MonteCarloEstimator(
         model.enhancement_model(FREQUENCY_HZ), model.dimension,

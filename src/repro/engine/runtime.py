@@ -14,14 +14,14 @@ worker).
 
 Models are memoized per *thread* keyed by the scenario's content hash:
 a sweep with F frequencies per scenario pays the KL eigendecomposition
-once per worker thread, not once per job. The memo must not be shared
-across threads — solvers carry adaptive kernel tables that each job
-resets, and two jobs of one scenario solving concurrently (the fleet
-worker runs claims on a thread pool) would race on that shared state
-and perturb each other's results at interpolation accuracy, breaking
-the content-addressed cache's purity contract. The memo is bounded
-(LRU) so long multi-scenario sweeps cannot grow worker memory without
-limit.
+once per worker thread, not once per job. The memo stays thread-local
+(the fleet worker runs claims on a thread pool): a job group releases
+its solver's kernel tables when it starts, so a shared solver would
+drop tables another thread's job is still using and make it rebuild
+them, and the LRU ``OrderedDict`` has no lock. Values would not change:
+a kernel value does not depend on which table serves it. The memo is
+bounded (LRU) so long multi-scenario sweeps cannot grow worker memory
+without limit.
 """
 
 from __future__ import annotations
@@ -77,10 +77,10 @@ def seed_model(scenario: StochasticScenario, model: object) -> None:
     Lets the pipeline hand its own :class:`StochasticLossModel` to
     same-thread execution (serial, or forked workers inheriting the
     forking thread's memo) instead of paying the KL eigendecomposition
-    a second time. Other threads rebuild their own — sharing would
-    race on the solver's adaptive kernel tables. Job purity is
-    unaffected: every job group resets the solver's kernel tables
-    regardless of where the model came from.
+    a second time. Other threads build their own, because the memo is
+    thread-local (module docstring). Job values do not depend on the
+    model's solver history: kernel tables of one configuration return
+    the same values whichever of them serves a solve.
     """
     _memoized(scenario.key, lambda: model)
 
@@ -186,11 +186,12 @@ def execute_job_group(jobs: list[Job]) -> list[dict]:
     stack through ``solve_mesh_many_multi_k``, so the k-independent
     assembly plan is built once per mesh batch instead of once per
     frequency. Payloads are bit-identical to running each job alone —
-    the estimators' point streams, block boundaries, and solver
-    kernel-table histories are the same (tests/test_multifreq_stack.py
-    asserts this) — and per-job content hashes, cache entries, and wire
-    encoding are untouched. Jobs of different scenarios run one at a
-    time, one payload per job in order. A failure raises, as in
+    the estimators' point streams and block boundaries are the same,
+    and kernel values do not depend on which tables serve them
+    (tests/test_multifreq_stack.py asserts this) — and per-job content
+    hashes, cache entries, and wire encoding are untouched. Jobs of
+    different scenarios run one at a time, one payload per job in
+    order. A failure raises, as in
     :func:`execute_job`; :func:`execute_group_isolated` is the caller
     that isolates it.
 
@@ -283,10 +284,9 @@ def _run_job_group(jobs: list[Job]) -> list[tuple]:
         from ..swm.geometry import build_mesh_3d
 
         solver = _solver_for(scenario)
-        # Kernel tables adapt to the surfaces a solver has seen, so a
-        # job's value must not depend on what ran before it in this
-        # process: every group starts from a history-free solver, and
-        # tables amortize only *within* the group.
+        # Bounds memory, not values: the memoized solver would otherwise
+        # keep every surface's tables alive; tables amortize within the
+        # group.
         solver.reset_tables()
         # Mesh construction matches SWMSolver3D.solve exactly.
         heights_um = np.asarray(scenario.heights_m,
@@ -320,10 +320,8 @@ def _run_job_group(jobs: list[Job]) -> list[tuple]:
     from ..swm.geometry import build_mesh_3d
 
     model = _model_for(scenario)
-    # One reset covers every frequency: kernel-table keys include the
-    # frequency, so each job's tables start cold exactly as they do in a
-    # group of one, and accumulate over the estimator's blocks in the
-    # same order.
+    # Bounds memory, not values: without the release, a memoized model
+    # holds the tables of every frequency it has solved.
     model.solver.reset_tables()
     period_um = float(model.period_um)
 

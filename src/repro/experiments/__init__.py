@@ -21,10 +21,8 @@ fig7      CDF of Pr/Ps: MC vs 1st/2nd-order SSCM
 table1    sampling-point counts: MC vs sparse-grid SSCM
 ========  =====================================================
 
-The module-level ``run(scale)`` functions are kept as deprecation
-shims, and ``ALL_EXPERIMENTS`` remains as a deprecated view over them;
-new code should use the registry (:func:`registry.names`,
-:func:`registry.create`) or :mod:`repro.api`.
+Look experiments up by name in the registry (:func:`registry.names`,
+:func:`registry.create`) or run them through :mod:`repro.api`.
 """
 
 from . import fig2, fig3, fig4, fig5, fig6, fig7, registry, table1
@@ -39,20 +37,7 @@ from .presets import (
     scale_from_env,
 )
 
-#: Deprecated: name -> module-level ``run`` shim. Use
-#: :func:`registry.create`/:mod:`repro.api` instead.
-ALL_EXPERIMENTS = {
-    "fig2": fig2.run,
-    "fig3": fig3.run,
-    "fig4": fig4.run,
-    "fig5": fig5.run,
-    "fig6": fig6.run,
-    "fig7": fig7.run,
-    "table1": table1.run,
-}
-
 __all__ = [
-    "ALL_EXPERIMENTS",
     "Experiment",
     "ExperimentResult",
     "PAPER",

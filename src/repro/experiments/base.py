@@ -154,13 +154,3 @@ class Experiment(ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-def warn_deprecated_run(name: str) -> None:
-    """Deprecation notice emitted by the module-level ``run()`` shims."""
-    import warnings
-
-    warnings.warn(
-        f"repro.experiments.{name}.run() is deprecated; use "
-        f"repro.api.run({name!r}, scale=...) instead",
-        DeprecationWarning, stacklevel=3)

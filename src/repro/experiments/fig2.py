@@ -21,8 +21,8 @@ from ..surfaces import (
     autocorrelation_2d,
     extract_statistics,
 )
-from .base import Experiment, ExperimentResult, warn_deprecated_run
-from .presets import QUICK, Scale
+from .base import Experiment, ExperimentResult
+from .presets import Scale
 from .registry import register
 
 
@@ -99,12 +99,3 @@ class Fig2SurfaceRoundTrip(Experiment):
         result.check("slope_recovered",
                      abs(slope_mean - target_slope) < 0.25 * target_slope)
         return result
-
-
-def run(scale: Scale = QUICK, sigma_um: float = 1.0, eta_um: float = 1.0,
-        seed: int = 2009, n_realizations: int | None = None
-        ) -> ExperimentResult:
-    """Deprecated shim: use ``repro.api.run("fig2", scale=...)``."""
-    warn_deprecated_run("fig2")
-    return Fig2SurfaceRoundTrip(sigma_um=sigma_um, eta_um=eta_um, seed=seed,
-                                n_realizations=n_realizations).run(scale)

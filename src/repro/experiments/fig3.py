@@ -26,8 +26,8 @@ from ..core import StochasticLossConfig
 from ..models.empirical import hammerstad_enhancement
 from ..models.spm2 import spm2_enhancement
 from ..surfaces import GaussianCorrelation
-from .base import Experiment, ExperimentResult, warn_deprecated_run
-from .presets import QUICK, Scale
+from .base import Experiment, ExperimentResult
+from .presets import Scale
 from .registry import register
 
 ETAS_UM = (1.0, 2.0, 3.0)
@@ -127,9 +127,3 @@ class Fig3GaussianFamily(Experiment):
             "max |SWM-SPM2|: " + ", ".join(
                 f"eta={e:g}: {dev[e]:.3f}" for e in ETAS_UM))
         return result
-
-
-def run(scale: Scale = QUICK, sigma_um: float = 1.0) -> ExperimentResult:
-    """Deprecated shim: use ``repro.api.run("fig3", scale=...)``."""
-    warn_deprecated_run("fig3")
-    return Fig3GaussianFamily(sigma_um=sigma_um).run(scale)

@@ -14,8 +14,8 @@ from ..constants import GHZ, UM
 from ..core import StochasticLossConfig
 from ..models.spm2 import spm2_enhancement
 from ..surfaces import ExtractedCorrelation
-from .base import Experiment, ExperimentResult, warn_deprecated_run
-from .presets import QUICK, Scale
+from .base import Experiment, ExperimentResult
+from .presets import Scale
 from .registry import register
 
 #: Relative SWM-vs-SPM2 agreement tolerance per scale (coarse grids and
@@ -97,11 +97,3 @@ class Fig4ExtractedCF(Experiment):
         result.notes.append(
             f"max relative SWM/SPM2 gap: {np.max(rel_gap):.3f}")
         return result
-
-
-def run(scale: Scale = QUICK, sigma_um: float = 1.0, eta1_um: float = 1.4,
-        eta2_um: float = 0.53) -> ExperimentResult:
-    """Deprecated shim: use ``repro.api.run("fig4", scale=...)``."""
-    warn_deprecated_run("fig4")
-    return Fig4ExtractedCF(sigma_um=sigma_um, eta1_um=eta1_um,
-                           eta2_um=eta2_um).run(scale)

@@ -40,8 +40,8 @@ from ..models.spm2 import spm2_enhancement
 from ..surfaces import GaussianCorrelation
 from ..surfaces.deterministic import half_spheroid
 from ..surfaces.statistics import rms_slope_2d
-from .base import Experiment, ExperimentResult, warn_deprecated_run
-from .presets import QUICK, Scale
+from .base import Experiment, ExperimentResult
+from .presets import Scale
 from .registry import register
 
 HEIGHT_UM = 5.8
@@ -149,9 +149,3 @@ class Fig5SpheroidBoss(Experiment):
             f"SPM2 equivalent surface: sigma={sigma_eq / UM:.2f}um, "
             f"eta={eta_eq / UM:.2f}um (sigma ~ eta: out of SPM2's regime)")
         return result
-
-
-def run(scale: Scale = QUICK) -> ExperimentResult:
-    """Deprecated shim: use ``repro.api.run("fig5", scale=...)``."""
-    warn_deprecated_run("fig5")
-    return Fig5SpheroidBoss().run(scale)

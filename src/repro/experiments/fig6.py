@@ -32,8 +32,8 @@ from ..constants import GHZ, UM
 from ..core import StochasticLossConfig
 from ..models.spm2 import spm2_enhancement, spm2_enhancement_profile
 from ..surfaces import GaussianCorrelation
-from .base import Experiment, ExperimentResult, warn_deprecated_run
-from .presets import QUICK, Scale
+from .base import Experiment, ExperimentResult
+from .presets import Scale
 from .registry import register
 
 ETAS_UM = (1.0, 2.0)
@@ -141,9 +141,3 @@ class Fig6Dimensionality(Experiment):
         result.notes.append("mean BEM 3D-2D gap: " + ", ".join(
             f"eta={e:g}: {gap[e]:+.3f}" for e in ETAS_UM))
         return result
-
-
-def run(scale: Scale = QUICK, sigma_um: float = 1.0) -> ExperimentResult:
-    """Deprecated shim: use ``repro.api.run("fig6", scale=...)``."""
-    warn_deprecated_run("fig6")
-    return Fig6Dimensionality(sigma_um=sigma_um).run(scale)

@@ -25,8 +25,8 @@ from ..core import StochasticLossConfig
 from ..stochastic.montecarlo import MonteCarloResult
 from ..stochastic.sscm import reproject_node_values
 from ..surfaces import GaussianCorrelation
-from .base import Experiment, ExperimentResult, warn_deprecated_run
-from .presets import QUICK, Scale
+from .base import Experiment, ExperimentResult
+from .presets import Scale
 from .registry import register
 
 
@@ -133,10 +133,3 @@ class Fig7LossCDF(Experiment):
         result.notes.append(
             f"std: MC {mc.std:.4f}, SSCM1 {ss1.std:.4f}, SSCM2 {ss2.std:.4f}")
         return result
-
-
-def run(scale: Scale = QUICK, frequency_hz: float = 5.0 * GHZ,
-        seed: int = 2009) -> ExperimentResult:
-    """Deprecated shim: use ``repro.api.run("fig7", scale=...)``."""
-    warn_deprecated_run("fig7")
-    return Fig7LossCDF(frequency_hz=frequency_hz, seed=seed).run(scale)

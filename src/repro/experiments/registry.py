@@ -3,10 +3,9 @@
 Each figure/table module registers its :class:`~.base.Experiment`
 subclass with the :func:`register` decorator; consumers (the
 :mod:`repro.api` facade, the CLI runner, tests) look experiments up by
-name instead of importing figure modules directly. This replaces the
-old hand-maintained ``ALL_EXPERIMENTS`` dict — registration lives next
-to the experiment it describes, so adding a figure is one decorator,
-not an edit in two files.
+name instead of importing figure modules directly. Registration lives
+next to the experiment it describes, so adding a figure is one
+decorator, not an edit in two files.
 """
 
 from __future__ import annotations

@@ -26,8 +26,8 @@ from ..constants import UM
 from ..core import StochasticLossConfig, StochasticLossModel
 from ..stochastic.sparsegrid import smolyak_grid
 from ..surfaces import ExtractedCorrelation, GaussianCorrelation
-from .base import Experiment, ExperimentResult, warn_deprecated_run
-from .presets import QUICK, Scale
+from .base import Experiment, ExperimentResult
+from .presets import Scale
 from .registry import register
 
 MC_REFERENCE = 5000  # the paper's MC convergence budget
@@ -93,9 +93,3 @@ class Table1SamplingCounts(Experiment):
         result.check("extracted_cf_needs_no_fewer_modes",
                      dims[1] >= dims[0])
         return result
-
-
-def run(scale: Scale = QUICK) -> ExperimentResult:
-    """Deprecated shim: use ``repro.api.run("table1", scale=...)``."""
-    warn_deprecated_run("table1")
-    return Table1SamplingCounts().run(scale)

@@ -32,9 +32,20 @@ All per-sample products are real-by-complex, which rounds the same in
 place or out of place, so batched and per-sample evaluations agree bit
 for bit.
 
-Accuracy: grids are sized so the linear-interpolation error is below
-1e-6 relative; ``tests/test_swm_assembly.py`` compares the fast path
-against the exact Ewald assembly.
+Grids: every table of one Ewald configuration samples the same nodes,
+anchored at zero with spacings fixed by the period and image count:
+``R_j = j h_r``, with ``h_r`` 1/4095 of the farthest in-plane image
+distance plus 0.1%, and ``|dz|_i = i h_z``, with ``h_z = L/2048``. A
+table's height range sets only how many nodes it holds, so any two
+tables that cover a separation return the same bits for it: a kernel
+value is a pure function of ``(k, EwaldConfig, separation)``, whatever
+tables were built before. The spectral brackets are even (value) and
+odd (z-gradient) in ``dz``, so the shell tables hold ``|dz| >= 0`` and
+the z-gradient takes ``sign(dz)``.
+
+Accuracy: the linear-interpolation error stays below 1e-6 relative of
+the exact Ewald kernel; ``tests/test_swm_assembly.py`` compares the
+fast path against the exact Ewald assembly over periods and heights.
 """
 
 from __future__ import annotations
@@ -59,7 +70,7 @@ from ..greens.special import (
 #: (``AssemblyOptions.to_spec``). Kernels that agree only to rounding
 #: must never share a result-cache entry, so bump this with any change
 #: that moves a kernel value.
-KERNEL_REVISION = 3
+KERNEL_REVISION = 4
 
 
 def _slope_form(value: np.ndarray, deriv: np.ndarray) -> np.ndarray:
@@ -143,16 +154,13 @@ class KernelTables:
     cfg:
         Ewald configuration (period, splitting, truncations).
     z_extent:
-        Maximum |z_i - z_j| the tables must cover (um).
-    nr, nz:
-        Table sizes (defaults meet the 1e-6 relative target for the
-        paper's parameter ranges).
+        Maximum |z_i - z_j| the tables must cover (um). It sets only
+        the number of nodes; the node spacings come from ``cfg``.
     """
 
-    def __init__(self, k: complex, cfg: EwaldConfig, z_extent: float,
-                 nr: int = 4096, nz: int = 2049) -> None:
-        if nr < 16 or nz < 16:
-            raise ConfigurationError("table sizes must be >= 16")
+    def __init__(self, k: complex, cfg: EwaldConfig, z_extent: float) -> None:
+        if not math.isfinite(z_extent):
+            raise ConfigurationError(f"z_extent must be finite, got {z_extent}")
         self.k = complex(k)
         self.cfg = cfg
         self.period = cfg.period
@@ -160,18 +168,28 @@ class KernelTables:
         lat = cfg.period
         nim = cfg.n_images
 
-        z_max = max(float(z_extent), 1e-9) * 1.001 + 1e-12
-        r_max = math.hypot(math.sqrt(2.0) * (nim + 0.5) * lat, z_max) * 1.001
+        # Node spacings fixed by the configuration (module docstring).
+        # Lookups use these inverses, so a grid position depends only on
+        # the separation; the table length only bounds it.
+        r_lattice = math.sqrt(2.0) * (nim + 0.5) * lat
+        h_r = r_lattice * 1.001 / 4095
+        h_z = lat / 2048
+        self._r_inv_h = 1.0 / h_r
+        self._z_inv_h = 1.0 / h_z
+        # Last dz node: a lookup at grid position <= _z_last reads
+        # only nodes every covering table shares.
+        self._z_last = max(math.ceil(float(z_extent) * self._z_inv_h), 1)
+        z_grid = np.arange(self._z_last + 1) * h_z
+        r_reach = math.hypot(r_lattice, self._z_last * h_z) * 1.001
+        r_grid = np.arange(math.ceil(r_reach * self._r_inv_h) + 1) * h_r
 
-        # --- spatial tables over R in [0, r_max] ---
+        # --- spatial tables over R >= 0 ---
         # The evaluation-time terms are ``table / R``: the constant
         # 1/(8 pi) is folded into the tables at build time so the hot
         # loop never multiplies by it.
         inv8pi = 1.0 / (8.0 * math.pi)
-        r_grid = np.linspace(0.0, r_max, nr)
         bracket = erfc_scaled_pair(r_grid, k, e)
         dbracket = erfc_scaled_pair_derivative(r_grid, k, e)
-        self._r_inv_h = (nr - 1) / r_max
         self._image = _slope_form(bracket * inv8pi, dbracket * inv8pi)
         # Regularized primary numerator n(R) = bracket - 2 e^{jkR} and its
         # derivative (for the primary image with the free-space part
@@ -180,15 +198,11 @@ class KernelTables:
         self._primary = _slope_form((bracket - 2.0 * exp_jkr) * inv8pi,
                                     (dbracket - 2j * k * exp_jkr) * inv8pi)
 
-        # --- spectral tables over dz in [-z_max, z_max], one per shell ---
+        # --- spectral tables over |dz| >= 0, one per shell ---
         # Each shell's table is pre-multiplied by its mode coefficient
         # ``coef = j / (4 L^2 gamma)`` (and the minus table additionally
         # by ``j gamma``, its derivative factor), so the per-shell
         # accumulation is a bare multiply-add.
-        z_grid = np.linspace(-z_max, z_max, nz)
-        self._z0 = -z_max
-        self._z_inv_h = (nz - 1) / (2.0 * z_max)
-        self._z_max = z_max
         area = lat * lat
         nmod = cfg.n_modes
         self._modes = [(m, n) for m in range(-nmod, nmod + 1)
@@ -216,27 +230,25 @@ class KernelTables:
     # ------------------------------------------------------------------
 
     def covers(self, z_extent: float) -> bool:
-        """Whether the tabulated dz range covers ``±z_extent``.
+        """Whether the tables cover every ``|dz| <= z_extent``.
 
-        Includes the same safety margin the solver's table cache uses to
-        decide reuse, so ``covers`` answers "can these tables serve a
-        mesh of this height range" without reaching into table
-        internals.
+        Exact, not a margin: it compares the same grid position a
+        lookup computes, so a covering table returns the bits of any
+        longer table of its configuration.
         """
-        return self._z_max >= float(z_extent) * 1.0005 + 1e-12
+        return float(z_extent) * self._z_inv_h <= self._z_last
 
     def shares_grids(self, other: "KernelTables") -> bool:
-        """Whether ``other`` was built on the same abscissa grids.
+        """Whether ``other`` samples the same nodes.
 
-        True when both have the same period, radial and dz grids and
+        True when both have the same period, node spacings and
         image/mode sets — the condition for one set of gather indices
         and phase sums to serve both in :func:`green_and_gradient_multi`.
+        Table lengths may differ.
         """
         return (
             self.period == other.period
             and self._r_inv_h == other._r_inv_h
-            and self._image.shape == other._image.shape
-            and self._z0 == other._z0
             and self._z_inv_h == other._z_inv_h
             and self._images == other._images
             and self._modes == other._modes
@@ -299,7 +311,8 @@ def green_and_gradient_multi(tables, dx: np.ndarray, dy: np.ndarray,
 
     Returns ``[(g, gx, gy, gz), ...]`` in table order. Raises
     :class:`~repro.errors.ConfigurationError` when the tables do not
-    share grids or ``dz`` exceeds their tabulated range.
+    share grids or ``dz`` exceeds the range of any of them (tables of
+    different lengths share grids; the shortest bounds ``dz``).
     """
     tables = list(tables)
     if not tables:
@@ -309,12 +322,16 @@ def green_and_gradient_multi(tables, dx: np.ndarray, dy: np.ndarray,
     if not all(first.shares_grids(tab) for tab in tables[1:]):
         raise ConfigurationError(
             "green_and_gradient_multi needs tables built on shared grids "
-            "(same period, z_extent and Ewald truncation)")
+            "(same period and Ewald truncation)")
 
     dx = np.asarray(dx, dtype=np.float64)
     dy = np.asarray(dy, dtype=np.float64)
     dz = np.asarray(dz, dtype=np.float64)
-    if np.max(np.abs(dz)) > first._z_max:
+    shape = np.broadcast_shapes(dx.shape, dy.shape, dz.shape)
+    # Grid position on the shared |dz| nodes; the radial tables reach
+    # past every covered dz by construction.
+    t_z = np.broadcast_to(np.abs(dz) * first._z_inv_h, shape)
+    if not np.max(t_z) <= min(tab._z_last for tab in tables):
         raise ConfigurationError(
             "dz exceeds the tabulated z range; rebuild KernelTables "
             "with a larger z_extent"
@@ -331,11 +348,10 @@ def green_and_gradient_multi(tables, dx: np.ndarray, dy: np.ndarray,
         raise ConfigurationError(
             "shell phases were built for a different period or mode set")
 
-    shape = np.broadcast_shapes(dx.shape, dy.shape, dz.shape)
     outs = [tuple(np.zeros(shape, dtype=np.complex128) for _ in range(4))
             for _ in tables]
     _add_images(tables, outs, dx, dy, dz)
-    _add_shells(tables, outs, dz, phases)
+    _add_shells(tables, outs, np.sign(dz), t_z, phases)
     return outs
 
 
@@ -370,24 +386,26 @@ def _add_images(tables, outs, dx, dy, dz) -> None:
             gz += radial * dz
 
 
-def _add_shells(tables, outs, dz, phases: ShellPhases) -> None:
+def _add_shells(tables, outs, sign, t_z, phases: ShellPhases) -> None:
     """Add every spectral shell's term to ``outs`` in place.
 
-    The shell tables share the dz grid, hence one gather position; the
-    specular shell has unit phase and no transverse gradient.
+    The shell tables share the ``|dz|`` grid, hence one gather position
+    ``t_z``; the specular shell has unit phase and no transverse
+    gradient. The brackets' z-derivative is odd in ``dz``, so each
+    table's shell z-gradient is summed at ``|dz|`` and takes ``sign``
+    once.
     """
-    first = tables[0]
-    idx, frac = _split((dz - first._z0) * first._z_inv_h)
+    idx, frac = _split(t_z)
     for tab, (g, gx, gy, gz) in zip(tables, outs):
-        b, minus = _lerp(tab._shells[0], idx, frac)
+        b, odd = _lerp(tab._shells[0], idx, frac)
         g += b
-        gz += minus
         for s, c, sx, sy in phases.shells:
             b, minus = _lerp(tab._shells[s], idx, frac)
             g += c * b
             gx += sx * b
             gy += sy * b
-            gz += c * minus
+            odd += c * minus
+        gz += sign * odd
 
 
 def tables_for_mesh(k: complex, mesh: SurfaceMesh3D,

@@ -34,6 +34,7 @@ import numpy as np
 from ..constants import METER_TO_UM
 from ..errors import ConfigurationError, SolverError
 from ..materials import PAPER_SYSTEM, TwoMediumSystem
+from .. import telemetry
 from ..telemetry import span
 from .assembly import (
     AssemblyOptions,
@@ -104,6 +105,11 @@ class SWMOptions:
         return {"assembly": self.assembly.to_spec()}
 
 
+_M_TABLE_BUILDS = telemetry.counter(
+    "repro_swm_table_builds_total",
+    "3D kernel tables built because no cached table covered a chunk's "
+    "height range.")
+
 #: Target bytes per stacked (B, N, N) assembly array. Measured optimum
 #: on current hardware: past ~0.6 MB per intermediate the batched
 #: kernel's working set falls out of cache and stacking *larger*
@@ -142,30 +148,34 @@ class SWMSolver3D:
         self.system = system
         self.options = options or SWMOptions()
         # Kernel-table cache: (which_medium, frequency, period) -> tables.
-        # Tables are rebuilt when a sample's height range outgrows them;
-        # they are what amortizes MC/SSCM sweeps (hundreds of samples per
-        # frequency reuse one table build).
+        # They amortize MC/SSCM sweeps (hundreds of samples per frequency
+        # reuse one table build) and only grow: a chunk whose height
+        # range outgrows a table replaces it with a longer one. Tables
+        # of one configuration sample the same nodes, so which table
+        # serves a solve never changes its values.
         self._tables: dict[tuple[int, float, float], object] = {}
 
     def reset_tables(self) -> None:
-        """Drop cached kernel tables.
+        """Drop cached kernel tables to release their memory.
 
-        Tables are interpolation grids whose node placement depends on
-        the z-extents solved so far, so a solver's results can vary at
-        interpolation accuracy with its history. The engine resets
-        before each job to keep job results a pure function of the job
-        spec (the content-addressed cache requires this).
+        Results do not depend on it: every table of one configuration
+        returns the same values on the separations it covers
+        (:mod:`repro.swm.fastkernel`), so a warm solver and a fresh one
+        agree bit for bit.
         """
         self._tables.clear()
 
     def _get_tables(self, which: int, k: complex, frequency_hz: float,
-                    mesh: SurfaceMesh3D):
+                    meshes: list[SurfaceMesh3D]):
+        """The cached tables of one medium and frequency, grown (with a
+        1.5x margin) when they do not cover the chunk's height range."""
         from .fastkernel import KernelTables
 
         if not self.options.assembly.use_tables:
             return None
-        key = (which, float(frequency_hz), float(mesh.period))
-        z_extent = float(np.max(mesh.z) - np.min(mesh.z))
+        key = (which, float(frequency_hz), float(meshes[0].period))
+        z = np.stack([mesh.z for mesh in meshes])
+        z_extent = float(np.max(np.ptp(z, axis=1)))
         if not np.isfinite(z_extent):
             # Tables cannot be sized for it; fail like a non-finite
             # assembly would.
@@ -173,9 +183,10 @@ class SWMSolver3D:
         cached = self._tables.get(key)
         if cached is not None and cached.covers(z_extent):
             return cached
-        cfg = self.options.assembly.ewald_config(mesh.period)
+        cfg = self.options.assembly.ewald_config(meshes[0].period)
         tables = KernelTables(k, cfg, z_extent=max(z_extent * 1.5, 1e-6))
         self._tables[key] = tables
+        _M_TABLE_BUILDS.inc()
         return tables
 
     # ------------------------------------------------------------------
@@ -208,11 +219,10 @@ class SWMSolver3D:
                    frequency_hz: float) -> list[SWMResult]:
         """Batched :meth:`solve` for a ``(B, n, n)`` stack of height maps.
 
-        Results are bit-identical to calling :meth:`solve` per map with
-        this solver (same kernel-table reuse policy, same factorization
-        call), but the B dense systems are assembled with the sample
-        axis vectorized and factored as one stacked ``(B, 2n, 2n)``
-        batch.
+        Results are bit-identical to calling :meth:`solve` per map (same
+        kernel values, same factorization call), but the B dense
+        systems are assembled with the sample axis vectorized and
+        factored as one stacked ``(B, 2n, 2n)`` batch.
         """
         heights_um = np.asarray(heights_m, dtype=np.float64) * METER_TO_UM
         return self._solve_many_um(heights_um, float(period_m) * METER_TO_UM,
@@ -283,26 +293,6 @@ class SWMSolver3D:
                     f"L={base.period}"
                 )
 
-    def _replay_table_groups(self, meshes: list[SurfaceMesh3D],
-                             frequency_hz: float, k1: complex, k2: complex
-                             ) -> list[tuple[object, object, list[int]]]:
-        """Replay the per-sample kernel-table policy *in sample order*.
-
-        The tables each sample is assembled against are then the exact
-        objects the sequential path would have used (tables rebuild when
-        a sample's height range outgrows them, so this grouping is what
-        makes batched results bit-identical).
-        """
-        groups: list[tuple[object, object, list[int]]] = []
-        for i, mesh in enumerate(meshes):
-            t1 = self._get_tables(1, k1, frequency_hz, mesh)
-            t2 = self._get_tables(2, k2, frequency_hz, mesh)
-            if groups and groups[-1][0] is t1 and groups[-1][1] is t2:
-                groups[-1][2].append(i)
-            else:
-                groups.append((t1, t2, [i]))
-        return groups
-
     def solve_mesh_many_multi_k(self, meshes: list[SurfaceMesh3D],
                                 frequencies_hz) -> list[list[SWMResult]]:
         """Solve a same-grid mesh batch at several frequencies at once.
@@ -313,14 +303,9 @@ class SWMSolver3D:
         fused kernel-table pass), instead of being recomputed per
         frequency. Returns one ``list[SWMResult]`` per frequency (outer
         index follows ``frequencies_hz``), **bit-identical** to calling
-        :meth:`solve_mesh_many` once per frequency in order on this
-        solver (same kernel-table replay policy per frequency — table
-        cache keys include the frequency, so the replays are
-        independent — same chunking, same factorization call).
-
-        Falls back to per-frequency solves when the exact-Ewald path is
-        selected (no tables to stack) or when warm table caches give the
-        frequencies diverging rebuild boundaries or table grids.
+        :meth:`solve_mesh_many` once per frequency on this or any other
+        solver (same chunking, same kernel values, same factorization
+        call).
         """
         return self._solve_stack(list(meshes), frequencies_hz, stacklevel=4)
 
@@ -341,68 +326,41 @@ class SWMSolver3D:
         base = meshes[0]
         for f in freqs:
             self._check_resolution(base.spacing, f, stacklevel=stacklevel)
-
-        per: list[tuple[int, float, complex, complex, list]] = []
-        for fi, f in enumerate(freqs):
-            k1, k2 = self._wavenumbers_um(f)
-            per.append((fi, f, k1, k2,
-                        self._replay_table_groups(meshes, f, k1, k2)))
-
-        # Stacking requires tables, and identical rebuild boundaries and
-        # table grids at every frequency (guaranteed from a cold cache:
-        # rebuilds and grids depend only on the shared z-extents; a warm
-        # cache can diverge). Otherwise each frequency solves alone from
-        # the groups replayed above: a second replay could rebuild a
-        # table partway through the batch and hand earlier samples a
-        # different table.
-        index_groups = [indices for _, _, indices in per[0][4]]
-        use_tables = self.options.assembly.use_tables
-        stackable = (use_tables
-                     and all([indices for _, _, indices in groups]
-                             == index_groups for *_, groups in per))
-        if stackable:
-            firsts = [t1 for t1, _, _ in per[0][4]]
-            stackable = all(firsts[gi].shares_grids(t)
-                            for *_, groups in per
-                            for gi, (t1, t2, _) in enumerate(groups)
-                            for t in (t1, t2))
-        stacks = [per] if stackable else [[entry] for entry in per]
+        ks = [self._wavenumbers_um(f) for f in freqs]
 
         n = base.size
         max_stack = self.options.batch_size or _auto_stack(n)
+        use_tables = self.options.assembly.use_tables
         results: list[list[SWMResult]] = [[] for _ in freqs]
-        for stack in stacks:
-            for gi, (_, _, indices) in enumerate(stack[0][4]):
-                for lo in range(0, len(indices), max_stack):
-                    sub = [meshes[i] for i in indices[lo:lo + max_stack]]
-                    nb = len(sub)
-                    media = []
-                    for _, _, k1, k2, groups in stack:
-                        t1, t2, _ = groups[gi]
-                        media += [(k1, t1), (k2, t2)]
-                    if use_tables:
-                        with span("plan", n=n, batch=nb, freqs=len(stack)):
-                            plan = AssemblyPlan3D.build(
-                                sub, self.options.assembly)
-                    with span("assemble", n=n, batch=nb, freqs=len(stack)):
-                        if use_tables:
-                            mats = assemble_media_multi_k(plan, media)
-                        else:
-                            # Exact Ewald, the validation reference:
-                            # no plan, one medium at a time.
-                            mats = [assemble_medium_many(
-                                sub, k, self.options.assembly, tables=None)
-                                for k, _ in media]
-                        systems = []
-                        for _, f, k1, k2, _ in stack:
-                            (d1, s1), (d2, s2) = mats.pop(0), mats.pop(0)
-                            systems.append(self._block_system(
-                                sub, f, k1, k2, d1, s1, d2, s2))
-                    for fi, f, _, _, _ in stack:
-                        a, rhs, scale_v = systems.pop(0)
-                        sol = self._factor_stack(a, rhs, n, nb)
-                        results[fi].extend(self._finish_many(
-                            sub, f, sol[:, :n], sol[:, n:] * scale_v))
+        for lo in range(0, len(meshes), max_stack):
+            sub = meshes[lo:lo + max_stack]
+            nb = len(sub)
+            media = []
+            for f, (k1, k2) in zip(freqs, ks):
+                media += [(k1, self._get_tables(1, k1, f, sub)),
+                          (k2, self._get_tables(2, k2, f, sub))]
+            if use_tables:
+                with span("plan", n=n, batch=nb, freqs=len(freqs)):
+                    plan = AssemblyPlan3D.build(sub, self.options.assembly)
+            with span("assemble", n=n, batch=nb, freqs=len(freqs)):
+                if use_tables:
+                    mats = assemble_media_multi_k(plan, media)
+                else:
+                    # Exact Ewald, the validation reference: no plan,
+                    # one medium at a time.
+                    mats = [assemble_medium_many(
+                        sub, k, self.options.assembly, tables=None)
+                        for k, _ in media]
+                systems = []
+                for f, (k1, k2) in zip(freqs, ks):
+                    (d1, s1), (d2, s2) = mats.pop(0), mats.pop(0)
+                    systems.append(self._block_system(
+                        sub, f, k1, k2, d1, s1, d2, s2))
+            for fi, f in enumerate(freqs):
+                a, rhs, scale_v = systems.pop(0)
+                sol = self._factor_stack(a, rhs, n, nb)
+                results[fi].extend(self._finish_many(
+                    sub, f, sol[:, :n], sol[:, n:] * scale_v))
         return results
 
     def _block_system(self, meshes: list[SurfaceMesh3D], frequency_hz: float,

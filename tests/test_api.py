@@ -15,7 +15,7 @@ from repro.constants import GHZ, UM
 from repro.core import StochasticLossConfig, StochasticLossModel
 from repro.engine import clear_memo, default_cache
 from repro.errors import ConfigurationError
-from repro.experiments import ALL_EXPERIMENTS, Scale, fig2, registry
+from repro.experiments import Scale, registry
 from repro.experiments.base import Experiment, ExperimentResult
 from repro.stochastic.montecarlo import MonteCarloEstimator
 from repro.surfaces import GaussianCorrelation
@@ -78,9 +78,6 @@ class TestRegistry:
 
         with pytest.raises(ConfigurationError, match="non-empty 'name'"):
             registry.register(NoName)
-
-    def test_all_experiments_shim_still_complete(self):
-        assert sorted(ALL_EXPERIMENTS) == EXPECTED_NAMES
 
 
 class TestPlans:
@@ -166,8 +163,6 @@ class TestRoundTrip:
                                estimator="montecarlo(n=8, seed=2009)")
         np.testing.assert_array_equal(mc_point.values, direct_mc.samples)
         for order in (1, 2):
-            # History-free solver per estimator, like the engine's jobs.
-            model.solver.reset_tables()
             direct = model.sscm_direct(5.0 * GHZ, order=order)
             point = sweep.point("model",
                                 estimator=f"sscm(order={order})")
@@ -244,18 +239,3 @@ class TestLazyFacadeImport:
             "assert repro.api.experiments()[0] == 'fig2'\n"
         )
         subprocess.run([sys.executable, "-c", code], check=True)
-
-
-class TestDeprecationShims:
-    def test_module_run_warns_and_matches_api(self):
-        with pytest.warns(DeprecationWarning, match="repro.api.run"):
-            legacy = fig2.run(MINI)
-        fresh = api.run("fig2", MINI)
-        assert legacy.checks == fresh.checks
-        for label, series in fresh.series.items():
-            np.testing.assert_array_equal(legacy.series[label], series)
-
-    def test_all_experiments_entries_are_the_shims(self):
-        with pytest.warns(DeprecationWarning):
-            res = ALL_EXPERIMENTS["table1"](MINI)
-        assert res.all_checks_pass()

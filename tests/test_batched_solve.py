@@ -2,8 +2,8 @@
 
 The contract under test everywhere: batching is a *pure performance*
 knob — batched solves are bit-identical to the sequential per-sample
-path (same kernel-table reuse policy, same LAPACK factorizations, same
-seed stream), and ``batch_size`` never enters a content hash.
+path (same kernel values, same LAPACK factorizations, same seed
+stream), and ``batch_size`` never enters a content hash.
 """
 
 import warnings
@@ -166,7 +166,7 @@ class TestBatchedAssembly:
         meshes = [build_mesh_3d(h, 5.0) for h in heights]
         solver = SWMSolver3D()
         k1, _ = solver._wavenumbers_um(FREQ)
-        tables = solver._get_tables(1, k1, FREQ, meshes[0])
+        tables = solver._get_tables(1, k1, FREQ, meshes)
         opts = solver.options.assembly
         d_many, s_many = assemble_medium_many(meshes, k1, opts,
                                               tables=tables)
@@ -213,6 +213,30 @@ class TestKernelTablesCovers:
             tables = dict(solver._tables)
             solver.solve_um(0.5 * heights, 5.0, FREQ)  # smaller extent
         assert dict(solver._tables) == tables  # reused, not rebuilt
+
+    def test_table_growth_is_counted_once_per_medium(self):
+        """A later chunk that outgrows the first chunk's tables builds
+        one more table per medium, replacing the old one, and
+        ``repro_swm_table_builds_total`` counts every build."""
+        from repro import telemetry
+
+        rng = np.random.default_rng(5)
+        heights = np.stack([rng.normal(0.0, 0.1, (8, 8)),
+                            rng.normal(0.0, 1.0, (8, 8))])
+        solver = SWMSolver3D(options=SWMOptions(batch_size=1))
+        builds = telemetry.REGISTRY.counter("repro_swm_table_builds_total")
+        was = telemetry.enabled()
+        telemetry.enable()  # the counter is a no-op otherwise
+        try:
+            before = builds.value()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                solver.solve_many_um(heights, 5.0, FREQ)
+            after = builds.value()
+        finally:
+            (telemetry.enable if was else telemetry.disable)()
+        assert after - before == 2 * 2  # 2 media x (first chunk + growth)
+        assert len(solver._tables) == 2
 
 
 class TestWarningAttribution:

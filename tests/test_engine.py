@@ -713,7 +713,6 @@ class TestPipelineRouting:
     def test_montecarlo_matches_direct_estimator(self, model, batch_size):
         routed = model.montecarlo(5 * GHZ, 8, seed=0, cache=ResultCache(),
                                   batch_size=batch_size)
-        model.solver.reset_tables()  # history-free, like engine jobs
         direct = MonteCarloEstimator(
             model.enhancement_model(5 * GHZ), model.dimension,
             batch_model=model.enhancement_batch_model(5 * GHZ)).run(
@@ -753,7 +752,6 @@ class TestPipelineRouting:
                                                         monkeypatch):
         cache = ResultCache()
         routed = model.sscm(5 * GHZ, order=1, cache=cache)
-        model.solver.reset_tables()  # history-free, like engine jobs
         direct = model.sscm_direct(5 * GHZ, order=1)
         np.testing.assert_array_equal(routed.node_values,
                                       direct.node_values)

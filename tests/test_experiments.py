@@ -8,19 +8,8 @@ The standard/paper scales are exercised by the benchmark harness.
 import numpy as np
 import pytest
 
-from repro.experiments import (
-    ALL_EXPERIMENTS,
-    QUICK,
-    Scale,
-    fig2,
-    fig3,
-    fig4,
-    fig5,
-    fig6,
-    fig7,
-    scale_from_env,
-    table1,
-)
+import repro.api as api
+from repro.experiments import QUICK, Scale, registry, scale_from_env
 from repro.errors import ConfigurationError
 
 #: A minimal scale for CI smoke: same resolution logic as QUICK (the
@@ -59,13 +48,13 @@ class TestPresets:
         assert n_high_f == QUICK.grid_cap  # cap binds at 9 GHz
 
     def test_registry_complete(self):
-        assert set(ALL_EXPERIMENTS) == {
+        assert set(registry.names()) == {
             "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "table1"}
 
 
 class TestFig2:
     def test_statistics_round_trip(self):
-        res = fig2.run(TINY)
+        res = api.run("fig2", TINY)
         assert res.all_checks_pass(), res.checks
         assert "C_target" in res.series and "C_recovered" in res.series
 
@@ -73,11 +62,11 @@ class TestFig2:
 class TestFig3:
     @pytest.mark.slow
     def test_shape_checks(self):
-        res = fig3.run(TINY)
+        res = api.run("fig3", TINY)
         assert res.all_checks_pass(), res.checks
 
     def test_table_renders(self):
-        res = fig2.run(TINY)
+        res = api.run("fig2", TINY)
         text = res.format_table()
         assert "Fig. 2" in text
         assert "PASS" in text
@@ -86,14 +75,14 @@ class TestFig3:
 class TestFig4:
     @pytest.mark.slow
     def test_swm_tracks_spm2_for_extracted_cf(self):
-        res = fig4.run(TINY)
+        res = api.run("fig4", TINY)
         assert res.all_checks_pass(), res.checks
 
 
 class TestFig5:
     @pytest.mark.slow
     def test_hbm_comparison(self):
-        res = fig5.run(TINY)
+        res = api.run("fig5", TINY)
         assert res.checks["hbm_rises"], res.notes
         assert res.checks["swm_rises"], res.notes
         assert res.checks["swm_tracks_hbm"], res.notes
@@ -103,20 +92,20 @@ class TestFig5:
 class TestFig6:
     @pytest.mark.slow
     def test_dimensionality_claim(self):
-        res = fig6.run(TINY)
+        res = api.run("fig6", TINY)
         assert res.all_checks_pass(), res.checks
 
 
 class TestFig7:
     @pytest.mark.slow
     def test_sscm_vs_mc(self):
-        res = fig7.run(TINY, seed=3)
+        res = api.get("fig7", seed=3).run(TINY)
         assert res.checks["sscm2_matches_mc"], res.notes
         assert res.checks["means_agree"], res.notes
 
 
 class TestTable1:
     def test_sampling_counts(self):
-        res = table1.run(TINY)
+        res = api.run("table1", TINY)
         assert res.all_checks_pass(), res.checks
         assert np.all(res.series["SSCM_1st"] == 2 * res.series["M_kl"] + 1)

@@ -41,6 +41,7 @@ from repro.service.wire import WorkerClaim
 from repro.surfaces import GaussianCorrelation, ProfileGenerator
 from repro.swm.assembly import AssemblyOptions
 from repro.swm.geometry import build_mesh_2d, build_mesh_3d
+from repro.swm import solver as solver_module
 from repro.swm.solver import SWMOptions, SWMSolver3D
 from repro.swm.solver2d import SWMSolver2D
 
@@ -129,44 +130,70 @@ class TestExactEwaldSolve:
 
 
 class TestWarmTableCaches:
-    def test_diverging_table_grids_fall_back_per_frequency(self):
-        """A warm cache can leave the frequencies with tables on
-        different z grids. The stacked solve must then fall back to
-        per-frequency solves instead of handing the kernel tables it
-        cannot share."""
+    """Kernel tables of one configuration sample the same nodes, so a
+    warm solver returns what a fresh one does, whatever tables it
+    built before."""
+
+    def test_solve_after_a_taller_surface_is_bit_identical(self):
+        rng = np.random.default_rng(0)
+        small = rng.normal(0, 0.3, (8, 8))
+        big = rng.normal(0, 2.0, (8, 8))
+        fresh = SWMSolver3D().solve_um(small, L, 5 * GHZ)
+        solver = SWMSolver3D()
+        solver.solve_um(big, L, 5 * GHZ)
+        _assert_results_equal(solver.solve_um(small, L, 5 * GHZ), fresh)
+
+    def test_warm_stack_matches_fresh_per_frequency_solves(self,
+                                                           monkeypatch):
+        """Warming one frequency with a tall surface leaves the two
+        frequencies with tables of different lengths; the stack still
+        assembles both in one pass and equals fresh per-frequency
+        solves."""
         rng = np.random.default_rng(2)
         tall = build_mesh_3d(rng.normal(0.0, 0.6, (8, 8)), L)
-        flat = build_mesh_3d(rng.normal(0.0, 0.1, (8, 8)), L)
+        low = build_mesh_3d(rng.normal(0.0, 0.1, (8, 8)), L)
+        mid = build_mesh_3d(rng.normal(0.0, 0.3, (8, 8)), L)
         freqs = FREQS[:2]
+        tall_extent = float(np.ptp(tall.z))
 
         solver = SWMSolver3D()
         solver.solve_mesh(tall, freqs[0])  # warms freqs[0] only
-        stacked = solver.solve_mesh_many_multi_k([flat], freqs)
-        ref_solver = SWMSolver3D()
-        ref_solver.solve_mesh(tall, freqs[0])
-        for freq, row in zip(freqs, stacked):
-            _assert_results_equal(row[0], ref_solver.solve_mesh(flat, freq))
+        calls = []
+        real = solver_module.assemble_media_multi_k
 
-    def test_fallback_solves_from_the_first_replay(self):
-        """The per-frequency fallback must use the tables it replayed
-        before deciding to fall back. ``high`` outgrows the warm table,
-        so replaying again would hand ``low`` the rebuilt table instead
-        of the warm one its sequential solve uses."""
+        def spy(plan, media):
+            calls.append(len(media))
+            return real(plan, media)
+
+        monkeypatch.setattr(solver_module, "assemble_media_multi_k", spy)
+        stacked = solver.solve_mesh_many_multi_k([low, mid], freqs)
+        assert calls == [2 * len(freqs)]
+        warm, cold = (solver._tables[(1, f, L)] for f in freqs)
+        assert warm.covers(tall_extent) and not cold.covers(tall_extent)
+        for freq, row in zip(freqs, stacked):
+            fresh = SWMSolver3D().solve_mesh_many([low, mid], freq)
+            for got, ref in zip(row, fresh):
+                _assert_results_equal(got, ref)
+
+    def test_table_growth_mid_batch_matches_fresh_solves(self):
+        """One mesh per chunk: ``high`` outgrows the warm table and
+        replaces it partway through the batch, and every sample still
+        equals a fresh solver's."""
         rng = np.random.default_rng(4)
         mid = build_mesh_3d(rng.normal(0.0, 0.3, (8, 8)), L)
         low = build_mesh_3d(rng.normal(0.0, 0.1, (8, 8)), L)
         high = build_mesh_3d(rng.normal(0.0, 0.8, (8, 8)), L)
         freqs = FREQS[:2]
 
-        solver = SWMSolver3D()
+        solver = SWMSolver3D(options=SWMOptions(batch_size=1))
         solver.solve_mesh(mid, freqs[0])  # warms freqs[0] only
+        before = solver._tables[(1, freqs[0], L)]
         stacked = solver.solve_mesh_many_multi_k([low, high], freqs)
-        ref_solver = SWMSolver3D()
-        ref_solver.solve_mesh(mid, freqs[0])
+        assert solver._tables[(1, freqs[0], L)] is not before
         for freq, row in zip(freqs, stacked):
-            for got, ref in zip(row, ref_solver.solve_mesh_many([low, high],
-                                                                freq)):
-                _assert_results_equal(got, ref)
+            for got, mesh in zip(row, (low, high)):
+                _assert_results_equal(got, SWMSolver3D().solve_mesh(mesh,
+                                                                    freq))
 
 
 def _payload_fields(payload):

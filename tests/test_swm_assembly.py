@@ -71,6 +71,20 @@ class TestFastKernelAgainstExact:
         np.testing.assert_allclose(s_f, s_e, atol=2e-6 * scale_s)
         np.testing.assert_allclose(d_f, d_e, atol=2e-6 * scale_d)
 
+    @pytest.mark.parametrize("k", [K1, K2])
+    @pytest.mark.parametrize("amp", [0.02, 2.0])
+    @pytest.mark.parametrize("period", [5.0, 15.0])
+    def test_matrices_match_across_periods_and_heights(self, period, amp,
+                                                       k):
+        """The fixed node spacings scale with the period, not with the
+        height range, so flat and tall surfaces on short and long
+        periods all hold the bound (worst measured: 2.2e-7)."""
+        mesh = _rough_mesh(period=period, amp=amp)
+        d_e, s_e = assemble_medium(mesh, k, AssemblyOptions(use_tables=False))
+        d_f, s_f = assemble_medium(mesh, k, AssemblyOptions(use_tables=True))
+        np.testing.assert_allclose(s_f, s_e, atol=2e-6 * np.max(np.abs(s_e)))
+        np.testing.assert_allclose(d_f, d_e, atol=2e-6 * np.max(np.abs(d_e)))
+
     def test_prebuilt_tables_reused(self):
         mesh = _rough_mesh()
         opts = AssemblyOptions()
@@ -160,10 +174,11 @@ class TestShellKernel:
         got = tuple(np.zeros(dz.shape, dtype=np.complex128)
                     for _ in range(4))
         phases = shell_phase_sums(dx, dy, mesh.period, cfg.n_modes)
-        fastkernel._add_shells([tab], [got], dz, phases)
+        t = np.abs(dz) * tab._z_inv_h
+        fastkernel._add_shells([tab], [got], np.sign(dz), t, phases)
 
-        # Explicit 25-mode sum over the same interpolated shell tables.
-        t = (dz - tab._z0) * tab._z_inv_h
+        # Explicit 25-mode sum over the same interpolated shell tables
+        # (tabulated on |dz|; the z-derivative is odd in dz).
         idx = t.astype(np.intp)
         frac = t - idx
         ref = [np.zeros(dz.shape, dtype=np.complex128) for _ in range(4)]
@@ -178,7 +193,7 @@ class TestShellKernel:
                 ref[0] += phase * b
                 ref[1] += 1j * kx * phase * b
                 ref[2] += 1j * ky * phase * b
-                ref[3] += phase * minus
+                ref[3] += np.sign(dz) * phase * minus
         for a, b in zip(got, ref):
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
@@ -267,14 +282,39 @@ class TestShellKernel:
         mesh = _rough_mesh()
         cfg = AssemblyOptions().ewald_config(mesh.period)
         dx, dy, dz = self._separations(mesh)
-        narrow = KernelTables(K1, cfg, z_extent=2.0)
-        wide = KernelTables(K2, cfg, z_extent=3.0)
-        assert not narrow.shares_grids(wide)
+        tab = KernelTables(K1, cfg, z_extent=2.0)
+        more_images = KernelTables(K2, AssemblyOptions(
+            n_images=3).ewald_config(mesh.period), z_extent=2.0)
+        assert not tab.shares_grids(more_images)
         with pytest.raises(ConfigurationError, match="shared grids"):
-            green_and_gradient_multi([narrow, wide], dx, dy, dz)
+            green_and_gradient_multi([tab, more_images], dx, dy, dz)
         other_modes = shell_phase_sums(dx, dy, mesh.period, cfg.n_modes + 1)
         with pytest.raises(ConfigurationError, match="mode set"):
-            green_and_gradient_multi([narrow], dx, dy, dz, other_modes)
+            green_and_gradient_multi([tab], dx, dy, dz, other_modes)
+
+    @pytest.mark.parametrize("k", [K1, K2])
+    def test_table_length_never_changes_a_value(self, k):
+        """Tables of one (k, cfg) sample one node set: a short table
+        (built for exactly this mesh's height range) and a long one
+        share grids and return the same bits wherever both cover."""
+        mesh = _rough_mesh()
+        cfg = AssemblyOptions().ewald_config(mesh.period)
+        dx, dy, dz = self._separations(mesh)
+        short = KernelTables(k, cfg, z_extent=float(np.max(np.abs(dz))))
+        long = KernelTables(k, cfg, z_extent=10.0)
+        assert short.shares_grids(long)
+        for a, b in zip(short.green_and_gradient(dx, dy, dz),
+                        long.green_and_gradient(dx, dy, dz)):
+            np.testing.assert_array_equal(a, b)
+        # Mixed lengths stack; the shortest table bounds dz.
+        for a, b in zip(green_and_gradient_multi([long, short],
+                                                 dx, dy, dz)[0],
+                        long.green_and_gradient(dx, dy, dz)):
+            np.testing.assert_array_equal(a, b)
+        from repro.errors import ConfigurationError
+        tiny = KernelTables(k, cfg, z_extent=0.1)
+        with pytest.raises(ConfigurationError, match="z range"):
+            green_and_gradient_multi([long, tiny], dx, dy, dz)
 
     def test_unwrapped_separations_raise(self):
         from repro.errors import ConfigurationError
