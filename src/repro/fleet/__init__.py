@@ -15,9 +15,10 @@ dies silently simply stops heartbeating, its leases expire, and the
 scheduler re-queues the jobs for the next claimant — with a rotated
 lease token, so if the "dead" worker comes back and uploads late, the
 stale commit is recognized and dropped. Content hashes ride every
-lease and are verified on commit, results flow through the exact same
-commit path as in-process execution, and the jobs themselves are
-deterministic — so a fleet-executed sweep is bit-identical to a local
+lease and are verified on commit, and in-process execution is itself a
+worker of this protocol (the scheduler's ``local`` worker), so fleet
+and local results take one path to the commit. The jobs are
+deterministic, so a fleet-executed sweep is bit-identical to a local
 one no matter how many workers died along the way.
 
 Run a fleet from the CLI::

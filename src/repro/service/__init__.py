@@ -13,8 +13,9 @@ single process:
   :func:`repro.engine.cache_split`'s hit/pending split: hits answer
   immediately, pending jobs deduplicate globally by content hash
   (concurrent clients requesting overlapping figures share one solve
-  per unique job) and dispatch longest-first by the dense-solve
-  ``O(n^3)`` cost model onto any engine :class:`~repro.engine.Executor`.
+  per unique job) and are leased longest-first by the dense-solve
+  ``O(n^3)`` cost model to workers; the scheduler's own ``local``
+  worker runs its leases on any engine :class:`~repro.engine.Executor`.
 - :mod:`.server` — stdlib-only streaming HTTP front-end
   (``POST /v1/sweeps``, NDJSON ``/events``, registry-backed
   ``/v1/experiments``, and the ``/v1/jobs/<hash>`` artifact-store read
@@ -25,10 +26,9 @@ single process:
   ``engine_session(executor=RemoteExecutor(url))`` routes every sweep
   in scope to the server.
 
-The scheduler's queue is also *claimable* over ``/v1/workers/*`` —
-pull workers (:mod:`repro.fleet`) lease jobs, heartbeat, and upload
-results, scaling one server across machines; ``serve --fleet`` turns
-off in-process dispatch entirely.
+Pull workers (:mod:`repro.fleet`) speak the same lease protocol over
+``/v1/workers/*`` — claim, heartbeat, upload — scaling one server
+across machines; ``serve --fleet`` never starts the local worker.
 
 Quickstart::
 

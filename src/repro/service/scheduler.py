@@ -6,41 +6,39 @@ and pending jobs that enter one **global deduplicating queue** — two
 clients asking for the same content hash share a single computation,
 and its payload fans out to every waiting ticket the moment it commits.
 
-A background dispatcher thread drains the queue in rounds: it takes
-every queued unique computation, orders it **longest-first** by the
-dense-solve cost model (:func:`estimate_job_cost`, the ROADMAP's
-``O(n^3)`` plan-level estimate resolved from grid/order in the spec)
-and hands the round to the configured :class:`~repro.engine.Executor`
-as one batch — so a ``ParallelExecutor`` parallelizes across every
-client's pending work at once, exactly like :func:`repro.engine
-.run_batch` does within one process.
-
 Every mutation appends a JSON-ready event to the owning ticket
 (``submitted``/``point``/``complete``/``failed``); pollers and the
 HTTP layer's NDJSON stream read those via :meth:`SweepScheduler.events`
 which supports long-polling on the scheduler's condition variable.
 
-**Worker fleet (lease protocol).** The queue is also *claimable*: an
-external pull worker calls :meth:`SweepScheduler.claim_jobs` to lease
-up to ``n`` queued computations (longest-first, same cost order as the
-dispatcher), :meth:`~SweepScheduler.heartbeat` to keep its leases
-alive, and :meth:`~SweepScheduler.complete_lease` /
-:meth:`~SweepScheduler.fail_lease` to commit. A lease that misses its
-deadline is reclaimed and re-queued (lazily, on the next lease-path
-call — no extra thread), and every re-lease rotates the lease token,
-so a worker that went silent and commits late is detected and its
-stale upload dropped. Dedup is untouched: a slot is handed out at most
-once at a time, cache hits never enter the queue, and lease commits go
-through the same ``_commit_slot`` path the dispatcher uses — waiter
-fan-out, NDJSON events, telemetry, the cost calibrator and the result
-cache all behave identically whether a job ran in-process or on a
-worker across the network. ``local_dispatch=False`` turns the internal
-dispatcher off entirely, making the scheduler a pure fleet queue.
+**One dispatch path: the lease protocol.** A worker calls
+:meth:`SweepScheduler.claim_jobs` to lease up to ``n`` queued
+computations, longest-first by the dense-solve cost model
+(:func:`estimate_job_cost`) with the scenario hash as tie-break,
+:meth:`~SweepScheduler.heartbeat` to keep its leases alive, and
+:meth:`~SweepScheduler.complete_lease` / :meth:`~SweepScheduler
+.fail_lease` to commit. Those two calls are the only way into the
+commit funnel, so waiter fan-out, events, telemetry, the cost
+calibrator, the flight recorder and the result cache behave the same
+wherever a job ran.
+
+In-process execution is the scheduler's own worker, :data:`LOCAL_WORKER`: a
+thread that claims every queued computation and hands the round to the
+configured :class:`~repro.engine.Executor` as scenario groups, so a
+``ParallelExecutor`` parallelizes across every client's pending work at
+once. Its leases never expire and its id is reserved;
+``local_dispatch=False`` never starts it (a pure fleet queue). A fleet
+lease that misses its deadline is reclaimed and re-queued (lazily, on
+the next lease-path call — no extra thread), and every re-lease
+rotates the lease token, so a worker that went silent and commits late
+is detected and its stale upload dropped. A slot is handed out at most
+once at a time, and cache hits never enter the queue.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import time
 import uuid
@@ -67,8 +65,15 @@ from .wire import WorkerClaim, WorkerTelemetry
 #: Ticket lifecycle states.
 PENDING, RUNNING, COMPLETE, FAILED = "pending", "running", "complete", "failed"
 
-#: Sentinel key marking a payload as a captured per-job failure.
-_JOB_ERROR = "__job_error__"
+#: Worker id of the scheduler's own in-process worker. Reserved:
+#: :meth:`SweepScheduler.claim_jobs` refuses it, so no fleet worker can
+#: merge its counters into the local row.
+LOCAL_WORKER = "local"
+
+#: Payload fields :meth:`SweepScheduler.result` reads; an upload that
+#: lacks one is refused before it can reach the cache.
+_PAYLOAD_FIELDS = ("mean", "std", "values", "n_evals", "seed",
+                   "wall_time_s")
 
 #: EWMA smoothing for per-worker throughput (higher = more reactive).
 _RATE_ALPHA = 0.3
@@ -80,22 +85,6 @@ _SLOW_FACTOR = 0.5
 #: Recent lease expirations retained for attribution in the fleet
 #: snapshot (who lost which job, and how often).
 _MAX_EXPIRATIONS = 64
-
-
-def _execute_group_safely(jobs: list[Job]) -> list[dict]:
-    """Run one scenario group, folding job failures into the payloads.
-
-    Module-level so process pools can pickle it. Capturing per-job
-    errors here (instead of letting them escape ``Executor.run``) is
-    what isolates failures in a multi-client round: a bad job fails
-    only the tickets waiting on *it*, never the other clients' jobs
-    that happen to share the dispatch round, nor its stackmates
-    (:func:`~repro.engine.runtime.execute_group_isolated` re-runs a
-    failed group's members alone). Executor-level errors (worker pool
-    died, etc.) still escape and fail the whole round.
-    """
-    return [payload if error is None else {_JOB_ERROR: error}
-            for payload, error in execute_group_isolated(jobs)]
 
 
 @dataclass
@@ -125,7 +114,7 @@ class _Ticket:
     finished_monotonic: float | None = None
     #: Flight-recorder entries, one per committed slot this ticket
     #: waited on: wall-clock queue/claim/commit timestamps, the worker
-    #: (or None for the local dispatcher) and the worker's job spans —
+    #: (``LOCAL_WORKER`` for in-process execution) and its job spans —
     #: everything :meth:`SweepScheduler.trace` needs to lay the sweep
     #: out as one merged Chrome trace across processes.
     flight: list[dict] = field(default_factory=list)
@@ -149,7 +138,7 @@ class _Slot:
     #: clocks cannot be merged across machines; Chrome traces can).
     queued_unix: float = field(default_factory=time.time)
     claimed_unix: float | None = None
-    # ---- lease state (fleet protocol); None while not leased --------
+    # ---- lease state; None while queued ------------------------------
     leased_to: str | None = None
     lease_token: str | None = None
     lease_deadline: float | None = None  # monotonic
@@ -179,18 +168,19 @@ class _WorkerInfo:
 
 
 class SweepScheduler:
-    """Global deduplicating job queue with a dispatcher thread.
+    """Global deduplicating job queue with its own lease-holding worker.
 
     Parameters
     ----------
     executor:
-        Backend the dispatcher hands each round to (default serial).
+        Backend the local worker hands each claimed round to (default
+        serial).
     cache:
         Result cache shared by the split and the commits (default: a
         fresh in-memory :class:`~repro.engine.ResultCache`).
     local_dispatch:
-        When False the internal dispatcher thread is never started and
-        queued work is only retired by fleet workers claiming it — the
+        When False the local worker thread is never started and queued
+        work is only retired by fleet workers claiming it — the
         pure pull-queue mode behind ``repro-experiments serve --fleet``.
     max_lease_attempts:
         A slot whose lease expires is re-queued at most this many times
@@ -236,24 +226,23 @@ class SweepScheduler:
             labels=("kind", "outcome"))
         self._m_queue_depth = telemetry.gauge(
             "repro_scheduler_queue_depth",
-            "Unique pending computations waiting for a dispatch round.")
+            "Unique pending computations waiting for a claim.")
         self._m_in_flight = telemetry.gauge(
             "repro_scheduler_jobs_in_flight",
-            "Unique computations dispatched to the executor and not yet "
-            "committed.")
+            "Unique computations leased and not yet committed.")
         self._m_round = telemetry.histogram(
             "repro_scheduler_round_seconds",
-            "Dispatch-round latency (one executor batch).")
+            "Local-worker round latency (one executor batch).")
         self._m_queue_wait = telemetry.histogram(
             "repro_scheduler_queue_wait_seconds",
-            "Time a unique computation spent queued before dispatch.")
+            "Time a unique computation spent queued before a claim.")
         self._m_job_wall = telemetry.histogram(
             "repro_scheduler_job_wall_seconds",
             "Worker-reported wall time per computed job.",
             labels=("kind",))
         self._m_leases = telemetry.counter(
             "repro_fleet_leases_total",
-            "Fleet lease transitions by outcome "
+            "Lease transitions, local and fleet workers, by outcome "
             "(claimed/committed/failed/expired/stale).",
             labels=("outcome",))
         self._m_workers_active = telemetry.gauge(
@@ -261,7 +250,7 @@ class SweepScheduler:
             "Workers holding a lease or heard from within the TTL.")
         self._m_leases_active = telemetry.gauge(
             "repro_fleet_leases_active",
-            "Slots currently leased to a fleet worker.")
+            "Slots currently leased to a worker, local or fleet.")
         self._m_worker_slow = telemetry.gauge(
             "repro_fleet_worker_slow",
             "1 when the worker's EWMA throughput is below "
@@ -275,7 +264,7 @@ class SweepScheduler:
         self._recent_expirations: deque[dict] = deque(
             maxlen=_MAX_EXPIRATIONS)
         self._lock = threading.Lock()
-        self._wakeup = threading.Condition(self._lock)  # dispatcher waits
+        self._wakeup = threading.Condition(self._lock)  # local worker waits
         self._changed = threading.Condition(self._lock)  # pollers wait
         self._tickets: dict[str, _Ticket] = {}
         self._slots: dict[str, _Slot] = {}  # slot id -> slot
@@ -289,7 +278,7 @@ class SweepScheduler:
         self._expired_total = 0
         self._thread: threading.Thread | None = None
         if self.local_dispatch:
-            self._thread = threading.Thread(target=self._dispatch_loop,
+            self._thread = threading.Thread(target=self._local_worker,
                                             name="sweep-scheduler",
                                             daemon=True)
             self._thread.start()
@@ -407,12 +396,16 @@ class SweepScheduler:
         queued = sum(1 for s in self._slots.values() if s.queued)
         self._m_queue_depth.set(queued)
         self._m_in_flight.set(len(self._slots) - queued)
-        self._m_leases_active.set(sum(
-            1 for s in self._slots.values()
-            if not s.queued and s.leased_to is not None))
+        self._m_leases_active.set(len(self._slots) - queued)
         self._m_workers_active.set(self._active_workers_locked())
 
-    def _dispatch_loop(self) -> None:
+    def _local_worker(self) -> None:
+        """The scheduler's own worker: claim, execute, commit, repeat.
+
+        Its leases never expire, so a claim whose result never arrives
+        (the executor raised or skipped it) is failed here: nothing
+        else would retire it.
+        """
         while True:
             with self._lock:
                 while not self._closed and not any(
@@ -420,70 +413,52 @@ class SweepScheduler:
                     self._wakeup.wait()
                 if self._closed:
                     return
-                round_ids = [sid for sid, s in self._slots.items()
-                             if s.queued]
-                # Longest-first: start the most expensive solves before
-                # the cheap ones so a parallel backend's stragglers are
-                # short, not the n^3 monsters.
-                round_ids.sort(key=lambda sid: self._slots[sid].cost,
-                               reverse=True)
-                now = time.monotonic()
-                now_unix = time.time()
-                for sid in round_ids:
-                    slot = self._slots[sid]
-                    slot.queued = False
-                    slot.claimed_unix = now_unix
-                    self._m_queue_wait.observe(now - slot.queued_monotonic)
-                self._update_gauges_locked()
-                # Fuse jobs sharing a scenario (equal content hash) and
-                # estimator into one frequency-stacked execution item.
-                # Group order follows the cost order above (grouped jobs
-                # share a cost — it is a function of the spec alone), so
-                # longest-first dispatch is preserved group-wise.
-                id_groups = group_by_scenario(
-                    round_ids, lambda sid: self._slots[sid].job)
-                round_groups = [[self._slots[sid].job for sid in bucket]
-                                for bucket in id_groups]
+                claims = self._claim_locked(LOCAL_WORKER, len(self._slots),
+                                            math.inf)
+            # Grouped jobs share a cost (it is a function of the spec
+            # alone) and claims keep a scenario's jobs adjacent, so the
+            # groups stay in longest-first order.
+            groups = group_by_scenario(claims, lambda claim: claim.job)
+            unsettled = {claim.slot: claim for claim in claims}
 
-            def _commit(pos: int, payloads: list[dict]) -> None:
-                for sid, payload in zip(id_groups[pos], payloads):
-                    self._commit_slot(sid, payload)
+            def _commit(pos: int, results: list) -> None:
+                for claim, (payload, error) in zip(groups[pos], results):
+                    if error is None:
+                        self.complete_lease(LOCAL_WORKER, claim.slot,
+                                            claim.token, claim.key, payload)
+                    else:
+                        self.fail_lease(LOCAL_WORKER, claim.slot,
+                                        claim.token, claim.key, error)
+                    del unsettled[claim.slot]
 
+            reason = "executor returned no result for this job"
             round_start = time.perf_counter()
             try:
-                with telemetry.span("dispatch_round", jobs=len(round_ids),
-                                    groups=len(round_groups)):
-                    computed = self.executor.run(_execute_group_safely,
-                                                 round_groups,
-                                                 on_result=_commit)
+                with telemetry.span("dispatch_round", jobs=len(claims),
+                                    groups=len(groups)):
+                    self.executor.run(
+                        execute_group_isolated,
+                        [[claim.job for claim in group] for group in groups],
+                        on_result=_commit)
             except Exception as exc:  # noqa: BLE001 — executor-level error
-                self._m_round.observe(time.perf_counter() - round_start)
-                self._fail_round(round_ids, exc)
-            else:
-                self._m_round.observe(time.perf_counter() - round_start)
-                # Custom executors that ignore on_result still commit.
-                for pos, payloads in enumerate(computed):
-                    for sid, payload in zip(id_groups[pos], payloads):
-                        self._commit_slot(sid, payload)
+                reason = f"{type(exc).__name__}: {exc}"
+            self._m_round.observe(time.perf_counter() - round_start)
+            for claim in unsettled.values():
+                self.fail_lease(LOCAL_WORKER, claim.slot, claim.token,
+                                claim.key, reason)
 
-    def _commit_slot(self, slot_id: str, payload: dict) -> None:
-        with self._lock:
-            self._commit_slot_locked(slot_id, payload)
+    def _commit_slot_locked(self, slot_id: str, payload: dict,
+                            error: str | None) -> None:
+        """Commit one leased slot's result to its waiters (lock held).
 
-    def _commit_slot_locked(self, slot_id: str, payload: dict) -> None:
-        """Commit one computed payload to its slot's waiters (lock held).
-
-        The single funnel every execution path ends in — the local
-        dispatcher's ``on_result`` callback and fleet lease commits
-        alike — so caching, calibration, events and fan-out cannot
-        diverge between in-process and networked execution.
+        The single funnel behind :meth:`complete_lease` and
+        :meth:`fail_lease` (``error`` set, ``payload`` empty), its only
+        callers — so caching, calibration, events and fan-out cannot
+        diverge between the local worker and the fleet.
         """
-        slot = self._slots.pop(slot_id, None)
-        if slot is None:
-            return
+        slot = self._slots.pop(slot_id)
         job = slot.job
         kind = job_kind(job)
-        error = payload.get(_JOB_ERROR)
         self._record_flight_locked(slot, payload, error)
         if error is not None:
             if job.cacheable:
@@ -555,7 +530,7 @@ class SweepScheduler:
         """Append one committed slot's flight record to its tickets.
 
         Captures the wall-clock phase boundaries (queued -> claimed ->
-        committed), the executing worker (None = local dispatcher) and
+        committed), the executing worker (``LOCAL_WORKER`` in-process) and
         a *copy* of the worker's job spans — the payload itself is
         never touched, so fleet bit-identity cannot be perturbed.
         """
@@ -565,8 +540,7 @@ class SweepScheduler:
             "scenario": slot.job.scenario.name,
             "worker": slot.leased_to,
             "queued_unix": slot.queued_unix,
-            "claimed_unix": (slot.claimed_unix
-                             if slot.claimed_unix is not None else now),
+            "claimed_unix": slot.claimed_unix,
             "committed_unix": now,
             "lease_attempts": slot.lease_attempts,
             "wall_time_s": payload.get("wall_time_s"),
@@ -591,17 +565,14 @@ class SweepScheduler:
             ticket.finished_monotonic = time.monotonic()
             self._event(ticket, {"event": "failed", "error": message})
 
-    def _fail_round(self, round_ids: list[str], exc: Exception) -> None:
-        message = f"{type(exc).__name__}: {exc}"
-        with self._lock:
-            for slot_id in round_ids:
-                slot = self._slots.pop(slot_id, None)
-                if slot is None:  # committed before the round died
-                    continue
-                if slot.job.cacheable:
-                    self._slot_by_key.pop(slot.job.key, None)
-                self._fail_waiters_locked(slot.waiters, message)
-            self._changed.notify_all()
+    def _drop_slot_locked(self, slot_id: str, message: str) -> None:
+        """Retire a slot no one will run; its waiters fail (lock held)."""
+        slot = self._slots.pop(slot_id)
+        if slot.job.cacheable:
+            self._slot_by_key.pop(slot.job.key, None)
+        if telemetry.enabled():
+            self._m_jobs.inc(kind=job_kind(slot.job), outcome="failed")
+        self._fail_waiters_locked(slot.waiters, message)
 
     def _finish_locked(self, ticket: _Ticket) -> None:
         ticket.state = COMPLETE
@@ -653,8 +624,7 @@ class SweepScheduler:
 
     def _active_workers_locked(self) -> int:
         """Workers holding a lease or heard from within the TTL."""
-        leased = {s.leased_to for s in self._slots.values()
-                  if s.leased_to is not None and not s.queued}
+        leased = {s.leased_to for s in self._slots.values() if not s.queued}
         now = time.monotonic()
         return sum(1 for w in self._workers.values()
                    if w.id in leased
@@ -665,21 +635,20 @@ class SweepScheduler:
 
         Each reclaim rotates the slot's token (so the late worker's
         eventual upload is recognized as stale and dropped) and, past
-        ``max_lease_attempts``, fails the waiters instead of re-queuing
-        a job that keeps killing workers. Returns the reclaim count.
+        ``max_lease_attempts`` or after shutdown, fails the waiters
+        instead of re-queuing a job that keeps killing workers or that
+        no one can claim. Returns the reclaim count.
         """
         now = time.monotonic()
         reclaimed = 0
         for slot_id, slot in list(self._slots.items()):
-            if (slot.queued or slot.lease_deadline is None
-                    or now < slot.lease_deadline):
+            if slot.queued or now < slot.lease_deadline:
                 continue
             reclaimed += 1
             self._expired_total += 1
             self._m_leases.inc(outcome="expired")
-            worker = self._workers.get(slot.leased_to or "")
-            if worker is not None:
-                worker.expired += 1
+            # A worker holding a lease is never pruned from the registry.
+            self._workers[slot.leased_to].expired += 1
             self._recent_expirations.append({
                 "time_unix": time.time(),
                 "worker": slot.leased_to,
@@ -692,38 +661,35 @@ class SweepScheduler:
             slot.leased_to = None
             slot.lease_token = None
             slot.lease_deadline = None
-            if slot.lease_attempts >= self.max_lease_attempts:
-                self._slots.pop(slot_id, None)
-                if slot.job.cacheable:
-                    self._slot_by_key.pop(slot.job.key, None)
-                if telemetry.enabled():
-                    self._m_jobs.inc(kind=job_kind(slot.job),
-                                     outcome="failed")
-                self._fail_waiters_locked(slot.waiters, (
+            if self._closed:
+                self._drop_slot_locked(slot_id, "scheduler shut down")
+            elif slot.lease_attempts >= self.max_lease_attempts:
+                self._drop_slot_locked(slot_id, (
                     f"lease expired {slot.lease_attempts} times "
-                    f"(max_lease_attempts={self.max_lease_attempts})"
-                ))
+                    f"(max_lease_attempts={self.max_lease_attempts})"))
             else:
                 slot.queued = True
                 slot.queued_monotonic = now
         if reclaimed:
             self._update_gauges_locked()
-            self._wakeup.notify_all()  # local dispatcher may pick them up
+            self._wakeup.notify_all()  # the local worker may claim them
             self._changed.notify_all()
         return reclaimed
 
     def claim_jobs(self, worker_id: str, max_jobs: int = 1,
                    lease_s: float = 30.0) -> list[WorkerClaim]:
-        """Lease up to ``max_jobs`` queued computations to a worker.
+        """Lease up to ``max_jobs`` queued computations to a fleet worker.
 
-        Claims come out longest-first (the dispatcher's cost order),
-        with same-scenario jobs adjacent so one claim batch tends to
-        hold whole frequency stacks the worker can execute fused. Each
-        claim carries a fresh opaque token the worker must echo back on
-        heartbeat/commit. An empty list means the queue is drained.
+        Claims come out longest-first by cost, with same-scenario jobs
+        adjacent so one claim batch tends to hold whole frequency stacks
+        the worker can execute fused. Each claim carries a fresh opaque
+        token the worker must echo back on heartbeat/commit. An empty
+        list means the queue is drained. ``LOCAL_WORKER`` is reserved.
         """
         if not worker_id:
             raise ConfigurationError("claim needs a non-empty worker id")
+        if worker_id == LOCAL_WORKER:
+            raise ConfigurationError(f"worker id {LOCAL_WORKER!r} is reserved")
         max_jobs = max(1, min(int(max_jobs), 256))
         lease_s = float(lease_s)
         if not 0.0 < lease_s <= 3600.0:
@@ -733,34 +699,40 @@ class SweepScheduler:
         with self._lock:
             if self._closed:
                 raise ConfigurationError("scheduler is shut down")
-            self._reclaim_expired_locked()
-            worker = self._touch_worker_locked(worker_id)
-            queued = [(sid, s) for sid, s in self._slots.items() if s.queued]
-            # Longest-first, with the scenario hash as tie-break: jobs of
-            # one scenario share a cost, so the secondary key keeps a
-            # frequency stack adjacent and a claim batch tends to carry
-            # whole groups the worker can fuse.
-            queued.sort(key=lambda pair: (-pair[1].cost,
-                                          pair[1].job.scenario.key))
-            now = time.monotonic()
-            claims: list[WorkerClaim] = []
-            now_unix = time.time()
-            for slot_id, slot in queued[:max_jobs]:
-                slot.queued = False
-                slot.claimed_unix = now_unix
-                slot.leased_to = worker_id
-                slot.lease_token = uuid.uuid4().hex
-                slot.lease_deadline = now + lease_s
-                slot.lease_attempts += 1
-                self._m_queue_wait.observe(now - slot.queued_monotonic)
-                self._m_leases.inc(outcome="claimed")
-                worker.claimed += 1
-                claims.append(WorkerClaim(
-                    slot=slot_id, token=slot.lease_token,
-                    key=slot.job.key, lease_s=lease_s, job=slot.job))
-            if claims:
-                self._update_gauges_locked()
-            return claims
+            return self._claim_locked(worker_id, max_jobs, lease_s)
+
+    def _claim_locked(self, worker_id: str, max_jobs: int,
+                      lease_s: float) -> list[WorkerClaim]:
+        """Lease queued slots to a worker (lock held): the one claim
+        path, shared by :meth:`claim_jobs` and the local worker."""
+        self._reclaim_expired_locked()
+        worker = self._touch_worker_locked(worker_id)
+        queued = [(sid, s) for sid, s in self._slots.items() if s.queued]
+        # Longest-first, with the scenario hash as tie-break: jobs of
+        # one scenario share a cost, so the secondary key keeps a
+        # frequency stack adjacent and a claim batch tends to carry
+        # whole groups the worker can fuse.
+        queued.sort(key=lambda pair: (-pair[1].cost,
+                                      pair[1].job.scenario.key))
+        now = time.monotonic()
+        claims: list[WorkerClaim] = []
+        now_unix = time.time()
+        for slot_id, slot in queued[:max_jobs]:
+            slot.queued = False
+            slot.claimed_unix = now_unix
+            slot.leased_to = worker_id
+            slot.lease_token = uuid.uuid4().hex
+            slot.lease_deadline = now + lease_s
+            slot.lease_attempts += 1
+            self._m_queue_wait.observe(now - slot.queued_monotonic)
+            self._m_leases.inc(outcome="claimed")
+            worker.claimed += 1
+            claims.append(WorkerClaim(
+                slot=slot_id, token=slot.lease_token,
+                key=slot.job.key, lease_s=lease_s, job=slot.job))
+        if claims:
+            self._update_gauges_locked()
+        return claims
 
     def heartbeat(self, worker_id: str, slots: Mapping[str, str],
                   lease_s: float = 30.0,
@@ -834,16 +806,21 @@ class SweepScheduler:
                        key: str, payload: dict) -> str:
         """Commit a leased job's payload; 'committed' or 'stale'.
 
-        A stale commit (lease reclaimed, token rotated, slot already
-        retired) is dropped benignly — the re-leased execution is the
-        one that counts. Committed payloads flow through the same
-        ``_commit_slot`` funnel as the local dispatcher's.
+        A payload missing a field :meth:`result` reads is refused before
+        the lease is verified or any state touched, so the lease stays
+        live for a correct upload. A stale commit (lease reclaimed,
+        token rotated, slot already retired) is dropped benignly — the
+        re-leased execution is the one that counts.
         """
         if not isinstance(payload, dict):
             raise ConfigurationError(
                 f"complete expects a payload dict, got "
                 f"{type(payload).__name__}"
             )
+        missing = [name for name in _PAYLOAD_FIELDS if name not in payload]
+        if missing:
+            raise ConfigurationError(f"payload for content-hash {key} lacks "
+                                     f"{', '.join(missing)}")
         with self._lock:
             slot = self._verify_lease_locked(worker_id, slot_id, token, key)
             worker = self._touch_worker_locked(worker_id)
@@ -860,16 +837,16 @@ class SweepScheduler:
                                     * worker.rate_ewma)
                 worker.rate_n += 1
             self._m_leases.inc(outcome="committed")
-            self._commit_slot_locked(slot_id, payload)
+            self._commit_slot_locked(slot_id, payload, None)
             return "committed"
 
     def fail_lease(self, worker_id: str, slot_id: str, token: str,
                    key: str, error: str) -> str:
         """Report a leased job's execution failure; 'committed'|'stale'.
 
-        Routes the error through the same funnel as a locally captured
-        job failure (:func:`_execute_group_safely`), so only the tickets
-        waiting on this job fail.
+        Only the tickets waiting on this job fail. The local worker
+        reports the per-job errors of
+        :func:`~repro.engine.runtime.execute_group_isolated` here too.
         """
         with self._lock:
             slot = self._verify_lease_locked(worker_id, slot_id, token, key)
@@ -880,7 +857,7 @@ class SweepScheduler:
             worker.failed += 1
             self._m_leases.inc(outcome="failed")
             self._commit_slot_locked(
-                slot_id, {_JOB_ERROR: str(error) or "worker-reported failure"})
+                slot_id, {}, str(error) or "worker-reported failure")
             return "committed"
 
     def fleet_snapshot(self) -> dict:
@@ -895,7 +872,7 @@ class SweepScheduler:
             now = time.monotonic()
             leased_by: dict[str, int] = {}
             for s in self._slots.values():
-                if s.leased_to is not None and not s.queued:
+                if not s.queued:
                     leased_by[s.leased_to] = leased_by.get(s.leased_to, 0) + 1
             for wid, info in list(self._workers.items()):
                 if (wid not in leased_by
@@ -1017,10 +994,11 @@ class SweepScheduler:
 
         Lays the sweep's wall-clock out across processes: the server
         lane carries each computation's **queue-wait** (submit ->
-        claim), and each executing worker's lane carries its **lease**
-        window (claim -> commit), the worker-recorded **solve** spans
-        that rode the payload, and the **upload** tail (solve end ->
-        commit). Lanes are synthetic pids named via ``worker_id``
+        claim), and each executing worker's lane (``LOCAL_WORKER`` for
+        in-process execution) carries its **lease** window (claim ->
+        commit), the worker-recorded **solve** spans that rode the
+        payload, and the **upload** tail (solve end -> commit). Lanes
+        are synthetic pids named via ``worker_id``
         (:func:`repro.telemetry.chrome_trace`), so a fleet of threads
         sharing one OS pid still renders as separate worker rows.
         Viewable in ``chrome://tracing`` / Perfetto as-is.
@@ -1032,7 +1010,7 @@ class SweepScheduler:
         lanes: dict[str, int] = {"server": 1}
         records: list[dict] = []
         for f in flights:
-            worker = f.get("worker") or "server"
+            worker = f["worker"]
             pid = lanes.setdefault(worker, len(lanes) + 1)
             queued = float(f["queued_unix"])
             claimed = float(f["claimed_unix"])
@@ -1045,8 +1023,7 @@ class SweepScheduler:
                 "pid": lanes["server"], "tid": 0,
                 "worker_id": "server", "meta": args})
             records.append({
-                "name": "lease" if f.get("worker") else "dispatch",
-                "start_unix": claimed,
+                "name": "lease", "start_unix": claimed,
                 "duration_s": max(committed - claimed, 0.0),
                 "pid": pid, "tid": 1, "worker_id": worker,
                 "meta": dict(args, attempts=f.get("lease_attempts"),
@@ -1070,7 +1047,7 @@ class SweepScheduler:
                     "duration_s": float(wall), "pid": pid, "tid": 0,
                     "worker_id": worker, "meta": args})
                 solve_end = min(claimed + float(wall), committed)
-            if solve_end is not None and f.get("worker"):
+            if solve_end is not None:
                 records.append({
                     "name": "upload", "start_unix": solve_end,
                     "duration_s": max(committed - solve_end, 0.0),
@@ -1212,10 +1189,15 @@ class SweepScheduler:
     # ------------------------------------------------------------------
 
     def shutdown(self, timeout: float = 5.0) -> None:
-        """Stop the dispatcher (queued-but-unstarted work is dropped;
-        the running round finishes committing)."""
+        """Stop the local worker and fail every queued job: no one can
+        claim after shutdown. A fleet lease that expires later fails
+        too; leased work, local or fleet, still commits."""
         with self._lock:
             self._closed = True
+            for slot_id in [sid for sid, s in self._slots.items()
+                            if s.queued]:
+                self._drop_slot_locked(slot_id, "scheduler shut down")
+            self._update_gauges_locked()
             self._wakeup.notify_all()
             self._changed.notify_all()
         if self._thread is not None:

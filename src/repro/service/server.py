@@ -767,9 +767,9 @@ def serve(host: str = "127.0.0.1", port: int = 8321,
           token: str | None = None) -> int:
     """Run the sweep service until interrupted (the CLI entry point).
 
-    ``fleet=True`` disables in-process dispatch: queued work is only
-    executed by pull workers (``repro-experiments worker``) claiming it
-    over ``/v1/workers/*``.
+    ``fleet=True`` never starts the scheduler's local worker: queued work
+    is only executed by pull workers (``repro-experiments worker``)
+    claiming it over ``/v1/workers/*``.
     """
     executor = ParallelExecutor(jobs) if jobs > 1 else SerialExecutor()
     cache = ResultCache(disk_dir=cache_dir, max_disk_bytes=max_disk_bytes)

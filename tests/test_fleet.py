@@ -412,6 +412,83 @@ class TestLeaseProtocol:
         finally:
             scheduler.shutdown()
 
+    def test_malformed_upload_is_rejected_and_lease_survives(self):
+        """A payload missing a field ``result()`` reads is refused
+        before anything is cached or committed; the lease stays live,
+        and a correct upload on it completes the ticket."""
+        scheduler = self._fleet_scheduler()
+        try:
+            ticket = scheduler.submit(_tiny_spec(freqs=(1.0,)))
+            claim, = scheduler.claim_jobs("w", max_jobs=1, lease_s=30)
+            with _quiet():
+                payload = execute_job(claim.job)
+            with pytest.raises(ConfigurationError,
+                               match="lacks mean, std, n_evals"):
+                scheduler.complete_lease(
+                    "w", claim.slot, claim.token, claim.key,
+                    {"values": payload["values"]})
+            assert len(scheduler.cache) == 0
+            assert scheduler.status(ticket)["state"] == "running"
+            # a full payload under the wrong hash is still caught
+            with pytest.raises(ConfigurationError, match="mismatch"):
+                scheduler.complete_lease("w", claim.slot, claim.token,
+                                         "0" * 64, payload)
+            assert scheduler.complete_lease(
+                "w", claim.slot, claim.token, claim.key,
+                payload) == "committed"
+            assert scheduler.wait(ticket, timeout=10)
+            assert scheduler.result(ticket).points[0].mean == payload["mean"]
+        finally:
+            scheduler.shutdown()
+
+    def test_error_key_in_a_payload_is_data(self):
+        """Failures travel only through fail_lease: a payload key that
+        looks like an error marker commits as data."""
+        scheduler = self._fleet_scheduler()
+        try:
+            ticket = scheduler.submit(_tiny_spec(freqs=(1.0,)))
+            claim, = scheduler.claim_jobs("w", max_jobs=1, lease_s=30)
+            with _quiet():
+                payload = execute_job(claim.job)
+            payload["__job_error__"] = "not an error"
+            assert scheduler.complete_lease(
+                "w", claim.slot, claim.token, claim.key,
+                payload) == "committed"
+            assert scheduler.wait(ticket, timeout=10)
+            assert scheduler.status(ticket)["state"] == "complete"
+            assert scheduler.payloads(ticket)[0]["__job_error__"] \
+                == "not an error"
+        finally:
+            scheduler.shutdown()
+
+    def test_shutdown_fails_queued_tickets(self):
+        """Nobody can claim after shutdown, so queued work fails at
+        once, and so does a lease that expires after it; a live fleet
+        lease still commits."""
+        scheduler = self._fleet_scheduler()
+        leased = scheduler.submit(_tiny_spec(freqs=(1.0,)))
+        claim, = scheduler.claim_jobs("w", max_jobs=1, lease_s=30)
+        expiring = scheduler.submit(_tiny_spec(freqs=(5.0,)))
+        assert len(scheduler.claim_jobs("dead", max_jobs=1,
+                                        lease_s=0.05)) == 1
+        queued = scheduler.submit(_tiny_spec(freqs=(3.0,)))
+        scheduler.shutdown()
+        assert scheduler.wait(queued, timeout=0.5)
+        assert scheduler.status(queued)["state"] == "failed"
+        assert scheduler.status(queued)["error"] == "scheduler shut down"
+        time.sleep(0.1)  # the dead worker's lease expires
+        snapshot = scheduler.fleet_snapshot()  # runs a reclaim pass
+        assert snapshot["leases_expired_total"] == 1
+        assert snapshot["queue_depth"] == 0
+        assert scheduler.wait(expiring, timeout=0.5)
+        assert scheduler.status(expiring)["error"] == "scheduler shut down"
+        with _quiet():
+            payload = execute_job(claim.job)
+        assert scheduler.complete_lease(
+            "w", claim.slot, claim.token, claim.key, payload) == "committed"
+        assert scheduler.wait(leased, timeout=10)
+        assert scheduler.status(leased)["state"] == "complete"
+
     def test_claim_validation(self):
         scheduler = self._fleet_scheduler()
         try:
@@ -517,6 +594,25 @@ class TestHTTPFleet:
         metrics = client.metrics_text()
         assert _series(metrics, "repro_fleet_workers_active")[""] == 1
         assert _series(metrics, "repro_fleet_leases_active")[""] == 1
+
+    def test_malformed_upload_is_400_and_ticket_survives(self, fleet_server):
+        url, service = fleet_server
+        client = ServiceClient(url, poll_interval=0.02)
+        ticket = client.submit(_tiny_spec(freqs=(1.0,)))
+        claim, = client.claim_jobs("hw", max_jobs=1, lease_s=30)
+        with _quiet():
+            payload = execute_job(claim.job)
+        with pytest.raises(ConfigurationError, match="HTTP 400.*lacks mean"):
+            client.push_result(wire.WorkerResult(
+                slot=claim.slot, token=claim.token, worker="hw",
+                key=claim.key, payload={"values": payload["values"]}))
+        assert len(service.cache) == 0
+        assert client.status(ticket)["state"] == "running"
+        assert client.push_result(wire.WorkerResult(
+            slot=claim.slot, token=claim.token, worker="hw",
+            key=claim.key, payload=payload)) == "committed"
+        assert client.wait(ticket, timeout=30)["state"] == "complete"
+        assert client.result(ticket).points[0].mean == payload["mean"]
 
     def test_worker_graceful_drain(self, fleet_server):
         url, _service = fleet_server

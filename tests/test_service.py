@@ -15,6 +15,7 @@ Four layers, four test groups:
 """
 
 import json
+import sys
 import threading
 import time
 import urllib.request
@@ -30,6 +31,7 @@ from repro.engine import (
     DeterministicScenario,
     EstimatorSpec,
     Job,
+    ParallelExecutor,
     ProfileScenario,
     ResultCache,
     SerialExecutor,
@@ -45,6 +47,7 @@ from repro import telemetry
 from repro.service import wire
 from repro.service.client import RemoteExecutor, ServiceClient
 from repro.service.scheduler import (
+    LOCAL_WORKER,
     SweepScheduler,
     estimate_job_cost,
     job_kind,
@@ -518,6 +521,200 @@ class TestScheduler:
             scheduler.shutdown()
         with pytest.raises(ConfigurationError, match="shut down"):
             scheduler.submit(_tiny_spec())
+
+    def test_parallel_executor_matches_engine(self):
+        """The ``serve --jobs N`` configuration: the local worker runs
+        its rounds on a process pool, bit-identical to serial."""
+        spec = SweepSpec(
+            scenarios=[StochasticScenario(
+                f"eta{eta}", GaussianCorrelation(1 * UM, eta * UM),
+                StochasticLossConfig(points_per_side=8, max_modes=2))
+                for eta in (1, 2)],
+            frequencies_hz=[f * GHZ for f in (1.0, 3.0, 5.0)],
+            estimators=EstimatorSpec(kind="sscm", order=1))
+        with _quiet():
+            reference = run_sweep(spec, executor=SerialExecutor(),
+                                  cache=ResultCache())
+        scheduler = SweepScheduler(executor=ParallelExecutor(2),
+                                   cache=ResultCache())
+        try:
+            ticket = scheduler.submit(spec)
+            assert scheduler.wait(ticket, timeout=300)
+            result = scheduler.result(ticket)
+        finally:
+            scheduler.shutdown()
+        assert result.n_points == reference.n_points == 6
+        for a, b in zip(reference.points, result.points):
+            assert a.key == b.key
+            assert a.mean == b.mean and a.std == b.std
+            assert np.array_equal(np.asarray(a.values),
+                                  np.asarray(b.values))
+
+    def test_shutdown_fails_queued_work_and_commits_leased(self):
+        """Queued jobs fail on shutdown (no one can claim them after
+        it); the local worker's running round still commits."""
+        executor = _GatedExecutor()
+        scheduler = SweepScheduler(executor=executor, cache=ResultCache())
+        try:
+            leased = scheduler.submit(_tiny_spec(freqs=(1.0,)))
+            assert executor.started.wait(timeout=30)
+            queued = scheduler.submit(_tiny_spec(freqs=(3.0,)))
+            scheduler.shutdown(timeout=0.1)
+            assert scheduler.wait(queued, timeout=0.5)
+            status = scheduler.status(queued)
+            assert status["state"] == "failed"
+            assert status["error"] == "scheduler shut down"
+            events, finished = scheduler.events(queued)
+            assert finished and events[-1]["event"] == "failed"
+            executor.release.set()
+            assert scheduler.wait(leased, timeout=120)
+            assert scheduler.status(leased)["state"] == "complete"
+            scheduler._thread.join(10)
+            assert not scheduler._thread.is_alive()
+        finally:
+            executor.release.set()
+            scheduler.shutdown()
+
+
+def _instant_payload(job):
+    """A synthetic payload whose mean is the job's frequency."""
+    return {"mean": float(job.frequency_hz), "std": 0.0,
+            "values": np.zeros(1), "n_evals": 1, "seed": None,
+            "wall_time_s": 1e-3}
+
+
+class _InstantExecutor(SerialExecutor):
+    """Answers each job with :func:`_instant_payload` instead of
+    solving, so a stress test can run many rounds."""
+
+    def run(self, fn, items, progress=None, on_result=None):
+        return super().run(
+            lambda group: [(_instant_payload(job), None) for job in group],
+            items, progress=progress, on_result=on_result)
+
+
+class TestLocalWorker:
+    """In-process execution is the scheduler's own lease-holding worker."""
+
+    def test_local_and_fleet_workers_race_for_one_queue(self):
+        """Stress: the local worker, four fleet threads and a submitter
+        share the queue under a tiny switch interval; every unique job
+        is claimed and committed exactly once, and every ticket gets
+        its own jobs' payloads."""
+        scheduler = SweepScheduler(executor=_InstantExecutor(),
+                                   cache=ResultCache())
+        specs = [_tiny_spec(freqs=(1.0 + i, 2.0 + i), name=f"s{i}")
+                 for i in range(200)]
+        n_unique = len({job.key for spec in specs for job in spec.jobs()})
+        stop = threading.Event()
+        outcomes, errors = [], []
+
+        def fleet_worker(worker_id):
+            try:
+                while not stop.is_set():
+                    for claim in scheduler.claim_jobs(worker_id,
+                                                      lease_s=30):
+                        outcomes.append(scheduler.complete_lease(
+                            worker_id, claim.slot, claim.token, claim.key,
+                            _instant_payload(claim.job)))
+            except Exception as exc:  # noqa: BLE001 — asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=fleet_worker, args=(f"f{k}",))
+                   for k in range(4)]
+        try:
+            for thread in threads:
+                thread.start()
+            tickets = [scheduler.submit(spec) for spec in specs]
+            deadline = time.monotonic() + 60
+            for ticket in tickets:
+                assert scheduler.wait(
+                    ticket, timeout=max(deadline - time.monotonic(), 0))
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+            for thread in threads:
+                thread.join(10)
+            snapshot = scheduler.fleet_snapshot()
+            local_alive = scheduler._thread.is_alive()
+            scheduler.shutdown()
+        assert not any(thread.is_alive() for thread in threads)
+        assert local_alive and errors == []
+        assert set(outcomes) <= {"committed"}
+        for spec, ticket in zip(specs, tickets):
+            result = scheduler.result(ticket)
+            assert [p.mean for p in result.points] == list(
+                spec.frequencies_hz)
+        assert sum(w["claimed"] for w in snapshot["workers"]) == n_unique
+        assert sum(w["completed"] for w in snapshot["workers"]) == n_unique
+        assert scheduler.cache.stats.snapshot()["stores"] == n_unique
+
+    def test_local_worker_is_a_fleet_worker(self):
+        spec = _tiny_spec()
+        telemetry.enable()
+        leases = telemetry.REGISTRY.counter("repro_fleet_leases_total",
+                                            labels=("outcome",))
+        before = leases.value(outcome="committed")
+        scheduler = SweepScheduler(cache=ResultCache())
+        try:
+            with _quiet():
+                ticket = scheduler.submit(spec)
+                assert scheduler.wait(ticket, timeout=120)
+            snapshot = scheduler.fleet_snapshot()
+            trace = scheduler.trace(ticket)
+        finally:
+            scheduler.shutdown()
+        local, = snapshot["workers"]
+        assert local["id"] == LOCAL_WORKER
+        assert local["claimed"] == local["completed"] == spec.n_jobs
+        assert local["failed"] == local["expired"] == 0
+        assert local["rate_ewma"] > 0.0
+        assert leases.value(outcome="committed") - before == spec.n_jobs
+        events = trace["traceEvents"]
+        lanes = {e["pid"]: e["args"]["name"] for e in events
+                 if e.get("ph") == "M"}
+        assert set(lanes.values()) == {"server", f"worker {LOCAL_WORKER}"}
+        local_phases = {e["name"] for e in events if e.get("ph") == "X"
+                        and lanes[e["pid"]] == f"worker {LOCAL_WORKER}"}
+        assert {"lease", "upload"} <= local_phases
+        assert [e for e in events if e["name"] == "lease"]
+        assert not [e for e in events if e["name"] == "dispatch"]
+
+    def test_local_leases_never_expire(self):
+        """A blocked local round keeps its leases however long it runs:
+        fleet workers find nothing to claim and nothing is reclaimed."""
+        executor = _GatedExecutor()
+        scheduler = SweepScheduler(executor=executor, cache=ResultCache())
+        try:
+            ticket = scheduler.submit(_tiny_spec())
+            assert executor.started.wait(timeout=30)
+            time.sleep(0.5)  # far past the shortest fleet lease, 0.05 s
+            assert scheduler.claim_jobs("w", max_jobs=8, lease_s=0.05) == []
+            snapshot = scheduler.fleet_snapshot()
+            leases = {w["id"]: w["leases_held"]
+                      for w in snapshot["workers"]}
+            assert leases == {LOCAL_WORKER: 2, "w": 0}
+            assert snapshot["leases_expired_total"] == 0
+            executor.release.set()
+            with _quiet():
+                assert scheduler.wait(ticket, timeout=120)
+            assert scheduler.status(ticket)["state"] == "complete"
+        finally:
+            executor.release.set()
+            scheduler.shutdown()
+
+    def test_local_worker_id_is_reserved(self):
+        scheduler = SweepScheduler(cache=ResultCache(), local_dispatch=False)
+        try:
+            scheduler.submit(_tiny_spec())
+            with pytest.raises(ConfigurationError, match="reserved"):
+                scheduler.claim_jobs(LOCAL_WORKER, max_jobs=1)
+            assert scheduler.fleet_snapshot()["workers"] == []
+            assert scheduler.fleet_snapshot()["queue_depth"] == 2
+        finally:
+            scheduler.shutdown()
 
 
 # ----------------------------------------------------------------------
