@@ -16,10 +16,10 @@ fixed by hand:
   ``*Spec`` classes is either consumed by ``to_spec`` (and therefore
   content-hashed) or listed in the class's documented ``HASH_EXCLUDED``
   set (the ``check_finite`` cache-split bug PR 5 fixed).
-- **RPR004 wire-compat** — wire dataclasses and decoders stay decodable
-  by every version in ``COMPAT_WIRE_VERSIONS``: fields newer than a
-  message's introduction version need defaults and ``.get``-style
-  decoding (guards the v1–v3 peers).
+- **RPR004 wire-compat** — wire dataclasses and decoders keep to the
+  documented per-tag field contract: fields newer than a message's
+  introduction version need defaults and ``.get``-style decoding, so
+  a document that omits them still decodes.
 - **RPR005 warn-stacklevel** — ``warnings.warn`` calls must pass an
   explicit ``stacklevel`` (the attribution bug PR 4 fixed in both
   solvers).

@@ -375,7 +375,7 @@ class HashPurity(Rule):
 
 @register_rule
 class WireCompat(Rule):
-    """Wire messages stay decodable by every COMPAT_WIRE_VERSIONS peer.
+    """Wire messages stay decodable when their optional fields are absent.
 
     The contract lives in ``repro.analysis.wire_baseline``: per tag,
     which fields every compatible peer sends (``required``) and which

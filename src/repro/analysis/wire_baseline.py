@@ -9,16 +9,17 @@ One entry per wire document tag (the ``$type`` values registered in
   Decoders may hard-read these (``doc["f"]`` / ``_expect``), and the
   matching dataclass fields may omit defaults.
 - ``optional`` — fields added after the tag's introduction (or that
-  old peers may omit). Decoders must ``.get`` them and dataclass
-  fields must carry defaults, or a v1–v3 document stops decoding.
+  a sender may omit). Decoders must ``.get`` them and dataclass
+  fields must carry defaults, or a document without them stops
+  decoding.
 
 Growing the format is a two-step edit the analyzer enforces: add the
 field with a default and a ``.get``-side decode, then record it here
-under ``optional`` (promoting it to ``required`` only when
-``COMPAT_WIRE_VERSIONS`` drops every version that lacks it). A
-decoder for a tag missing from this table — or a table entry whose
-tag has lost its decoder — is itself a finding, so the contract and
-the code cannot drift apart silently.
+under ``optional`` (promoting it to ``required`` only when every
+sender includes it and a bump of ``WIRE_VERSION`` rejects the
+documents that lack it). A decoder for a tag missing from this table
+— or a table entry whose tag has lost its decoder — is itself a
+finding, so the contract and the code cannot drift apart silently.
 """
 
 from __future__ import annotations

@@ -48,7 +48,6 @@ from .api import (
     run_batch,
     run_sweep,
 )
-from .artifacts import ArtifactEntry, ArtifactStore, LocalDirStore, MemoryStore
 from .cache import CacheStats, ResultCache
 from .executors import Executor, ParallelExecutor, SerialExecutor
 from .results import PointResult, SweepResult
@@ -67,11 +66,7 @@ from .spec import (
 
 __all__ = [
     "ENGINE_VERSION",
-    "ArtifactEntry",
-    "ArtifactStore",
     "CacheStats",
-    "LocalDirStore",
-    "MemoryStore",
     "DeterministicScenario",
     "EstimatorSpec",
     "Executor",

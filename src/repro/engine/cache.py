@@ -1,24 +1,26 @@
 """Two-tier content-addressed result cache.
 
-Tier 1 is a bounded in-memory LRU (dict of payloads); tier 2 is a
-pluggable :class:`~repro.engine.artifacts.ArtifactStore` holding one
-``npz`` blob (array payload) plus one ``json`` blob (scalar payload +
-human-readable provenance metadata) per job. Keys are the
+Tier 1 is a bounded in-memory LRU (dict of payloads); tier 2 is an
+optional cache directory holding one ``<hash>.npz`` file (array
+payload) plus one ``<hash>.json`` file (scalar payload + human-readable
+provenance metadata) per job. Keys are the
 :class:`~repro.engine.spec.Job` content hashes, so
 
-- a repeated sweep against a warm store performs **zero** SWM solves;
+- a repeated sweep against a warm directory performs **zero** SWM
+  solves;
 - interrupted sweeps resume from whatever finished (each job commits
   independently);
-- stores are shareable between machines — the hash pins every physics
-  input, and tags/annotations are deliberately excluded from it.
+- cache directories are shareable between machines — the hash pins
+  every physics input, and tags/annotations are deliberately excluded
+  from it.
 
-The default store is :class:`~repro.engine.artifacts.LocalDirStore`
-(``disk_dir=`` builds one), which keeps the historical
-``<hash>.json``/``<hash>.npz`` directory layout and its atomic-replace
-write discipline; two writers racing on one key write byte-identical
-content anyway. All LRU-eviction, purge and stats policy lives here —
-above the store — so a shared object-store backend inherits it
-unchanged.
+Every file is written to a pid-tagged temp file and moved into place
+with :func:`os.replace`, so a concurrent reader never sees a torn file;
+two writers racing on one key write byte-identical content anyway. The
+``.json`` record is written last and marks an entry as complete. The
+directory tier's recency clock is the file mtime, which hits refresh:
+the ``max_disk_bytes`` LRU eviction and :meth:`ResultCache.purge` run
+on it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..errors import ConfigurationError
-from .artifacts import ArtifactStore, LocalDirStore
 from .spec import ENGINE_VERSION
 
 #: Payload keys persisted as JSON (everything but the array). ``spans``
@@ -100,37 +101,39 @@ class CacheStats:
         return self.memory_hits + self.disk_hits
 
 
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a pid-tagged temp file and
+    :func:`os.replace`, so no reader ever sees a torn file."""
+    tmp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
+
+
 @dataclass
 class ResultCache:
-    """In-memory LRU over an optional persistent artifact store.
+    """In-memory LRU over an optional cache directory.
 
     Parameters
     ----------
     max_memory_entries:
         LRU capacity; 0 disables the memory tier (useful to force the
-        persistent path or to disable caching entirely when no store is
-        configured).
+        directory path or to disable caching entirely when no directory
+        is configured).
     disk_dir:
-        Directory of the persistent tier; created on first use and
-        wrapped in a :class:`~repro.engine.artifacts.LocalDirStore`.
-        ``None`` keeps the cache memory-only (unless ``store`` is set).
+        Cache directory of the persistent tier; created if missing.
+        ``None`` keeps the cache memory-only.
     max_disk_bytes:
-        Persistent-tier budget. After every store, least-recently-used
-        entries (by the store's recency clock — hits refresh it) are
-        evicted until the tier fits, so a long-running service cannot
-        fill the volume. ``None`` (default) disables eviction.
-    store:
-        An explicit :class:`~repro.engine.artifacts.ArtifactStore`
-        backend for the persistent tier (mutually exclusive with
-        ``disk_dir``). Eviction, purge and stats behave identically on
-        any backend.
+        Directory-tier budget. After every store, least-recently-used
+        entries (by file mtime — hits refresh it) are evicted until the
+        tier fits, so a long-running service cannot fill the volume.
+        ``None`` (default) disables eviction.
     """
 
     max_memory_entries: int = 256
     disk_dir: str | os.PathLike | None = None
     max_disk_bytes: int | None = None
-    stats: CacheStats = field(default_factory=CacheStats)
-    store: ArtifactStore | None = None
+    stats: CacheStats = field(default_factory=CacheStats, init=False)
 
     def __post_init__(self) -> None:
         if self.max_memory_entries < 0:
@@ -142,12 +145,8 @@ class ResultCache:
             raise ConfigurationError(
                 f"max_disk_bytes must be positive, got {self.max_disk_bytes}"
             )
-        if self.store is not None and self.disk_dir is not None:
-            raise ConfigurationError(
-                "pass either disk_dir or store, not both"
-            )
         self._memory: OrderedDict[str, dict] = OrderedDict()
-        # Running persistent-tier byte total (None = not yet scanned).
+        # Running directory-tier byte total (None = not yet scanned).
         # Kept incrementally so enforcing max_disk_bytes is O(1) per
         # store; the full scan only runs on first use and when the
         # budget is actually exceeded (eviction re-synchronizes it).
@@ -155,17 +154,12 @@ class ResultCache:
         if self.disk_dir is not None:
             self.disk_dir = Path(self.disk_dir)
             try:
-                self.store = LocalDirStore(self.disk_dir)
-            except ConfigurationError as exc:
+                self.disk_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
                 raise ConfigurationError(
                     f"cannot use {self.disk_dir} as a cache directory: "
                     f"{exc}"
                 ) from exc
-        elif isinstance(self.store, LocalDirStore):
-            # Keep the introspection attribute meaningful for stores
-            # that do live in a directory (monitoring endpoints print
-            # it); non-directory backends leave it None.
-            self.disk_dir = self.store.root
 
     # ------------------------------------------------------------------
 
@@ -175,18 +169,17 @@ class ResultCache:
     def __contains__(self, key: str) -> bool:
         if key in self._memory:
             return True
-        return self.store is not None and self.store.has(key)
+        return self.disk_dir is not None and self._disk_paths(key)[0].exists()
 
     def _disk_paths(self, key: str) -> tuple[Path, Path]:
-        """The directory-backed store's file pair for ``key`` (tests
-        and tooling age entries through it)."""
-        assert isinstance(self.store, LocalDirStore)
-        return (self.store._path(key, "json"), self.store._path(key, "npz"))
+        """The ``<key>.json`` record and ``<key>.npz`` array files of
+        ``key`` (tests and tooling age entries through them)."""
+        return (self.disk_dir / f"{key}.json", self.disk_dir / f"{key}.npz")
 
     # ------------------------------------------------------------------
 
     def get(self, key: str) -> dict | None:
-        """Look up a payload, promoting store hits into memory.
+        """Look up a payload, promoting directory hits into memory.
 
         The returned dict is a per-call copy and its ``values`` array is
         read-only: callers mutating a result must not be able to corrupt
@@ -196,17 +189,18 @@ class ResultCache:
         if payload is not None:
             self._memory.move_to_end(key)
             self.stats.bump("memory_hits")
-            if self.max_disk_bytes is not None and self.store is not None:
-                # Store LRU eviction clocks on the recency stamp;
+            if self.max_disk_bytes is not None and self.disk_dir is not None:
+                # Directory LRU eviction clocks on the file mtime;
                 # without this, a hot entry served from memory would
-                # look cold in the store and be the first one evicted.
-                self.store.touch(key)
+                # look cold on disk and be the first one evicted.
+                self._disk_touch(key)
             return dict(payload)
-        if self.store is not None:
-            payload = self._disk_get(key)
-            if payload is not None:
+        if self.disk_dir is not None:
+            record = self._disk_record(key)
+            if record is not None:
+                payload = record["payload"]
                 self.stats.bump("disk_hits")
-                self.store.touch(key)
+                self._disk_touch(key)
                 self._memory_put(key, payload)
                 return dict(payload)
         self.stats.bump("misses")
@@ -220,12 +214,12 @@ class ResultCache:
         values.flags.writeable = False
         payload["values"] = values
         self._memory_put(key, payload)
-        if self.store is not None:
+        if self.disk_dir is not None:
             self._disk_put(key, payload, metadata or {})
         self.stats.bump("stores")
 
     def clear(self) -> None:
-        """Drop the memory tier (the persistent store is left intact)."""
+        """Drop the memory tier (the cache directory is left intact)."""
         self._memory.clear()
 
     # ------------------------------------------------------------------
@@ -238,23 +232,23 @@ class ResultCache:
         while len(self._memory) > self.max_memory_entries:
             self._memory.popitem(last=False)
 
-    def _disk_get(self, key: str) -> dict | None:
-        blobs = self.store.get(key)
-        if blobs is None:
-            return None
+    def _disk_record(self, key: str) -> dict | None:
+        """The stored record of ``key`` with its read-only ``values``
+        array in the payload; ``None`` when the entry is missing, torn,
+        unreadable or from another engine version."""
+        json_path, npz_path = self._disk_paths(key)
         try:
-            record = json.loads(blobs["json"])
-            with np.load(io.BytesIO(blobs["npz"])) as npz:
+            record = json.loads(json_path.read_bytes())
+            with np.load(io.BytesIO(npz_path.read_bytes())) as npz:
                 values = np.asarray(npz["values"])
-        except (OSError, ValueError, KeyError, json.JSONDecodeError):
+        except (OSError, ValueError, KeyError):
             return None
         if not isinstance(record, dict) \
                 or record.get("engine_version") != ENGINE_VERSION:
             return None
         values.flags.writeable = False
-        payload = dict(record["payload"])
-        payload["values"] = values
-        return payload
+        record["payload"]["values"] = values
+        return record
 
     def _disk_put(self, key: str, payload: dict,
                   metadata: Mapping[str, Any]) -> None:
@@ -267,52 +261,83 @@ class ResultCache:
         }
         buf = io.BytesIO()
         np.savez_compressed(buf, values=np.asarray(payload["values"]))
-        blobs = {
-            "npz": buf.getvalue(),
-            "json": json.dumps(record, sort_keys=True, indent=1,
-                               default=_jsonable).encode("utf-8"),
-        }
-        self.store.put(key, blobs)
+        npz_blob = buf.getvalue()
+        json_blob = json.dumps(record, sort_keys=True, indent=1,
+                               default=_jsonable).encode("utf-8")
+        json_path, npz_path = self._disk_paths(key)
+        # The record goes last: its file is what marks the entry
+        # complete for readers and for the listing.
+        _write_atomic(npz_path, npz_blob)
+        _write_atomic(json_path, json_blob)
         if self.max_disk_bytes is not None:
             if self._disk_total is None:
                 self._disk_total = sum(
                     size for _, size, _ in self._disk_entries())
             else:
-                self._disk_total += sum(len(b) for b in blobs.values())
+                self._disk_total += len(npz_blob) + len(json_blob)
             if self._disk_total > self.max_disk_bytes:
                 self._enforce_disk_budget()
 
+    def _disk_touch(self, key: str) -> None:
+        """Refresh the entry's mtime, the directory tier's LRU clock."""
+        for path in self._disk_paths(key):
+            try:
+                os.utime(path)
+            except OSError:
+                pass  # concurrently evicted/purged — the read still won
+
     # ------------------------------------------------------------------
-    # Persistent-tier introspection and GC (the fleet's shared result
-    # universe — policy lives here, bytes live in the ArtifactStore).
+    # Directory-tier introspection and GC.
     # ------------------------------------------------------------------
 
     def _disk_entries(self) -> list[tuple[float, int, str]]:
-        """``(mtime, bytes, key)`` per complete stored entry, oldest
-        first."""
-        assert self.store is not None
-        return [(e.mtime_unix, e.bytes, e.key) for e in self.store.list()]
+        """``(mtime, bytes, key)`` per stored entry, least recently
+        used first.
+
+        The ``.json`` record makes an entry: an orphaned ``.npz`` is
+        not listed, and a record whose ``.npz`` was torn away by an
+        eviction race counts with its own size alone.
+        """
+        entries = []
+        for marker in self.disk_dir.glob("*.json"):
+            key = marker.stem
+            size = 0
+            mtime = 0.0
+            for path in self._disk_paths(key):
+                try:
+                    st = path.stat()
+                except OSError:
+                    continue
+                size += st.st_size
+                mtime = max(mtime, st.st_mtime)
+            entries.append((mtime, size, key))
+        entries.sort(key=lambda e: (e[0], e[2]))
+        return entries
 
     def disk_size_bytes(self) -> int:
-        """Total bytes of the persistent tier (0 when memory-only)."""
+        """Total bytes of the directory tier (0 when memory-only)."""
         return self.disk_usage()[1]
 
     def disk_usage(self) -> tuple[int, int]:
-        """``(entries, bytes)`` of the persistent tier in one store
-        scan (accounting only — no record is opened; cheap enough for
+        """``(entries, bytes)`` of the directory tier in one scan
+        (accounting only — no record is opened; cheap enough for
         monitoring endpoints to poll)."""
-        if self.store is None:
+        if self.disk_dir is None:
             return 0, 0
-        n_entries, total = self.store.size()
-        self._disk_total = total
-        return n_entries, total
+        entries = self._disk_entries()
+        self._disk_total = sum(size for _, size, _ in entries)
+        return len(entries), self._disk_total
 
     def _evict(self, key: str) -> None:
-        # Persistent tier only: the memory LRU is bounded independently,
+        # Directory tier only: the memory LRU is bounded independently,
         # and a content-addressed payload can never go stale, so a
-        # still-hot memory copy stays servable after its artifact is
+        # still-hot memory copy stays servable after its files are
         # evicted.
-        self.store.delete(key)
+        for path in self._disk_paths(key):
+            try:
+                os.remove(path)
+            except OSError:
+                pass  # already gone: a concurrent eviction or purge won
         self.stats.bump("disk_evictions")
 
     def _enforce_disk_budget(self) -> None:
@@ -333,7 +358,7 @@ class ResultCache:
             raise ConfigurationError(
                 f"older_than_s must be >= 0, got {older_than_s}"
             )
-        if self.store is None:
+        if self.disk_dir is None:
             return 0
         cutoff = time.time() - older_than_s
         purged = 0
@@ -348,27 +373,14 @@ class ResultCache:
     def get_record(self, key: str) -> dict | None:
         """The full stored record for ``key``: payload plus provenance.
 
-        This is the artifact-store read path (``GET /v1/jobs/<hash>``):
+        This is the artifact read path (``GET /v1/jobs/<hash>``):
         unlike :func:`get` it also returns the human-readable metadata
-        and creation time the disk tier records. Memory-only caches
-        synthesize a metadata-free record from the hot tier.
+        and creation time the directory tier records. Memory-only
+        caches synthesize a metadata-free record from the hot tier.
         """
-        if self.store is not None:
-            blobs = self.store.get(key)
-            record = None
-            if blobs is not None:
-                try:
-                    record = json.loads(blobs["json"])
-                    with np.load(io.BytesIO(blobs["npz"])) as npz:
-                        values = np.asarray(npz["values"])
-                except (OSError, ValueError, KeyError,
-                        json.JSONDecodeError):
-                    record = None
-            if (isinstance(record, dict)
-                    and record.get("engine_version") == ENGINE_VERSION):
-                values.flags.writeable = False
-                record["payload"] = dict(record["payload"])
-                record["payload"]["values"] = values
+        if self.disk_dir is not None:
+            record = self._disk_record(key)
+            if record is not None:
                 return record
         payload = self._memory.get(key)
         if payload is None:
@@ -385,16 +397,13 @@ class ResultCache:
         frequency, estimator, tags). An unreadable record (torn by a
         concurrent eviction) is skipped rather than failing the listing.
         """
-        if self.store is None:
+        if self.disk_dir is None:
             return []
         out = []
         for mtime, size, key in self._disk_entries():
-            blobs = self.store.get(key, names=("json",))
-            if blobs is None:
-                continue
             try:
-                record = json.loads(blobs["json"])
-            except (ValueError, json.JSONDecodeError):
+                record = json.loads(self._disk_paths(key)[0].read_bytes())
+            except (OSError, ValueError):
                 continue
             if not isinstance(record, dict):
                 continue

@@ -361,26 +361,6 @@ class Job:
     def estimator_label(self) -> str:
         return self.estimator.label if self.estimator is not None else "solve"
 
-    def to_wire(self) -> dict:
-        """Transport encoding (see :mod:`repro.service.wire`).
-
-        Unlike :meth:`to_spec` (a one-way canonical form for hashing),
-        the wire form reconstructs the full object — and round-trips
-        the content hash bit-for-bit.
-        """
-        from ..service.wire import to_wire
-        return to_wire(self)
-
-    @staticmethod
-    def from_wire(doc: Mapping) -> "Job":
-        from ..service.wire import from_wire
-        obj = from_wire(doc)
-        if not isinstance(obj, Job):
-            raise ConfigurationError(
-                f"wire document decodes to {type(obj).__name__}, not Job"
-            )
-        return obj
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -494,21 +474,3 @@ class SweepSpec:
                 for name, ests in self.estimator_map.items()
             }
         return content_hash(payload)
-
-    def to_wire(self) -> dict:
-        """Transport encoding of the whole sweep (specs cross process
-        and machine boundaries through :mod:`repro.service.wire`; the
-        round trip preserves :attr:`key` exactly)."""
-        from ..service.wire import to_wire
-        return to_wire(self)
-
-    @staticmethod
-    def from_wire(doc: Mapping) -> "SweepSpec":
-        from ..service.wire import from_wire
-        obj = from_wire(doc)
-        if not isinstance(obj, SweepSpec):
-            raise ConfigurationError(
-                f"wire document decodes to {type(obj).__name__}, "
-                "not SweepSpec"
-            )
-        return obj

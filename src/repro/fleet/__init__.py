@@ -30,29 +30,17 @@ Run a fleet from the CLI::
 Set ``REPRO_SERVICE_TOKEN`` on both ends to require bearer auth on
 every mutating endpoint.
 
-Artifact persistence is pluggable on the server side: the result
-cache's disk tier speaks :class:`repro.engine.ArtifactStore`
-(:class:`~repro.engine.LocalDirStore` by default), so pointing the
-fleet's shared cache at a different backend is one constructor
-argument, not a cache rewrite.
+Workers keep no results of their own: every payload is uploaded, and
+the server's :class:`~repro.engine.ResultCache` (its ``--cache-dir``)
+is the one place results persist.
 """
 
-from ..engine.artifacts import (
-    ArtifactEntry,
-    ArtifactStore,
-    LocalDirStore,
-    MemoryStore,
-)
 from ..service.wire import WorkerClaim, WorkerResult, WorkerTelemetry
 from .top import fetch_view, render_view
 from .worker import FleetWorker
 
 __all__ = [
-    "ArtifactEntry",
-    "ArtifactStore",
     "FleetWorker",
-    "LocalDirStore",
-    "MemoryStore",
     "WorkerClaim",
     "WorkerResult",
     "WorkerTelemetry",

@@ -342,9 +342,9 @@ class ServiceClient:
                   ) -> dict[str, bool]:
         """Extend leases; maps slot id -> still-alive.
 
-        ``telemetry`` (wire v4) piggybacks the worker's federated
-        metric/log snapshot on the heartbeat; omitted, the request body
-        is byte-compatible with v3 servers.
+        ``telemetry`` piggybacks the worker's federated metric/log
+        snapshot on the heartbeat; it is optional because a worker
+        ships it only when its telemetry is enabled.
         """
         body: dict[str, Any] = {
             "worker": worker, "slots": dict(slots), "lease_s": lease_s,

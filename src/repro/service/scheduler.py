@@ -744,11 +744,12 @@ class SweepScheduler:
         lease was lost (expired and reclaimed, or committed elsewhere);
         the worker should abandon that job and skip its upload.
 
-        ``telemetry_snapshot`` (wire v4; optional, so v3 workers keep
-        heartbeating) is the worker's federated telemetry: its metric
-        snapshot and fresh log records merge into :attr:`federation`,
-        which backs the fleet half of ``GET /v1/metrics`` and the
-        ``/v1/workers/<id>`` / ``/v1/logs`` endpoints.
+        ``telemetry_snapshot`` (optional: a worker ships it only when
+        its telemetry is enabled) is the worker's federated telemetry:
+        its metric snapshot and fresh log records merge into
+        :attr:`federation`, which backs the fleet half of
+        ``GET /v1/metrics`` and the ``/v1/workers/<id>`` / ``/v1/logs``
+        endpoints.
         """
         lease_s = float(lease_s)
         if not 0.0 < lease_s <= 3600.0:
@@ -997,11 +998,14 @@ class SweepScheduler:
         claim), and each executing worker's lane (``LOCAL_WORKER`` for
         in-process execution) carries its **lease** window (claim ->
         commit), the worker-recorded **solve** spans that rode the
-        payload, and the **upload** tail (solve end -> commit). Lanes
-        are synthetic pids named via ``worker_id``
-        (:func:`repro.telemetry.chrome_trace`), so a fleet of threads
-        sharing one OS pid still renders as separate worker rows.
-        Viewable in ``chrome://tracing`` / Perfetto as-is.
+        payload, and the **upload** tail (solve end -> commit). A
+        ``job`` span, or the ``job_group`` span of a frequency stack
+        (which rides its first member's payload), ends the solve; a
+        payload without spans gets a solve synthesized from its
+        wall-time share. Lanes are synthetic pids named via
+        ``worker_id`` (:func:`repro.telemetry.chrome_trace`), so a
+        fleet of threads sharing one OS pid still renders as separate
+        worker rows. Viewable in ``chrome://tracing`` / Perfetto as-is.
         """
         with self._lock:
             t = self._ticket_locked(ticket_id)
@@ -1034,7 +1038,7 @@ class SweepScheduler:
                 rec["pid"] = pid
                 rec["worker_id"] = worker
                 records.append(rec)
-                if rec.get("name") == "job":
+                if rec.get("name") in ("job", "job_group"):
                     solve_end = (float(rec["start_unix"])
                                  + float(rec["duration_s"]))
             wall = f.get("wall_time_s")

@@ -337,8 +337,8 @@ class SweepService:
         except (TypeError, ValueError) as exc:
             raise ServiceError(
                 400, f"bad heartbeat parameters: {exc}") from exc
-        # Optional federated telemetry (wire v4). v3 workers omit the
-        # field entirely and heartbeat exactly as before.
+        # Optional federated telemetry: a worker ships it only when its
+        # telemetry is enabled.
         snapshot = None
         tdoc = doc.get("telemetry")
         if tdoc is not None:

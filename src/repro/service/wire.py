@@ -17,19 +17,18 @@ and decodes back to an equal object — in particular
 
 Documents are wrapped in a versioned envelope::
 
-    {"format": "repro-wire", "wire_version": 2, "engine_version": 1,
+    {"format": "repro-wire", "wire_version": 4, "engine_version": 1,
      "body": {...}}
 
-:func:`loads` rejects an envelope whose ``wire_version`` it does not
-speak (``engine_version`` travels for provenance/cache compatibility
-checks but does not gate decoding — hashes embed it anyway). Version 2
-added the optional telemetry ``spans`` on :class:`PointResult`;
-version 3 added the worker-fleet messages (:class:`WorkerClaim`,
-:class:`WorkerResult` — job leases and result uploads for pull
-workers); version 4 added :class:`WorkerTelemetry` (federated metric
-snapshots + log records riding worker heartbeats). Every change is
-additive, so version-1/2/3 documents still decode and all four
-versions are accepted.
+:func:`loads` rejects an envelope whose ``wire_version`` is not
+:data:`WIRE_VERSION` (``engine_version`` travels for provenance/cache
+compatibility checks but does not gate decoding — hashes embed it
+anyway). Version 2 added the optional telemetry ``spans`` on
+:class:`PointResult`; version 3 added the worker-fleet messages
+(:class:`WorkerClaim`, :class:`WorkerResult` — job leases and result
+uploads for pull workers); version 4 added :class:`WorkerTelemetry`
+(federated metric snapshots + log records riding worker heartbeats).
+Only version 4 is accepted.
 
 Correlation functions are encoded by class name + public parameters
 (the same extraction :func:`repro.engine.correlation_spec` hashes) and
@@ -76,10 +75,6 @@ from ..engine.spec import (
 #: v3: worker-fleet messages (WorkerClaim / WorkerResult).
 #: v4: WorkerTelemetry (heartbeat-federated metrics + logs).
 WIRE_VERSION = 4
-
-#: Envelope versions this build can still decode. v1/v2/v3 lack only
-#: additive fields and message types, so they stay readable.
-COMPAT_WIRE_VERSIONS = frozenset({1, 2, 3, WIRE_VERSION})
 
 #: Envelope format marker.
 WIRE_FORMAT = "repro-wire"
@@ -444,14 +439,16 @@ def _decode_correlation(doc: Mapping) -> CorrelationFunction:
             f"unknown correlation class {name!r} (registered: "
             f"{sorted(_CORRELATIONS)})"
         )
-    kwargs = {k: _decode(v) for k, v in params.items()}
+    return _rebuild(name, cls, {k: _decode(v) for k, v in params.items()})
+
+
+def _rebuild(tag: str, cls: type, fields: Any) -> Any:
+    """``cls(**fields)``; an unknown, missing or mistyped field is a
+    :class:`WireError` naming ``tag`` and the field, not a TypeError."""
     try:
-        return cls(**kwargs)
+        return cls(**fields)
     except TypeError as exc:
-        raise WireError(
-            f"cannot rebuild {name} from wire params "
-            f"{sorted(kwargs)}: {exc}"
-        ) from exc
+        raise WireError(f"cannot rebuild {tag} from the wire: {exc}") from exc
 
 
 def _strip(doc: Mapping) -> dict:
@@ -507,25 +504,29 @@ def _decode_job(doc: Mapping) -> Job:
 
 def _decode_system(doc: Mapping) -> TwoMediumSystem:
     dielectric, conductor = _expect(doc, "dielectric", "conductor")
-    return TwoMediumSystem(dielectric=Dielectric(**dielectric),
-                           conductor=Conductor(**conductor))
+    return TwoMediumSystem(
+        dielectric=_rebuild("Dielectric", Dielectric, dielectric),
+        conductor=_rebuild("Conductor", Conductor, conductor))
 
 
 def _decode_swm_options(doc: Mapping) -> SWMOptions:
     fields = _strip(doc)
-    fields["assembly"] = AssemblyOptions(**fields.get("assembly", {}))
-    return SWMOptions(**fields)
+    fields["assembly"] = _rebuild("AssemblyOptions", AssemblyOptions,
+                                  fields.get("assembly", {}))
+    return _rebuild("SWMOptions", SWMOptions, fields)
 
 
 def _decode_swm2d_options(doc: Mapping) -> SWM2DOptions:
     fields = _strip(doc)
-    fields["assembly"] = Assembly2DOptions(**fields.get("assembly", {}))
-    return SWM2DOptions(**fields)
+    fields["assembly"] = _rebuild("Assembly2DOptions", Assembly2DOptions,
+                                  fields.get("assembly", {}))
+    return _rebuild("SWM2DOptions", SWM2DOptions, fields)
 
 
 def _decode_config(doc: Mapping):
     from ..core.pipeline import StochasticLossConfig
-    return StochasticLossConfig(**_strip(doc))
+    return _rebuild("StochasticLossConfig", StochasticLossConfig,
+                    _strip(doc))
 
 
 def _decode_stochastic(doc: Mapping) -> StochasticScenario:
@@ -605,8 +606,7 @@ def _decode_worker_telemetry(doc: Mapping) -> WorkerTelemetry:
 
 
 def _decode_point(doc: Mapping) -> PointResult:
-    fields = _strip(doc)
-    return PointResult(**fields)
+    return _rebuild("PointResult", PointResult, _strip(doc))
 
 
 def _decode_sweep_result(doc: Mapping) -> SweepResult:
@@ -659,10 +659,10 @@ def open_envelope(doc: Mapping) -> Any:
             f"'format': {WIRE_FORMAT!r} marker)"
         )
     version = doc.get("wire_version")
-    if version not in COMPAT_WIRE_VERSIONS:
+    if version != WIRE_VERSION:
         raise WireError(
             f"unsupported wire_version {version!r} "
-            f"(this build speaks {sorted(COMPAT_WIRE_VERSIONS)})"
+            f"(this build speaks {WIRE_VERSION})"
         )
     if "body" not in doc:
         raise WireError("wire envelope has no 'body'")

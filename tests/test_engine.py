@@ -277,6 +277,34 @@ class TestSweepSpec:
                              seed=0).cacheable
         assert EstimatorSpec(kind="sscm").cacheable
 
+    def test_engine_imports_nothing_from_the_service(self):
+        """The engine sits below the service: no ``repro.engine`` module
+        imports ``repro.service``, at module level or lazily; transport
+        encoding is :mod:`repro.service.wire`'s alone."""
+        import ast
+        import importlib.util
+        from pathlib import Path
+
+        import repro.engine
+
+        root = Path(repro.engine.__file__).parent
+        imported = set()
+        for path in sorted(root.rglob("*.py")):
+            package = ".".join(
+                ("repro", "engine") + path.parent.relative_to(root).parts)
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if isinstance(node, ast.Import):
+                    imported.update((path.name, a.name) for a in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    name = importlib.util.resolve_name(
+                        "." * node.level + (node.module or ""), package)
+                    imported.add((path.name, name))
+        # relative imports resolve to absolute names
+        assert ("cache.py", "repro.engine.spec") in imported
+        assert [(f, m) for f, m in sorted(imported)
+                if m == "repro.service"
+                or m.startswith("repro.service.")] == []
+
 
 class TestExecutorEquivalence:
     """Acceptance: parallel results identical to serial within 1e-12."""
@@ -996,6 +1024,33 @@ class TestDiskCacheGC:
         record = cache.get_record("aa")
         assert record["payload"]["mean"] == 3.0
         assert record["metadata"] == {}
+
+    def test_directory_layout_and_membership(self, tmp_path):
+        cache = ResultCache(disk_dir=tmp_path / "s")
+        cache.put("deadbeef", self._payload(0))
+        # one file pair per entry, and no temp file left by the writes
+        assert sorted(p.name for p in (tmp_path / "s").iterdir()) == [
+            "deadbeef.json", "deadbeef.npz"]
+        fresh = ResultCache(disk_dir=tmp_path / "s")  # empty memory tier
+        assert "deadbeef" in fresh and "feedface" not in fresh
+
+    @pytest.mark.parametrize("max_memory_entries", [0, 8],
+                             ids=["disk-hit", "memory-hit"])
+    def test_listing_is_least_recent_first_and_hits_touch(
+            self, tmp_path, max_memory_entries):
+        import os
+
+        cache = ResultCache(max_memory_entries=max_memory_entries,
+                            disk_dir=tmp_path / "s",
+                            max_disk_bytes=1 << 30)
+        for i, key in enumerate(["a", "b", "c"]):
+            cache.put(key, self._payload(i))
+            # Pin distinct mtimes (filesystem clocks are coarse).
+            for p in cache._disk_paths(key):
+                os.utime(p, (i, i))
+        assert [e["key"] for e in cache.manifest()] == ["a", "b", "c"]
+        assert cache.get("a") is not None
+        assert [e["key"] for e in cache.manifest()] == ["b", "c", "a"]
 
 
 class TestCacheSplit:

@@ -1,10 +1,7 @@
-"""Tests of the worker fleet (``repro.fleet``) and artifact stores.
+"""Tests of the worker fleet (``repro.fleet``).
 
-Four groups mirroring the subsystem's layers:
+Three groups mirroring the subsystem's layers:
 
-- the :class:`~repro.engine.ArtifactStore` interface: LocalDirStore /
-  MemoryStore semantics, and ResultCache running unchanged on a
-  non-disk backend;
 - the scheduler's lease protocol: claim/heartbeat/commit, silent-death
   reclaim with bit-identical re-leased results, stale- and double-
   commit rejection, content-hash verification, fleet-wide dedup;
@@ -33,8 +30,6 @@ from repro.constants import GHZ, UM
 from repro.core import StochasticLossConfig
 from repro.engine import (
     EstimatorSpec,
-    LocalDirStore,
-    MemoryStore,
     ResultCache,
     SerialExecutor,
     StochasticScenario,
@@ -96,87 +91,6 @@ def _drain_with_worker(scheduler, worker_id="w", lease_s=30.0):
             assert scheduler.complete_lease(
                 worker_id, claim.slot, claim.token, claim.key,
                 payload) == "committed"
-
-
-# ----------------------------------------------------------------------
-# Artifact stores
-# ----------------------------------------------------------------------
-
-class TestArtifactStores:
-    @pytest.mark.parametrize("make", [
-        lambda tmp: LocalDirStore(tmp / "store"),
-        lambda tmp: MemoryStore(),
-    ], ids=["local-dir", "memory"])
-    def test_put_get_has_delete_roundtrip(self, tmp_path, make):
-        store = make(tmp_path)
-        blobs = {"json": b'{"a": 1}', "npz": b"\x00\x01binary"}
-        assert not store.has("k1")
-        assert store.get("k1") is None
-        store.put("k1", blobs)
-        assert store.has("k1")
-        assert store.get("k1") == blobs
-        assert store.get("k1", names=("json",)) == {"json": blobs["json"]}
-        entries, total = store.size()
-        assert entries == 1
-        assert total == sum(len(b) for b in blobs.values())
-        assert store.delete("k1")
-        assert not store.has("k1")
-        assert not store.delete("k1")
-        assert store.size() == (0, 0)
-
-    @pytest.mark.parametrize("make", [
-        lambda tmp: LocalDirStore(tmp / "store"),
-        lambda tmp: MemoryStore(),
-    ], ids=["local-dir", "memory"])
-    def test_list_is_least_recent_first_and_touch_bumps(self, tmp_path,
-                                                        make):
-        store = make(tmp_path)
-        for i, key in enumerate(["a", "b", "c"]):
-            store.put(key, {"json": b"{}", "npz": b"x"})
-            if isinstance(store, LocalDirStore):
-                # Pin distinct mtimes (filesystem clocks are coarse).
-                for name in ("json", "npz"):
-                    os.utime(store._path(key, name), (i, i))
-            else:
-                store._mtime[key] = float(i)
-        assert [e.key for e in store.list()] == ["a", "b", "c"]
-        store.touch("a")
-        if isinstance(store, LocalDirStore):
-            for name in ("json", "npz"):
-                os.utime(store._path("a", name), (10, 10))
-        assert [e.key for e in store.list()] == ["b", "c", "a"]
-
-    def test_local_dir_layout_matches_cache_convention(self, tmp_path):
-        store = LocalDirStore(tmp_path / "s")
-        store.put("deadbeef", {"json": b"{}", "npz": b"z"})
-        assert (tmp_path / "s" / "deadbeef.json").exists()
-        assert (tmp_path / "s" / "deadbeef.npz").exists()
-        # no stray tmp files left behind by the atomic writes
-        assert not list((tmp_path / "s").glob("*.tmp*"))
-
-    def test_result_cache_runs_on_memory_store(self):
-        """The promotion's point: a non-disk backend is one constructor
-        argument, and the cache's two-tier semantics are unchanged."""
-        store = MemoryStore()
-        cache = ResultCache(store=store, max_memory_entries=1)
-        spec = _tiny_spec()
-        jobs = spec.jobs()
-        with _quiet():
-            payloads = [execute_job(j) for j in jobs]
-        for job, payload in zip(jobs, payloads):
-            cache.put(job.key, payload)
-        # both persisted; memory LRU holds only the last
-        assert store.size()[0] == len(jobs)
-        hit = cache.get(jobs[0].key)
-        assert hit is not None
-        assert np.array_equal(np.asarray(hit["values"]),
-                              np.asarray(payloads[0]["values"]))
-        assert cache.stats.snapshot()["disk_hits"] >= 1
-
-    def test_cache_rejects_store_and_disk_dir_together(self, tmp_path):
-        with pytest.raises(ConfigurationError,
-                           match="disk_dir.*store|store.*disk_dir"):
-            ResultCache(disk_dir=tmp_path / "d", store=MemoryStore())
 
 
 # ----------------------------------------------------------------------

@@ -181,14 +181,6 @@ class TestWireRoundTrip:
         assert restored.key == job.key
         assert restored.index == job.index
 
-    def test_spec_and_job_hooks(self):
-        spec = _tiny_spec()
-        assert SweepSpec.from_wire(spec.to_wire()).key == spec.key
-        job = spec.jobs()[0]
-        assert Job.from_wire(job.to_wire()).key == job.key
-        with pytest.raises(ConfigurationError, match="not SweepSpec"):
-            SweepSpec.from_wire(job.to_wire())
-
     def test_sweep_result_round_trip_bit_identical(self):
         points = tuple(
             PointResult(scenario="m", frequency_hz=f, estimator="e",
@@ -242,6 +234,25 @@ class TestWireRoundTrip:
         spec.tags["weird"] = object()
         with pytest.raises(wire.WireError):
             wire.dumps(spec)
+
+    @pytest.mark.parametrize("case", ["unknown", "missing"])
+    def test_keyword_rebuild_error_is_wire_error(self, case):
+        """Decoders that rebuild a dataclass by keyword turn an unknown
+        or missing field into a WireError naming the tag and the field
+        (a bare TypeError would escape as an HTTP 500)."""
+        if case == "unknown":
+            doc = wire.to_wire(_tiny_spec())
+            doc["scenarios"][0]["config"]["bogus"] = 1
+            match = r"StochasticLossConfig.*'bogus'"
+        else:
+            doc = wire.to_wire(PointResult(
+                scenario="m", frequency_hz=1e9, estimator="e", key="k",
+                mean=1.0, std=0.0, values=np.zeros(1), n_evals=1,
+                seed=None, wall_time_s=0.0, cache_hit=False))
+            del doc["mean"]
+            match = r"PointResult.*'mean'"
+        with pytest.raises(wire.WireError, match=match):
+            wire.from_wire(doc)
 
     def test_corrupt_array_rejected(self):
         doc = wire.to_wire(np.arange(4.0))
@@ -682,6 +693,33 @@ class TestLocalWorker:
         assert [e for e in events if e["name"] == "lease"]
         assert not [e for e in events if e["name"] == "dispatch"]
 
+    def test_grouped_solve_span_is_not_synthesized_again(self):
+        """A two-frequency group solves under one ``job_group`` span,
+        which rides the first member's payload: the trace takes it as
+        that member's solve and synthesizes one only for the other."""
+        spec = _tiny_spec()
+        telemetry.enable()
+        scheduler = SweepScheduler(cache=ResultCache())
+        try:
+            with _quiet():
+                ticket = scheduler.submit(spec)
+                assert scheduler.wait(ticket, timeout=120)
+            payloads = scheduler.payloads(ticket)
+            trace = scheduler.trace(ticket)
+        finally:
+            scheduler.shutdown()
+        events = trace["traceEvents"]
+        lanes = {e["pid"]: e["args"]["name"] for e in events
+                 if e.get("ph") == "M"}
+        local = [e for e in events if e.get("ph") == "X"
+                 and lanes[e["pid"]] == f"worker {LOCAL_WORKER}"]
+        assert [e["name"] for e in local].count("job_group") == 1
+        spanless = [job.key for job, payload in zip(spec.jobs(), payloads)
+                    if not payload.get("spans")]
+        assert len(spanless) == 1
+        assert [e["args"]["key"] for e in local
+                if e["name"] == "solve"] == spanless
+
     def test_local_leases_never_expire(self):
         """A blocked local round keeps its leases however long it runs:
         fleet workers find nothing to claim and nothing is reclaimed."""
@@ -799,6 +837,25 @@ class TestHTTPService:
             client._post("/v1/sweeps", b"{not json")
         with pytest.raises(ConfigurationError, match="HTTP 404"):
             client._get("/v1/teapot")
+
+    @pytest.mark.parametrize("path, tag", [
+        (("options",), "SWMOptions"),
+        (("system", "dielectric"), "Dielectric"),
+    ], ids=["options", "materials"])
+    def test_unknown_wire_field_is_400(self, service_url, path, tag):
+        """A document rebuilt by keyword that carries an unknown field
+        is a client error naming the tag and the field, not a 500."""
+        doc = json.loads(wire.dumps(_tiny_spec()))
+        scenario = doc["body"]["scenarios"][0]
+        scenario["options"] = {"$type": "SWMOptions"}  # was None
+        target = scenario
+        for key in path:
+            target = target[key]
+        target["bogus"] = 1
+        client = ServiceClient(service_url)
+        with pytest.raises(ConfigurationError,
+                           match=f"HTTP 400.*{tag}.*'bogus'"):
+            client._post("/v1/sweeps", json.dumps(doc).encode("utf-8"))
 
     def test_bad_since_parameter_is_400(self, service_url):
         client = ServiceClient(service_url, poll_interval=0.02)
@@ -930,17 +987,21 @@ class TestWireV2:
             n_evals=3, seed=None, wall_time_s=0.3, cache_hit=True)
         assert wire.from_wire(wire.to_wire(bare)).spans is None
 
-    def test_old_envelopes_still_decode(self):
-        """v2/v3/v4 only *added* fields and message types; v1–v3
-        documents (no spans, fleet, or telemetry messages) must keep
-        decoding."""
+    def test_old_envelopes_are_rejected(self, service_url):
+        """Only the current wire version decodes: v1–v3 envelopes are a
+        WireError, which the service answers with 400."""
         doc = json.loads(wire.dumps(_tiny_spec()))
         assert doc["wire_version"] == wire.WIRE_VERSION == 4
+        client = ServiceClient(service_url)
         for old in (1, 2, 3):
             doc["wire_version"] = old
-            restored = wire.loads(json.dumps(doc))
-            assert restored.key == _tiny_spec().key
-        # v1 PointResult documents lack the spans key entirely
+            body = json.dumps(doc)
+            with pytest.raises(wire.WireError, match="unsupported"):
+                wire.loads(body)
+            with pytest.raises(ConfigurationError,
+                               match="HTTP 400.*unsupported wire_version"):
+                client._post("/v1/sweeps", body.encode("utf-8"))
+        # A PointResult document without the spans key still decodes
         point_doc = wire.to_wire(PointResult(
             scenario="m", frequency_hz=1e9, estimator="e", key="k",
             mean=1.0, std=0.0, values=np.zeros(1), n_evals=1,
