@@ -13,7 +13,7 @@ profile on a 5 um period (fig6's quick-scale 2D grid), 16 samples at
   ``SWMSolver2D.solve_many_um`` — sample systems assembled with the
   sample axis vectorized and *both media's* Kummer green + gradient
   mode sums fused into one ``periodic_green2d_pair`` pass
-  (``assemble_media_pair_2d_many``), stacked ``(B, 2n, 2n)`` and
+  (``assemble_media_multi_k_2d``), stacked ``(B, 2n, 2n)`` and
   factored via batched ``np.linalg.solve``.
 
 Samples must come back **bit-identical** (same seed stream, same

@@ -229,12 +229,8 @@ def run_batch(specs: Mapping[str, SweepSpec],
                 telemetry.ingest_spans(payload["spans"])
             if job.cacheable:
                 owner, _ = targets[0]
-                cache.put(job.key, payload, metadata={
-                    "scenario": job.scenario.name,
-                    "frequency_hz": float(job.frequency_hz),
-                    "estimator": job.estimator_label,
-                    "tags": dict(specs[owner].tags),
-                })
+                cache.put(job.key, payload,
+                          metadata=job.cache_metadata(specs[owner].tags))
             for name, i in targets:
                 payloads[name][i] = payload
                 done_in[name] += 1
@@ -263,27 +259,13 @@ def run_batch(specs: Mapping[str, SweepSpec],
     wall = time.perf_counter() - start
     results: dict[str, SweepResult] = {}
     for name, spec in specs.items():
-        points = []
-        for i, job in enumerate(jobs_by_name[name]):
-            payload = payloads[name][i]
-            points.append(PointResult(
-                scenario=job.scenario.name,
-                frequency_hz=float(job.frequency_hz),
-                estimator=job.estimator_label,
-                key=job.key,
-                mean=payload["mean"],
-                std=payload["std"],
-                values=payload["values"],
-                n_evals=payload["n_evals"],
-                seed=payload["seed"],
-                wall_time_s=payload["wall_time_s"],
-                cache_hit=hits[name][i],
-                pid=payload.get("pid"),
-                spans=payload.get("spans"),
-            ))
+        points = tuple(
+            PointResult.from_payload(job, payload, hit)
+            for job, payload, hit in zip(jobs_by_name[name],
+                                         payloads[name], hits[name]))
         results[name] = SweepResult(
             frequencies_hz=spec.frequencies_hz,
-            points=tuple(points),
+            points=points,
             tags=dict(spec.tags),
             executor=executor.name,
             wall_time_s=wall,

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 import numpy as np
 
 from ..errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from .spec import Job
 
 
 @dataclass(frozen=True)
@@ -35,6 +38,29 @@ class PointResult:
     #: Telemetry span dicts recorded while this point executed (None
     #: unless :mod:`repro.telemetry` was enabled in the worker).
     spans: tuple | list | None = None
+
+    @classmethod
+    def from_payload(cls, job: Job, payload: Mapping[str, Any],
+                     cache_hit: bool) -> PointResult:
+        """The point of ``job`` from its executed or cache-served
+        payload. :func:`~repro.engine.run_batch` and the service
+        scheduler both build their points here, so a sweep run in
+        process and one run by the service agree field for field."""
+        return cls(
+            scenario=job.scenario.name,
+            frequency_hz=float(job.frequency_hz),
+            estimator=job.estimator_label,
+            key=job.key,
+            mean=payload["mean"],
+            std=payload["std"],
+            values=payload["values"],
+            n_evals=payload["n_evals"],
+            seed=payload["seed"],
+            wall_time_s=payload["wall_time_s"],
+            cache_hit=cache_hit,
+            pid=payload.get("pid"),
+            spans=payload.get("spans"),
+        )
 
 
 @dataclass(frozen=True)

@@ -361,6 +361,16 @@ class Job:
     def estimator_label(self) -> str:
         return self.estimator.label if self.estimator is not None else "solve"
 
+    def cache_metadata(self, tags: Mapping[str, Any]) -> dict:
+        """Human-readable provenance stored beside this job's cached
+        payload (never part of its key)."""
+        return {
+            "scenario": self.scenario.name,
+            "frequency_hz": float(self.frequency_hz),
+            "estimator": self.estimator_label,
+            "tags": dict(tags),
+        }
+
 
 @dataclass(frozen=True)
 class SweepSpec:

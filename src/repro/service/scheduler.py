@@ -489,12 +489,8 @@ class SweepScheduler:
             tags = (dict(self._tickets[owner].spec.tags)
                     if owner in self._tickets
                     and self._tickets[owner].spec is not None else {})
-            self.cache.put(job.key, payload, metadata={
-                "scenario": job.scenario.name,
-                "frequency_hz": float(job.frequency_hz),
-                "estimator": job.estimator_label,
-                "tags": tags or dict(meta),
-            })
+            self.cache.put(job.key, payload,
+                           metadata=job.cache_metadata(tags or meta))
         for ticket_id, index in slot.waiters:
             ticket = self._tickets.get(ticket_id)
             if ticket is None or ticket.payloads[index] is not None:
@@ -1070,7 +1066,11 @@ class SweepScheduler:
 
         Returns ``(events, finished)``; with a timeout, blocks until a
         new event arrives, the ticket finishes, or the timeout expires.
+        A negative ``since`` is rejected: as a slice start it would count
+        from the end and replay events the cursor has passed.
         """
+        if since < 0:
+            raise ConfigurationError(f"'since' must be >= 0, got {since}")
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
             t = self._ticket_locked(ticket_id)
@@ -1100,9 +1100,10 @@ class SweepScheduler:
     def result(self, ticket_id: str) -> SweepResult:
         """Assemble the completed ticket's :class:`SweepResult`.
 
-        Mirrors :func:`repro.engine.run_batch`'s assembly exactly, so a
-        service-side sweep of a spec equals the in-process result
-        bit-for-bit (modulo wall time and executor provenance).
+        Its points come from :meth:`PointResult.from_payload`, as
+        :func:`repro.engine.run_batch`'s do, so a service-side sweep of
+        a spec equals the in-process result bit-for-bit (modulo wall
+        time and executor provenance).
         """
         with self._lock:
             t = self._ticket_locked(ticket_id)
@@ -1121,21 +1122,7 @@ class SweepScheduler:
                     "payloads() for it"
                 )
             points = tuple(
-                PointResult(
-                    scenario=job.scenario.name,
-                    frequency_hz=float(job.frequency_hz),
-                    estimator=job.estimator_label,
-                    key=job.key,
-                    mean=payload["mean"],
-                    std=payload["std"],
-                    values=payload["values"],
-                    n_evals=payload["n_evals"],
-                    seed=payload["seed"],
-                    wall_time_s=payload["wall_time_s"],
-                    cache_hit=hit,
-                    pid=payload.get("pid"),
-                    spans=payload.get("spans"),
-                )
+                PointResult.from_payload(job, payload, hit)
                 for job, payload, hit in zip(t.jobs, t.payloads, t.hits)
             )
             return SweepResult(

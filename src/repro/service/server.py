@@ -561,7 +561,16 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(data)
 
     def _body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        raw = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # Checked before reading: rfile.read(-1) would block the
+            # handler until the client closes the connection.
+            raise ServiceError(400, "Content-Length must be a "
+                                    f"non-negative integer, got {raw!r}")
         return self.rfile.read(length) if length else b""
 
     def _route(self) -> list[str]:

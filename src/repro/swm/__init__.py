@@ -4,6 +4,11 @@
   doubly-periodic patch with Ewald-accelerated Green's functions);
 - :class:`SWMSolver2D` — the simplified y-uniform formulation (Fig. 6);
 - mesh builders and assembly internals for advanced use.
+
+Both solvers share one solve path (entry points, chunk loop, block
+systems, factorization, power) and return :class:`SWMResult`; each
+supplies only its mesh, its kernel assembly, its surface elements and
+its smooth-surface reference.
 """
 
 from .assembly import AssemblyOptions, assemble_medium
@@ -25,14 +30,13 @@ from .power import (
     area_ratio_3d,
 )
 from .solver import SWMOptions, SWMResult, SWMSolver3D, enhancement_sweep
-from .solver2d import SWM2DOptions, SWM2DResult, SWMSolver2D
+from .solver2d import SWM2DOptions, SWMSolver2D
 
 __all__ = [
     "Assembly2DOptions",
     "AssemblyOptions",
     "KernelTables",
     "SWM2DOptions",
-    "SWM2DResult",
     "SWMOptions",
     "SWMResult",
     "SWMSolver2D",

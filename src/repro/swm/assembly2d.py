@@ -96,49 +96,6 @@ def assemble_media_multi_k_2d(plan: AssemblyPlan2D, ks) -> list[tuple]:
             for kk, reg in zip(ks, regs)]
 
 
-def assemble_medium_2d_many(meshes: "Sequence[SurfaceMesh2D]", k: complex,
-                            options: Assembly2DOptions | None = None
-                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble (D, S) for one medium across a stack of profiles.
-
-    All meshes must share the same grid (``n``, ``period``); only the
-    heights differ (the MC sample structure of the Fig. 6 profiles).
-    Builds a single-k :class:`AssemblyPlan2D`, so the x-separations,
-    near-pair sets and the regularized zero-limit are shared across the
-    stack and each Kummer-accelerated kernel series runs once on
-    ``(B, M)`` pair arrays. Returns ``(B, N, N)`` stacks bit-identical to
-    per-mesh :func:`assemble_medium_2d`.
-    """
-    plan = AssemblyPlan2D.build(meshes, options or Assembly2DOptions())
-    return assemble_media_multi_k_2d(plan, (k,))[0]
-
-
-def assemble_media_pair_2d_many(meshes: "Sequence[SurfaceMesh2D]",
-                                k1: complex, k2: complex,
-                                options: Assembly2DOptions | None = None):
-    """Assemble (D, S) for *both* media across a stack of profiles.
-
-    The batched hot path of the 2D solver (Fig. 6's MC curves). On top
-    of the sample-axis vectorization of :func:`assemble_medium_2d_many`,
-    the four independent Kummer mode-sum passes (green + gradient, two
-    media) collapse into one fused :func:`periodic_green2d_pair` pass,
-    and every k-independent intermediate — the wrapped pair
-    x-separations, recurrence-built mode factors, quasi-static
-    asymptotes, closed-form log remainder, the near-pair sub-segment
-    geometry and the cached regularized zero limit — is computed once
-    and shared between the two media.
-
-    Returns ``((d1, s1), (d2, s2))`` as ``(B, N, N)`` stacks,
-    **bit-identical** to per-medium :func:`assemble_medium_2d_many`
-    (and therefore to per-mesh :func:`assemble_medium_2d`): every shared
-    quantity is a deterministic recomputation of what the per-medium
-    path evaluates, and every per-medium expression mirrors the
-    reference entry for entry.
-    """
-    plan = AssemblyPlan2D.build(meshes, options or Assembly2DOptions())
-    return tuple(assemble_media_multi_k_2d(plan, (k1, k2)))
-
-
 def assemble_medium_2d(mesh: SurfaceMesh2D, k: complex,
                        options: Assembly2DOptions | None = None
                        ) -> tuple[np.ndarray, np.ndarray]:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -41,16 +42,17 @@ from .assembly import (
     assemble_media_multi_k,
     assemble_medium_many,
 )
-from .geometry import SurfaceMesh3D, build_mesh_3d
+from .geometry import SurfaceMesh2D, SurfaceMesh3D, build_mesh_3d
 from .plan import AssemblyPlan3D
 
 
 @dataclass(frozen=True)
 class SWMResult:
-    """Solution of one deterministic SWM problem.
+    """Solution of one deterministic SWM problem, 3D or 2D.
 
     ``absorbed_power`` and ``smooth_power`` are in the paper's arbitrary
-    scalar-flux units (only the ratio ``enhancement`` is physical).
+    scalar-flux units (only the ratio ``enhancement`` is physical); the
+    2D solver's are per unit length along y.
     """
 
     frequency_hz: float
@@ -59,7 +61,7 @@ class SWMResult:
     smooth_power: float
     psi: np.ndarray
     v: np.ndarray
-    mesh: SurfaceMesh3D
+    mesh: SurfaceMesh3D | SurfaceMesh2D
 
     @property
     def pr_over_ps(self) -> float:
@@ -128,86 +130,43 @@ def _auto_stack(n_unknowns: int) -> int:
     return max(2, min(64, _AUTO_STACK_BYTES // max(per_sample, 1)))
 
 
-class SWMSolver3D:
-    """Deterministic 3D SWM solver for one dielectric/conductor system.
+class _SWMSolver:
+    """The solve path both SWM solvers share.
 
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro.constants import UM, GHZ
-    >>> from repro.swm.solver import SWMSolver3D
-    >>> solver = SWMSolver3D()
-    >>> flat = np.zeros((8, 8))
-    >>> res = solver.solve(flat, period_m=5 * UM, frequency_hz=5 * GHZ)
-    >>> abs(res.enhancement - 1.0) < 0.05
-    True
+    The 3D and 2D formulations solve the same coupled block system, so
+    the public entry points, the resolution and same-grid checks, the
+    chunk loop, block-system formation, factorization and the power
+    evaluation live here once. A subclass supplies only what differs:
+
+    - ``_build_mesh(heights_um, period_um)``, and ``_stack_rank``, the
+      ``ndim`` of a batched height stack (3 for ``(B, n, n)`` maps, 2
+      for ``(B, n)`` profiles);
+    - ``_chunk_assembly(meshes, freqs, ks, meta)``: the work that stays
+      outside the ``assemble`` span (table fetches, the ``plan`` span
+      with ``meta``), returning a call that :meth:`_solve_stack` runs
+      inside that span; the call returns the ``(B, N, N)`` ``(d, s)``
+      stacks ordered ``(k1, k2)`` per frequency;
+    - ``_elements(mesh)``, the surface elements of the power integral;
+    - ``smooth_power(period_um, frequency_hz)``.
     """
-
-    def __init__(self, system: TwoMediumSystem = PAPER_SYSTEM,
-                 options: SWMOptions | None = None) -> None:
-        self.system = system
-        self.options = options or SWMOptions()
-        # Kernel-table cache: (which_medium, frequency, period) -> tables.
-        # They amortize MC/SSCM sweeps (hundreds of samples per frequency
-        # reuse one table build) and only grow: a chunk whose height
-        # range outgrows a table replaces it with a longer one. Tables
-        # of one configuration sample the same nodes, so which table
-        # serves a solve never changes its values.
-        self._tables: dict[tuple[int, float, float], object] = {}
-
-    def reset_tables(self) -> None:
-        """Drop cached kernel tables to release their memory.
-
-        Results do not depend on it: every table of one configuration
-        returns the same values on the separations it covers
-        (:mod:`repro.swm.fastkernel`), so a warm solver and a fresh one
-        agree bit for bit.
-        """
-        self._tables.clear()
-
-    def _get_tables(self, which: int, k: complex, frequency_hz: float,
-                    meshes: list[SurfaceMesh3D]):
-        """The cached tables of one medium and frequency, grown (with a
-        1.5x margin) when they do not cover the chunk's height range."""
-        from .fastkernel import KernelTables
-
-        if not self.options.assembly.use_tables:
-            return None
-        key = (which, float(frequency_hz), float(meshes[0].period))
-        z = np.stack([mesh.z for mesh in meshes])
-        z_extent = float(np.max(np.ptp(z, axis=1)))
-        if not np.isfinite(z_extent):
-            # Tables cannot be sized for it; fail like a non-finite
-            # assembly would.
-            raise SolverError("mesh heights contain non-finite values")
-        cached = self._tables.get(key)
-        if cached is not None and cached.covers(z_extent):
-            return cached
-        cfg = self.options.assembly.ewald_config(meshes[0].period)
-        tables = KernelTables(k, cfg, z_extent=max(z_extent * 1.5, 1e-6))
-        self._tables[key] = tables
-        _M_TABLE_BUILDS.inc()
-        return tables
-
-    # ------------------------------------------------------------------
 
     def solve(self, heights_m: np.ndarray, period_m: float,
               frequency_hz: float) -> SWMResult:
-        """Solve for a height map given in meters on a patch of period
-        ``period_m`` meters, at ``frequency_hz``."""
+        """Solve for a height map (a profile in 2D) given in meters on a
+        patch of period ``period_m`` meters, at ``frequency_hz``."""
         heights_um = np.asarray(heights_m, dtype=np.float64) * METER_TO_UM
-        period_um = float(period_m) * METER_TO_UM
-        mesh = build_mesh_3d(heights_um, period_um)
+        mesh = self._build_mesh(heights_um, float(period_m) * METER_TO_UM)
         return self._solve_stack([mesh], [frequency_hz], stacklevel=4)[0][0]
 
     def solve_um(self, heights_um: np.ndarray, period_um: float,
                  frequency_hz: float) -> SWMResult:
         """Same as :meth:`solve` with the geometry already in micrometers."""
-        mesh = build_mesh_3d(np.asarray(heights_um, dtype=np.float64),
-                             float(period_um))
+        mesh = self._build_mesh(np.asarray(heights_um, dtype=np.float64),
+                                float(period_um))
         return self._solve_stack([mesh], [frequency_hz], stacklevel=4)[0][0]
 
-    def solve_mesh(self, mesh: SurfaceMesh3D, frequency_hz: float) -> SWMResult:
+    def solve_mesh(self, mesh: SurfaceMesh3D | SurfaceMesh2D,
+                   frequency_hz: float) -> SWMResult:
         """Solve on a prebuilt (micrometer-unit) mesh."""
         return self._solve_stack([mesh], [frequency_hz], stacklevel=4)[0][0]
 
@@ -217,7 +176,8 @@ class SWMSolver3D:
 
     def solve_many(self, heights_m: np.ndarray, period_m: float,
                    frequency_hz: float) -> list[SWMResult]:
-        """Batched :meth:`solve` for a ``(B, n, n)`` stack of height maps.
+        """Batched :meth:`solve` for a ``(B, n, n)`` stack of height maps
+        (a ``(B, n)`` stack of profiles in 2D).
 
         Results are bit-identical to calling :meth:`solve` per map (same
         kernel values, same factorization call), but the B dense
@@ -235,7 +195,7 @@ class SWMSolver3D:
                                    float(period_um), frequency_hz,
                                    stacklevel=5)
 
-    def solve_mesh_many(self, meshes: list[SurfaceMesh3D],
+    def solve_mesh_many(self, meshes: list[SurfaceMesh3D | SurfaceMesh2D],
                         frequency_hz: float) -> list[SWMResult]:
         """Batched :meth:`solve_mesh` over prebuilt same-grid meshes."""
         return self._solve_stack(list(meshes), [frequency_hz],
@@ -244,12 +204,12 @@ class SWMSolver3D:
     def _solve_many_um(self, heights_um: np.ndarray, period_um: float,
                        frequency_hz: float, stacklevel: int
                        ) -> list[SWMResult]:
-        if heights_um.ndim != 3:
+        if heights_um.ndim != self._stack_rank:
             raise ConfigurationError(
-                f"batched heights must be a (B, n, n) stack, got shape "
-                f"{heights_um.shape}"
+                f"batched heights must be a {self._stack_rank}-D (B, ...) "
+                f"stack, got shape {heights_um.shape}"
             )
-        meshes = [build_mesh_3d(h, period_um) for h in heights_um]
+        meshes = [self._build_mesh(h, period_um) for h in heights_um]
         return self._solve_stack(meshes, [frequency_hz], stacklevel)[0]
 
     def _check_resolution(self, spacing_um: float, frequency_hz: float,
@@ -281,7 +241,7 @@ class SWMSolver3D:
         k2 = self.system.k2(frequency_hz) / METER_TO_UM
         return k1, k2
 
-    def _validate_same_grid(self, meshes: list[SurfaceMesh3D]) -> None:
+    def _validate_same_grid(self, meshes: list) -> None:
         if not meshes:
             raise ConfigurationError("batched solve needs at least one mesh")
         base = meshes[0]
@@ -293,29 +253,32 @@ class SWMSolver3D:
                     f"L={base.period}"
                 )
 
-    def solve_mesh_many_multi_k(self, meshes: list[SurfaceMesh3D],
-                                frequencies_hz) -> list[list[SWMResult]]:
+    def solve_mesh_many_multi_k(
+            self, meshes: list[SurfaceMesh3D | SurfaceMesh2D],
+            frequencies_hz) -> list[list[SWMResult]]:
         """Solve a same-grid mesh batch at several frequencies at once.
 
         The multi-frequency hot path: each sample chunk's k-independent
-        :class:`AssemblyPlan3D` is built once and consumed by every
-        frequency's media (2 x F per-k assemblies share one plan and one
-        fused kernel-table pass), instead of being recomputed per
-        frequency. Returns one ``list[SWMResult]`` per frequency (outer
-        index follows ``frequencies_hz``), **bit-identical** to calling
-        :meth:`solve_mesh_many` once per frequency on this or any other
-        solver (same chunking, same kernel values, same factorization
-        call).
+        assembly plan (:class:`~repro.swm.plan.AssemblyPlan3D` or
+        :class:`~repro.swm.plan.AssemblyPlan2D`) is built once and
+        consumed by every frequency's media (2 x F per-k assemblies
+        share one plan and one fused kernel pass), instead of being
+        recomputed per frequency. Returns one ``list[SWMResult]`` per
+        frequency (outer index follows ``frequencies_hz``),
+        **bit-identical** to calling :meth:`solve_mesh_many` once per
+        frequency on this or any other solver (same chunking, same
+        kernel values, same factorization call).
         """
         return self._solve_stack(list(meshes), frequencies_hz, stacklevel=4)
 
-    def _solve_stack(self, meshes: list[SurfaceMesh3D], frequencies_hz,
+    def _solve_stack(self, meshes: list, frequencies_hz,
                      stacklevel: int) -> list[list[SWMResult]]:
         """The solve kernel behind :meth:`solve_mesh_many_multi_k`.
 
-        Every 3D solve runs here: a single solve is one mesh at one
-        frequency, a batched solve one frequency. ``stacklevel`` is the
-        resolution warning's, threaded from the public entry point.
+        Every solve of both solvers runs here: a single solve is one
+        mesh at one frequency, a batched solve one frequency.
+        ``stacklevel`` is the resolution warning's, threaded from the
+        public entry point.
         """
         freqs = [float(f) for f in frequencies_hz]
         if not freqs:
@@ -330,27 +293,14 @@ class SWMSolver3D:
 
         n = base.size
         max_stack = self.options.batch_size or _auto_stack(n)
-        use_tables = self.options.assembly.use_tables
         results: list[list[SWMResult]] = [[] for _ in freqs]
         for lo in range(0, len(meshes), max_stack):
             sub = meshes[lo:lo + max_stack]
             nb = len(sub)
-            media = []
-            for f, (k1, k2) in zip(freqs, ks):
-                media += [(k1, self._get_tables(1, k1, f, sub)),
-                          (k2, self._get_tables(2, k2, f, sub))]
-            if use_tables:
-                with span("plan", n=n, batch=nb, freqs=len(freqs)):
-                    plan = AssemblyPlan3D.build(sub, self.options.assembly)
-            with span("assemble", n=n, batch=nb, freqs=len(freqs)):
-                if use_tables:
-                    mats = assemble_media_multi_k(plan, media)
-                else:
-                    # Exact Ewald, the validation reference: no plan,
-                    # one medium at a time.
-                    mats = [assemble_medium_many(
-                        sub, k, self.options.assembly, tables=None)
-                        for k, _ in media]
+            meta = {"n": n, "batch": nb, "freqs": len(freqs)}
+            assemble = self._chunk_assembly(sub, freqs, ks, meta)
+            with span("assemble", **meta):
+                mats = assemble()
                 systems = []
                 for f, (k1, k2) in zip(freqs, ks):
                     (d1, s1), (d2, s2) = mats.pop(0), mats.pop(0)
@@ -363,7 +313,7 @@ class SWMSolver3D:
                     sub, f, sol[:, :n], sol[:, n:] * scale_v))
         return results
 
-    def _block_system(self, meshes: list[SurfaceMesh3D], frequency_hz: float,
+    def _block_system(self, meshes: list, frequency_hz: float,
                       k1: complex, k2: complex,
                       d1: np.ndarray, s1: np.ndarray,
                       d2: np.ndarray, s2: np.ndarray
@@ -394,8 +344,8 @@ class SWMSolver3D:
                       n: int, nb: int) -> np.ndarray:
         """Finite-check and factor one stacked batch.
 
-        Every 3D solve factors here — a single sample is a batch of
-        one — so per-sample and stacked solutions come from the same
+        Every solve factors here — a single sample is a batch of one —
+        so per-sample and stacked solutions come from the same
         ``np.linalg.solve`` call and one LAPACK build, and agree bit for
         bit whatever BLAS threading is in effect.
         """
@@ -412,12 +362,12 @@ class SWMSolver3D:
                               "(singular system?)")
         return sol
 
-    def _finish_many(self, meshes: list[SurfaceMesh3D], frequency_hz: float,
+    def _finish_many(self, meshes: list, frequency_hz: float,
                      psi: np.ndarray, v: np.ndarray) -> list[SWMResult]:
         """Vectorized power evaluation over the sample stack."""
         with span("power", batch=len(meshes)):
-            areas = np.stack([m.true_areas() for m in meshes])
-            pr = 0.5 * np.sum(np.real(np.conj(psi) * v) * areas, axis=1)
+            elements = np.stack([self._elements(m) for m in meshes])
+            pr = 0.5 * np.sum(np.real(np.conj(psi) * v) * elements, axis=1)
             ps = self.smooth_power(meshes[0].period, frequency_hz)
         if ps <= 0.0:
             raise SolverError("smooth-surface reference power is non-positive")
@@ -433,6 +383,94 @@ class SWMSolver3D:
             )
             for i, mesh in enumerate(meshes)
         ]
+
+
+class SWMSolver3D(_SWMSolver):
+    """Deterministic 3D SWM solver for one dielectric/conductor system.
+
+    Examples
+    --------
+    >>> import numpy as np
+    >>> from repro.constants import UM, GHZ
+    >>> from repro.swm.solver import SWMSolver3D
+    >>> solver = SWMSolver3D()
+    >>> flat = np.zeros((8, 8))
+    >>> res = solver.solve(flat, period_m=5 * UM, frequency_hz=5 * GHZ)
+    >>> abs(res.enhancement - 1.0) < 0.05
+    True
+    """
+
+    _stack_rank = 3
+    _build_mesh = staticmethod(build_mesh_3d)
+
+    def __init__(self, system: TwoMediumSystem = PAPER_SYSTEM,
+                 options: SWMOptions | None = None) -> None:
+        self.system = system
+        self.options = options or SWMOptions()
+        # Kernel-table cache: (which_medium, frequency, period) -> tables.
+        # They amortize MC/SSCM sweeps (hundreds of samples per frequency
+        # reuse one table build) and only grow: a chunk whose height
+        # range outgrows a table replaces it with a longer one. Tables
+        # of one configuration sample the same nodes, so which table
+        # serves a solve never changes its values.
+        self._tables: dict[tuple[int, float, float], object] = {}
+
+    def reset_tables(self) -> None:
+        """Drop cached kernel tables to release their memory.
+
+        Results do not depend on it: every table of one configuration
+        returns the same values on the separations it covers
+        (:mod:`repro.swm.fastkernel`), so a warm solver and a fresh one
+        agree bit for bit.
+        """
+        self._tables.clear()
+
+    def _get_tables(self, which: int, k: complex, frequency_hz: float,
+                    meshes: list[SurfaceMesh3D]):
+        """The cached tables of one medium and frequency, grown (with a
+        1.5x margin) when they do not cover the chunk's height range."""
+        from .fastkernel import KernelTables
+
+        key = (which, float(frequency_hz), float(meshes[0].period))
+        z = np.stack([mesh.z for mesh in meshes])
+        z_extent = float(np.max(np.ptp(z, axis=1)))
+        if not np.isfinite(z_extent):
+            # Tables cannot be sized for it; fail like a non-finite
+            # assembly would.
+            raise SolverError("mesh heights contain non-finite values")
+        cached = self._tables.get(key)
+        if cached is not None and cached.covers(z_extent):
+            return cached
+        cfg = self.options.assembly.ewald_config(meshes[0].period)
+        tables = KernelTables(k, cfg, z_extent=max(z_extent * 1.5, 1e-6))
+        self._tables[key] = tables
+        _M_TABLE_BUILDS.inc()
+        return tables
+
+    def _chunk_assembly(self, meshes: list[SurfaceMesh3D],
+                        freqs: list[float],
+                        ks: list[tuple[complex, complex]], meta: dict
+                        ) -> Callable[[], list]:
+        """Table fetches, then the ``plan`` span; the call runs the
+        fused table pass. Exact Ewald, the validation reference, has no
+        tables and no plan, and runs one medium at a time."""
+        opts = self.options.assembly
+        if not opts.use_tables:
+            return lambda: [assemble_medium_many(meshes, k, opts,
+                                                 tables=None)
+                            for pair in ks for k in pair]
+        media = []
+        for f, (k1, k2) in zip(freqs, ks):
+            media += [(k1, self._get_tables(1, k1, f, meshes)),
+                      (k2, self._get_tables(2, k2, f, meshes))]
+        with span("plan", **meta):
+            plan = AssemblyPlan3D.build(meshes, opts)
+        return lambda: assemble_media_multi_k(plan, media)
+
+    @staticmethod
+    def _elements(mesh: SurfaceMesh3D) -> np.ndarray:
+        """True patch areas, the ``dS`` of the power integral."""
+        return mesh.true_areas()
 
     def smooth_power(self, period_um: float, frequency_hz: float) -> float:
         """Smooth-surface absorbed power ``|T0|^2 L^2 / (2 delta)``.

@@ -160,6 +160,29 @@ class TestOneFactorization:
             assert one.enhancement == got.enhancement
 
 
+class TestSharedSolvePath:
+    """Both solvers run one solve path. The 2D solver defines none of
+    it, so a second copy beside the 3D one cannot grow back."""
+
+    ENTRY_POINTS = ("solve", "solve_um", "solve_mesh", "solve_many",
+                    "solve_many_um", "solve_mesh_many",
+                    "solve_mesh_many_multi_k")
+    KERNEL = ("_solve_stack", "_block_system", "_factor_stack",
+              "_finish_many")
+
+    def test_2d_solver_defines_no_solve_path(self):
+        own = vars(SWMSolver2D)
+        assert not [name for name in self.ENTRY_POINTS if name in own]
+        # Prefix match, so a renamed copy (``_factor_stack_2d``) fails.
+        assert not [name for name in own
+                    if name.startswith(self.KERNEL)]
+
+    def test_both_solvers_resolve_to_one_function(self):
+        for name in self.ENTRY_POINTS + self.KERNEL:
+            assert getattr(SWMSolver2D, name, None) is getattr(
+                SWMSolver3D, name), name
+
+
 class TestBatchedAssembly:
     def test_matches_per_mesh_assembly(self):
         heights = _random_heights(3, 8)

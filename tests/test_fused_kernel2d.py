@@ -3,12 +3,13 @@
 The contract under test (the PR-4 discipline applied to the 2D path):
 fusing is a *pure performance* move. ``periodic_green2d_pair`` must be
 bit-identical to per-call ``periodic_green2d`` +
-``periodic_green2d_gradient``, ``assemble_media_pair_2d_many`` to
-per-medium ``assemble_medium_2d_many`` (and per-mesh
-``assemble_medium_2d``), and the batched solver path routed through them
-to per-sample solves — in every regime the assembly exercises: ``dz = 0``
-(the PV sign convention), zero separation (the ``exclude_primary``
-limit), wrapped near pairs, and mixed batch sizes, for both media.
+``periodic_green2d_gradient``, the fused two-medium
+``assemble_media_multi_k_2d`` pass to its per-medium ``(k,)`` call (and
+per-mesh ``assemble_medium_2d``), and the batched solver path routed
+through them to per-sample solves — in every regime the assembly
+exercises: ``dz = 0`` (the PV sign convention), zero separation (the
+``exclude_primary`` limit), wrapped near pairs, and mixed batch sizes,
+for both media.
 """
 
 import numpy as np
@@ -27,9 +28,8 @@ from repro.swm.assembly2d import (
     Assembly2DOptions,
     _g_reg0_cached,
     _regularized_zero_limit,
-    assemble_media_pair_2d_many,
+    assemble_media_multi_k_2d,
     assemble_medium_2d,
-    assemble_medium_2d_many,
 )
 from repro.greens.freespace import green2d, green2d_gradient
 from repro.swm.geometry import build_mesh_2d
@@ -122,19 +122,29 @@ class TestPairKernelParity:
 
 
 class TestPairAssemblyParity:
-    """assemble_media_pair_2d_many vs the per-medium reference."""
+    """The fused two-medium assembly vs the per-medium reference."""
 
     def _meshes(self, b=3, n=16, seed=5, scale=0.3):
         rng = np.random.default_rng(seed)
         return [build_mesh_2d(rng.normal(0.0, scale, n), L)
                 for _ in range(b)]
 
+    @staticmethod
+    def _pair(meshes, k1, k2, opts=None):
+        plan = AssemblyPlan2D.build(meshes, opts or Assembly2DOptions())
+        return assemble_media_multi_k_2d(plan, (k1, k2))
+
+    @staticmethod
+    def _medium(meshes, k):
+        plan = AssemblyPlan2D.build(meshes, Assembly2DOptions())
+        return assemble_media_multi_k_2d(plan, (k,))[0]
+
     def test_matches_per_medium_batched_assembly(self):
         meshes = self._meshes()
         k1, k2 = _wavenumbers()
-        (d1, s1), (d2, s2) = assemble_media_pair_2d_many(meshes, k1, k2)
+        (d1, s1), (d2, s2) = self._pair(meshes, k1, k2)
         for k, d_f, s_f in ((k1, d1, s1), (k2, d2, s2)):
-            d_ref, s_ref = assemble_medium_2d_many(meshes, k)
+            d_ref, s_ref = self._medium(meshes, k)
             np.testing.assert_array_equal(d_f, d_ref)
             np.testing.assert_array_equal(s_f, s_ref)
 
@@ -142,8 +152,7 @@ class TestPairAssemblyParity:
         meshes = self._meshes(b=2)
         k1, k2 = _wavenumbers()
         opts = Assembly2DOptions(m_max=48)
-        (d1, s1), (d2, s2) = assemble_media_pair_2d_many(meshes, k1, k2,
-                                                         opts)
+        (d1, s1), (d2, s2) = self._pair(meshes, k1, k2, opts)
         for i, mesh in enumerate(meshes):
             for k, d_f, s_f in ((k1, d1, s1), (k2, d2, s2)):
                 d_one, s_one = assemble_medium_2d(mesh, k, opts)
@@ -154,19 +163,19 @@ class TestPairAssemblyParity:
         """fx = 0 everywhere: all near pairs are exactly on-surface."""
         meshes = [build_mesh_2d(np.zeros(12), L) for _ in range(2)]
         k1, k2 = _wavenumbers()
-        (d1, s1), (d2, s2) = assemble_media_pair_2d_many(meshes, k1, k2)
-        d_ref, s_ref = assemble_medium_2d_many(meshes, k2)
+        (d1, s1), (d2, s2) = self._pair(meshes, k1, k2)
+        d_ref, s_ref = self._medium(meshes, k2)
         np.testing.assert_array_equal(d2, d_ref)
         np.testing.assert_array_equal(s2, s_ref)
 
     def test_rejects_empty_and_mismatched(self):
         k1, k2 = _wavenumbers()
         with pytest.raises(MeshError):
-            assemble_media_pair_2d_many([], k1, k2)
+            self._pair([], k1, k2)
         m1 = build_mesh_2d(np.zeros(8), L)
         m2 = build_mesh_2d(np.zeros(8), L + 1.0)
         with pytest.raises(MeshError):
-            assemble_media_pair_2d_many([m1, m2], k1, k2)
+            self._pair([m1, m2], k1, k2)
 
 
 class TestPairPlan2D:

@@ -15,6 +15,7 @@ Four layers, four test groups:
 """
 
 import json
+import socket
 import sys
 import threading
 import time
@@ -863,6 +864,50 @@ class TestHTTPService:
         client.wait(ticket, timeout=120)
         with pytest.raises(ConfigurationError, match="HTTP 400"):
             client._get(f"/v1/sweeps/{ticket}/events?since=abc")
+
+    @staticmethod
+    def _status_line(url: str, request: bytes) -> bytes:
+        """Send one raw request; the response's status line. The 2 s
+        timeout turns a handler that never answers into a failure."""
+        host, port = url.rsplit("/", 1)[1].rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=2) as sock:
+            sock.sendall(request)
+            return sock.makefile("rb").readline()
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_is_400(self, service_url, length):
+        """A non-integer or negative Content-Length is answered 400
+        before any body read, instead of a 500 (``abc``) or a handler
+        blocked reading to end of stream (``-1``)."""
+        request = (f"POST /v1/sweeps HTTP/1.1\r\nHost: test\r\n"
+                   f"Content-Length: {length}\r\n\r\n{{}}").encode()
+        line = self._status_line(service_url, request)
+        assert line.split()[1] == b"400", line
+
+    def test_negative_since_is_400(self):
+        """``since=-1`` on a running ticket is a 400; as a slice start
+        it used to stream the ``submitted`` event twice."""
+        executor = _GatedExecutor()
+        server = make_server(port=0, cache=ResultCache(), executor=executor)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        try:
+            client = ServiceClient(f"http://{host}:{port}")
+            ticket = client.submit(_tiny_spec())
+            assert executor.started.wait(timeout=30)
+            assert client.status(ticket)["state"] == "running"
+            request = (f"GET /v1/sweeps/{ticket}/events?since=-1 HTTP/1.1"
+                       "\r\nHost: test\r\n\r\n").encode()
+            line = self._status_line(f"http://{host}:{port}", request)
+            assert line.split()[1] == b"400", line
+            with pytest.raises(ConfigurationError, match="since"):
+                server.service.scheduler.events(ticket, since=-1)
+        finally:
+            executor.release.set()
+            server.service.shutdown()
+            server.shutdown()
+            thread.join(5)
 
     def test_unreachable_server(self):
         client = ServiceClient("http://127.0.0.1:9", timeout=0.5)
