@@ -117,12 +117,13 @@ def _self_single_layer(mesh: SurfaceMesh3D, k: complex,
 def assemble_media_multi_k(plan: AssemblyPlan3D, media) -> list[tuple]:
     """Assemble ``(D, S)`` stacks for every ``(k, tables)`` in ``media``.
 
-    The multi-frequency hot path: one fused kernel pass over all
-    tables (two media x F stacked frequencies share the plan's gather
-    positions, distances and shell phase sums), then one per-k consumption of
-    the plan per entry. Returns ``[(d, s), ...]`` as ``(B, N, N)``
-    stacks in ``media`` order, **bit-identical** to assembling each
-    ``(k, tables)`` independently against the same tables.
+    The multi-frequency hot path: one fused kernel-table lookup over
+    all tables (two media x F stacked frequencies share the pairs'
+    table columns, node indices and interpolation weights), then one
+    per-k consumption of the plan per entry. Returns ``[(d, s), ...]``
+    as ``(B, N, N)`` stacks in ``media`` order, **bit-identical** to
+    assembling each ``(k, tables)`` independently against the same
+    tables.
     """
     media = list(media)
     regs = plan.eval_tables([tab for _, tab in media])

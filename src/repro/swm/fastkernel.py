@@ -1,57 +1,64 @@
-"""Tabulated fast path for the doubly-periodic Ewald kernel.
+"""Lattice-offset tables for the doubly-periodic Ewald kernel.
 
-Exact Ewald assembly is dominated by complex Faddeeva (``wofz``)
-evaluations, but its brackets are smooth *one-dimensional* functions:
-the spatial bracket of an image depends only on its distance ``R``, and
-each spectral bracket only on ``dz`` (one per shell of equal
-``m^2 + n^2``, since ``gamma_mn`` depends on ``|k_mn|`` only). A
-:class:`KernelTables` tabulates them once per (medium wavenumber, patch
-period) on dense uniform grids, and every Monte-Carlo / collocation
-sample at that frequency reuses them.
+On the n x n periodic collocation grid every pair's wrapped in-plane
+offset is ``(ix d, iy d)`` with ``d = L/n`` and ``|ix|, |iy| <= n//2``.
+The square lattice's symmetries (``x -> -x``, ``y -> -y``, ``x <-> y``)
+map it to a canonical offset ``0 <= b <= a <= n//2``, ``(a, b) !=
+(0, 0)``: ``(n//2 + 1)(n//2 + 2)/2 - 1`` of them (14 at n = 8, 65 at
+n = 20). Folding only flips the sign of the in-plane gradient or swaps
+its components, and ``G_reg``, ``gx`` and ``gy`` are even in ``dz``
+while ``gz`` is odd. So at each canonical offset the regularized kernel
+(``G^pq`` minus the free-space primary) and its gradient are smooth
+functions of ``|dz|`` alone, and a :class:`KernelTables` tabulates them.
 
 What one sample then pays for is organized by what the work depends on:
 
-- **per table** (built once, reused by every sample): the radial and
-  spectral tables, packed in slope form so one gather fetches a value,
-  its slope, its derivative and the derivative's slope; and the
-  zero-separation self term :meth:`KernelTables.regular_at_zero`;
-- **per grid** (cached by ``(n, period, n_modes)`` in
-  :mod:`repro.swm.plan`): the spectral phase factors, summed per shell
-  into real cos/sin arrays (:func:`shell_phase_sums`) — the ``(m, n)``
-  and ``(-m, -n)`` modes cancel every imaginary part, so a shell costs
-  four real-by-complex multiply-adds whatever its mode count;
+- **per table** (one per medium wavenumber, Ewald configuration and
+  grid size, reused by every sample): ``(g, gx, gy, gz)`` at every
+  canonical offset on the ``|dz|`` nodes ``j h``, ``h = L /``
+  :data:`Z_NODES_PER_PERIOD`, plus the zero-separation self term
+  :meth:`KernelTables.regular_at_zero`. The build sums the lattice
+  images by cubic Hermite interpolation on radial tables of the spatial
+  bracket (its first and second derivatives are closed-form), and the
+  spectral part from exact brackets at the nodes times per-shell phase
+  sums at the offsets (:func:`shell_phase_sums`). The radial tables
+  are dropped once the offsets are tabulated;
+- **per grid** (cached by :mod:`repro.swm.plan`): each pair's canonical
+  column and the real weights that restore its signs and swap
+  (:func:`fold_offsets`);
 - **per sample** (on the assembly plan's ``(B, M)`` arrays, one entry
-  per unordered collocation pair): one distance, one gather and a few
-  multiply-adds per lattice image, and one gather plus the shell
-  multiply-adds per spectral shell (6 shells for the default 25 modes).
+  per unordered collocation pair): ``|dz|/h`` and four cubic Lagrange
+  weights shared by every table of the call, then per table and
+  quantity four gathers and four multiply-adds (:func:`lookup`).
 
-:func:`green_and_gradient_multi` runs the per-sample work for any
-number of tables that share grids (two media x F frequencies in the
-assembly plan), so everything k-independent is computed once per call.
-All per-sample products are real-by-complex, which rounds the same in
-place or out of place, so batched and per-sample evaluations agree bit
-for bit.
+Every per-sample product is a real weight times a complex value, which
+rounds the same in place or out of place, so batched and per-sample
+evaluations, and a table evaluated with others or alone, agree bit for
+bit.
 
-Grids: every table of one Ewald configuration samples the same nodes,
-anchored at zero with spacings fixed by the period and image count:
-``R_j = j h_r``, with ``h_r`` 1/4095 of the farthest in-plane image
-distance plus 0.1%, and ``|dz|_i = i h_z``, with ``h_z = L/2048``. A
-table's height range sets only how many nodes it holds, so any two
-tables that cover a separation return the same bits for it: a kernel
-value is a pure function of ``(k, EwaldConfig, separation)``, whatever
-tables were built before. The spectral brackets are even (value) and
-odd (z-gradient) in ``dz``, so the shell tables hold ``|dz| >= 0`` and
-the z-gradient takes ``sign(dz)``.
+Nodes are anchored at zero with a spacing fixed by the period, and the
+radial nodes with a spacing fixed by the Ewald configuration. A table's
+height range sets only how many nodes it holds, so any two tables of one
+``(k, EwaldConfig, n)`` that cover a separation return the same bits
+for it, whatever tables were built before.
 
-Accuracy: the linear-interpolation error stays below 1e-6 relative of
-the exact Ewald kernel; ``tests/test_swm_assembly.py`` compares the
-fast path against the exact Ewald assembly over periods and heights.
+Accuracy against exact Ewald (``periodic_green`` /
+``periodic_green_gradient`` with ``exclude_primary=True``), measured by
+``tests/test_swm_assembly.py``:
+
+- pointwise on a plan's pairs, per component, ``max|fast - exact|``
+  over ``max|exact|`` on the same pairs: at most 1e-5 at 1 and 5 GHz
+  (1.5e-6 measured); the cubic ``dz`` interpolation dominates it;
+- matrix level, ``max|S_fast - S_exact| / max|S_exact|`` and the same
+  for ``D``: at most 1e-7 over n in {7, 8}, L in {5, 15} um, heights up
+  to 2 um, 1 to 20 GHz and both media (1.6e-9 for S and 1.5e-8 for D
+  measured).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,58 +77,81 @@ from ..greens.special import (
 #: (``AssemblyOptions.to_spec``). Kernels that agree only to rounding
 #: must never share a result-cache entry, so bump this with any change
 #: that moves a kernel value.
-KERNEL_REVISION = 4
+KERNEL_REVISION = 5
+
+#: ``|dz|`` nodes per period: the offset tables sample ``|dz| = j L / 128``.
+Z_NODES_PER_PERIOD = 128
+
+#: Radial nodes across the farthest in-plane image distance.
+_RADIAL_NODES = 4095
 
 
-def _slope_form(value: np.ndarray, deriv: np.ndarray) -> np.ndarray:
-    """Pack a tabulated function and its derivative for one-gather lookup.
-
-    Column ``i`` holds ``(v[i], v[i+1] - v[i], d[i], d[i+1] - d[i])``,
-    so linear interpolation at ``i + frac`` reads one column. The last
-    column's slopes are zero (a lookup exactly at the grid end returns
-    the end value).
-    """
-    packed = np.zeros((4, value.size), dtype=np.complex128)
-    packed[0] = value
-    packed[1, :-1] = np.diff(value)
-    packed[2] = deriv
-    packed[3, :-1] = np.diff(deriv)
-    return packed
+def _canonical_offsets(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer cell offsets ``(a, b)``, ``0 <= b <= a <= n//2``, ``(a, b)
+    != (0, 0)``, in table-column order: column ``a(a+1)/2 + b - 1``."""
+    half = int(n) // 2
+    a, b = np.tril_indices(half + 1)
+    return a[1:], b[1:]
 
 
-def _lerp(packed: np.ndarray, idx: np.ndarray, frac: np.ndarray
-          ) -> tuple[np.ndarray, np.ndarray]:
-    """Interpolated ``(value, derivative)`` from a slope-form table."""
-    rows = np.take(packed, idx, axis=1)
-    return rows[0] + frac * rows[1], rows[2] + frac * rows[3]
+class OffsetFold(NamedTuple):
+    """Each pair's canonical column and orientation on one grid.
 
-
-def _split(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column index and fractional offset of grid position ``t >= 0``."""
-    idx = t.astype(np.intp)
-    return idx, t - idx
-
-
-@dataclass(frozen=True)
-class ShellPhases:
-    """Spectral phase factors of one grid, summed per shell.
-
-    ``shells`` holds ``(s, c, sx, sy)`` for every nonzero shell
-    ``s = m^2 + n^2`` of the mode set, with ``c = sum cos(phi)``,
-    ``sx = -sum kx sin(phi)`` and ``sy = -sum ky sin(phi)`` over the
-    shell's modes, ``phi = kx dx + ky dy``. Because the mode set is
-    symmetric under ``(m, n) -> (-m, -n)``, these real sums are exactly
-    ``sum e^{j phi}``, ``sum j kx e^{j phi}`` and ``sum j ky e^{j phi}``.
+    With ``(GX, GY)`` interpolated at the pair's column,
+    ``gx = xx GX + xy GY`` and ``gy = yy GY + yx GX``: the weights are
+    the pair's in-plane signs, moved to the other component where the
+    offset's ``|iy| > |ix|`` was swapped into the canonical triangle.
     """
 
+    n: int
     period: float
-    n_modes: int
-    shells: tuple
+    col: np.ndarray
+    xx: np.ndarray
+    xy: np.ndarray
+    yy: np.ndarray
+    yx: np.ndarray
+
+
+def fold_offsets(dx: np.ndarray, dy: np.ndarray, n: int,
+                 period: float) -> OffsetFold:
+    """Fold wrapped grid offsets ``(dx, dy)`` onto the canonical ones.
+
+    Signs come from the float offsets themselves, so the ``+-L/2``
+    column of an even grid keeps the orientation the free-space primary
+    sees. Raises :class:`~repro.errors.ConfigurationError` for an
+    offset that is not wrapped to the minimum image or is zero.
+    """
+    spacing = period / n
+    ix = np.abs(np.rint(np.asarray(dx) / spacing)).astype(np.intp)
+    iy = np.abs(np.rint(np.asarray(dy) / spacing)).astype(np.intp)
+    a = np.maximum(ix, iy)
+    b = np.minimum(ix, iy)
+    if a.size and (a.max() > n // 2 or a.min() == 0):
+        raise ConfigurationError(
+            "pair offsets must be nonzero and wrapped to the minimum "
+            "image (|dx|, |dy| <= L/2)")
+    swap = (iy > ix).astype(np.float64)
+    keep = 1.0 - swap
+    sx = np.where(np.asarray(dx) < 0.0, -1.0, 1.0)
+    sy = np.where(np.asarray(dy) < 0.0, -1.0, 1.0)
+    fold = OffsetFold(int(n), float(period), a * (a + 1) // 2 + b - 1,
+                      sx * keep, sx * swap, sy * keep, sy * swap)
+    for arr in fold[2:]:
+        arr.setflags(write=False)
+    return fold
 
 
 def shell_phase_sums(dx: np.ndarray, dy: np.ndarray, period: float,
-                     n_modes: int) -> ShellPhases:
-    """Per-shell real phase sums at the in-plane separations."""
+                     n_modes: int) -> tuple:
+    """Spectral phase factors at in-plane offsets, summed per shell.
+
+    Returns ``(s, c, sx, sy)`` for every nonzero shell ``s = m^2 + n^2``
+    of the mode set, with ``c = sum cos(phi)``, ``sx = -sum kx
+    sin(phi)`` and ``sy = -sum ky sin(phi)`` over the shell's modes,
+    ``phi = kx dx + ky dy``. Because the mode set is symmetric under
+    ``(m, n) -> (-m, -n)``, these real sums are exactly ``sum
+    e^{j phi}``, ``sum j kx e^{j phi}`` and ``sum j ky e^{j phi}``.
+    """
     sums: dict[int, tuple] = {}
     for m in range(-n_modes, n_modes + 1):
         for n in range(-n_modes, n_modes + 1):
@@ -136,16 +166,153 @@ def shell_phase_sums(dx: np.ndarray, dy: np.ndarray, period: float,
             acc = sums.get(s)
             sums[s] = terms if acc is None else tuple(
                 a + t for a, t in zip(acc, terms))
-    shells = tuple((s, *sums[s]) for s in sorted(sums))
-    for _, *arrays in shells:
-        for arr in arrays:
-            arr.setflags(write=False)
-    return ShellPhases(period=float(period), n_modes=int(n_modes),
-                       shells=shells)
+    return tuple((s, *sums[s]) for s in sorted(sums))
+
+
+def _hermite_pack(*funcs: np.ndarray) -> np.ndarray:
+    """Column ``i`` holds ``(f[i], f[i+1])`` of each tabulated function,
+    so one gather reads both ends of a cell."""
+    return np.stack([end for f in funcs for end in (f[:-1], f[1:])])
+
+
+def _radial_tables(k: complex, cfg: EwaldConfig, r_max: float):
+    """The spatial bracket over ``R >= 0``, divided by ``8 pi``: the
+    image form ``b(R)`` and the primary form ``b(R) - 2 e^{jkR}`` (the
+    free-space part removed), each with its first two derivatives.
+
+    ``b'' = -k^2 b + 4 R E^2 X`` with ``X = (2E/sqrt(pi)) exp(k^2/4E^2
+    - R^2 E^2)``, the Gaussian term of ``b'``. Returns the node spacing
+    and the Hermite-packed image and primary tables.
+    """
+    e = cfg.effective_split
+    h_r = (math.sqrt(2.0) * (cfg.n_images + 0.5) * cfg.period * 1.001
+           / _RADIAL_NODES)
+    r = np.arange(math.ceil(r_max / h_r) + 2) * h_r
+    inv8pi = 1.0 / (8.0 * math.pi)
+    b = erfc_scaled_pair(r, k, e)
+    db = erfc_scaled_pair_derivative(r, k, e)
+    x_term = (2.0 * e / math.sqrt(math.pi)) * np.exp(
+        k * k / (4.0 * e * e) - (r * e) ** 2)
+    d2b = (4.0 * e * e) * r * x_term - k * k * b
+    exp_jkr = np.exp(1j * k * r)
+    image = _hermite_pack(b * inv8pi, db * inv8pi, d2b * inv8pi)
+    primary = _hermite_pack((b - 2.0 * exp_jkr) * inv8pi,
+                            (db - 2j * k * exp_jkr) * inv8pi,
+                            (d2b + 2.0 * k * k * exp_jkr) * inv8pi)
+    return h_r, image, primary
+
+
+def _image_terms(k: complex, cfg: EwaldConfig, dx: np.ndarray,
+                 dy: np.ndarray, z: np.ndarray) -> list[np.ndarray]:
+    """Screened lattice-image sum of ``G_reg`` and its gradient at
+    in-plane offsets ``(dx[p], dy[p])`` and heights ``z[j]`` (nonzero
+    separations), as ``(P, J)`` arrays.
+
+    Per image, ``b(R)`` and ``b'(R)`` are cubic Hermite interpolants of
+    the radial tables; with ``w = 1/R`` the term is ``g = b w`` and its
+    gradient ``(b' - b w) w^2 (rx, ry, z)``.
+    """
+    lat = cfg.period
+    nim = cfg.n_images
+    dx = np.asarray(dx, dtype=np.float64)[:, None]
+    dy = np.asarray(dy, dtype=np.float64)[:, None]
+    z = np.asarray(z, dtype=np.float64)[None, :]
+    reach = nim * lat
+    r_max = math.sqrt((float(np.max(np.abs(dx), initial=0.0)) + reach) ** 2
+                      + (float(np.max(np.abs(dy), initial=0.0)) + reach) ** 2
+                      + float(np.max(z * z, initial=0.0)))
+    h_r, image, primary = _radial_tables(k, cfg, r_max)
+    inv_h = 1.0 / h_r
+    shape = np.broadcast_shapes(dx.shape, z.shape)
+    g, gx, gy, gz = (np.zeros(shape, dtype=np.complex128) for _ in range(4))
+    z2 = z * z
+    for p in range(-nim, nim + 1):
+        for q in range(-nim, nim + 1):
+            rx = dx - p * lat
+            ry = dy - q * lat
+            r = np.sqrt(rx * rx + ry * ry + z2)
+            t = r * inv_h
+            idx = t.astype(np.intp)
+            f = t - idx
+            one_f = 1.0 - f
+            h00 = (1.0 + 2.0 * f) * one_f * one_f
+            h01 = f * f * (3.0 - 2.0 * f)
+            h10 = h_r * f * one_f * one_f
+            h11 = -h_r * f * f * one_f
+            table = primary if p == 0 and q == 0 else image
+            v0, v1, d0, d1, s0, s1 = np.take(table, idx, axis=1)
+            b = h00 * v0 + h01 * v1 + h10 * d0 + h11 * d1
+            db = h00 * d0 + h01 * d1 + h10 * s0 + h11 * s1
+            w = 1.0 / r
+            u = b * w
+            g += u
+            radial = (db - u) * (w * w)
+            gx += radial * rx
+            gy += radial * ry
+            gz += radial * z
+    return [g, gx, gy, gz]
+
+
+def _spectral_terms(k: complex, cfg: EwaldConfig, dx: np.ndarray,
+                    dy: np.ndarray, z: np.ndarray) -> list[np.ndarray]:
+    """Floquet-mode sum of the kernel and its gradient at in-plane
+    offsets ``(dx[p], dy[p])`` and heights ``z[j]``, as ``(P, J)``
+    arrays: exact spectral brackets at the heights, one per shell of
+    equal ``m^2 + n^2`` (``gamma_mn`` depends on ``|k_mn|`` only), times
+    the shell's phase sums at the offsets."""
+    lat = cfg.period
+    e = cfg.effective_split
+    dx = np.asarray(dx, dtype=np.float64)
+    dy = np.asarray(dy, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    gammas: dict[int, complex] = {}
+    for m in range(-cfg.n_modes, cfg.n_modes + 1):
+        for n in range(-cfg.n_modes, cfg.n_modes + 1):
+            gammas.setdefault(m * m + n * n, complex(_gamma_mn(
+                k, np.array(2.0 * math.pi * m / lat),
+                np.array(2.0 * math.pi * n / lat))))
+
+    def brackets(s: int) -> tuple[np.ndarray, np.ndarray]:
+        # Pre-multiplied by the mode coefficient j / (4 L^2 gamma), and
+        # the minus bracket also by its derivative factor j gamma.
+        gamma = gammas[s]
+        coef = 1j / (4.0 * lat * lat * gamma)
+        plus = np.asarray(ewald_spectral_bracket(z, gamma, e))
+        minus = np.asarray(ewald_spectral_bracket_minus(z, gamma, e))
+        return plus * coef, minus * ((1j * gamma) * coef)
+
+    # The specular shell has unit phase and no transverse gradient.
+    plus, minus = brackets(0)
+    shape = (dx.size, z.size)
+    g = np.broadcast_to(plus, shape).astype(np.complex128)
+    gz = np.broadcast_to(minus, shape).astype(np.complex128)
+    gx = np.zeros(shape, dtype=np.complex128)
+    gy = np.zeros(shape, dtype=np.complex128)
+    for s, c, sx, sy in shell_phase_sums(dx, dy, lat, cfg.n_modes):
+        plus, minus = brackets(s)
+        g += c[:, None] * plus
+        gx += sx[:, None] * plus
+        gy += sy[:, None] * plus
+        gz += c[:, None] * minus
+    return [g, gx, gy, gz]
+
+
+def offset_kernel(k: complex, cfg: EwaldConfig, dx: np.ndarray,
+                  dy: np.ndarray, z: np.ndarray) -> list[np.ndarray]:
+    """``(G_reg, Gx_reg, Gy_reg, Gz_reg)`` at every in-plane offset
+    ``(dx[p], dy[p])`` (wrapped, ``|dx|, |dy| <= L/2``) and height
+    ``z[j]``, as ``(P, J)`` arrays: what :class:`KernelTables`
+    tabulates, usable at any nonzero separation. "reg" means the
+    free-space primary singularity is subtracted (the contract of
+    ``periodic_green(..., exclude_primary=True)``)."""
+    images = _image_terms(k, cfg, dx, dy, z)
+    spectral = _spectral_terms(k, cfg, dx, dy, z)
+    return [a + b for a, b in zip(images, spectral)]
 
 
 class KernelTables:
-    """Tabulated periodic Green's function + gradient for one medium.
+    """Tabulated regularized periodic kernel + gradient for one medium
+    on one grid.
 
     Parameters
     ----------
@@ -153,78 +320,47 @@ class KernelTables:
         Medium wavenumber (1/um).
     cfg:
         Ewald configuration (period, splitting, truncations).
+    n:
+        Grid size: the table serves the pairs of the n x n collocation
+        grid on the period ``cfg.period``.
     z_extent:
-        Maximum |z_i - z_j| the tables must cover (um). It sets only
-        the number of nodes; the node spacings come from ``cfg``.
+        Maximum |z_i - z_j| the tables must cover (um), the
+        interpolation stencil included. It sets only the number of
+        nodes; the node spacing comes from the period.
     """
 
-    def __init__(self, k: complex, cfg: EwaldConfig, z_extent: float) -> None:
-        if not math.isfinite(z_extent):
-            raise ConfigurationError(f"z_extent must be finite, got {z_extent}")
+    def __init__(self, k: complex, cfg: EwaldConfig, n: int,
+                 z_extent: float) -> None:
+        if not math.isfinite(z_extent) or z_extent < 0.0:
+            raise ConfigurationError(
+                f"z_extent must be finite and >= 0, got {z_extent}")
+        if int(n) < 1:
+            raise ConfigurationError(f"grid size must be >= 1, got {n}")
         self.k = complex(k)
         self.cfg = cfg
         self.period = cfg.period
-        e = cfg.effective_split
-        lat = cfg.period
-        nim = cfg.n_images
-
-        # Node spacings fixed by the configuration (module docstring).
-        # Lookups use these inverses, so a grid position depends only on
-        # the separation; the table length only bounds it.
-        r_lattice = math.sqrt(2.0) * (nim + 0.5) * lat
-        h_r = r_lattice * 1.001 / 4095
-        h_z = lat / 2048
-        self._r_inv_h = 1.0 / h_r
-        self._z_inv_h = 1.0 / h_z
-        # Last dz node: a lookup at grid position <= _z_last reads
-        # only nodes every covering table shares.
-        self._z_last = max(math.ceil(float(z_extent) * self._z_inv_h), 1)
-        z_grid = np.arange(self._z_last + 1) * h_z
-        r_reach = math.hypot(r_lattice, self._z_last * h_z) * 1.001
-        r_grid = np.arange(math.ceil(r_reach * self._r_inv_h) + 1) * h_r
-
-        # --- spatial tables over R >= 0 ---
-        # The evaluation-time terms are ``table / R``: the constant
-        # 1/(8 pi) is folded into the tables at build time so the hot
-        # loop never multiplies by it.
-        inv8pi = 1.0 / (8.0 * math.pi)
-        bracket = erfc_scaled_pair(r_grid, k, e)
-        dbracket = erfc_scaled_pair_derivative(r_grid, k, e)
-        self._image = _slope_form(bracket * inv8pi, dbracket * inv8pi)
-        # Regularized primary numerator n(R) = bracket - 2 e^{jkR} and its
-        # derivative (for the primary image with the free-space part
-        # removed: term = n(R) / (8 pi R)), same 1/(8 pi) folding.
-        exp_jkr = np.exp(1j * k * r_grid)
-        self._primary = _slope_form((bracket - 2.0 * exp_jkr) * inv8pi,
-                                    (dbracket - 2j * k * exp_jkr) * inv8pi)
-
-        # --- spectral tables over |dz| >= 0, one per shell ---
-        # Each shell's table is pre-multiplied by its mode coefficient
-        # ``coef = j / (4 L^2 gamma)`` (and the minus table additionally
-        # by ``j gamma``, its derivative factor), so the per-shell
-        # accumulation is a bare multiply-add.
-        area = lat * lat
-        nmod = cfg.n_modes
-        self._modes = [(m, n) for m in range(-nmod, nmod + 1)
-                       for n in range(-nmod, nmod + 1)]
-        self._images = [(p, q) for p in range(-nim, nim + 1)
-                        for q in range(-nim, nim + 1)]
-        self._gamma: dict[int, complex] = {}
-        self._shells: dict[int, np.ndarray] = {}
-        for m, n in self._modes:
-            s = m * m + n * n
-            if s in self._gamma:
-                continue
-            kx = 2.0 * math.pi * m / lat
-            ky = 2.0 * math.pi * n / lat
-            g = complex(_gamma_mn(k, np.array(kx), np.array(ky)))
-            coef = 1j / (4.0 * area * g)
-            minus_coef = (1j * g) * coef
-            minus = np.asarray(ewald_spectral_bracket_minus(z_grid, g, e))
-            self._gamma[s] = g
-            self._shells[s] = _slope_form(
-                np.asarray(ewald_spectral_bracket(z_grid, g, e)) * coef,
-                minus * minus_coef)
+        self.n = int(n)
+        h = self.period / Z_NODES_PER_PERIOD
+        self._inv_h = 1.0 / h
+        # Last |dz| node: a lookup at |dz| reads the nodes floor(|dz|/h)
+        # - 1 ... + 2, so this covers every |dz| <= z_extent.
+        self._last = math.floor(float(z_extent) * self._inv_h) + 2
+        nodes = np.arange(self._last + 1) * h
+        a, b = _canonical_offsets(self.n)
+        self.n_offsets = a.size
+        spacing = self.period / self.n
+        # Row r holds node r - 1: row 0 is node -1, mirrored from node 1
+        # (g, gx, gy even in dz; gz odd), so every stencil is one slice.
+        values = []
+        for which, q in enumerate(offset_kernel(k, cfg, a * spacing,
+                                                b * spacing, nodes)):
+            rows = np.empty((nodes.size + 1, a.size), dtype=np.complex128)
+            rows[1:] = q.T
+            rows[0] = -q[:, 1] if which == 3 else q[:, 1]
+            flat = rows.ravel()
+            flat.setflags(write=False)
+            values.append(flat)
+        self._values = tuple(values)
         self._reg0 = self._regular_at_zero()
 
     # ------------------------------------------------------------------
@@ -232,27 +368,11 @@ class KernelTables:
     def covers(self, z_extent: float) -> bool:
         """Whether the tables cover every ``|dz| <= z_extent``.
 
-        Exact, not a margin: it compares the same grid position a
-        lookup computes, so a covering table returns the bits of any
-        longer table of its configuration.
+        Exact, not a margin: it compares the same node index a lookup
+        computes, stencil included, so a covering table returns the bits
+        of any longer table of its configuration.
         """
-        return float(z_extent) * self._z_inv_h <= self._z_last
-
-    def shares_grids(self, other: "KernelTables") -> bool:
-        """Whether ``other`` samples the same nodes.
-
-        True when both have the same period, node spacings and
-        image/mode sets — the condition for one set of gather indices
-        and phase sums to serve both in :func:`green_and_gradient_multi`.
-        Table lengths may differ.
-        """
-        return (
-            self.period == other.period
-            and self._r_inv_h == other._r_inv_h
-            and self._z_inv_h == other._z_inv_h
-            and self._images == other._images
-            and self._modes == other._modes
-        )
+        return math.floor(float(z_extent) * self._inv_h) + 2 <= self._last
 
     def regular_at_zero(self) -> complex:
         """``(G^pq - G_free)`` at zero separation (for diagonal self terms).
@@ -262,154 +382,92 @@ class KernelTables:
         return self._reg0
 
     def _regular_at_zero(self) -> complex:
-        g = _primary_minus_free_limit(self.k, self.cfg.effective_split)
         e = self.cfg.effective_split
         lat = self.period
+        nim = self.cfg.n_images
+        g = _primary_minus_free_limit(self.k, e)
         # Non-primary spatial images at zero separation.
-        for (p, q) in self._images:
-            if p == 0 and q == 0:
-                continue
-            r = math.hypot(p * lat, q * lat)
-            g += complex(erfc_scaled_pair(np.array(r), self.k, e)) / (8.0 * math.pi * r)
-        # Spectral part at dz = 0.
-        area = lat * lat
-        for (m, n) in self._modes:
-            gamma = self._gamma[m * m + n * n]
-            b0 = complex(ewald_spectral_bracket(np.array(0.0), gamma, e))
-            g += b0 * (1j / (4.0 * area * gamma))
-        return g
-
-    def green_and_gradient(self, dx: np.ndarray, dy: np.ndarray,
-                           dz: np.ndarray
-                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Regularized kernel and gradient at the given (wrapped) separations.
-
-        Returns ``(G_reg, Gx_reg, Gy_reg, Gz_reg)`` where "reg" means the
-        free-space primary singularity has been subtracted (same contract
-        as ``periodic_green(..., exclude_primary=True)``). The one-table
-        case of :func:`green_and_gradient_multi`.
-        """
-        return green_and_gradient_multi((self,), dx, dy, dz)[0]
+        for p in range(-nim, nim + 1):
+            for q in range(-nim, nim + 1):
+                if p or q:
+                    r = math.hypot(p * lat, q * lat)
+                    g += complex(erfc_scaled_pair(np.array(r), self.k, e)) / (8.0 * math.pi * r)
+        zero = np.zeros(1)
+        spectral = _spectral_terms(self.k, self.cfg, zero, zero, zero)[0]
+        return g + complex(spectral[0, 0])
 
 
-def green_and_gradient_multi(tables, dx: np.ndarray, dy: np.ndarray,
-                             dz: np.ndarray,
-                             phases: ShellPhases | None = None
-                             ) -> list[tuple]:
-    """Evaluate several tables' kernels at once.
+def lookup(tables, fold: OffsetFold, dz: np.ndarray) -> list[tuple]:
+    """``(g, gx, gy, gz)`` of every table at folded pairs.
 
-    In-plane separations ``dx``/``dy`` must be minimum-image wrapped
-    (``|dx|, |dy| <= L/2``); the inputs broadcast, so shared ``(M,)``
-    pair offsets with a stacked ``(B, M)`` ``dz`` give ``(B, M)``
-    outputs. Distances, gather indices and the shell phase
-    sums are computed once and serve every table, so one call evaluates
-    two media x F stacked frequencies (the
-    :class:`~repro.swm.plan.AssemblyPlan3D` consumer); each table's
-    result is bit-identical to evaluating it alone. ``phases`` passes
-    precomputed :func:`shell_phase_sums` of ``(dx, dy)``; without it
-    they are computed here.
+    ``fold`` describes the ``(M,)`` pair offsets of one grid
+    (:func:`fold_offsets`) and ``dz`` their ``(M,)`` or ``(B, M)``
+    height differences; outputs have ``dz``'s shape. The node index and
+    the cubic Lagrange weights are computed once and serve every table
+    (two media x F stacked frequencies in the assembly plan), and each
+    table's result is bit-identical to looking it up alone.
 
-    Returns ``[(g, gx, gy, gz), ...]`` in table order. Raises
-    :class:`~repro.errors.ConfigurationError` when the tables do not
-    share grids or ``dz`` exceeds the range of any of them (tables of
-    different lengths share grids; the shortest bounds ``dz``).
+    Raises :class:`~repro.errors.ConfigurationError` when a table was
+    built for another grid or ``|dz|`` reaches past the nodes of any
+    table (tables of different lengths stack; the shortest bounds
+    ``dz``).
     """
     tables = list(tables)
     if not tables:
-        raise ConfigurationError(
-            "green_and_gradient_multi needs at least one KernelTables")
-    first = tables[0]
-    if not all(first.shares_grids(tab) for tab in tables[1:]):
-        raise ConfigurationError(
-            "green_and_gradient_multi needs tables built on shared grids "
-            "(same period and Ewald truncation)")
-
-    dx = np.asarray(dx, dtype=np.float64)
-    dy = np.asarray(dy, dtype=np.float64)
+        raise ConfigurationError("lookup needs at least one KernelTables")
+    for tab in tables:
+        if tab.n != fold.n or tab.period != fold.period:
+            raise ConfigurationError(
+                f"KernelTables built for another grid (n={tab.n}, "
+                f"L={tab.period}) cannot serve n={fold.n}, L={fold.period}")
     dz = np.asarray(dz, dtype=np.float64)
-    shape = np.broadcast_shapes(dx.shape, dy.shape, dz.shape)
-    # Grid position on the shared |dz| nodes; the radial tables reach
-    # past every covered dz by construction.
-    t_z = np.broadcast_to(np.abs(dz) * first._z_inv_h, shape)
-    if not np.max(t_z) <= min(tab._z_last for tab in tables):
+    t = np.abs(dz) * tables[0]._inv_h
+    node = t.astype(np.intp)
+    if node.size and not node.max() + 2 <= min(tab._last for tab in tables):
         raise ConfigurationError(
-            "dz exceeds the tabulated z range; rebuild KernelTables "
-            "with a larger z_extent"
-        )
-    half = 0.5 * first.period * (1.0 + 1e-9)
-    if np.max(np.abs(dx)) > half or np.max(np.abs(dy)) > half:
-        raise ConfigurationError(
-            "in-plane separations must be wrapped to the minimum image "
-            "(|dx|, |dy| <= L/2)")
-    if phases is None:
-        phases = shell_phase_sums(dx, dy, first.period, first.cfg.n_modes)
-    elif (phases.period, phases.n_modes) != (first.period,
-                                              first.cfg.n_modes):
-        raise ConfigurationError(
-            "shell phases were built for a different period or mode set")
+            "|dz| exceeds the tabulated range (interpolation stencil "
+            "included); rebuild KernelTables with a larger z_extent")
+    f = t - node
+    fp1, fm1, fm2 = f + 1.0, f - 1.0, f - 2.0
+    weights = (-(f * fm1 * fm2) / 6.0, fp1 * fm1 * fm2 / 2.0,
+               -(fp1 * f * fm2) / 2.0, fp1 * f * fm1 / 6.0)
+    # Flat position of the stencil's first node; node r of the stencil
+    # is one table row (n_offsets values) further on.
+    width = tables[0].n_offsets
+    base = node * width + fold.col
+    sign = np.sign(dz)
+    # Every product is real-by-complex, so writing it in place rounds
+    # as out of place would; two scratch arrays serve the whole call.
+    scratch = (np.empty(dz.shape, dtype=np.complex128),
+               np.empty(dz.shape, dtype=np.complex128))
 
-    outs = [tuple(np.zeros(shape, dtype=np.complex128) for _ in range(4))
-            for _ in tables]
-    _add_images(tables, outs, dx, dy, dz)
-    _add_shells(tables, outs, np.sign(dz), t_z, phases)
+    def interp(values: np.ndarray) -> np.ndarray:
+        out = np.take(values, base)
+        np.multiply(out, weights[0], out=out)
+        for r in range(1, 4):
+            term = np.take(values[r * width:], base, out=scratch[0],
+                           mode="clip")
+            out += np.multiply(term, weights[r], out=term)
+        return out
+
+    outs = []
+    for tab in tables:
+        g, gx, gy, gz = (interp(values) for values in tab._values)
+        # gx <- xx gx + xy gy and gy <- yy gy + yx gx: the pair's signs,
+        # and its swap back out of the canonical triangle.
+        to_x = np.multiply(gy, fold.xy, out=scratch[0])
+        to_y = np.multiply(gx, fold.yx, out=scratch[1])
+        np.multiply(gx, fold.xx, out=gx)
+        gx += to_x
+        np.multiply(gy, fold.yy, out=gy)
+        gy += to_y
+        np.multiply(gz, sign, out=gz)
+        outs.append((g, gx, gy, gz))
     return outs
-
-
-def _add_images(tables, outs, dx, dy, dz) -> None:
-    """Add every lattice image's spatial term to ``outs`` in place.
-
-    Per image: one distance and gather position shared by all tables,
-    then per table one gather from the packed radial table. With
-    ``w = 1/R`` the term is ``g = b w`` and its gradient
-    ``(db - b w) w^2 (rx, ry, dz)``.
-    """
-    first = tables[0]
-    lat = first.period
-    dz2 = dz * dz
-    for (p, q) in first._images:
-        rx = dx - p * lat
-        ry = dy - q * lat
-        r = np.sqrt(rx * rx + ry * ry + dz2)
-        primary = (p == 0 and q == 0)
-        if primary:
-            r = np.maximum(r, 1e-300)
-        idx, frac = _split(r * first._r_inv_h)
-        w = 1.0 / r
-        w2 = w * w
-        for tab, (g, gx, gy, gz) in zip(tables, outs):
-            b, db = _lerp(tab._primary if primary else tab._image, idx, frac)
-            u = b * w
-            g += u
-            radial = (db - u) * w2
-            gx += radial * rx
-            gy += radial * ry
-            gz += radial * dz
-
-
-def _add_shells(tables, outs, sign, t_z, phases: ShellPhases) -> None:
-    """Add every spectral shell's term to ``outs`` in place.
-
-    The shell tables share the ``|dz|`` grid, hence one gather position
-    ``t_z``; the specular shell has unit phase and no transverse
-    gradient. The brackets' z-derivative is odd in ``dz``, so each
-    table's shell z-gradient is summed at ``|dz|`` and takes ``sign``
-    once.
-    """
-    idx, frac = _split(t_z)
-    for tab, (g, gx, gy, gz) in zip(tables, outs):
-        b, odd = _lerp(tab._shells[0], idx, frac)
-        g += b
-        for s, c, sx, sy in phases.shells:
-            b, minus = _lerp(tab._shells[s], idx, frac)
-            g += c * b
-            gx += sx * b
-            gy += sy * b
-            odd += c * minus
-        gz += sign * odd
 
 
 def tables_for_mesh(k: complex, mesh: SurfaceMesh3D,
                     cfg: EwaldConfig) -> KernelTables:
-    """Build tables sized for a mesh's height range."""
+    """Build tables for a mesh's grid, covering its height range."""
     z_extent = float(np.max(mesh.z) - np.min(mesh.z))
-    return KernelTables(k, cfg, z_extent=z_extent)
+    return KernelTables(k, cfg, mesh.n, z_extent=z_extent)

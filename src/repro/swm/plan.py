@@ -22,9 +22,9 @@ the *source* cell's tangent plane), the analytic self terms on the
 diagonal, and the ``D``/``S`` matrices, whose columns carry the source
 cell's Jacobian and slopes.
 
-Pair indices, wrapped offsets and the 3D shell phase sums depend only
-on the grid, so bounded caches keyed by the grid share them, as
-read-only arrays, with every plan on that grid.
+Pair indices, wrapped offsets and the 3D pairs' kernel-table columns
+depend only on the grid, so bounded caches keyed by the grid share
+them, as read-only arrays, with every plan on that grid.
 
 Plans never mutate their captured arrays in :meth:`assemble_k`, so one
 plan can serve arbitrarily many wavenumbers. Every per-entry expression
@@ -43,6 +43,8 @@ import numpy as np
 from ..errors import ConfigurationError, MeshError
 from ..greens.freespace import green2d, green2d_radial_derivative, green3d
 from ..greens.periodic2d import EULER_GAMMA, periodic_green2d_pair
+from ..telemetry import span
+from .fastkernel import OffsetFold, fold_offsets, lookup
 from .geometry import grid_coords
 
 
@@ -92,14 +94,12 @@ def _profile_pairs(n: int, period: float) -> GridPairs:
 
 
 @lru_cache(maxsize=4)
-def _grid_phases(n: int, period: float, n_modes: int):
-    """Per-shell spectral phase sums at the grid's pair offsets (see
-    :func:`~repro.swm.fastkernel.shell_phase_sums`), built once per
-    ``(n, period, n_modes)`` and shared by every plan on that grid."""
-    from .fastkernel import shell_phase_sums
-
+def _grid_fold(n: int, period: float) -> OffsetFold:
+    """Canonical kernel-table column and orientation of every pair of
+    the n x n grid (:func:`~repro.swm.fastkernel.fold_offsets`), built
+    once per ``(n, period)`` and shared by every plan on that grid."""
     pairs = _grid_pairs(n, period)
-    return shell_phase_sums(pairs.dx, pairs.dy, period, n_modes)
+    return fold_offsets(pairs.dx, pairs.dy, n, period)
 
 
 def _near_set(pairs: GridPairs, radius: float):
@@ -243,17 +243,15 @@ class AssemblyPlan3D(_PairPlan):
         """Regularized kernel+gradient on the pairs for each table.
 
         Returns ``(B, M)`` arrays ``(g, gx, gy, gz)`` per
-        :class:`KernelTables`. One fused pass shares the distances,
-        gather positions and the grid's cached shell phase sums across
-        all tables (any number of media x frequencies) — bit-identical
-        to evaluating each table independently on the same pairs.
+        :class:`~repro.swm.fastkernel.KernelTables`. Each pair reads its
+        grid's cached canonical offset column, and one fused lookup
+        shares the node indices and interpolation weights across all
+        tables (any number of media x frequencies) — bit-identical to
+        evaluating each table independently on the same pairs.
         """
-        from .fastkernel import green_and_gradient_multi
-
-        phases = _grid_phases(self.meshes[0].n, self.period,
-                              self.options.n_modes)
-        return green_and_gradient_multi(tables, self.dx, self.dy, self.dz,
-                                        phases)
+        with span("kernel"):
+            return lookup(tables, _grid_fold(self.meshes[0].n, self.period),
+                          self.dz)
 
     def assemble_k(self, k: complex, regs, g_reg0: complex
                    ) -> tuple[np.ndarray, np.ndarray]:

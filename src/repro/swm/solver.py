@@ -407,13 +407,13 @@ class SWMSolver3D(_SWMSolver):
                  options: SWMOptions | None = None) -> None:
         self.system = system
         self.options = options or SWMOptions()
-        # Kernel-table cache: (which_medium, frequency, period) -> tables.
-        # They amortize MC/SSCM sweeps (hundreds of samples per frequency
-        # reuse one table build) and only grow: a chunk whose height
-        # range outgrows a table replaces it with a longer one. Tables
-        # of one configuration sample the same nodes, so which table
-        # serves a solve never changes its values.
-        self._tables: dict[tuple[int, float, float], object] = {}
+        # Kernel-table cache: (which_medium, frequency, period, n) ->
+        # tables. They amortize MC/SSCM sweeps (hundreds of samples per
+        # frequency reuse one table build) and only grow: a chunk whose
+        # height range outgrows a table replaces it with a longer one.
+        # Tables of one configuration sample the same nodes, so which
+        # table serves a solve never changes its values.
+        self._tables: dict[tuple[int, float, float, int], object] = {}
 
     def reset_tables(self) -> None:
         """Drop cached kernel tables to release their memory.
@@ -427,11 +427,13 @@ class SWMSolver3D(_SWMSolver):
 
     def _get_tables(self, which: int, k: complex, frequency_hz: float,
                     meshes: list[SurfaceMesh3D]):
-        """The cached tables of one medium and frequency, grown (with a
-        1.5x margin) when they do not cover the chunk's height range."""
+        """The cached tables of one medium, frequency and grid, grown
+        (with a 1.5x margin) when they do not cover the chunk's height
+        range."""
         from .fastkernel import KernelTables
 
-        key = (which, float(frequency_hz), float(meshes[0].period))
+        n = meshes[0].n
+        key = (which, float(frequency_hz), float(meshes[0].period), n)
         z = np.stack([mesh.z for mesh in meshes])
         z_extent = float(np.max(np.ptp(z, axis=1)))
         if not np.isfinite(z_extent):
@@ -442,7 +444,9 @@ class SWMSolver3D(_SWMSolver):
         if cached is not None and cached.covers(z_extent):
             return cached
         cfg = self.options.assembly.ewald_config(meshes[0].period)
-        tables = KernelTables(k, cfg, z_extent=max(z_extent * 1.5, 1e-6))
+        with span("tables", n=n):
+            tables = KernelTables(k, cfg, n,
+                                  z_extent=max(z_extent * 1.5, 1e-6))
         self._tables[key] = tables
         _M_TABLE_BUILDS.inc()
         return tables

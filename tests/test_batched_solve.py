@@ -222,7 +222,7 @@ class TestKernelTablesCovers:
         from repro.swm.assembly import AssemblyOptions
 
         cfg = AssemblyOptions().ewald_config(5.0)
-        tables = KernelTables(0.5 + 0.2j, cfg, z_extent=2.0)
+        tables = KernelTables(0.5 + 0.2j, cfg, 8, z_extent=2.0)
         assert tables.covers(1.0)
         assert tables.covers(2.0)
         assert not tables.covers(3.0)

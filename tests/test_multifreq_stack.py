@@ -168,12 +168,26 @@ class TestWarmTableCaches:
         monkeypatch.setattr(solver_module, "assemble_media_multi_k", spy)
         stacked = solver.solve_mesh_many_multi_k([low, mid], freqs)
         assert calls == [2 * len(freqs)]
-        warm, cold = (solver._tables[(1, f, L)] for f in freqs)
+        warm, cold = (solver._tables[(1, f, L, 8)] for f in freqs)
         assert warm.covers(tall_extent) and not cold.covers(tall_extent)
         for freq, row in zip(freqs, stacked):
             fresh = SWMSolver3D().solve_mesh_many([low, mid], freq)
             for got, ref in zip(row, fresh):
                 _assert_results_equal(got, ref)
+
+    def test_other_grid_size_matches_fresh_solver(self):
+        """Tables are per grid: a solver that solved a 6 x 6 surface
+        builds new tables for an 8 x 8 one at the same frequency and
+        period, and both solves equal fresh solvers' bit for bit."""
+        rng = np.random.default_rng(6)
+        small = rng.normal(0.0, 0.3, (6, 6))
+        big = rng.normal(0.0, 0.3, (8, 8))
+        solver = SWMSolver3D()
+        got = [solver.solve_um(h, L, 5 * GHZ) for h in (small, big)]
+        assert {key[3] for key in solver._tables} == {6, 8}
+        for h, result in zip((small, big), got):
+            _assert_results_equal(result,
+                                  SWMSolver3D().solve_um(h, L, 5 * GHZ))
 
     def test_table_growth_mid_batch_matches_fresh_solves(self):
         """One mesh per chunk: ``high`` outgrows the warm table and
@@ -187,9 +201,9 @@ class TestWarmTableCaches:
 
         solver = SWMSolver3D(options=SWMOptions(batch_size=1))
         solver.solve_mesh(mid, freqs[0])  # warms freqs[0] only
-        before = solver._tables[(1, freqs[0], L)]
+        before = solver._tables[(1, freqs[0], L, 8)]
         stacked = solver.solve_mesh_many_multi_k([low, high], freqs)
-        assert solver._tables[(1, freqs[0], L)] is not before
+        assert solver._tables[(1, freqs[0], L, 8)] is not before
         for freq, row in zip(freqs, stacked):
             for got, mesh in zip(row, (low, high)):
                 _assert_results_equal(got, SWMSolver3D().solve_mesh(mesh,

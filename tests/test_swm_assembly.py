@@ -13,13 +13,19 @@ from repro.swm.assembly import (
 from repro.swm import fastkernel
 from repro.swm.fastkernel import (
     KernelTables,
-    green_and_gradient_multi,
-    shell_phase_sums,
+    fold_offsets,
+    lookup,
+    offset_kernel,
     tables_for_mesh,
 )
 from repro.swm.geometry import build_mesh_3d, grid_coords
-from repro.swm.plan import AssemblyPlan3D, _grid_pairs, _wrap
-from repro.errors import MeshError
+from repro.swm.plan import AssemblyPlan3D, _grid_fold, _grid_pairs, _wrap
+from repro.errors import ConfigurationError, MeshError
+from repro.greens.ewald import periodic_green, periodic_green_gradient
+from repro.greens.special import (
+    ewald_spectral_bracket,
+    ewald_spectral_bracket_minus,
+)
 
 
 def _rough_mesh(n=8, period=5.0, amp=0.5, seed=0):
@@ -98,11 +104,60 @@ class TestFastKernelAgainstExact:
     def test_tables_reject_out_of_range_dz(self):
         mesh = _rough_mesh(amp=0.2)
         cfg = AssemblyOptions().ewald_config(mesh.period)
-        tables = KernelTables(K2, cfg, z_extent=0.1)
-        from repro.errors import ConfigurationError
+        tables = KernelTables(K2, cfg, mesh.n, z_extent=0.1)
+        plan = AssemblyPlan3D.build([mesh], AssemblyOptions())
         with pytest.raises(ConfigurationError):
-            tables.green_and_gradient(np.array([0.5]), np.array([0.0]),
-                                      np.array([5.0]))
+            plan.eval_tables([tables])
+
+
+def _medium_k(which, f_ghz):
+    k = PAPER_SYSTEM.k1 if which == 1 else PAPER_SYSTEM.k2
+    return k(f_ghz * GHZ) / METER_TO_UM
+
+
+class TestKernelAccuracyNorms:
+    """Fast-vs-exact bounds that name their norm and reference (exact
+    Ewald, ``use_tables=False`` / ``exclude_primary=True``)."""
+
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("period", [5.0, 15.0])
+    @pytest.mark.parametrize("amp", [0.02, 2.0])
+    def test_matrix_error_over_max_entry(self, n, period, amp):
+        """``max|S_fast - S_exact| / max|S_exact|`` and the same for D
+        stay <= 1e-7 at 1, 5 and 20 GHz in both media (worst measured:
+        1.6e-9 for S, 1.5e-8 for D)."""
+        mesh = _rough_mesh(n=n, period=period, amp=amp)
+        for f_ghz in (1, 5, 20):
+            for which in (1, 2):
+                k = _medium_k(which, f_ghz)
+                d_e, s_e = assemble_medium(
+                    mesh, k, AssemblyOptions(use_tables=False))
+                d_f, s_f = assemble_medium(mesh, k, AssemblyOptions())
+                for fast, exact in ((s_f, s_e), (d_f, d_e)):
+                    err = np.max(np.abs(fast - exact)) / np.max(np.abs(exact))
+                    assert err <= 1e-7, (f_ghz, which, err)
+
+    @pytest.mark.parametrize("f_ghz", [1, 5])
+    @pytest.mark.parametrize("which", [1, 2])
+    @pytest.mark.parametrize("n, period, amp", [(8, 5.0, 0.5),
+                                                (7, 15.0, 2.0)])
+    def test_pointwise_error_over_max_exact(self, n, period, amp, which,
+                                            f_ghz):
+        """Per component on a plan's pairs, ``max|fast - exact|`` over
+        ``max|exact|`` on the same pairs stays <= 1e-5 (worst measured:
+        1.5e-6, the conductor's gz)."""
+        mesh = _rough_mesh(n=n, period=period, amp=amp)
+        k = _medium_k(which, f_ghz)
+        cfg = AssemblyOptions().ewald_config(period)
+        plan = AssemblyPlan3D.build([mesh], AssemblyOptions())
+        fast = plan.eval_tables([tables_for_mesh(k, mesh, cfg)])[0]
+        exact = (periodic_green(plan.dx, plan.dy, plan.dz, k, cfg,
+                                exclude_primary=True),
+                 *periodic_green_gradient(plan.dx, plan.dy, plan.dz, k, cfg,
+                                          exclude_primary=True))
+        for got, want in zip(fast, exact):
+            err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert err <= 1e-5
 
 
 class TestFlatRowSums:
@@ -155,45 +210,51 @@ class TestStructure:
 
 
 class TestShellKernel:
-    """White-box checks of the tabulated kernel's per-sample work:
-    shell-collapsed spectral sum, cached self term, shared evaluation
-    across tables, and the shared-grid contract."""
+    """White-box checks of the offset-table kernel: the shell-collapsed
+    spectral sum behind its nodes, the cached self term, the fused lookup
+    across tables, the folding of pair offsets, and the history-free
+    node set."""
 
     @staticmethod
-    def _separations(mesh):
-        plan = AssemblyPlan3D.build([mesh], AssemblyOptions())
-        return plan.dx, plan.dy, plan.dz
+    def _offsets(n, period=5.0):
+        """Every distinct wrapped offset of the n x n grid's ordered
+        pairs (both signs of the +-L/2 column of an even grid)."""
+        x = np.repeat(grid_coords(n, period), n)
+        y = np.tile(grid_coords(n, period), n)
+        off = ~np.eye(n * n, dtype=bool)
+        dx = _wrap(x[:, None] - x[None, :], period)[off]
+        dy = _wrap(y[:, None] - y[None, :], period)[off]
+        return np.unique(np.stack([dx, dy]), axis=1)
 
     @pytest.mark.parametrize("n", [8, 12])
     @pytest.mark.parametrize("k", [K1, K2])
     def test_shell_sum_matches_explicit_mode_sum(self, n, k):
-        mesh = _rough_mesh(n=n)
-        cfg = AssemblyOptions().ewald_config(mesh.period)
-        tab = tables_for_mesh(k, mesh, cfg)
-        dx, dy, dz = self._separations(mesh)
-        got = tuple(np.zeros(dz.shape, dtype=np.complex128)
-                    for _ in range(4))
-        phases = shell_phase_sums(dx, dy, mesh.period, cfg.n_modes)
-        t = np.abs(dz) * tab._z_inv_h
-        fastkernel._add_shells([tab], [got], np.sign(dz), t, phases)
+        """The tables' per-shell phase sums equal the explicit 25-mode
+        sum of exact spectral brackets at every wrapped offset."""
+        period = 5.0
+        cfg = AssemblyOptions().ewald_config(period)
+        dx, dy = self._offsets(n, period)
+        z = np.linspace(-2.0, 2.0, 9)
+        got = fastkernel._spectral_terms(k, cfg, dx, dy, z)
 
-        # Explicit 25-mode sum over the same interpolated shell tables
-        # (tabulated on |dz|; the z-derivative is odd in dz).
-        idx = t.astype(np.intp)
-        frac = t - idx
-        ref = [np.zeros(dz.shape, dtype=np.complex128) for _ in range(4)]
+        e = cfg.effective_split
+        ref = [np.zeros((dx.size, z.size), dtype=np.complex128)
+               for _ in range(4)]
         for m in range(-cfg.n_modes, cfg.n_modes + 1):
             for q in range(-cfg.n_modes, cfg.n_modes + 1):
-                rows = tab._shells[m * m + q * q][:, idx]
-                b = rows[0] + frac * rows[1]
-                minus = rows[2] + frac * rows[3]
-                kx = 2 * np.pi * m / mesh.period
-                ky = 2 * np.pi * q / mesh.period
-                phase = np.exp(1j * (kx * dx + ky * dy))
+                kx = 2 * np.pi * m / period
+                ky = 2 * np.pi * q / period
+                gamma = np.sqrt(complex(k * k - kx * kx - ky * ky))
+                if gamma.imag < 0:
+                    gamma = -gamma
+                coef = 1j / (4.0 * period * period * gamma)
+                b = ewald_spectral_bracket(z, gamma, e) * coef
+                minus = ewald_spectral_bracket_minus(z, gamma, e) * coef
+                phase = np.exp(1j * (kx * dx + ky * dy))[:, None]
                 ref[0] += phase * b
                 ref[1] += 1j * kx * phase * b
                 ref[2] += 1j * ky * phase * b
-                ref[3] += np.sign(dz) * phase * minus
+                ref[3] += phase * (1j * gamma) * minus
         for a, b in zip(got, ref):
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
@@ -218,19 +279,17 @@ class TestShellKernel:
 
     def test_multi_table_evaluation_is_bit_identical(self):
         """On the plan's pair arrays, the fused pass equals a direct
-        multi-table call, each table alone and a one-sample plan."""
+        multi-table lookup, each table alone and a one-sample plan."""
         meshes = [_rough_mesh(seed=0), _rough_mesh(amp=0.3, seed=1)]
         cfg = AssemblyOptions().ewald_config(meshes[0].period)
-        tabs = [KernelTables(k, cfg, z_extent=2.0) for k in (K1, K2)]
+        tabs = [KernelTables(k, cfg, 8, z_extent=2.0) for k in (K1, K2)]
         plan = AssemblyPlan3D.build(meshes, AssemblyOptions())
         fused = plan.eval_tables(tabs)
-        direct = green_and_gradient_multi(tabs, plan.dx, plan.dy, plan.dz)
+        direct = lookup(tabs, _grid_fold(8, meshes[0].period), plan.dz)
         single_sample = AssemblyPlan3D.build(meshes[1:], AssemblyOptions())
         for tab, got, other in zip(tabs, fused, direct):
-            alone = tab.green_and_gradient(plan.dx, plan.dy, plan.dz)
-            sample = tab.green_and_gradient(single_sample.dx,
-                                            single_sample.dy,
-                                            single_sample.dz)
+            alone = plan.eval_tables([tab])[0]
+            sample = single_sample.eval_tables([tab])[0]
             for a, b, c, d in zip(got, other, alone, sample):
                 np.testing.assert_array_equal(a, b)
                 np.testing.assert_array_equal(a, c)
@@ -253,75 +312,111 @@ class TestShellKernel:
         assert not (pairs.dx.flags.writeable or pairs.iu.flags.writeable)
 
     def test_mirrored_kernel_matches_full_evaluation(self):
-        """Mirroring the pair kernel by parity reproduces a direct
-        evaluation on every ordered pair (which sums the images in
-        another order, hence a rounding-level bound)."""
+        """Mirroring the pair kernel by parity reproduces a lookup on
+        every ordered pair (whose reversed offsets fold onto the same
+        columns with opposite signs; the x = 0 and y = 0 gradient
+        entries, zero up to rounding, flip sign, hence a rounding-level
+        bound)."""
         bound = 1e-13
         meshes = [_rough_mesh(seed=0), _rough_mesh(amp=0.3, seed=1)]
         cfg = AssemblyOptions().ewald_config(meshes[0].period)
-        tabs = [KernelTables(k, cfg, z_extent=2.0) for k in (K1, K2)]
+        tabs = [KernelTables(k, cfg, 8, z_extent=2.0) for k in (K1, K2)]
         plan = AssemblyPlan3D.build(meshes, AssemblyOptions())
         period = meshes[0].period
+        off = ~np.eye(plan.n, dtype=bool)
         dx = _wrap(meshes[0].x[:, None] - meshes[0].x[None, :], period)
         dy = _wrap(meshes[0].y[:, None] - meshes[0].y[None, :], period)
-        np.fill_diagonal(dx, 0.25 * period)
         z = np.stack([m.z for m in meshes])
-        full = green_and_gradient_multi(tabs, dx, dy,
-                                        z[:, :, None] - z[:, None, :])
-        off = ~np.eye(plan.n, dtype=bool)
+        dz = (z[:, :, None] - z[:, None, :])[:, off]
+        full = lookup(tabs, fold_offsets(dx[off], dy[off], 8, period), dz)
         for pair_vals, ref in zip(plan.eval_tables(tabs), full):
             for comp, (got, want) in enumerate(zip(pair_vals, ref)):
                 mirrored = plan.mirror(got, odd=comp > 0)
                 assert np.all(mirrored[:, ~off] == 0.0)
-                err = np.max(np.abs(mirrored[:, off] - want[:, off]))
-                assert err <= bound * np.max(np.abs(want[:, off]))
+                err = np.max(np.abs(mirrored[:, off] - want))
+                assert err <= bound * np.max(np.abs(want))
 
-    def test_tables_on_mismatched_grids_raise(self):
-        from repro.errors import ConfigurationError
-
-        mesh = _rough_mesh()
-        cfg = AssemblyOptions().ewald_config(mesh.period)
-        dx, dy, dz = self._separations(mesh)
-        tab = KernelTables(K1, cfg, z_extent=2.0)
-        more_images = KernelTables(K2, AssemblyOptions(
-            n_images=3).ewald_config(mesh.period), z_extent=2.0)
-        assert not tab.shares_grids(more_images)
-        with pytest.raises(ConfigurationError, match="shared grids"):
-            green_and_gradient_multi([tab, more_images], dx, dy, dz)
-        other_modes = shell_phase_sums(dx, dy, mesh.period, cfg.n_modes + 1)
-        with pytest.raises(ConfigurationError, match="mode set"):
-            green_and_gradient_multi([tab], dx, dy, dz, other_modes)
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("k", [K1, K2])
+    def test_folded_lookup_matches_direct_evaluation(self, n, k):
+        """At node heights (both signs), the folded lookup equals
+        ``offset_kernel`` evaluated directly at every wrapped offset,
+        the +-L/2 column of the even grid included."""
+        period = 5.0
+        cfg = AssemblyOptions().ewald_config(period)
+        dx, dy = self._offsets(n, period)
+        for c in (dx, dy):
+            assert np.any(c == period / 2) == np.any(c == -period / 2) \
+                == (n % 2 == 0)
+        h = period / fastkernel.Z_NODES_PER_PERIOD
+        z = np.arange(-12, 13) * h
+        tab = KernelTables(k, cfg, n, z_extent=float(np.max(z)))
+        got = lookup([tab], fold_offsets(dx, dy, n, period),
+                     np.broadcast_to(z[:, None], (z.size, dx.size)))[0]
+        want = offset_kernel(k, cfg, dx, dy, z)
+        for a, b in zip(got, want):
+            assert np.max(np.abs(a - b.T)) <= 1e-13 * np.max(np.abs(b))
 
     @pytest.mark.parametrize("k", [K1, K2])
     def test_table_length_never_changes_a_value(self, k):
-        """Tables of one (k, cfg) sample one node set: a short table
+        """Tables of one (k, cfg, n) sample one node set: a short table
         (built for exactly this mesh's height range) and a long one
-        share grids and return the same bits wherever both cover."""
+        hold the same bits on their shared nodes and return the same
+        bits wherever both cover."""
         mesh = _rough_mesh()
         cfg = AssemblyOptions().ewald_config(mesh.period)
-        dx, dy, dz = self._separations(mesh)
-        short = KernelTables(k, cfg, z_extent=float(np.max(np.abs(dz))))
-        long = KernelTables(k, cfg, z_extent=10.0)
-        assert short.shares_grids(long)
-        for a, b in zip(short.green_and_gradient(dx, dy, dz),
-                        long.green_and_gradient(dx, dy, dz)):
+        plan = AssemblyPlan3D.build([mesh], AssemblyOptions())
+        short = KernelTables(k, cfg, mesh.n,
+                             z_extent=float(np.max(np.abs(plan.dz))))
+        long = KernelTables(k, cfg, mesh.n, z_extent=10.0)
+        for a, b in zip(short._values, long._values):
+            np.testing.assert_array_equal(a, b[:a.size])
+        for a, b in zip(plan.eval_tables([short])[0],
+                        plan.eval_tables([long])[0]):
             np.testing.assert_array_equal(a, b)
         # Mixed lengths stack; the shortest table bounds dz.
-        for a, b in zip(green_and_gradient_multi([long, short],
-                                                 dx, dy, dz)[0],
-                        long.green_and_gradient(dx, dy, dz)):
+        for a, b in zip(plan.eval_tables([long, short])[0],
+                        plan.eval_tables([long])[0]):
             np.testing.assert_array_equal(a, b)
-        from repro.errors import ConfigurationError
-        tiny = KernelTables(k, cfg, z_extent=0.1)
-        with pytest.raises(ConfigurationError, match="z range"):
-            green_and_gradient_multi([long, tiny], dx, dy, dz)
+        tiny = KernelTables(k, cfg, mesh.n, z_extent=0.1)
+        with pytest.raises(ConfigurationError, match="tabulated range"):
+            plan.eval_tables([long, tiny])
+
+    @pytest.mark.parametrize("amp", [0.02, 0.5, 2.0])
+    def test_mesh_tables_cover_the_stencil(self, amp):
+        """A table sized to exactly a mesh's height range covers every
+        pair's interpolation stencil; one node short of it raises."""
+        mesh = _rough_mesh(amp=amp)
+        cfg = AssemblyOptions().ewald_config(mesh.period)
+        plan = AssemblyPlan3D.build([mesh], AssemblyOptions())
+        tab = tables_for_mesh(K2, mesh, cfg)
+        assert tab.covers(float(np.ptp(mesh.z)))
+        plan.eval_tables([tab])
+        h = mesh.period / fastkernel.Z_NODES_PER_PERIOD
+        short = KernelTables(K2, cfg, mesh.n, z_extent=max(
+            float(np.max(np.abs(plan.dz))) - h, 0.0))
+        with pytest.raises(ConfigurationError, match="tabulated range"):
+            plan.eval_tables([short])
+
+    def test_tables_on_mismatched_grids_raise(self):
+        mesh = _rough_mesh()
+        cfg = AssemblyOptions().ewald_config(mesh.period)
+        plan = AssemblyPlan3D.build([mesh], AssemblyOptions())
+        right = KernelTables(K1, cfg, 8, z_extent=2.0)
+        for wrong in (KernelTables(K2, cfg, 6, z_extent=2.0),
+                      KernelTables(K2, AssemblyOptions().ewald_config(6.0),
+                                   8, z_extent=2.0)):
+            with pytest.raises(ConfigurationError, match="another grid"):
+                plan.eval_tables([right, wrong])
+        # Another Ewald truncation on the same grid stacks fine.
+        more_images = KernelTables(K2, AssemblyOptions(
+            n_images=3).ewald_config(mesh.period), 8, z_extent=2.0)
+        plan.eval_tables([right, more_images])
 
     def test_unwrapped_separations_raise(self):
-        from repro.errors import ConfigurationError
-
-        mesh = _rough_mesh()
-        tab = tables_for_mesh(K2, mesh, AssemblyOptions().ewald_config(
-            mesh.period))
+        period = 5.0
         with pytest.raises(ConfigurationError, match="minimum image"):
-            tab.green_and_gradient(np.array([0.6 * mesh.period]),
-                                   np.array([0.0]), np.array([0.0]))
+            fold_offsets(np.array([0.6 * period]), np.array([0.0]), 8,
+                         period)
+        with pytest.raises(ConfigurationError, match="nonzero"):
+            fold_offsets(np.array([0.0]), np.array([0.0]), 8, period)
