@@ -42,9 +42,10 @@ height range sets only how many nodes it holds, so any two tables of one
 ``(k, EwaldConfig, n)`` that cover a separation return the same bits
 for it, whatever tables were built before.
 
-Accuracy against exact Ewald (``periodic_green`` /
-``periodic_green_gradient`` with ``exclude_primary=True``), measured by
-``tests/test_swm_assembly.py``:
+Accuracy against exact Ewald (:class:`EwaldKernel`: ``periodic_green``
+/ ``periodic_green_gradient`` with ``exclude_primary=True``), which the
+plan consumes like the tables, so these bounds compare two kernels in
+one assembly. Measured by ``tests/test_swm_assembly.py``:
 
 - pointwise on a plan's pairs, per component, ``max|fast - exact|``
   over ``max|exact|`` on the same pairs: at most 1e-5 at 1 and 5 GHz
@@ -64,7 +65,8 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from .geometry import SurfaceMesh3D
-from ..greens.ewald import EwaldConfig, _gamma_mn, _primary_minus_free_limit
+from ..greens.ewald import (EwaldConfig, _gamma_mn, _primary_minus_free_limit,
+                            periodic_green, periodic_green_gradient)
 from ..greens.special import (
     erfc_scaled_pair,
     erfc_scaled_pair_derivative,
@@ -78,6 +80,11 @@ from ..greens.special import (
 #: must never share a result-cache entry, so bump this with any change
 #: that moves a kernel value.
 KERNEL_REVISION = 5
+
+#: The same for exact Ewald (:class:`EwaldKernel`, ``use_tables=False``);
+#: a string, so it never equals a tables revision. A change to the
+#: assembly both kernels share (``AssemblyPlan3D``) bumps both.
+EWALD_KERNEL_REVISION = "ewald-1"
 
 #: ``|dz|`` nodes per period: the offset tables sample ``|dz| = j L / 128``.
 Z_NODES_PER_PERIOD = 128
@@ -395,6 +402,31 @@ class KernelTables:
         zero = np.zeros(1)
         spectral = _spectral_terms(self.k, self.cfg, zero, zero, zero)[0]
         return g + complex(spectral[0, 0])
+
+
+class EwaldKernel:
+    """Exact Ewald kernel of one medium, the tables' reference. An
+    :class:`~repro.swm.plan.AssemblyPlan3D` consumes it like a
+    :class:`KernelTables`: ``(g, gx, gy, gz)`` of ``G_reg`` on the
+    plan's pairs from one :meth:`evaluate` call, and
+    :meth:`regular_at_zero`."""
+
+    def __init__(self, k: complex, cfg: EwaldConfig) -> None:
+        self.k = complex(k)
+        self.cfg = cfg
+        zero = np.array(0.0)
+        self._reg0 = complex(periodic_green(zero, zero, zero, self.k, cfg,
+                                            exclude_primary=True))
+
+    def regular_at_zero(self) -> complex:
+        return self._reg0
+
+    def evaluate(self, dx: np.ndarray, dy: np.ndarray,
+                 dz: np.ndarray) -> tuple:
+        """At nonzero separations ``(dx, dy, dz)``, broadcast."""
+        g = periodic_green(dx, dy, dz, self.k, self.cfg, exclude_primary=True)
+        return (g, *periodic_green_gradient(dx, dy, dz, self.k, self.cfg,
+                                            exclude_primary=True))
 
 
 def lookup(tables, fold: OffsetFold, dz: np.ndarray) -> list[tuple]:

@@ -14,9 +14,12 @@ r_i)`` and its gradient is odd. A plan therefore keeps only the strict
 upper triangle of collocation pairs ``i < j`` (``M = N(N-1)/2``; pair
 ``p`` is ``(iu[p], ju[p])``), and every kernel pass — :meth:`eval_tables`
 / :meth:`eval_ks` and the 3D free-space primary — runs on ``(B, M)``
-arrays. :meth:`assemble_k` mirrors each medium's totals into
-``(B, N, N)`` by parity (:meth:`mirror`): the value is symmetric, the
-gradient antisymmetric and the diagonal zero. What is not symmetric
+arrays; the 3D kernel is a value the plan is handed, tabulated
+(:class:`~repro.swm.fastkernel.KernelTables`) or exact Ewald
+(:class:`~repro.swm.fastkernel.EwaldKernel`). :meth:`assemble_k`
+mirrors each medium's totals into ``(B, N, N)`` by parity
+(:meth:`mirror`): the value is symmetric, the gradient antisymmetric
+and the diagonal zero. What is not symmetric
 stays full-size: the near-pair sub-cell quadrature (it averages over
 the *source* cell's tangent plane), the analytic self terms on the
 diagonal, and the ``D``/``S`` matrices, whose columns carry the source
@@ -44,7 +47,7 @@ from ..errors import ConfigurationError, MeshError
 from ..greens.freespace import green2d, green2d_radial_derivative, green3d
 from ..greens.periodic2d import EULER_GAMMA, periodic_green2d_pair
 from ..telemetry import span
-from .fastkernel import OffsetFold, fold_offsets, lookup
+from .fastkernel import KernelTables, OffsetFold, fold_offsets, lookup
 from .geometry import grid_coords
 
 
@@ -136,7 +139,16 @@ def _subcell_offsets(q: int, spacing: float) -> tuple[np.ndarray, np.ndarray]:
     return u.ravel(), v.ravel()
 
 
-def _check_same_grid(meshes, what: str) -> None:
+def rectangle_inverse_distance_integral(a, b):
+    """``integral of 1/r`` over centered ``a x b`` rectangles (closed
+    form, elementwise): ``2 a asinh(b/a) + 2 b asinh(a/b)``."""
+    if np.any(a <= 0.0) or np.any(b <= 0.0):
+        raise MeshError(f"rectangle sides must be positive, got {np.min(a)}"
+                        f", {np.min(b)}")
+    return 2.0 * a * np.arcsinh(b / a) + 2.0 * b * np.arcsinh(a / b)
+
+
+def check_same_grid(meshes, what: str) -> None:
     if not meshes:
         raise MeshError(f"{what} needs at least one mesh")
     base = meshes[0]
@@ -182,9 +194,9 @@ class _PairPlan:
 class AssemblyPlan3D(_PairPlan):
     """Every k-independent intermediate of one 3D mesh-batch assembly.
 
-    Build with :meth:`build`; evaluate the tabulated regularized kernel
-    on the collocation pairs for any number of media/frequencies in one
-    fused pass with :meth:`eval_tables`; assemble each medium's
+    Build with :meth:`build`; evaluate the regularized kernel (tables
+    or exact Ewald) on the collocation pairs for any number of
+    media/frequencies with :meth:`eval_tables`; assemble each medium's
     ``(D, S)`` stacks with :meth:`assemble_k`.
     """
 
@@ -197,7 +209,7 @@ class AssemblyPlan3D(_PairPlan):
         :class:`~repro.errors.MeshError` otherwise.
         """
         meshes = list(meshes)
-        _check_same_grid(meshes, "batched assembly")
+        check_same_grid(meshes, "batched assembly")
         plan = cls(meshes, options, _grid_pairs(meshes[0].n,
                                                 meshes[0].period))
         pairs, d = plan.pairs, plan.spacing
@@ -215,7 +227,12 @@ class AssemblyPlan3D(_PairPlan):
                          + dz * dz)
         plan.inv_r = 1.0 / plan.r
 
-        # Near-pair sub-cell geometry, in both orientations.
+        # Near-pair sub-cell geometry, in both orientations: source
+        # sub-points on the local tangent plane of the source cell. (A
+        # quadratic/Hessian cell model was evaluated and rejected: at
+        # practical grid resolutions the curvature radius of a
+        # sigma ~ eta surface is below the cell size, so the parabolic
+        # expansion diverges and destabilizes the system.)
         rows, cols, pair, sign = _near_set(
             pairs, options.near_radius_cells * d)
         plan.rows, plan.cols, plan.pair, plan.sign = rows, cols, pair, sign
@@ -230,36 +247,43 @@ class AssemblyPlan3D(_PairPlan):
                               + plan.sz * plan.sz)
             plan.inv_rr = 1.0 / plan.rr
 
-        # Self-term geometry.
+        # Self-term geometry: the tilted cell as a rectangle with the
+        # cell's x edge, d sqrt(1 + fx^2), as one side and the exact
+        # true area.
         plan.ds_true = jac * plan.area
         side_a = d * np.sqrt(1.0 + fx ** 2)
-        side_b = plan.ds_true / side_a
-        plan.i_rect = (2.0 * side_a * np.arcsinh(side_b / side_a)
-                       + 2.0 * side_b * np.arcsinh(side_a / side_b))
+        plan.i_rect = rectangle_inverse_distance_integral(
+            side_a, plan.ds_true / side_a)
         plan.jac_area = jac[:, None, :] * plan.area
         return plan
 
-    def eval_tables(self, tables) -> list[tuple]:
-        """Regularized kernel+gradient on the pairs for each table.
+    def eval_tables(self, kernels) -> list[tuple]:
+        """Regularized kernel+gradient on the pairs for each evaluator.
 
-        Returns ``(B, M)`` arrays ``(g, gx, gy, gz)`` per
-        :class:`~repro.swm.fastkernel.KernelTables`. Each pair reads its
-        grid's cached canonical offset column, and one fused lookup
-        shares the node indices and interpolation weights across all
-        tables (any number of media x frequencies) — bit-identical to
-        evaluating each table independently on the same pairs.
+        Returns ``(B, M)`` arrays ``(g, gx, gy, gz)`` per evaluator. The
+        :class:`~repro.swm.fastkernel.KernelTables` share one fused
+        lookup: each pair reads its grid's cached canonical offset
+        column, and one set of node indices and interpolation weights
+        serves all tables — bit-identical to evaluating each table
+        independently. An exact evaluator gets one ``evaluate`` call.
         """
+        kernels = list(kernels)
+        tables = [kern for kern in kernels if isinstance(kern, KernelTables)]
         with span("kernel"):
-            return lookup(tables, _grid_fold(self.meshes[0].n, self.period),
-                          self.dz)
+            fused = iter(lookup(tables, _grid_fold(self.meshes[0].n,
+                                                   self.period), self.dz)
+                         if tables else ())
+            return [next(fused) if isinstance(kern, KernelTables)
+                    else kern.evaluate(self.dx, self.dy, self.dz)
+                    for kern in kernels]
 
     def assemble_k(self, k: complex, regs, g_reg0: complex
                    ) -> tuple[np.ndarray, np.ndarray]:
         """Assemble one medium's ``(D, S)`` stacks at wavenumber ``k``.
 
         ``regs`` is this medium's ``(g_reg, gx_reg, gy_reg, gz_reg)``
-        from :meth:`eval_tables`; ``g_reg0`` its
-        ``KernelTables.regular_at_zero()``. The free-space primary is
+        from :meth:`eval_tables`; ``g_reg0`` its evaluator's
+        ``regular_at_zero()``. The free-space primary is
         added on the pairs (``dG/dr = (jk - 1/r) G``), the totals are
         mirrored, and the near pairs and the diagonal are then
         overwritten with their sub-cell and self terms.
@@ -291,8 +315,13 @@ class AssemblyPlan3D(_PairPlan):
             + (1j * k / (4.0 * math.pi)) * self.ds_true
             + g_reg0 * self.ds_true)
 
-        # The mirrored gradients have a zero diagonal, so D does too
-        # (the flat-cell principal value).
+        # The mirrored gradients have a zero diagonal, so D does too:
+        # the flat-cell principal value. (The leading curvature
+        # correction, (f_xx + f_yy) I_cell / 16 pi, was implemented and
+        # rejected: it assumes the curvature is resolved, |kappa| dx <<
+        # 1, which fails precisely on the rough meshes where it would
+        # matter, and then destabilizes (1/2 I - D). Accuracy at fixed
+        # roughness comes from grid refinement instead.)
         d_mat = (gx_total * self.fx[:, None, :]
                  + gy_total * self.fy[:, None, :]
                  - gz_total) * self.area
@@ -314,7 +343,7 @@ class AssemblyPlan2D(_PairPlan):
     def build(cls, meshes, options) -> "AssemblyPlan2D":
         """Capture the k-independent assembly state of a profile batch."""
         meshes = list(meshes)
-        _check_same_grid(meshes, "batched 2D assembly")
+        check_same_grid(meshes, "batched 2D assembly")
         plan = cls(meshes, options, _profile_pairs(meshes[0].n,
                                                    meshes[0].period))
         pairs, d = plan.pairs, plan.spacing

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -37,13 +38,9 @@ from ..errors import ConfigurationError, SolverError
 from ..materials import PAPER_SYSTEM, TwoMediumSystem
 from .. import telemetry
 from ..telemetry import span
-from .assembly import (
-    AssemblyOptions,
-    assemble_media_multi_k,
-    assemble_medium_many,
-)
+from .assembly import AssemblyOptions, assemble_media_multi_k
 from .geometry import SurfaceMesh2D, SurfaceMesh3D, build_mesh_3d
-from .plan import AssemblyPlan3D
+from .plan import AssemblyPlan3D, check_same_grid
 
 
 @dataclass(frozen=True)
@@ -142,7 +139,7 @@ class _SWMSolver:
       ``ndim`` of a batched height stack (3 for ``(B, n, n)`` maps, 2
       for ``(B, n)`` profiles);
     - ``_chunk_assembly(meshes, freqs, ks, meta)``: the work that stays
-      outside the ``assemble`` span (table fetches, the ``plan`` span
+      outside the ``assemble`` span (kernel fetches, the ``plan`` span
       with ``meta``), returning a call that :meth:`_solve_stack` runs
       inside that span; the call returns the ``(B, N, N)`` ``(d, s)``
       stacks ordered ``(k1, k2)`` per frequency;
@@ -241,18 +238,6 @@ class _SWMSolver:
         k2 = self.system.k2(frequency_hz) / METER_TO_UM
         return k1, k2
 
-    def _validate_same_grid(self, meshes: list) -> None:
-        if not meshes:
-            raise ConfigurationError("batched solve needs at least one mesh")
-        base = meshes[0]
-        for mesh in meshes[1:]:
-            if mesh.n != base.n or mesh.period != base.period:
-                raise ConfigurationError(
-                    "batched solve requires meshes sharing grid and period; "
-                    f"got n={mesh.n} L={mesh.period} vs n={base.n} "
-                    f"L={base.period}"
-                )
-
     def solve_mesh_many_multi_k(
             self, meshes: list[SurfaceMesh3D | SurfaceMesh2D],
             frequencies_hz) -> list[list[SWMResult]]:
@@ -280,12 +265,12 @@ class _SWMSolver:
         ``stacklevel`` is the resolution warning's, threaded from the
         public entry point.
         """
+        check_same_grid(meshes, "batched solve")
         freqs = [float(f) for f in frequencies_hz]
         if not freqs:
             raise ConfigurationError(
                 "multi-frequency solve needs at least one frequency"
             )
-        self._validate_same_grid(meshes)
         base = meshes[0]
         for f in freqs:
             self._check_resolution(base.spacing, f, stacklevel=stacklevel)
@@ -455,18 +440,16 @@ class SWMSolver3D(_SWMSolver):
                         freqs: list[float],
                         ks: list[tuple[complex, complex]], meta: dict
                         ) -> Callable[[], list]:
-        """Table fetches, then the ``plan`` span; the call runs the
-        fused table pass. Exact Ewald, the validation reference, has no
-        tables and no plan, and runs one medium at a time."""
+        """Each medium's kernel evaluator (:meth:`AssemblyOptions.kernel`:
+        the cached tables, built or grown here, or exact Ewald), then
+        the ``plan`` span; the call runs one kernel pass and every
+        medium's assembly on the one plan, whichever kernel it is."""
         opts = self.options.assembly
-        if not opts.use_tables:
-            return lambda: [assemble_medium_many(meshes, k, opts,
-                                                 tables=None)
-                            for pair in ks for k in pair]
-        media = []
-        for f, (k1, k2) in zip(freqs, ks):
-            media += [(k1, self._get_tables(1, k1, f, meshes)),
-                      (k2, self._get_tables(2, k2, f, meshes))]
+        period = meshes[0].period
+        media = [(k, opts.kernel(k, period, partial(self._get_tables, which,
+                                                    k, f, meshes)))
+                 for f, pair in zip(freqs, ks)
+                 for which, k in enumerate(pair, 1)]
         with span("plan", **meta):
             plan = AssemblyPlan3D.build(meshes, opts)
         return lambda: assemble_media_multi_k(plan, media)

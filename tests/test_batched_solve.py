@@ -25,12 +25,13 @@ from repro.errors import ConfigurationError, MeshError, SolverError
 from repro.surfaces import GaussianCorrelation
 from repro.swm.assembly import (
     AssemblyOptions,
+    assemble_media_multi_k,
     assemble_medium,
-    assemble_medium_many,
 )
 from repro.swm.assembly2d import Assembly2DOptions
 from repro.swm.fastkernel import KernelTables
 from repro.swm.geometry import build_mesh_3d
+from repro.swm.plan import AssemblyPlan3D
 from repro.swm.solver import SWMOptions, SWMSolver3D
 from repro.swm.solver2d import SWM2DOptions, SWMSolver2D
 
@@ -191,8 +192,8 @@ class TestBatchedAssembly:
         k1, _ = solver._wavenumbers_um(FREQ)
         tables = solver._get_tables(1, k1, FREQ, meshes)
         opts = solver.options.assembly
-        d_many, s_many = assemble_medium_many(meshes, k1, opts,
-                                              tables=tables)
+        plan = AssemblyPlan3D.build(meshes, opts)
+        d_many, s_many = assemble_media_multi_k(plan, ((k1, tables),))[0]
         for i, mesh in enumerate(meshes):
             d_one, s_one = assemble_medium(mesh, k1, opts, tables=tables)
             np.testing.assert_array_equal(d_many[i], d_one)
@@ -202,19 +203,24 @@ class TestBatchedAssembly:
         m1 = build_mesh_3d(np.zeros((8, 8)), 5.0)
         m2 = build_mesh_3d(np.zeros((8, 8)), 6.0)
         with pytest.raises(MeshError):
-            assemble_medium_many([m1, m2], 1.0 + 0.1j)
+            AssemblyPlan3D.build([m1, m2], AssemblyOptions())
 
-    def test_exact_path_falls_back_per_mesh(self):
-        from repro.swm.assembly import AssemblyOptions
+    @pytest.mark.parametrize("n", [6, 8, 12])
+    def test_exact_plan_matches_one_mesh_plans(self, n):
+        """Exact Ewald is an evaluator on the same plan: a B-mesh plan
+        equals B one-mesh assemblies bit for bit, as the tables do."""
+        from repro.swm.fastkernel import EwaldKernel
 
-        heights = _random_heights(2, 8)
-        meshes = [build_mesh_3d(h, 5.0) for h in heights]
+        meshes = [build_mesh_3d(h, 5.0) for h in _random_heights(2, n)]
         opts = AssemblyOptions(use_tables=False)
         k = 0.5 + 0.3j
-        d_many, s_many = assemble_medium_many(meshes, k, opts, tables=None)
-        d_one, s_one = assemble_medium(meshes[1], k, opts, tables=None)
-        np.testing.assert_array_equal(d_many[1], d_one)
-        np.testing.assert_array_equal(s_many[1], s_one)
+        kernel = EwaldKernel(k, opts.ewald_config(5.0))
+        plan = AssemblyPlan3D.build(meshes, opts)
+        d_many, s_many = assemble_media_multi_k(plan, ((k, kernel),))[0]
+        for i, mesh in enumerate(meshes):
+            d_one, s_one = assemble_medium(mesh, k, opts)
+            np.testing.assert_array_equal(d_many[i], d_one)
+            np.testing.assert_array_equal(s_many[i], s_one)
 
 
 class TestKernelTablesCovers:
@@ -519,8 +525,8 @@ class TestMalformedOptions:
 
     @pytest.mark.parametrize("bad", [
         {"near_quadrature": 0}, {"near_radius_cells": -1.0},
-        {"n_images": -1}, {"n_modes": -1}, {"ewald_split": 0.0},
-        {"ewald_split": -0.5}])
+        {"n_images": -1}, {"n_modes": -1}, {"n_images": 0},
+        {"n_modes": 0}, {"ewald_split": 0.0}, {"ewald_split": -0.5}])
     def test_3d_fields_rejected(self, bad):
         from repro.service import wire
 
@@ -548,7 +554,7 @@ class TestMalformedOptions:
 
     def test_boundary_values_accepted(self):
         AssemblyOptions(near_radius_cells=0.0, near_quadrature=1,
-                        n_images=0, n_modes=0)
+                        n_images=1, n_modes=1)
         Assembly2DOptions(near_radius_cells=0.0, near_quadrature=1,
                           m_max=1)
 

@@ -211,6 +211,26 @@ class TestKernelRevisionInContentHash:
         assert spec2["assembly"]["kernel"] == KERNEL_REVISION_2D
         assert spec2 == SWM2DOptions().to_spec()
 
+    def test_exact_ewald_keys_its_own_revision(self, monkeypatch):
+        """The tabulated spec keeps its form; exact Ewald
+        (``use_tables=False``) carries its own revision, which a tables
+        revision bump does not move."""
+        from dataclasses import asdict
+
+        from repro.swm import assembly
+        from repro.swm.assembly import AssemblyOptions
+        from repro.swm.fastkernel import KERNEL_REVISION
+
+        fast = AssemblyOptions()
+        assert fast.to_spec() == {**asdict(fast), "kernel": KERNEL_REVISION}
+        exact = AssemblyOptions(use_tables=False)
+        spec = exact.to_spec()
+        assert spec != {**asdict(exact), "kernel": KERNEL_REVISION}
+        monkeypatch.setattr(assembly, "KERNEL_REVISION", KERNEL_REVISION + 1)
+        assert exact.to_spec() == spec
+        # The bump did reach the tabulated spec.
+        assert fast.to_spec() != {**asdict(fast), "kernel": KERNEL_REVISION}
+
     def test_wire_format_carries_no_revision(self):
         from repro.service import wire
         from repro.swm.solver import SWMOptions

@@ -41,6 +41,7 @@ from repro.service.wire import WorkerClaim
 from repro.surfaces import GaussianCorrelation, ProfileGenerator
 from repro.swm.assembly import AssemblyOptions
 from repro.swm.geometry import build_mesh_2d, build_mesh_3d
+from repro.swm.plan import AssemblyPlan3D
 from repro.swm import solver as solver_module
 from repro.swm.solver import SWMOptions, SWMSolver3D
 from repro.swm.solver2d import SWMSolver2D
@@ -108,8 +109,34 @@ class TestLargeGridMultiKParity:
 
 
 class TestExactEwaldSolve:
-    """``use_tables=False`` (the exact-Ewald validation reference) runs
-    in the solver's one chunk loop, one frequency at a time."""
+    """``use_tables=False`` (the exact-Ewald validation reference) is one
+    more kernel evaluator on the solver's one assembly: each chunk's
+    plan serves every frequency and medium, as it does for the tables."""
+
+    def test_assembles_through_the_plan(self, monkeypatch):
+        """Each chunk calls ``AssemblyPlan3D.assemble_k`` 2 x F times,
+        once per medium and frequency, on one plan per chunk."""
+        calls = []
+        real = AssemblyPlan3D.assemble_k
+
+        def spy(plan, k, regs, g_reg0):
+            calls.append(plan)
+            return real(plan, k, regs, g_reg0)
+
+        monkeypatch.setattr(AssemblyPlan3D, "assemble_k", spy)
+        rng = np.random.default_rng(5)
+        meshes = [build_mesh_3d(rng.normal(0.0, 0.2, (6, 6)), L)
+                  for _ in range(3)]
+        freqs = FREQS[:2]
+        exact = SWMSolver3D(options=SWMOptions(
+            batch_size=2, assembly=AssemblyOptions(use_tables=False)))
+        exact.solve_mesh_many_multi_k(meshes, freqs)
+        per_chunk = 2 * len(freqs)
+        assert len(calls) == 2 * per_chunk
+        for chunk, batch in ((calls[:per_chunk], 2),
+                             (calls[per_chunk:], 1)):
+            assert len(set(map(id, chunk))) == 1
+            assert chunk[0].batch == batch
 
     def test_stack_matches_single_solves(self):
         rng = np.random.default_rng(3)

@@ -12,6 +12,7 @@ from repro.swm.assembly import (
 )
 from repro.swm import fastkernel
 from repro.swm.fastkernel import (
+    EwaldKernel,
     KernelTables,
     fold_offsets,
     lookup,
@@ -21,7 +22,6 @@ from repro.swm.fastkernel import (
 from repro.swm.geometry import build_mesh_3d, grid_coords
 from repro.swm.plan import AssemblyPlan3D, _grid_fold, _grid_pairs, _wrap
 from repro.errors import ConfigurationError, MeshError
-from repro.greens.ewald import periodic_green, periodic_green_gradient
 from repro.greens.special import (
     ewald_spectral_bracket,
     ewald_spectral_bracket_minus,
@@ -117,7 +117,7 @@ def _medium_k(which, f_ghz):
 
 class TestKernelAccuracyNorms:
     """Fast-vs-exact bounds that name their norm and reference (exact
-    Ewald, ``use_tables=False`` / ``exclude_primary=True``)."""
+    Ewald, ``use_tables=False`` / :class:`EwaldKernel`)."""
 
     @pytest.mark.parametrize("n", [7, 8])
     @pytest.mark.parametrize("period", [5.0, 15.0])
@@ -145,16 +145,14 @@ class TestKernelAccuracyNorms:
                                             f_ghz):
         """Per component on a plan's pairs, ``max|fast - exact|`` over
         ``max|exact|`` on the same pairs stays <= 1e-5 (worst measured:
-        1.5e-6, the conductor's gz)."""
+        1.5e-6, the conductor's gz). Both kernels are read through the
+        plan, as the solves read them."""
         mesh = _rough_mesh(n=n, period=period, amp=amp)
         k = _medium_k(which, f_ghz)
         cfg = AssemblyOptions().ewald_config(period)
         plan = AssemblyPlan3D.build([mesh], AssemblyOptions())
-        fast = plan.eval_tables([tables_for_mesh(k, mesh, cfg)])[0]
-        exact = (periodic_green(plan.dx, plan.dy, plan.dz, k, cfg,
-                                exclude_primary=True),
-                 *periodic_green_gradient(plan.dx, plan.dy, plan.dz, k, cfg,
-                                          exclude_primary=True))
+        fast, exact = plan.eval_tables([tables_for_mesh(k, mesh, cfg),
+                                        EwaldKernel(k, cfg)])
         for got, want in zip(fast, exact):
             err = np.max(np.abs(got - want)) / np.max(np.abs(want))
             assert err <= 1e-5
