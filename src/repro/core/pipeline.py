@@ -38,8 +38,8 @@ class StochasticLossConfig:
 
     Lengths are in meters (SI). ``points_per_side = None`` uses the
     paper's ``L / (eta/8)`` with ``L = 5 eta`` => 40, capped at
-    ``max_points_per_side`` for tractability (DESIGN.md documents the
-    resolution/accuracy trade).
+    ``max_points_per_side`` for tractability (a capped grid trades
+    accuracy for time: the result is then discretization-limited).
     """
 
     period_m: float | None = None

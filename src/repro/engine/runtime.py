@@ -96,8 +96,9 @@ def _model_for(scenario: StochasticScenario):
 def _profile_components(scenario: ProfileScenario):
     """Memoized ``(generator, solver)`` pair for a 2D profile scenario.
 
-    The generator's FFT amplitudes and the (stateless) 2D solver are
-    shared by every job of the scenario on this thread.
+    The generator's FFT amplitudes and the 2D solver (with its Kummer
+    table cache) are shared by every job of the scenario on this
+    thread.
     """
     from ..surfaces.generation import ProfileGenerator
     from ..swm.solver2d import SWMSolver2D
@@ -303,8 +304,11 @@ def _run_job_group(jobs: list[Job]) -> list[tuple]:
     if isinstance(scenario, ProfileScenario):
         from ..swm.geometry import build_mesh_2d
 
-        # The 2D solver keeps no cross-solve state, so no reset needed.
         gen, solver = _profile_components(scenario)
+        # Bounds memory, not values: without the release, a memoized
+        # solver holds the Kummer tables of every frequency it has
+        # solved.
+        solver.reset_tables()
         period_um = float(scenario.period_um)
 
         def realize(xi: np.ndarray):

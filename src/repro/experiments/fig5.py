@@ -11,7 +11,7 @@ protrusion). Expected shape:
   range here and disagrees strongly with both — the paper's closing
   remark on this figure.
 
-Two documented substitutions (see DESIGN.md section 5):
+Two substitutions:
 
 1. *Similarity transform.* The paper meshes at delta/5, which at 20 GHz
    needs >200 points per side — far beyond a dense pure-Python solve.

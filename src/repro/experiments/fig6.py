@@ -136,7 +136,7 @@ class Fig6Dimensionality(Experiment):
             result.notes.append(
                 "BEM 3D-vs-2D ordering not asserted at this scale: the 3D "
                 "solver needs the paper's eta/8 mesh to converge, while the "
-                "2D solver is already converged (see DESIGN.md)")
+                "2D solver is already converged")
         gap = {e: float(np.mean(bem3[e] - bem2[e])) for e in ETAS_UM}
         result.notes.append("mean BEM 3D-2D gap: " + ", ".join(
             f"eta={e:g}: {gap[e]:+.3f}" for e in ETAS_UM))

@@ -6,7 +6,8 @@ Every experiment can run at three scales:
   frequencies/samples, and a reduced top frequency so the mesh still
   resolves the skin depth. Preserves the qualitative shape (who wins,
   what rises, what crosses).
-- ``STANDARD`` — the default for EXPERIMENTS.md numbers.
+- ``STANDARD`` — between the two: finer meshes, more frequencies and
+  more samples than ``QUICK`` at a fraction of ``PAPER``'s cost.
 - ``PAPER`` — the paper's own discretization (step eta/8, 5000-sample
   MC, full frequency ranges); hours-scale in pure Python.
 

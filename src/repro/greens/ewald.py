@@ -43,10 +43,8 @@ from ..errors import ConfigurationError
 from .freespace import green3d, green3d_radial_derivative
 from .special import (
     erfc_complex,
-    erfc_scaled_pair,
-    erfc_scaled_pair_derivative,
-    ewald_spectral_bracket,
-    ewald_spectral_bracket_minus,
+    erfc_scaled_pair_with_derivative,
+    ewald_spectral_brackets,
 )
 
 
@@ -120,48 +118,11 @@ def periodic_green(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray,
         Gaussian-screened remainder ``primary - G_free``, i.e. the
         free-space singularity ``e^{jkR}/(4 pi R)`` is subtracted. The
         result is then smooth at ``R -> 0`` (used for self-term assembly).
+
+    The value of :func:`periodic_green_and_gradient`.
     """
-    dx = np.asarray(dx, dtype=np.float64)
-    dy = np.asarray(dy, dtype=np.float64)
-    dz = np.asarray(dz, dtype=np.float64)
-    dx, dy, dz = np.broadcast_arrays(dx, dy, dz)
-    e = cfg.effective_split
-    lat = cfg.period
-
-    total = np.zeros(dx.shape, dtype=np.complex128)
-
-    # Spatial (screened image) sum.
-    for (p, q) in _image_offsets(cfg):
-        rx = dx - p * lat
-        ry = dy - q * lat
-        r = np.sqrt(rx * rx + ry * ry + dz * dz)
-        if p == 0 and q == 0:
-            safe = np.where(r > 0.0, r, 1.0)
-            term = erfc_scaled_pair(safe, k, e) / (8.0 * np.pi * safe)
-            if exclude_primary:
-                term = term - green3d(safe, k)
-                term = np.where(r > 0.0, term, _primary_minus_free_limit(k, e))
-            else:
-                if np.any(r == 0.0):
-                    raise ConfigurationError(
-                        "periodic_green called at zero separation without "
-                        "exclude_primary=True"
-                    )
-            total += term
-        else:
-            total += erfc_scaled_pair(r, k, e) / (8.0 * np.pi * r)
-
-    # Spectral (Floquet mode) sum.
-    area = lat * lat
-    for (m, n) in _mode_indices(cfg):
-        kx = 2.0 * np.pi * m / lat
-        ky = 2.0 * np.pi * n / lat
-        g = complex(_gamma_mn(k, np.array(kx), np.array(ky)))
-        phase = np.exp(1j * (kx * dx + ky * dy))
-        bracket = ewald_spectral_bracket(dz, g, e)
-        total += phase * bracket * (1j / (4.0 * area * g))
-
-    return total
+    return periodic_green_and_gradient(dx, dy, dz, k, cfg,
+                                       exclude_primary)[0]
 
 
 def periodic_green_gradient(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray,
@@ -174,8 +135,22 @@ def periodic_green_gradient(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray,
     the gradient of the free-space primary is subtracted as well (the
     remainder's gradient vanishes at zero separation by symmetry, and the
     exact zero-separation value of the remainder gradient is 0 in x and y;
-    in z it is likewise 0, see the module tests).
+    in z it is likewise 0, see the module tests). The gradient of
+    :func:`periodic_green_and_gradient`.
     """
+    return periodic_green_and_gradient(dx, dy, dz, k, cfg,
+                                       exclude_primary)[1:]
+
+
+def periodic_green_and_gradient(dx: np.ndarray, dy: np.ndarray,
+                                dz: np.ndarray, k: complex,
+                                cfg: EwaldConfig,
+                                exclude_primary: bool = False
+                                ) -> tuple[np.ndarray, ...]:
+    """``(G, dG/d dx, dG/d dy, dG/d dz)`` from one image loop and one
+    mode loop: each image's spatial bracket and its derivative, and each
+    mode's phase and spectral brackets, are computed once and serve the
+    value and the gradient."""
     dx = np.asarray(dx, dtype=np.float64)
     dy = np.asarray(dy, dtype=np.float64)
     dz = np.asarray(dz, dtype=np.float64)
@@ -183,10 +158,12 @@ def periodic_green_gradient(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray,
     e = cfg.effective_split
     lat = cfg.period
 
+    total = np.zeros(dx.shape, dtype=np.complex128)
     gx = np.zeros(dx.shape, dtype=np.complex128)
     gy = np.zeros(dx.shape, dtype=np.complex128)
     gz = np.zeros(dx.shape, dtype=np.complex128)
 
+    # Spatial (screened image) sum.
     for (p, q) in _image_offsets(cfg):
         rx = dx - p * lat
         ry = dy - q * lat
@@ -194,43 +171,46 @@ def periodic_green_gradient(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray,
         primary = (p == 0 and q == 0)
         if primary:
             zero = r == 0.0
+            if np.any(zero) and not exclude_primary:
+                raise ConfigurationError(
+                    "periodic Green's function called at zero separation "
+                    "without exclude_primary=True"
+                )
             safe = np.where(zero, 1.0, r)
         else:
-            zero = None
             safe = r
+        bracket, dbracket = erfc_scaled_pair_with_derivative(safe, k, e)
+        term = bracket / (8.0 * np.pi * safe)
         # d/dr of [bracket/(8 pi r)] = bracket'/(8 pi r) - bracket/(8 pi r^2)
-        bracket = erfc_scaled_pair(safe, k, e)
-        dbracket = erfc_scaled_pair_derivative(safe, k, e)
         radial = dbracket / (8.0 * np.pi * safe) - bracket / (8.0 * np.pi * safe ** 2)
         if primary and exclude_primary:
+            term = term - green3d(safe, k)
+            term = np.where(zero, _primary_minus_free_limit(k, e), term)
             radial = radial - green3d_radial_derivative(safe, k)
             # The remainder is an analytic function of r^2; its radial
             # derivative vanishes at r = 0.
             radial = np.where(zero, 0.0, radial)
-        elif primary and zero is not None and np.any(zero):
-            raise ConfigurationError(
-                "periodic_green_gradient called at zero separation without "
-                "exclude_primary=True"
-            )
+        total += term
         inv = np.where(safe > 0.0, 1.0 / safe, 0.0)
         gx += radial * rx * inv
         gy += radial * ry * inv
         gz += radial * dz * inv
 
+    # Spectral (Floquet mode) sum.
     area = lat * lat
     for (m, n) in _mode_indices(cfg):
         kx = 2.0 * np.pi * m / lat
         ky = 2.0 * np.pi * n / lat
         g = complex(_gamma_mn(k, np.array(kx), np.array(ky)))
         phase = np.exp(1j * (kx * dx + ky * dy))
-        bracket = ewald_spectral_bracket(dz, g, e)
-        minus = ewald_spectral_bracket_minus(dz, g, e)
+        bracket, minus = ewald_spectral_brackets(dz, g, e)
         coef = 1j / (4.0 * area * g)
+        total += phase * bracket * coef
         gx += 1j * kx * phase * bracket * coef
         gy += 1j * ky * phase * bracket * coef
         gz += phase * (1j * g) * minus * coef
 
-    return gx, gy, gz
+    return total, gx, gy, gz
 
 
 def _primary_minus_free_limit(k: complex, split: float) -> complex:

@@ -18,13 +18,22 @@ sum has the closed form::
 free-space ``-(1/2 pi) ln(rho)`` singularity, which is what the self-term
 regularization subtracts.
 
-There is one Kummer mode loop, :func:`periodic_green2d_pair`: it
-evaluates the value and the gradient for any number of wavenumbers,
-sharing every k-independent intermediate, and :func:`periodic_green2d` /
-:func:`periodic_green2d_gradient` are its one-wavenumber cases. The mode
-factors ``cos(k_m dx)`` / ``sin(k_m dx)`` come from the Chebyshev
-angle-addition recurrence (one cos/sin pair of transcendental passes
-total, four multiply-adds per further mode).
+The kernel is the sum of two parts with their own helpers:
+
+- :func:`mode_residual`, the one Kummer mode loop: the truncated mode
+  sum minus its quasi-static asymptote, for any number of wavenumbers,
+  sharing every k-independent intermediate. Its transcendental work runs
+  on each argument's own shape: the mode factors ``cos(k_m dx)`` /
+  ``sin(k_m dx)`` on the x-offsets, from the Chebyshev angle-addition
+  recurrence seeded by :func:`mode_seed` (one cos/sin pair of
+  transcendental passes total, four multiply-adds per further mode), the
+  exponentials on ``|dz|``;
+- :func:`log_remainder`, the closed-form lattice sum of the asymptotes,
+  real and k-independent, which carries the line-source singularity.
+
+:func:`periodic_green2d_pair` adds them (value and gradient, any number
+of wavenumbers), and :func:`periodic_green2d` /
+:func:`periodic_green2d_gradient` are its one-wavenumber cases.
 
 Evanescent modes of a lossless medium run in real arithmetic. For real
 ``k`` and ``k_m > |k|``, ``gamma_m = j beta_m`` with ``beta_m > 0``, so
@@ -34,15 +43,18 @@ real quantity: they accumulate in float64 with a real ``np.exp``, and
 lossless dielectric takes this path; the conductor (complex ``k``) and
 any propagating mode keep the complex path. The path is chosen per
 ``(k, m)`` from the wavenumber alone. The z-gradient sums likewise
-accumulate without their ``sign(dz)`` factor, which multiplies once after
-the loop (exact, since the sign is -1, 0 or 1).
+accumulate without their ``sign(dz)`` factor, which multiplies once at
+the end (exact, since the sign is -1, 0 or 1).
 
-The 2D assembly plan (:class:`repro.swm.plan.AssemblyPlan2D`) evaluates
-the *total* kernel (``exclude_primary=False``) on its collocation pairs,
-none of which has zero separation: the closed-form log remainder already
-carries the line-source singularity, so Hankel functions are needed only
+The 2D assembly plan (:class:`repro.swm.plan.AssemblyPlan2D`) reads the
+*total* kernel (``exclude_primary=False``) on its collocation pairs,
+none of which has zero separation, so Hankel functions are needed only
 at the near pairs, where the plan subtracts the free-space term to feed
-its sub-segment quadrature.
+its sub-segment quadrature. Its default evaluator tabulates the mode
+residual per x-offset against ``|dz|``
+(:mod:`repro.swm.fastkernel2d`, built by :func:`mode_residual` on the
+``(nodes, offsets)`` grid) and adds :func:`log_remainder` exactly per
+pair; :func:`periodic_green2d_pair` is the exact reference.
 
 Lengths are dimensionless (micrometers in practice).
 """
@@ -67,7 +79,7 @@ def _gamma_m(k: complex, km: float) -> complex:
     return g
 
 
-def _mode_seed(dx: np.ndarray, period: float
+def mode_seed(dx: np.ndarray, period: float
                ) -> tuple[np.ndarray, np.ndarray]:
     """``(cos b, sin b)`` of the fundamental mode phase ``b = 2 pi dx / L``.
 
@@ -154,7 +166,46 @@ def periodic_green2d_pair(dx: np.ndarray, dz: np.ndarray,
     adz = np.abs(dz)
     lat = float(period)
     ks = list(ks)
-    shape = np.broadcast_shapes(dx.shape, dz.shape)
+    c1, s1 = mode_seed(dx, lat)
+    residuals = mode_residual(c1, s1, adz, ks, lat, m_max)
+    log_g, log_gx, log_gz = log_remainder(c1, s1, adz, lat, zero)
+    sgn = np.sign(dz)
+    safe_rho = np.where(zero, 1.0, rho)
+
+    results = []
+    for kk, (modes, gx, gz) in zip(ks, residuals):
+        g = modes + log_g
+        gx = gx + log_gx
+        gz = (gz + log_gz) * sgn
+        if exclude_primary:
+            g = g - green2d(safe_rho, kk)
+            if any_zero:
+                limit = (-math.log(2.0 * math.pi / lat) / (2.0 * math.pi)
+                         + (np.log(kk / 2.0) + EULER_GAMMA) / (2.0 * math.pi)
+                         - 0.25j)
+                g = np.where(zero, modes + limit, g)
+            dgdr_rho = green2d_radial_derivative(safe_rho, kk) / safe_rho
+            gx = np.where(zero, 0.0, gx - dgdr_rho * dx)
+            gz = np.where(zero, 0.0, gz - dgdr_rho * dz)
+        results.append((g, gx, gz))
+    return results
+
+
+def mode_residual(c1: np.ndarray, s1: np.ndarray, adz: np.ndarray,
+                  ks: "Sequence[complex]", period: float, m_max: int
+                  ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The Kummer mode residual: the truncated mode sum minus its
+    quasi-static asymptote, the part of the kernel the closed-form
+    :func:`log_remainder` does not carry.
+
+    ``(c1, s1)`` are the mode seeds of :func:`mode_seed` at the x-offsets
+    and ``adz = |dz|``; the shapes broadcast, and the transcendental work
+    runs on each argument's own shape (``m_max`` passes over ``adz`` per
+    medium, one seed pass over the offsets). Returns one ``(g, gx, gz)``
+    triple per wavenumber, the z-gradient without its ``sign(dz)``
+    factor. Each medium's sums are independent of the others'.
+    """
+    shape = np.broadcast_shapes(c1.shape, adz.shape)
 
     # Per medium: complex sums of the value, x-gradient and z-gradient
     # (the last without its common j sign(dz) factor), and real sums of
@@ -170,10 +221,9 @@ def periodic_green2d_pair(dx: np.ndarray, dz: np.ndarray,
         sums.append((t, np.zeros(shape, dtype=np.complex128), gz,
                      np.zeros(shape), np.zeros(shape), np.zeros(shape)))
 
-    c1, s1 = _mode_seed(dx, lat)
     c, s = c1, s1
     for m in range(1, m_max + 1):
-        km = 2.0 * math.pi * m / lat
+        km = 2.0 * math.pi * m / period
         em = np.exp(-km * adz)
         ek = em / km
         asym = None
@@ -199,40 +249,42 @@ def periodic_green2d_pair(dx: np.ndarray, dz: np.ndarray,
                 gz += gc * (egm - em)
         c, s = c * c1 - s * s1, s * c1 + c * s1
 
-    # Closed-form Kummer remainder:
-    #   (j/2L) * sum_{m!=0} e^{j k_m dx} e^{-|k_m||dz|}/(j |k_m|)
-    # = -(1/4pi) * ln(1 - 2 e^{-a} cos(b) + e^{-2a})
-    # and its gradient (the z part without its sign(dz) factor).
-    a = 2.0 * math.pi * adz / lat
+    # The sums are named arrays when multiplied by the complex j/2L, so
+    # numpy never elides that multiply into an in-place one (which can
+    # round differently): a value does not depend on the array's size.
+    half = 0.5 / period
+    out = []
+    for t, gx, gz, tr, gxr, gzr in sums:
+        t += 1j * tr
+        gx += 1j * gxr
+        out.append((t * (1j * half), gx * (1j * half), (gz + gzr) * -half))
+    return out
+
+
+def log_remainder(c1: np.ndarray, s1: np.ndarray, adz: np.ndarray,
+                  period: float, zero: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form Kummer remainder and its gradient, in real arithmetic.
+
+    ``(j/2L) sum_{m!=0} e^{j k_m dx} e^{-|k_m||dz|}/(j |k_m|) =
+    -(1/4pi) ln(1 - 2 e^{-a} cos(b) + e^{-2a})``, with ``a = 2 pi |dz| /
+    L`` and the mode seeds ``(c1, s1) = (cos b, sin b)``. It is
+    k-independent and carries the line-source singularity. Returns
+    ``(g, gx, gz)``, the z-gradient without its ``sign(dz)`` factor;
+    entries where ``zero`` is set (zero separation) are finite
+    placeholders the caller replaces.
+    """
+    a = 2.0 * math.pi * adz / period
     ea = np.exp(-a)
-    d_arg = np.where(zero, 1.0, 1.0 - 2.0 * ea * c1 + ea * ea)
-    scale = 2.0 * math.pi / lat
+    d_arg = 1.0 - 2.0 * ea * c1 + ea * ea
+    if zero is not None:
+        d_arg = np.where(zero, 1.0, d_arg)
+    scale = 2.0 * math.pi / period
     log_g = -np.log(d_arg) / (4.0 * math.pi)
     log_gx = -(2.0 * ea * s1 * scale) / (4.0 * math.pi * d_arg)
     log_gz = -((2.0 * ea * c1 - 2.0 * ea * ea) * scale) / (4.0 * math.pi
                                                           * d_arg)
-    sgn = np.sign(dz)
-    half = 0.5 / lat
-    safe_rho = np.where(zero, 1.0, rho)
-
-    results = []
-    for kk, (t, gx, gz, tr, gxr, gzr) in zip(ks, sums):
-        modes = (t + 1j * tr) * (1j * half)
-        g = modes + log_g
-        gx = (gx + 1j * gxr) * (1j * half) + log_gx
-        gz = ((gz + gzr) * -half + log_gz) * sgn
-        if exclude_primary:
-            g = g - green2d(safe_rho, kk)
-            if any_zero:
-                limit = (-math.log(2.0 * math.pi / lat) / (2.0 * math.pi)
-                         + (np.log(kk / 2.0) + EULER_GAMMA) / (2.0 * math.pi)
-                         - 0.25j)
-                g = np.where(zero, modes + limit, g)
-            dgdr_rho = green2d_radial_derivative(safe_rho, kk) / safe_rho
-            gx = np.where(zero, 0.0, gx - dgdr_rho * dx)
-            gz = np.where(zero, 0.0, gz - dgdr_rho * dz)
-        results.append((g, gx, gz))
-    return results
+    return log_g, log_gx, log_gz
 
 
 def periodic_green2d_direct(dx: np.ndarray, dz: np.ndarray, k: complex,

@@ -34,24 +34,11 @@ def erfc_complex(z: np.ndarray | complex) -> np.ndarray:
     return out
 
 
-def erfc_scaled_pair(r: np.ndarray, k: complex, split: float) -> np.ndarray:
-    """The Ewald *spatial*-sum bracket, computed overflow-safely.
-
-    Returns ``f(r) = exp(j*k*r) * erfc(r*E + j*k/(2E))
-    + exp(-j*k*r) * erfc(r*E - j*k/(2E))`` for ``r >= 0`` and splitting
-    parameter ``E = split``. The two terms are individually enormous when
-    ``Im(k)`` is large; we evaluate each as
-    ``exp(a) * erfc(b) = exp(a - b^2) * w(j*b)`` with the exponents
-    combined analytically, which is finite whenever the *product* is.
-
-    Notes
-    -----
-    With ``b = r*E + j*k/(2E)`` we have
-    ``a - b^2 = j*k*r - (r*E)^2 + k^2/(4E^2) - j*k*r = k^2/(4E^2) - r^2E^2``
-    so both terms share the same combined exponent
-    ``exp(k^2/(4E^2) - r^2 E^2)``; only the Faddeeva factor differs.
-    For ``Re(b) < 0`` we apply the reflection formula term-wise.
-    """
+def _scaled_pair_terms(r: np.ndarray, k: complex, split: float):
+    """The two terms ``exp(+-j*k*r) * erfc(r*E +- c)`` of
+    :func:`erfc_scaled_pair` (``c = j*k/(2E)``), their shared exponent
+    and ``r``'s shape: one Faddeeva pass per term, which the value and
+    the derivative both combine."""
     shape = np.shape(r)
     r = np.atleast_1d(np.asarray(r, dtype=np.float64))
     e = float(split)
@@ -72,7 +59,29 @@ def erfc_scaled_pair(r: np.ndarray, k: complex, split: float) -> np.ndarray:
             out[neg] = 2.0 * np.exp(a) - np.exp(shared[neg]) * wofz(-1j * b[neg])
         return out
 
-    return (_term(1.0) + _term(-1.0)).reshape(shape)
+    return _term(1.0), _term(-1.0), shared, shape
+
+
+def erfc_scaled_pair(r: np.ndarray, k: complex, split: float) -> np.ndarray:
+    """The Ewald *spatial*-sum bracket, computed overflow-safely.
+
+    Returns ``f(r) = exp(j*k*r) * erfc(r*E + j*k/(2E))
+    + exp(-j*k*r) * erfc(r*E - j*k/(2E))`` for ``r >= 0`` and splitting
+    parameter ``E = split``. The two terms are individually enormous when
+    ``Im(k)`` is large; we evaluate each as
+    ``exp(a) * erfc(b) = exp(a - b^2) * w(j*b)`` with the exponents
+    combined analytically, which is finite whenever the *product* is.
+
+    Notes
+    -----
+    With ``b = r*E + j*k/(2E)`` we have
+    ``a - b^2 = j*k*r - (r*E)^2 + k^2/(4E^2) - j*k*r = k^2/(4E^2) - r^2E^2``
+    so both terms share the same combined exponent
+    ``exp(k^2/(4E^2) - r^2 E^2)``; only the Faddeeva factor differs.
+    For ``Re(b) < 0`` we apply the reflection formula term-wise.
+    """
+    plus, minus, _, shape = _scaled_pair_terms(r, k, split)
+    return (plus + minus).reshape(shape)
 
 
 def erfc_scaled_pair_derivative(r: np.ndarray, k: complex, split: float) -> np.ndarray:
@@ -85,26 +94,24 @@ def erfc_scaled_pair_derivative(r: np.ndarray, k: complex, split: float) -> np.n
 
     where ``c = j*k/(2E)`` (the two Gaussian boundary terms combine).
     """
-    shape = np.shape(r)
-    r = np.atleast_1d(np.asarray(r, dtype=np.float64))
+    return erfc_scaled_pair_with_derivative(r, k, split)[1]
+
+
+def erfc_scaled_pair_with_derivative(r: np.ndarray, k: complex,
+                                     split: float
+                                     ) -> tuple[np.ndarray, np.ndarray]:
+    """``(f, f')`` of :func:`erfc_scaled_pair` from one Faddeeva pass per
+    term, bit-identical to calling :func:`erfc_scaled_pair` and
+    :func:`erfc_scaled_pair_derivative` (same terms, same combine
+    order)."""
+    plus, minus, shared, shape = _scaled_pair_terms(r, k, split)
     e = float(split)
-    c = 1j * k / (2.0 * e)
-    shared = k * k / (4.0 * e * e) - (r * e) ** 2
-
-    def _term(sign: float) -> np.ndarray:
-        b = r * e + sign * c
-        out = np.empty(b.shape, dtype=np.complex128)
-        neg = b.real < 0.0
-        pos = ~neg
-        out[pos] = np.exp(shared[pos]) * wofz(1j * b[pos])
-        if np.any(neg):
-            a = sign * 1j * k * r[neg]
-            out[neg] = 2.0 * np.exp(a) - np.exp(shared[neg]) * wofz(-1j * b[neg])
-        return out
-
-    diff = _term(1.0) - _term(-1.0)
+    # diff is a named array, so the complex multiply below is never
+    # elided into an in-place one (which can round differently).
+    diff = plus - minus
     gauss = (4.0 * e / np.sqrt(np.pi)) * np.exp(shared)
-    return (1j * k * diff - gauss).reshape(shape)
+    return ((plus + minus).reshape(shape),
+            (1j * k * diff - gauss).reshape(shape))
 
 
 def _exp_erfc(a: np.ndarray, b: np.ndarray, shared: np.ndarray) -> np.ndarray:
@@ -128,6 +135,19 @@ def _exp_erfc(a: np.ndarray, b: np.ndarray, shared: np.ndarray) -> np.ndarray:
     return out
 
 
+def _spectral_bracket_terms(x: np.ndarray, q: complex, split: float):
+    """The two terms ``e^{+-jqx} erfc(-+xE - jq/(2E))`` of the spectral
+    brackets and ``x``'s shape, one Faddeeva pass each."""
+    shape = np.shape(x)
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    e = float(split)
+    c = 1j * q / (2.0 * e)
+    shared = q * q / (4.0 * e * e) - (x * e) ** 2
+    t1 = _exp_erfc(1j * q * x, -x * e - c, shared)
+    t2 = _exp_erfc(-1j * q * x, x * e - c, shared)
+    return t1, t2, shape
+
+
 def ewald_spectral_bracket(x: np.ndarray, q: complex, split: float) -> np.ndarray:
     """The Ewald *spectral*-sum bracket.
 
@@ -138,13 +158,7 @@ def ewald_spectral_bracket(x: np.ndarray, q: complex, split: float) -> np.ndarra
     Limits used in validation: E -> 0 gives 0; E -> infinity gives
     ``2 e^{j q |x|}`` (the exact spectral representation's kernel).
     """
-    shape = np.shape(x)
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    e = float(split)
-    c = 1j * q / (2.0 * e)
-    shared = q * q / (4.0 * e * e) - (x * e) ** 2
-    t1 = _exp_erfc(1j * q * x, -x * e - c, shared)
-    t2 = _exp_erfc(-1j * q * x, x * e - c, shared)
+    t1, t2, shape = _spectral_bracket_terms(x, q, split)
     return (t1 + t2).reshape(shape)
 
 
@@ -156,11 +170,14 @@ def ewald_spectral_bracket_minus(x: np.ndarray, q: complex,
     (the Gaussian boundary terms cancel exactly), which gives the z-part
     of the Ewald gradient in closed form.
     """
-    shape = np.shape(x)
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    e = float(split)
-    c = 1j * q / (2.0 * e)
-    shared = q * q / (4.0 * e * e) - (x * e) ** 2
-    t1 = _exp_erfc(1j * q * x, -x * e - c, shared)
-    t2 = _exp_erfc(-1j * q * x, x * e - c, shared)
+    t1, t2, shape = _spectral_bracket_terms(x, q, split)
     return (t1 - t2).reshape(shape)
+
+
+def ewald_spectral_brackets(x: np.ndarray, q: complex, split: float
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`ewald_spectral_bracket` and
+    :func:`ewald_spectral_bracket_minus` from one Faddeeva pass per
+    term, bit-identical to calling both."""
+    t1, t2, shape = _spectral_bracket_terms(x, q, split)
+    return (t1 + t2).reshape(shape), (t1 - t2).reshape(shape)

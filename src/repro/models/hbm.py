@@ -28,7 +28,7 @@ Physics implemented here:
   skin-depth physics is carried by the sphere's intrinsic susceptibility
   ``chi(x) = -3 F(x) / (2 + F(x))``, ``F = 1 - 3/x^2 + (3/x) cot x``.
   This shape correction is an approximation (exact spheroid eddy-current
-  solutions involve spheroidal wavefunctions); DESIGN.md records it.
+  solutions involve spheroidal wavefunctions).
 """
 
 from __future__ import annotations

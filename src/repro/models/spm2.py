@@ -7,7 +7,7 @@ SWM solves, so the two must agree in the small-roughness limit by
 construction (this is exactly the regime logic of the paper's Figs. 3-4,
 and it is enforced by an integration test).
 
-Derivation (details in DESIGN.md):
+Derivation:
 
 Zeroth order (flat interface, normal incidence):
     R0 = (k1 - beta k2)/(k1 + beta k2),  T0 = 2 k1/(k1 + beta k2).

@@ -66,12 +66,11 @@ import numpy as np
 from ..errors import ConfigurationError
 from .geometry import SurfaceMesh3D
 from ..greens.ewald import (EwaldConfig, _gamma_mn, _primary_minus_free_limit,
-                            periodic_green, periodic_green_gradient)
+                            periodic_green, periodic_green_and_gradient)
 from ..greens.special import (
     erfc_scaled_pair,
-    erfc_scaled_pair_derivative,
-    ewald_spectral_bracket,
-    ewald_spectral_bracket_minus,
+    erfc_scaled_pair_with_derivative,
+    ewald_spectral_brackets,
 )
 
 
@@ -196,8 +195,7 @@ def _radial_tables(k: complex, cfg: EwaldConfig, r_max: float):
            / _RADIAL_NODES)
     r = np.arange(math.ceil(r_max / h_r) + 2) * h_r
     inv8pi = 1.0 / (8.0 * math.pi)
-    b = erfc_scaled_pair(r, k, e)
-    db = erfc_scaled_pair_derivative(r, k, e)
+    b, db = erfc_scaled_pair_with_derivative(r, k, e)
     x_term = (2.0 * e / math.sqrt(math.pi)) * np.exp(
         k * k / (4.0 * e * e) - (r * e) ** 2)
     d2b = (4.0 * e * e) * r * x_term - k * k * b
@@ -284,8 +282,7 @@ def _spectral_terms(k: complex, cfg: EwaldConfig, dx: np.ndarray,
         # the minus bracket also by its derivative factor j gamma.
         gamma = gammas[s]
         coef = 1j / (4.0 * lat * lat * gamma)
-        plus = np.asarray(ewald_spectral_bracket(z, gamma, e))
-        minus = np.asarray(ewald_spectral_bracket_minus(z, gamma, e))
+        plus, minus = ewald_spectral_brackets(z, gamma, e)
         return plus * coef, minus * ((1j * gamma) * coef)
 
     # The specular shell has unit phase and no transverse gradient.
@@ -423,10 +420,10 @@ class EwaldKernel:
 
     def evaluate(self, dx: np.ndarray, dy: np.ndarray,
                  dz: np.ndarray) -> tuple:
-        """At nonzero separations ``(dx, dy, dz)``, broadcast."""
-        g = periodic_green(dx, dy, dz, self.k, self.cfg, exclude_primary=True)
-        return (g, *periodic_green_gradient(dx, dy, dz, self.k, self.cfg,
-                                            exclude_primary=True))
+        """At nonzero separations ``(dx, dy, dz)``, broadcast: one
+        fused value-plus-gradient pass."""
+        return periodic_green_and_gradient(dx, dy, dz, self.k, self.cfg,
+                                           exclude_primary=True)
 
 
 def lookup(tables, fold: OffsetFold, dz: np.ndarray) -> list[tuple]:

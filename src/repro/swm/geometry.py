@@ -59,8 +59,6 @@ class SurfaceMesh3D:
 
     - ``x, y, z`` — collocation points (z = surface height);
     - ``fx, fy`` — surface slopes at the points;
-    - ``fxx, fyy, fxy`` — second derivatives (for the curvature-corrected
-      double-layer self term and the quadratic near-cell model);
     - ``jac`` — area Jacobian ``sqrt(1 + fx^2 + fy^2)``;
     - ``period``, ``n``, ``spacing`` — patch metadata.
 
@@ -73,9 +71,6 @@ class SurfaceMesh3D:
     z: np.ndarray
     fx: np.ndarray
     fy: np.ndarray
-    fxx: np.ndarray
-    fyy: np.ndarray
-    fxy: np.ndarray
     jac: np.ndarray
     period: float
     n: int
@@ -120,14 +115,10 @@ def build_mesh_3d(heights: np.ndarray, period: float) -> SurfaceMesh3D:
     coords = grid_coords(n, period)
     xx, yy = np.meshgrid(coords, coords, indexing="ij")
     fx, fy = spectral_gradient_2d(h, period)
-    fxx, fxy = spectral_gradient_2d(fx, period)
-    _, fyy = spectral_gradient_2d(fy, period)
     jac = np.sqrt(1.0 + fx * fx + fy * fy)
     return SurfaceMesh3D(
         x=xx.ravel(), y=yy.ravel(), z=h.ravel(),
-        fx=fx.ravel(), fy=fy.ravel(),
-        fxx=fxx.ravel(), fyy=fyy.ravel(), fxy=fxy.ravel(),
-        jac=jac.ravel(),
+        fx=fx.ravel(), fy=fy.ravel(), jac=jac.ravel(),
         period=float(period), n=n,
     )
 

@@ -12,11 +12,15 @@ lets the solver stack neighboring frequencies
 separations wrapped to the minimum image, ``G(r_i - r_j) = G(r_j -
 r_i)`` and its gradient is odd. A plan therefore keeps only the strict
 upper triangle of collocation pairs ``i < j`` (``M = N(N-1)/2``; pair
-``p`` is ``(iu[p], ju[p])``), and every kernel pass — :meth:`eval_tables`
-/ :meth:`eval_ks` and the 3D free-space primary — runs on ``(B, M)``
-arrays; the 3D kernel is a value the plan is handed, tabulated
+``p`` is ``(iu[p], ju[p])``), and every kernel pass — each plan's
+``eval_tables`` and the 3D free-space primary — runs on ``(B, M)``
+arrays. The kernel is a value the plan is handed: in 3D tabulated
 (:class:`~repro.swm.fastkernel.KernelTables`) or exact Ewald
-(:class:`~repro.swm.fastkernel.EwaldKernel`). :meth:`assemble_k`
+(:class:`~repro.swm.fastkernel.EwaldKernel`), in 2D the Kummer offset
+tables (:class:`~repro.swm.fastkernel2d.KummerTables`) or the exact
+Kummer sum (:class:`~repro.swm.fastkernel2d.KummerKernel`). Tables of
+one call share one fused lookup; an exact evaluator gets one
+``evaluate`` call. ``assemble_k``
 mirrors each medium's totals into ``(B, N, N)`` by parity
 (:meth:`mirror`): the value is symmetric, the gradient antisymmetric
 and the diagonal zero. What is not symmetric
@@ -25,7 +29,7 @@ the *source* cell's tangent plane), the analytic self terms on the
 diagonal, and the ``D``/``S`` matrices, whose columns carry the source
 cell's Jacobian and slopes.
 
-Pair indices, wrapped offsets and the 3D pairs' kernel-table columns
+Pair indices, wrapped offsets and the pairs' kernel-table columns
 depend only on the grid, so bounded caches keyed by the grid share
 them, as read-only arrays, with every plan on that grid.
 
@@ -45,8 +49,9 @@ import numpy as np
 
 from ..errors import ConfigurationError, MeshError
 from ..greens.freespace import green2d, green2d_radial_derivative, green3d
-from ..greens.periodic2d import EULER_GAMMA, periodic_green2d_pair
+from ..greens.periodic2d import EULER_GAMMA
 from ..telemetry import span
+from . import fastkernel2d
 from .fastkernel import KernelTables, OffsetFold, fold_offsets, lookup
 from .geometry import grid_coords
 
@@ -103,6 +108,16 @@ def _grid_fold(n: int, period: float) -> OffsetFold:
     once per ``(n, period)`` and shared by every plan on that grid."""
     pairs = _grid_pairs(n, period)
     return fold_offsets(pairs.dx, pairs.dy, n, period)
+
+
+@lru_cache(maxsize=4)
+def _profile_fold(n: int, period: float) -> fastkernel2d.ProfileFold:
+    """Kummer-table column, x-sign and log-remainder seeds of every pair
+    of the n-point profile grid
+    (:func:`~repro.swm.fastkernel2d.fold_profile_offsets`), shared by
+    every plan on that grid."""
+    return fastkernel2d.fold_profile_offsets(_profile_pairs(n, period).dx,
+                                             n, period)
 
 
 def _near_set(pairs: GridPairs, radius: float):
@@ -332,11 +347,11 @@ class AssemblyPlan2D(_PairPlan):
     """Every k-independent intermediate of one 2D profile-batch assembly.
 
     The 2D analog of :class:`AssemblyPlan3D`: :meth:`build` once per
-    profile batch, :meth:`eval_ks` for the fused Kummer mode-sum pass on
-    the pairs over any number of wavenumbers, :meth:`assemble_k` per
-    medium. The pass evaluates the *total* periodic kernel — no
-    off-diagonal pair has zero separation — so the free-space Hankel
-    terms are needed only at the near pairs.
+    profile batch, :meth:`eval_tables` for the kernel pass on the pairs
+    over any number of evaluators (Kummer tables or the exact Kummer
+    sum), :meth:`assemble_k` per medium. Both evaluators return the
+    *total* periodic kernel — no off-diagonal pair has zero separation —
+    so the free-space Hankel terms are needed only at the near pairs.
     """
 
     @classmethod
@@ -375,23 +390,34 @@ class AssemblyPlan2D(_PairPlan):
         plan.jac_d = jac[:, None, :] * d
         return plan
 
-    def eval_ks(self, ks) -> list[tuple]:
-        """Total 2D kernel+gradient on the pairs for each wavenumber.
+    def eval_tables(self, kernels) -> list[tuple]:
+        """Total 2D kernel+gradient on the pairs for each evaluator.
 
-        Returns ``(B, M)`` arrays ``(g, gx, gz)`` per wavenumber from one
-        fused :func:`periodic_green2d_pair` pass — the recurrence-built
-        mode factors and quasi-static asymptotes are shared across all
-        wavenumbers, bit-identical to independent per-k evaluation.
+        Returns ``(B, M)`` arrays ``(g, gx, gz)`` per evaluator. The
+        :class:`~repro.swm.fastkernel2d.KummerTables` share one fused
+        lookup (node map, weights and the exact log remainder computed
+        once), bit-identical to looking each table up alone. An exact
+        evaluator gets one ``evaluate`` call.
         """
-        return periodic_green2d_pair(self.dx, self.dz, tuple(ks),
-                                     self.period, m_max=self.options.m_max)
+        kernels = list(kernels)
+        tables = [kern for kern in kernels
+                  if isinstance(kern, fastkernel2d.KummerTables)]
+        with span("kernel"):
+            fused = iter(fastkernel2d.lookup(
+                tables, _profile_fold(self.meshes[0].n, self.period),
+                self.dz) if tables else ())
+            return [next(fused)
+                    if isinstance(kern, fastkernel2d.KummerTables)
+                    else kern.evaluate(self.dx, self.dz)
+                    for kern in kernels]
 
     def assemble_k(self, kk: complex, totals, g_reg0: complex
                    ) -> tuple[np.ndarray, np.ndarray]:
         """Assemble one medium's ``(D, S)`` stacks at wavenumber ``kk``.
 
-        ``totals`` is this medium's ``(g, gx, gz)`` from :meth:`eval_ks`
-        and ``g_reg0`` the regularized kernel's zero-separation limit.
+        ``totals`` is this medium's ``(g, gx, gz)`` from
+        :meth:`eval_tables` and ``g_reg0`` its evaluator's
+        ``regular_at_zero()``.
         At the near pairs the free-space term is subtracted from the
         total and replaced by its sub-segment average.
         """

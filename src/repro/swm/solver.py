@@ -1,7 +1,8 @@
 """The 3D Scalar Wave Modeling (SWM) solver — the paper's core contribution.
 
 Solves the coupled surface integral equations (the corrected form of the
-paper's eq. (7); see DESIGN.md for the jump-relation derivation)
+paper's eq. (7), whose ``1/2 I`` and ``D`` signs follow from the double
+layer's jump relations)
 
 .. math::
 
@@ -135,6 +136,7 @@ class _SWMSolver:
     chunk loop, block-system formation, factorization and the power
     evaluation live here once. A subclass supplies only what differs:
 
+    - ``_options_type``, its options class;
     - ``_build_mesh(heights_um, period_um)``, and ``_stack_rank``, the
       ``ndim`` of a batched height stack (3 for ``(B, n, n)`` maps, 2
       for ``(B, n)`` profiles);
@@ -145,7 +147,42 @@ class _SWMSolver:
       stacks ordered ``(k1, k2)`` per frequency;
     - ``_elements(mesh)``, the surface elements of the power integral;
     - ``smooth_power(period_um, frequency_hz)``.
+
+    Both keep a kernel-table cache, ``(which_medium, frequency, period,
+    n) -> tables``. The tables amortize MC/SSCM sweeps (hundreds of
+    samples per frequency reuse one table build) and only grow: a chunk
+    whose height range outgrows a table replaces it with a longer one
+    (1.5x margin). Tables of one configuration sample the same nodes,
+    so which table serves a solve never changes its values.
     """
+
+    def __init__(self, system: TwoMediumSystem = PAPER_SYSTEM,
+                 options=None) -> None:
+        self.system = system
+        self.options = options or self._options_type()
+        self._tables: dict[tuple[int, float, float, int], object] = {}
+
+    def reset_tables(self) -> None:
+        """Drop cached kernel tables to release their memory.
+
+        Results do not depend on it: every table of one configuration
+        returns the same values on the separations it covers
+        (:mod:`repro.swm.fastkernel`, :mod:`repro.swm.fastkernel2d`), so
+        a warm solver and a fresh one agree bit for bit.
+        """
+        self._tables.clear()
+
+    @staticmethod
+    def _height_extent(meshes: list) -> float:
+        """Largest in-sample height range of a chunk, the ``|dz|`` its
+        kernel tables must cover."""
+        z = np.stack([mesh.z for mesh in meshes])
+        z_extent = float(np.max(np.ptp(z, axis=1)))
+        if not np.isfinite(z_extent):
+            # Tables cannot be sized for it; fail like a non-finite
+            # assembly would.
+            raise SolverError("mesh heights contain non-finite values")
+        return z_extent
 
     def solve(self, heights_m: np.ndarray, period_m: float,
               frequency_hz: float) -> SWMResult:
@@ -387,28 +424,7 @@ class SWMSolver3D(_SWMSolver):
 
     _stack_rank = 3
     _build_mesh = staticmethod(build_mesh_3d)
-
-    def __init__(self, system: TwoMediumSystem = PAPER_SYSTEM,
-                 options: SWMOptions | None = None) -> None:
-        self.system = system
-        self.options = options or SWMOptions()
-        # Kernel-table cache: (which_medium, frequency, period, n) ->
-        # tables. They amortize MC/SSCM sweeps (hundreds of samples per
-        # frequency reuse one table build) and only grow: a chunk whose
-        # height range outgrows a table replaces it with a longer one.
-        # Tables of one configuration sample the same nodes, so which
-        # table serves a solve never changes its values.
-        self._tables: dict[tuple[int, float, float, int], object] = {}
-
-    def reset_tables(self) -> None:
-        """Drop cached kernel tables to release their memory.
-
-        Results do not depend on it: every table of one configuration
-        returns the same values on the separations it covers
-        (:mod:`repro.swm.fastkernel`), so a warm solver and a fresh one
-        agree bit for bit.
-        """
-        self._tables.clear()
+    _options_type = SWMOptions
 
     def _get_tables(self, which: int, k: complex, frequency_hz: float,
                     meshes: list[SurfaceMesh3D]):
@@ -419,12 +435,7 @@ class SWMSolver3D(_SWMSolver):
 
         n = meshes[0].n
         key = (which, float(frequency_hz), float(meshes[0].period), n)
-        z = np.stack([mesh.z for mesh in meshes])
-        z_extent = float(np.max(np.ptp(z, axis=1)))
-        if not np.isfinite(z_extent):
-            # Tables cannot be sized for it; fail like a non-finite
-            # assembly would.
-            raise SolverError("mesh heights contain non-finite values")
+        z_extent = self._height_extent(meshes)
         cached = self._tables.get(key)
         if cached is not None and cached.covers(z_extent):
             return cached

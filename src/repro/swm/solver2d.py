@@ -14,8 +14,8 @@ smooth reference ``Ps = |T0|^2 L / (2 delta)``.
 :class:`SWMSolver2D` runs the 3D solver's solve path (entry points,
 chunk loop, block systems, factorization, power) and returns the same
 :class:`~repro.swm.solver.SWMResult`; this module holds only what the
-2D problem changes: the profile mesh, the Kummer assembly, the segment
-lengths and the smooth reference.
+2D problem changes: the profile mesh, the Kummer tables and assembly,
+the segment lengths and the smooth reference.
 
 The paper's Fig. 6 point: a 2D (ridged) surface of the same sigma/eta
 absorbs noticeably *less* than a true 3D rough surface — 2D roughness
@@ -25,15 +25,17 @@ models underestimate the loss.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
+from .. import telemetry
 from ..constants import METER_TO_UM
 from ..errors import ConfigurationError
-from ..materials import PAPER_SYSTEM, TwoMediumSystem
 from ..telemetry import span
 from .assembly2d import Assembly2DOptions, assemble_media_multi_k_2d
+from .fastkernel2d import KummerTables, build_tables
 from .geometry import SurfaceMesh2D, build_mesh_2d
 from .plan import AssemblyPlan2D
 from .solver import _SWMSolver
@@ -76,27 +78,58 @@ class SWM2DOptions:
         return {"assembly": self.assembly.to_spec()}
 
 
+_M_TABLE_BUILDS_2D = telemetry.counter(
+    "repro_swm_kummer_table_builds_total",
+    "2D Kummer kernel tables built because no cached table covered a "
+    "chunk's height range.")
+
+
 class SWMSolver2D(_SWMSolver):
     """Deterministic 2D SWM solver; a batched stack is ``(B, n)``
     profiles."""
 
     _stack_rank = 2
     _build_mesh = staticmethod(build_mesh_2d)
+    _options_type = SWM2DOptions
 
-    def __init__(self, system: TwoMediumSystem = PAPER_SYSTEM,
-                 options: SWM2DOptions | None = None) -> None:
-        self.system = system
-        self.options = options or SWM2DOptions()
+    def _get_tables(self, keys: list[tuple[int, float]], ks: list[complex],
+                    meshes: list[SurfaceMesh2D]) -> list[KummerTables]:
+        """The cached tables of each ``(which_medium, frequency)`` in
+        ``keys`` on the chunk's grid. Those that do not cover the chunk's
+        height range are built (with a 1.5x margin) in one fused pass."""
+        n, period = meshes[0].n, float(meshes[0].period)
+        z_extent = self._height_extent(meshes)
+        full = [(which, float(f), period, n) for which, f in keys]
+        stale = [i for i, key in enumerate(full)
+                 if key not in self._tables
+                 or not self._tables[key].covers(z_extent)]
+        if stale:
+            with span("tables", n=n, media=len(stale)):
+                built = build_tables([ks[i] for i in stale], period, n,
+                                     self.options.assembly.m_max,
+                                     z_extent=max(z_extent * 1.5, 1e-6))
+            for i, tables in zip(stale, built):
+                self._tables[full[i]] = tables
+            _M_TABLE_BUILDS_2D.inc(len(stale))
+        return [self._tables[key] for key in full]
 
     def _chunk_assembly(self, meshes: list[SurfaceMesh2D],
                         freqs: list[float],
                         ks: list[tuple[complex, complex]], meta: dict
                         ) -> Callable[[], list]:
-        """The ``plan`` span; the call runs one fused Kummer mode-sum
-        pass over both media of every frequency."""
+        """Every medium's kernel evaluator
+        (:meth:`Assembly2DOptions.kernels`: the cached tables, built or
+        grown here in one pass, or the exact Kummer sum), then the
+        ``plan`` span; the call runs one kernel pass and every medium's
+        assembly on the one plan, whichever kernel it is."""
+        media = [k for pair in ks for k in pair]
+        keys = [(which, f) for f in freqs for which in (1, 2)]
+        kernels = self.options.assembly.kernels(
+            media, meshes[0].period,
+            partial(self._get_tables, keys, media, meshes))
         with span("plan", **meta):
             plan = AssemblyPlan2D.build(meshes, self.options.assembly)
-        media = [k for pair in ks for k in pair]
+        media = list(zip(media, kernels))
         return lambda: assemble_media_multi_k_2d(plan, media)
 
     @staticmethod

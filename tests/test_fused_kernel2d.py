@@ -1,15 +1,16 @@
 """Parity suite for the fused 2D periodic-kernel pipeline.
 
-The contract under test (the PR-4 discipline applied to the 2D path):
-fusing is a *pure performance* move. ``periodic_green2d_pair`` must be
-bit-identical to per-call ``periodic_green2d`` +
-``periodic_green2d_gradient``, the fused two-medium
-``assemble_media_multi_k_2d`` pass to its per-medium ``(k,)`` call (and
-per-mesh ``assemble_medium_2d``), and the batched solver path routed
-through them to per-sample solves — in every regime the assembly
+The contract under test: fusing is a *pure performance* move.
+``periodic_green2d_pair`` must be bit-identical to per-call
+``periodic_green2d`` + ``periodic_green2d_gradient``, the fused
+two-medium ``assemble_media_multi_k_2d`` pass to its per-medium call
+(and per-mesh ``assemble_medium_2d``), and the batched solver path
+routed through them to per-sample solves — in every regime the assembly
 exercises: ``dz = 0`` (the PV sign convention), zero separation (the
 ``exclude_primary`` limit), wrapped near pairs, and mixed batch sizes,
-for both media.
+for both media. The plan-level tests read the exact Kummer sum
+(:class:`~repro.swm.fastkernel2d.KummerKernel`); the solver-level ones
+run the default offset tables.
 """
 
 import numpy as np
@@ -26,10 +27,13 @@ from repro.materials import PAPER_SYSTEM
 from repro.surfaces import GaussianCorrelation
 from repro.swm.assembly2d import (
     Assembly2DOptions,
-    _g_reg0_cached,
-    _regularized_zero_limit,
     assemble_media_multi_k_2d,
     assemble_medium_2d,
+)
+from repro.swm.fastkernel2d import (
+    KummerKernel,
+    _g_reg0_cached,
+    regular_at_zero,
 )
 from repro.greens.freespace import green2d, green2d_gradient
 from repro.swm.geometry import build_mesh_2d
@@ -44,6 +48,15 @@ def _wavenumbers(frequency_hz=FREQ):
     k1 = PAPER_SYSTEM.k1(frequency_hz) / METER_TO_UM
     k2 = PAPER_SYSTEM.k2(frequency_hz) / METER_TO_UM
     return k1, k2
+
+
+def _exact(opts, *ks):
+    """``(k, evaluator)`` media of the exact Kummer sum."""
+    return [(k, KummerKernel(k, L, opts.m_max)) for k in ks]
+
+
+def _kernels(ks, m_max=96):
+    return [KummerKernel(k, L, m_max) for k in ks]
 
 
 def _assert_pair_matches_per_call(dx, dz, ks, m_max, exclude_primary):
@@ -131,13 +144,15 @@ class TestPairAssemblyParity:
 
     @staticmethod
     def _pair(meshes, k1, k2, opts=None):
-        plan = AssemblyPlan2D.build(meshes, opts or Assembly2DOptions())
-        return assemble_media_multi_k_2d(plan, (k1, k2))
+        opts = opts or Assembly2DOptions()
+        plan = AssemblyPlan2D.build(meshes, opts)
+        return assemble_media_multi_k_2d(plan, _exact(opts, k1, k2))
 
     @staticmethod
     def _medium(meshes, k):
         plan = AssemblyPlan2D.build(meshes, Assembly2DOptions())
-        return assemble_media_multi_k_2d(plan, (k,))[0]
+        return assemble_media_multi_k_2d(
+            plan, _exact(Assembly2DOptions(), k))[0]
 
     def test_matches_per_medium_batched_assembly(self):
         meshes = self._meshes()
@@ -151,7 +166,7 @@ class TestPairAssemblyParity:
     def test_matches_per_mesh_assembly(self):
         meshes = self._meshes(b=2)
         k1, k2 = _wavenumbers()
-        opts = Assembly2DOptions(m_max=48)
+        opts = Assembly2DOptions(m_max=48, use_tables=False)
         (d1, s1), (d2, s2) = self._pair(meshes, k1, k2, opts)
         for i, mesh in enumerate(meshes):
             for k, d_f, s_f in ((k1, d1, s1), (k2, d2, s2)):
@@ -198,7 +213,7 @@ class TestPairPlan2D:
         full = periodic_green2d_pair(dx, z[:, :, None] - z[:, None, :], ks,
                                      L, m_max=96)
         off = ~np.eye(plan.n, dtype=bool)
-        for pair_vals, ref in zip(plan.eval_ks(ks), full):
+        for pair_vals, ref in zip(plan.eval_tables(_kernels(ks)), full):
             for comp, (got, want) in enumerate(zip(pair_vals, ref)):
                 mirrored = plan.mirror(got, odd=comp > 0)
                 assert np.all(mirrored[:, ~off] == 0.0)
@@ -212,8 +227,8 @@ class TestPairPlan2D:
         far[plan.pair] = False
         dx, dz = plan.dx[far], plan.dz[:, far]
         rho = np.sqrt(dx * dx + dz * dz)
-        for kk, (g, gx, gz) in zip(_wavenumbers(),
-                                   plan.eval_ks(_wavenumbers())):
+        for kk, (g, gx, gz) in zip(_wavenumbers(), plan.eval_tables(
+                _kernels(_wavenumbers()))):
             reg = periodic_green2d_pair(dx, dz, (kk,), L, m_max=96,
                                         exclude_primary=True)[0]
             free = (green2d(rho, kk), *green2d_gradient(dx, dz, kk))
@@ -229,7 +244,7 @@ class TestZeroLimitCache:
 
     def test_value_matches_fresh_mode_sum(self):
         _, k2 = _wavenumbers()
-        got = _regularized_zero_limit(k2, L, 96)
+        got = regular_at_zero(k2, L, 96)
         ref = complex(periodic_green2d(np.array(0.0), np.array(0.0),
                                        complex(k2), L, m_max=96,
                                        exclude_primary=True))
@@ -238,8 +253,8 @@ class TestZeroLimitCache:
     def test_key_normalizes_numpy_scalars(self):
         _, k2 = _wavenumbers()
         before = _g_reg0_cached.cache_info()
-        a = _regularized_zero_limit(np.complex128(k2), np.float64(L), 77)
-        b = _regularized_zero_limit(complex(k2), L, 77)
+        a = regular_at_zero(np.complex128(k2), np.float64(L), 77)
+        b = regular_at_zero(complex(k2), L, 77)
         after = _g_reg0_cached.cache_info()
         assert a == b
         # The two spellings share one entry: at most one new miss.

@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc as erfc_real
+from scipy.special import wofz
 
+from repro.greens.ewald import EwaldConfig
 from repro.greens.special import (
+    _exp_erfc,
     erfc_complex,
     erfc_scaled_pair,
     erfc_scaled_pair_derivative,
+    erfc_scaled_pair_with_derivative,
     ewald_spectral_bracket,
     ewald_spectral_bracket_minus,
+    ewald_spectral_brackets,
 )
 
 
@@ -131,3 +136,90 @@ class TestSpectralBracket:
                                              q, 50.0))
         assert vals[1] < vals[0] * 1e-2
         assert vals[2] < vals[1]
+
+
+class TestFusedPasses:
+    """One Faddeeva pass per term serves both members of each bracket
+    pair, and one image/mode loop the Ewald value and gradient. The
+    fused helpers return the bits of the separate formulas (same terms,
+    same combine order), the reflection branch (Re b < 0) included."""
+
+    KS = (0.1047 + 0.0j, 1.2 + 1.1j, 3.5 + 3.3j)
+
+    @staticmethod
+    def _separate_terms(r, k, e):
+        """``exp(+-jkr) erfc(rE +- jk/2E)``, one term at a time, as the
+        standalone value and derivative computed them."""
+        c = 1j * k / (2.0 * e)
+        shared = k * k / (4.0 * e * e) - (r * e) ** 2
+        terms = []
+        for sign in (1.0, -1.0):
+            b = r * e + sign * c
+            out = np.empty(b.shape, dtype=np.complex128)
+            neg = b.real < 0.0
+            out[~neg] = np.exp(shared[~neg]) * wofz(1j * b[~neg])
+            out[neg] = (2.0 * np.exp(sign * 1j * k * r[neg])
+                        - np.exp(shared[neg]) * wofz(-1j * b[neg]))
+            terms.append(out)
+        return terms, shared
+
+    @pytest.mark.parametrize("k", KS)
+    @pytest.mark.parametrize("split", [0.35, 0.9])
+    def test_spatial_pair(self, k, split):
+        r = np.abs(np.random.default_rng(0).normal(0.0, 5.0, 200))
+        r[0] = 0.0
+        (plus, minus), shared = self._separate_terms(r, k, split)
+        if k.imag:  # a lossy medium reaches the reflection branch
+            assert np.any((r * split + 1j * k / (2.0 * split)).real < 0.0)
+        gauss = (4.0 * split / np.sqrt(np.pi)) * np.exp(shared)
+        value, deriv = erfc_scaled_pair_with_derivative(r, k, split)
+        np.testing.assert_array_equal(value, plus + minus)
+        np.testing.assert_array_equal(deriv,
+                                      1j * k * (plus - minus) - gauss)
+        np.testing.assert_array_equal(value, erfc_scaled_pair(r, k, split))
+        np.testing.assert_array_equal(
+            deriv, erfc_scaled_pair_derivative(r, k, split))
+
+    @pytest.mark.parametrize("k", KS)
+    @pytest.mark.parametrize("split", [0.35, 0.9])
+    def test_spectral_pair(self, k, split):
+        x = np.random.default_rng(1).normal(0.0, 3.0, 200)
+        c = 1j * k / (2.0 * split)
+        shared = k * k / (4.0 * split * split) - (x * split) ** 2
+        t1 = _exp_erfc(1j * k * x, -x * split - c, shared)
+        t2 = _exp_erfc(-1j * k * x, x * split - c, shared)
+        plus, minus = ewald_spectral_brackets(x, k, split)
+        np.testing.assert_array_equal(plus, t1 + t2)
+        np.testing.assert_array_equal(minus, t1 - t2)
+        np.testing.assert_array_equal(plus, ewald_spectral_bracket(x, k,
+                                                                   split))
+        np.testing.assert_array_equal(
+            minus, ewald_spectral_bracket_minus(x, k, split))
+
+    def test_scalar_shapes(self):
+        value, deriv = erfc_scaled_pair_with_derivative(1.5, 1.0 + 0.5j, 0.4)
+        assert np.shape(value) == np.shape(deriv) == ()
+        plus, minus = ewald_spectral_brackets(0.3, 1.0 + 0.5j, 0.4)
+        assert np.shape(plus) == np.shape(minus) == ()
+
+    def test_ewald_runs_each_loop_once(self, monkeypatch):
+        """The exact evaluator's value and gradient come from one pass:
+        one spatial bracket pair per image, one spectral pair per mode."""
+        from repro.greens import special
+        from repro.swm.fastkernel import EwaldKernel
+
+        calls = {"spatial": 0, "spectral": 0}
+        for name, key in (("_scaled_pair_terms", "spatial"),
+                          ("_spectral_bracket_terms", "spectral")):
+            def counted(*args, _fn=getattr(special, name), _key=key):
+                calls[_key] += 1
+                return _fn(*args)
+            monkeypatch.setattr(special, name, counted)
+        cfg = EwaldConfig(period=5.0, n_images=2, n_modes=2)
+        kern = EwaldKernel(1.2 + 1.1j, cfg)
+        calls.update(spatial=0, spectral=0)
+        rng = np.random.default_rng(2)
+        g, gx, gy, gz = kern.evaluate(*(rng.uniform(-2.5, 2.5, 40)
+                                        for _ in range(3)))
+        assert calls == {"spatial": 25, "spectral": 25}
+        assert g.shape == gx.shape == gy.shape == gz.shape == (40,)

@@ -46,8 +46,8 @@ class TestSWMvsSPM2:
         """The paper's Fig. 3/4 logic: SWM ensemble mean -> SPM2 when the
         roughness is genuinely small.
 
-        The 3D collocation converges slowly in the grid step (DESIGN.md
-        section 7), so at affordable grids the excess loss is biased low
+        The 3D collocation converges slowly in the grid step, so at
+        affordable grids the excess loss is biased low
         by a known factor; the meaningful invariant is *refinement moves
         the SWM excess toward the SPM2 value from below*.
         """
