@@ -8,8 +8,8 @@ geometry so that kernel magnitudes stay O(1).
 from .ewald import (
     EwaldConfig,
     periodic_green,
+    periodic_green_and_gradient,
     periodic_green_direct,
-    periodic_green_gradient,
 )
 from .freespace import (
     green2d,
@@ -37,8 +37,8 @@ __all__ = [
     "green3d_gradient",
     "green3d_radial_derivative",
     "periodic_green",
+    "periodic_green_and_gradient",
     "periodic_green_direct",
-    "periodic_green_gradient",
     "periodic_green2d",
     "periodic_green2d_direct",
     "periodic_green2d_gradient",

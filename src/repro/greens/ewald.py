@@ -125,32 +125,22 @@ def periodic_green(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray,
                                        exclude_primary)[0]
 
 
-def periodic_green_gradient(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray,
-                            k: complex, cfg: EwaldConfig,
-                            exclude_primary: bool = False
-                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradient of ``G^pq`` with respect to the *field* separation (dx,dy,dz).
-
-    Returns ``(dG/d dx, dG/d dy, dG/d dz)``. With ``exclude_primary=True``
-    the gradient of the free-space primary is subtracted as well (the
-    remainder's gradient vanishes at zero separation by symmetry, and the
-    exact zero-separation value of the remainder gradient is 0 in x and y;
-    in z it is likewise 0, see the module tests). The gradient of
-    :func:`periodic_green_and_gradient`.
-    """
-    return periodic_green_and_gradient(dx, dy, dz, k, cfg,
-                                       exclude_primary)[1:]
-
-
 def periodic_green_and_gradient(dx: np.ndarray, dy: np.ndarray,
                                 dz: np.ndarray, k: complex,
                                 cfg: EwaldConfig,
                                 exclude_primary: bool = False
                                 ) -> tuple[np.ndarray, ...]:
-    """``(G, dG/d dx, dG/d dy, dG/d dz)`` from one image loop and one
+    """``G^pq`` and its gradient with respect to the *field* separation,
+    ``(G, dG/d dx, dG/d dy, dG/d dz)``, from one image loop and one
     mode loop: each image's spatial bracket and its derivative, and each
     mode's phase and spectral brackets, are computed once and serve the
-    value and the gradient."""
+    value and the gradient.
+
+    Arguments as for :func:`periodic_green`. With
+    ``exclude_primary=True`` the gradient of the free-space primary is
+    subtracted as well; the remainder's gradient vanishes at zero
+    separation by symmetry (0 in x, y and z, see the module tests).
+    """
     dx = np.asarray(dx, dtype=np.float64)
     dy = np.asarray(dy, dtype=np.float64)
     dz = np.asarray(dz, dtype=np.float64)

@@ -84,26 +84,20 @@ def erfc_scaled_pair(r: np.ndarray, k: complex, split: float) -> np.ndarray:
     return (plus + minus).reshape(shape)
 
 
-def erfc_scaled_pair_derivative(r: np.ndarray, k: complex, split: float) -> np.ndarray:
-    """d/dr of :func:`erfc_scaled_pair` evaluated elementwise.
+def erfc_scaled_pair_with_derivative(r: np.ndarray, k: complex,
+                                     split: float
+                                     ) -> tuple[np.ndarray, np.ndarray]:
+    """``(f, f')`` of :func:`erfc_scaled_pair` from one Faddeeva pass per
+    term (the value is bit-identical to :func:`erfc_scaled_pair`'s).
 
-    Used for the gradient of the Ewald spatial sum. Analytically::
+    The derivative, for the gradient of the Ewald spatial sum, is
+    analytically::
 
         f'(r) = j*k * [exp(j*k*r)*erfc(r*E + c) - exp(-j*k*r)*erfc(r*E - c)]
                 - (4E/sqrt(pi)) * exp(k^2/(4E^2) - r^2*E^2)
 
     where ``c = j*k/(2E)`` (the two Gaussian boundary terms combine).
     """
-    return erfc_scaled_pair_with_derivative(r, k, split)[1]
-
-
-def erfc_scaled_pair_with_derivative(r: np.ndarray, k: complex,
-                                     split: float
-                                     ) -> tuple[np.ndarray, np.ndarray]:
-    """``(f, f')`` of :func:`erfc_scaled_pair` from one Faddeeva pass per
-    term, bit-identical to calling :func:`erfc_scaled_pair` and
-    :func:`erfc_scaled_pair_derivative` (same terms, same combine
-    order)."""
     plus, minus, shared, shape = _scaled_pair_terms(r, k, split)
     e = float(split)
     # diff is a named array, so the complex multiply below is never
@@ -136,8 +130,9 @@ def _exp_erfc(a: np.ndarray, b: np.ndarray, shared: np.ndarray) -> np.ndarray:
 
 
 def _spectral_bracket_terms(x: np.ndarray, q: complex, split: float):
-    """The two terms ``e^{+-jqx} erfc(-+xE - jq/(2E))`` of the spectral
-    brackets and ``x``'s shape, one Faddeeva pass each."""
+    """The two terms ``e^{+-jqx} erfc(-+xE - jq/(2E))`` of
+    :func:`ewald_spectral_brackets` and ``x``'s shape, one Faddeeva pass
+    each."""
     shape = np.shape(x)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     e = float(split)
@@ -148,36 +143,21 @@ def _spectral_bracket_terms(x: np.ndarray, q: complex, split: float):
     return t1, t2, shape
 
 
-def ewald_spectral_bracket(x: np.ndarray, q: complex, split: float) -> np.ndarray:
-    """The Ewald *spectral*-sum bracket.
-
-    Returns ``e^{jqx} erfc(-xE - jq/(2E)) + e^{-jqx} erfc(xE - jq/(2E))``
-    for real ``x`` (any sign) and mode wavenumber ``q`` (``Im q >= 0``).
-    Both terms share the combined exponent ``q^2/(4E^2) - x^2 E^2``.
-
-    Limits used in validation: E -> 0 gives 0; E -> infinity gives
-    ``2 e^{j q |x|}`` (the exact spectral representation's kernel).
-    """
-    t1, t2, shape = _spectral_bracket_terms(x, q, split)
-    return (t1 + t2).reshape(shape)
-
-
-def ewald_spectral_bracket_minus(x: np.ndarray, q: complex,
-                                 split: float) -> np.ndarray:
-    """Difference variant ``e^{jqx} erfc(-xE - jq/2E) - e^{-jqx} erfc(xE - jq/2E)``.
-
-    ``d/dx ewald_spectral_bracket = j*q * ewald_spectral_bracket_minus``
-    (the Gaussian boundary terms cancel exactly), which gives the z-part
-    of the Ewald gradient in closed form.
-    """
-    t1, t2, shape = _spectral_bracket_terms(x, q, split)
-    return (t1 - t2).reshape(shape)
-
-
 def ewald_spectral_brackets(x: np.ndarray, q: complex, split: float
                             ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`ewald_spectral_bracket` and
-    :func:`ewald_spectral_bracket_minus` from one Faddeeva pass per
-    term, bit-identical to calling both."""
+    """The Ewald *spectral*-sum bracket and its difference variant, from
+    one Faddeeva pass per term.
+
+    Returns ``(plus, minus)`` with ``e^{jqx} erfc(-xE - jq/(2E)) +- e^{-jqx}
+    erfc(xE - jq/(2E))`` for real ``x`` (any sign) and mode wavenumber
+    ``q`` (``Im q >= 0``). Both terms share the combined exponent
+    ``q^2/(4E^2) - x^2 E^2``.
+
+    ``d/dx plus = j*q * minus`` (the Gaussian boundary terms cancel
+    exactly), which gives the z-part of the Ewald gradient in closed
+    form. Limits used in validation: E -> 0 gives ``plus = 0``; E ->
+    infinity gives ``plus = 2 e^{j q |x|}`` (the exact spectral
+    representation's kernel).
+    """
     t1, t2, shape = _spectral_bracket_terms(x, q, split)
     return (t1 + t2).reshape(shape), (t1 - t2).reshape(shape)

@@ -14,62 +14,44 @@ regularized periodic remainder ``g_reg(0) * h``.
 
 Off the diagonal the plan (:class:`~repro.swm.plan.AssemblyPlan2D`)
 reads the total periodic kernel once per unordered pair of collocation
-points from a kernel evaluator (:meth:`Assembly2DOptions.kernels`): the
-Kummer offset tables (:mod:`repro.swm.fastkernel2d`), or the exact
-Kummer sum, their reference. Only the near pairs subtract the
+points from a kernel evaluator: the Kummer offset tables
+(:mod:`repro.swm.fastkernel2d`), which every solve uses, or the exact
+Kummer sum (:class:`~repro.swm.fastkernel2d.KummerKernel`), their
+reference, passed in by the caller. Only the near pairs subtract the
 free-space Hankel term, to replace it by its sub-segment average.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from .fastkernel2d import (KERNEL_REVISION_2D, KUMMER_KERNEL_REVISION,
-                           KummerKernel, KummerTables, build_tables)
+from .fastkernel2d import (KERNEL_REVISION_2D, KummerKernel, KummerTables,
+                           build_tables)
 from .geometry import SurfaceMesh2D
 from .plan import AssemblyPlan2D, check_near_options
 
 
 @dataclass(frozen=True)
 class Assembly2DOptions:
-    """Quadrature/truncation knobs for 2D assembly.
-
-    ``use_tables`` picks the kernel evaluator (:meth:`kernels`): the
-    Kummer offset tables or the exact Kummer sum, their reference; both
-    run through the one plan assembly.
-    """
+    """Quadrature/truncation knobs for 2D assembly."""
 
     m_max: int = 96
     near_radius_cells: float = 2.0
     near_quadrature: int = 8
-    use_tables: bool = True
 
     def __post_init__(self) -> None:
         if self.m_max < 1:
             raise ConfigurationError(f"m_max must be >= 1, got {self.m_max}")
         check_near_options(self)
 
-    def kernels(self, ks, period: float,
-                tables: Callable[[], list[KummerTables]]
-                ) -> list[KummerTables | KummerKernel]:
-        """One kernel evaluator per wavenumber in ``ks``, picked here
-        only: ``tables()`` (the caller builds or caches them) or the
-        exact Kummer sum."""
-        if self.use_tables:
-            return tables()
-        return [KummerKernel(k, period, self.m_max) for k in ks]
-
     def to_spec(self) -> dict:
         """Content-hashable dict of every knob that affects numerics,
-        plus the picked kernel's revision so a cache never mixes values
-        from two kernel implementations."""
-        kernel = (KERNEL_REVISION_2D if self.use_tables
-                  else KUMMER_KERNEL_REVISION)
-        return {**asdict(self), "kernel": kernel}
+        plus the 2D kernel revision so a cache never mixes values from
+        two kernel implementations."""
+        return {**asdict(self), "kernel": KERNEL_REVISION_2D}
 
 
 def assemble_media_multi_k_2d(plan: AssemblyPlan2D, media) -> list[tuple]:
@@ -96,14 +78,13 @@ def assemble_medium_2d(mesh: SurfaceMesh2D, k: complex,
 
     Runs through a single-profile :class:`AssemblyPlan2D`. ``kernel``,
     the kernel evaluator (prebuilt tables amortize their build across
-    samples), defaults to the one ``options`` picks, sized to this
-    profile.
+    samples; a :class:`KummerKernel` assembles with the exact sum),
+    defaults to tables sized to this profile.
     """
     options = options or Assembly2DOptions()
     if kernel is None:
-        kernel, = options.kernels((k,), mesh.period, lambda: build_tables(
-            (k,), mesh.period, mesh.n, options.m_max,
-            float(np.ptp(mesh.z))))
+        kernel, = build_tables((k,), mesh.period, mesh.n, options.m_max,
+                               float(np.ptp(mesh.z)))
     plan = AssemblyPlan2D.build([mesh], options)
     d_mat, s_mat = assemble_media_multi_k_2d(plan, ((k, kernel),))[0]
     return d_mat[0], s_mat[0]

@@ -42,8 +42,8 @@ height range sets only how many nodes it holds, so any two tables of one
 ``(k, EwaldConfig, n)`` that cover a separation return the same bits
 for it, whatever tables were built before.
 
-Accuracy against exact Ewald (:class:`EwaldKernel`: ``periodic_green``
-/ ``periodic_green_gradient`` with ``exclude_primary=True``), which the
+Accuracy against exact Ewald (:class:`EwaldKernel`:
+``periodic_green_and_gradient`` with ``exclude_primary=True``), which the
 plan consumes like the tables, so these bounds compare two kernels in
 one assembly. Measured by ``tests/test_swm_assembly.py``:
 
@@ -369,6 +369,12 @@ class KernelTables:
 
     # ------------------------------------------------------------------
 
+    @property
+    def grid(self) -> dict:
+        """The grid the table serves; a lookup fuses only tables of one
+        grid (:func:`check_tables`)."""
+        return {"n": self.n, "L": self.period}
+
     def covers(self, z_extent: float) -> bool:
         """Whether the tables cover every ``|dz| <= z_extent``.
 
@@ -426,6 +432,55 @@ class EwaldKernel:
                                            exclude_primary=True)
 
 
+def check_tables(tables, fold, kind: str) -> list:
+    """``tables`` as a list, checked for a lookup at ``fold``'s pairs:
+    at least one, each built for the fold's grid and all for one
+    configuration (their ``grid``). Raises
+    :class:`~repro.errors.ConfigurationError` otherwise; ``kind`` names
+    the tables in the message."""
+    tables = list(tables)
+    if not tables:
+        raise ConfigurationError(f"lookup needs at least one {kind}")
+    want = {**tables[0].grid, "n": fold.n, "L": fold.period}
+    for tab in tables:
+        if tab.grid != want:
+            raise ConfigurationError(
+                f"{kind} built for another grid ({_grid_text(tab.grid)}) "
+                f"cannot serve {_grid_text(want)}")
+    return tables
+
+
+def _grid_text(grid: dict) -> str:
+    return ", ".join(f"{key}={value}" for key, value in grid.items())
+
+
+def check_range(tables, node: np.ndarray) -> None:
+    """Raise :class:`~repro.errors.ConfigurationError` when a stencil
+    reaches past the nodes of any table: a lookup at node index ``node``
+    reads up to node ``node + 2`` (tables of different lengths stack;
+    the shortest bounds ``dz``)."""
+    if node.size and not node.max() + 2 <= min(tab._last for tab in tables):
+        raise ConfigurationError(
+            "|dz| exceeds the tabulated range (interpolation stencil "
+            "included); rebuild the tables with a larger z_extent")
+
+
+def cubic_gather(values: np.ndarray, base: np.ndarray, weights: tuple,
+                 width: int, scratch: np.ndarray) -> np.ndarray:
+    """One tabulated quantity at the pairs, by four-node Lagrange
+    interpolation: a pair's stencil starts at flat position ``base`` of
+    ``values``, and its row ``r`` (``weights[r]``) is ``r`` table rows
+    (``width`` values) further on. Every product is real-by-complex, so
+    writing it in place (``scratch`` holds each term) rounds as out of
+    place would."""
+    out = np.take(values, base)
+    np.multiply(out, weights[0], out=out)
+    for r in range(1, 4):
+        term = np.take(values[r * width:], base, out=scratch, mode="clip")
+        out += np.multiply(term, weights[r], out=term)
+    return out
+
+
 def lookup(tables, fold: OffsetFold, dz: np.ndarray) -> list[tuple]:
     """``(g, gx, gy, gz)`` of every table at folded pairs.
 
@@ -438,50 +493,30 @@ def lookup(tables, fold: OffsetFold, dz: np.ndarray) -> list[tuple]:
 
     Raises :class:`~repro.errors.ConfigurationError` when a table was
     built for another grid or ``|dz|`` reaches past the nodes of any
-    table (tables of different lengths stack; the shortest bounds
-    ``dz``).
+    table (:func:`check_tables`, :func:`check_range`).
     """
-    tables = list(tables)
-    if not tables:
-        raise ConfigurationError("lookup needs at least one KernelTables")
-    for tab in tables:
-        if tab.n != fold.n or tab.period != fold.period:
-            raise ConfigurationError(
-                f"KernelTables built for another grid (n={tab.n}, "
-                f"L={tab.period}) cannot serve n={fold.n}, L={fold.period}")
+    tables = check_tables(tables, fold, "KernelTables")
     dz = np.asarray(dz, dtype=np.float64)
     t = np.abs(dz) * tables[0]._inv_h
     node = t.astype(np.intp)
-    if node.size and not node.max() + 2 <= min(tab._last for tab in tables):
-        raise ConfigurationError(
-            "|dz| exceeds the tabulated range (interpolation stencil "
-            "included); rebuild KernelTables with a larger z_extent")
+    check_range(tables, node)
     f = t - node
     fp1, fm1, fm2 = f + 1.0, f - 1.0, f - 2.0
     weights = (-(f * fm1 * fm2) / 6.0, fp1 * fm1 * fm2 / 2.0,
                -(fp1 * f * fm2) / 2.0, fp1 * f * fm1 / 6.0)
-    # Flat position of the stencil's first node; node r of the stencil
-    # is one table row (n_offsets values) further on.
+    # Row r holds node r - 1, so the stencil of nodes node - 1 ...
+    # node + 2 starts at row node.
     width = tables[0].n_offsets
     base = node * width + fold.col
     sign = np.sign(dz)
-    # Every product is real-by-complex, so writing it in place rounds
-    # as out of place would; two scratch arrays serve the whole call.
+    # Two scratch arrays serve the whole call.
     scratch = (np.empty(dz.shape, dtype=np.complex128),
                np.empty(dz.shape, dtype=np.complex128))
-
-    def interp(values: np.ndarray) -> np.ndarray:
-        out = np.take(values, base)
-        np.multiply(out, weights[0], out=out)
-        for r in range(1, 4):
-            term = np.take(values[r * width:], base, out=scratch[0],
-                           mode="clip")
-            out += np.multiply(term, weights[r], out=term)
-        return out
-
     outs = []
     for tab in tables:
-        g, gx, gy, gz = (interp(values) for values in tab._values)
+        g, gx, gy, gz = (cubic_gather(values, base, weights, width,
+                                      scratch[0])
+                         for values in tab._values)
         # gx <- xx gx + xy gy and gy <- yy gy + yx gx: the pair's signs,
         # and its swap back out of the canonical triangle.
         to_x = np.multiply(gy, fold.xy, out=scratch[0])

@@ -63,18 +63,13 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..greens.periodic2d import (log_remainder, mode_residual, mode_seed,
                                  periodic_green2d, periodic_green2d_pair)
+from .fastkernel import check_range, check_tables, cubic_gather
 
 #: Identifies the tabulated 2D kernel's arithmetic in content hashes
 #: (``Assembly2DOptions.to_spec``). Kernels that agree only to rounding
 #: must never share a result-cache entry, so bump this with any change
 #: that moves a 2D kernel value.
 KERNEL_REVISION_2D = 2
-
-#: The same for the exact Kummer sum (:class:`KummerKernel`,
-#: ``use_tables=False``); a string, so it never equals a tables
-#: revision. A change to the assembly both kernels share
-#: (``AssemblyPlan2D``) bumps both.
-KUMMER_KERNEL_REVISION = "kummer-1"
 
 #: Far from the plane the ``|dz|`` nodes are ``L / 128`` apart.
 Z_NODES_PER_PERIOD_2D = 128
@@ -192,6 +187,12 @@ class KummerTables:
         for flat in self._values:
             flat.setflags(write=False)
 
+    @property
+    def grid(self) -> dict:
+        """The grid and node map the table serves; a lookup fuses only
+        tables of one grid (:func:`~repro.swm.fastkernel.check_tables`)."""
+        return {"n": self.n, "L": self.period, "m_max": self.m_max}
+
     def covers(self, z_extent: float) -> bool:
         """Whether the table covers every ``|dz| <= z_extent``: exact,
         the same node index a lookup computes, stencil included."""
@@ -258,27 +259,15 @@ def lookup(tables, fold: ProfileFold, dz: np.ndarray) -> list[tuple]:
 
     Raises :class:`~repro.errors.ConfigurationError` when a table was
     built for another grid or node map, or ``|dz|`` reaches past the
-    nodes of any table (the shortest bounds ``dz``).
+    nodes of any table (:func:`~repro.swm.fastkernel.check_tables`,
+    :func:`~repro.swm.fastkernel.check_range`).
     """
-    tables = list(tables)
-    if not tables:
-        raise ConfigurationError("lookup needs at least one KummerTables")
-    nmap = tables[0].nmap
-    for tab in tables:
-        if (tab.n != fold.n or tab.period != fold.period
-                or tab.m_max != nmap.m_max):
-            raise ConfigurationError(
-                f"KummerTables built for another grid (n={tab.n}, "
-                f"L={tab.period}, m_max={tab.m_max}) cannot serve "
-                f"n={fold.n}, L={fold.period}, m_max={nmap.m_max}")
+    tables = check_tables(tables, fold, "KummerTables")
     dz = np.asarray(dz, dtype=np.float64)
     adz = np.abs(dz)
-    u = nmap.position(adz)
+    u = tables[0].nmap.position(adz)
     node = u.astype(np.intp)
-    if node.size and not node.max() + 2 <= min(tab._last for tab in tables):
-        raise ConfigurationError(
-            "|dz| exceeds the tabulated range (interpolation stencil "
-            "included); rebuild KummerTables with a larger z_extent")
+    check_range(tables, node)
     # Stencil rows start .. start + 3; the first cell reads nodes 0-3.
     start = np.maximum(node - 1, 0)
     t = u - start
@@ -290,22 +279,11 @@ def lookup(tables, fold: ProfileFold, dz: np.ndarray) -> list[tuple]:
     log_g, log_gx, log_gz = log_remainder(fold.c1, fold.s1, adz,
                                           fold.period)
     sign = np.sign(dz)
-    # Every product is real-by-complex, so writing it in place rounds
-    # as out of place would.
     scratch = np.empty(dz.shape, dtype=np.complex128)
-
-    def interp(values: np.ndarray) -> np.ndarray:
-        out = np.take(values, base)
-        np.multiply(out, weights[0], out=out)
-        for r in range(1, 4):
-            term = np.take(values[r * width:], base, out=scratch,
-                           mode="clip")
-            out += np.multiply(term, weights[r], out=term)
-        return out
-
     outs = []
     for tab in tables:
-        g, gx, gz = (interp(values) for values in tab._values)
+        g, gx, gz = (cubic_gather(values, base, weights, width, scratch)
+                     for values in tab._values)
         g += log_g
         np.multiply(gx, fold.sx, out=gx)
         gx += log_gx

@@ -177,7 +177,10 @@ def check_same_grid(meshes, what: str) -> None:
 
 
 class _PairPlan:
-    """What both plans share: the mesh batch and its grid pairs."""
+    """What both plans share: the mesh batch, its grid pairs and the
+    kernel pass on them. Each plan supplies its tables class
+    (``_table_type``), their fused ``_lookup`` and its grid's cached
+    ``_fold``."""
 
     def __init__(self, meshes, options, pairs: GridPairs) -> None:
         self.meshes = meshes
@@ -191,6 +194,34 @@ class _PairPlan:
     @property
     def batch(self) -> int:
         return len(self.meshes)
+
+    @property
+    def separations(self) -> tuple:
+        """The pairs' ``(dx, dy, dz)`` (``(dx, dz)`` on a profile), the
+        arguments of an exact evaluator's ``evaluate``."""
+        return tuple(d for d in (self.pairs.dx, self.pairs.dy, self.dz)
+                     if d is not None)
+
+    def eval_tables(self, kernels) -> list[tuple]:
+        """The kernel and its gradient on the pairs for each evaluator.
+
+        Returns ``(B, M)`` arrays per evaluator, in order. The tables
+        among them share one fused lookup: each pair reads its grid's
+        cached table column, and one set of node indices and
+        interpolation weights serves all tables — bit-identical to
+        evaluating each table independently. An exact evaluator gets
+        one ``evaluate`` call.
+        """
+        kernels = list(kernels)
+        tables = [kern for kern in kernels
+                  if isinstance(kern, self._table_type)]
+        with span("kernel"):
+            fused = iter(self._lookup(tables, self._fold(self.meshes[0].n,
+                                                         self.period),
+                                      self.dz) if tables else ())
+            return [next(fused) if isinstance(kern, self._table_type)
+                    else kern.evaluate(*self.separations)
+                    for kern in kernels]
 
     def mirror(self, values: np.ndarray, odd: bool) -> np.ndarray:
         """``(B, N, N)`` stack of per-pair ``(B, M)`` values by parity.
@@ -209,11 +240,15 @@ class _PairPlan:
 class AssemblyPlan3D(_PairPlan):
     """Every k-independent intermediate of one 3D mesh-batch assembly.
 
-    Build with :meth:`build`; evaluate the regularized kernel (tables
-    or exact Ewald) on the collocation pairs for any number of
-    media/frequencies with :meth:`eval_tables`; assemble each medium's
-    ``(D, S)`` stacks with :meth:`assemble_k`.
+    Build with :meth:`build`; evaluate the regularized kernel ``(g, gx,
+    gy, gz)`` (tables or exact Ewald) on the collocation pairs for any
+    number of media/frequencies with :meth:`eval_tables`; assemble each
+    medium's ``(D, S)`` stacks with :meth:`assemble_k`.
     """
+
+    _table_type = KernelTables
+    _lookup = staticmethod(lookup)
+    _fold = staticmethod(_grid_fold)
 
     @classmethod
     def build(cls, meshes, options) -> "AssemblyPlan3D":
@@ -272,26 +307,6 @@ class AssemblyPlan3D(_PairPlan):
         plan.jac_area = jac[:, None, :] * plan.area
         return plan
 
-    def eval_tables(self, kernels) -> list[tuple]:
-        """Regularized kernel+gradient on the pairs for each evaluator.
-
-        Returns ``(B, M)`` arrays ``(g, gx, gy, gz)`` per evaluator. The
-        :class:`~repro.swm.fastkernel.KernelTables` share one fused
-        lookup: each pair reads its grid's cached canonical offset
-        column, and one set of node indices and interpolation weights
-        serves all tables — bit-identical to evaluating each table
-        independently. An exact evaluator gets one ``evaluate`` call.
-        """
-        kernels = list(kernels)
-        tables = [kern for kern in kernels if isinstance(kern, KernelTables)]
-        with span("kernel"):
-            fused = iter(lookup(tables, _grid_fold(self.meshes[0].n,
-                                                   self.period), self.dz)
-                         if tables else ())
-            return [next(fused) if isinstance(kern, KernelTables)
-                    else kern.evaluate(self.dx, self.dy, self.dz)
-                    for kern in kernels]
-
     def assemble_k(self, k: complex, regs, g_reg0: complex
                    ) -> tuple[np.ndarray, np.ndarray]:
         """Assemble one medium's ``(D, S)`` stacks at wavenumber ``k``.
@@ -347,12 +362,17 @@ class AssemblyPlan2D(_PairPlan):
     """Every k-independent intermediate of one 2D profile-batch assembly.
 
     The 2D analog of :class:`AssemblyPlan3D`: :meth:`build` once per
-    profile batch, :meth:`eval_tables` for the kernel pass on the pairs
-    over any number of evaluators (Kummer tables or the exact Kummer
-    sum), :meth:`assemble_k` per medium. Both evaluators return the
-    *total* periodic kernel — no off-diagonal pair has zero separation —
-    so the free-space Hankel terms are needed only at the near pairs.
+    profile batch, :meth:`eval_tables` for the kernel pass ``(g, gx,
+    gz)`` on the pairs over any number of evaluators (Kummer tables or
+    the exact Kummer sum), :meth:`assemble_k` per medium. Both
+    evaluators return the *total* periodic kernel — no off-diagonal
+    pair has zero separation — so the free-space Hankel terms are
+    needed only at the near pairs.
     """
+
+    _table_type = fastkernel2d.KummerTables
+    _lookup = staticmethod(fastkernel2d.lookup)
+    _fold = staticmethod(_profile_fold)
 
     @classmethod
     def build(cls, meshes, options) -> "AssemblyPlan2D":
@@ -389,27 +409,6 @@ class AssemblyPlan2D(_PairPlan):
         plan.h = jac * d
         plan.jac_d = jac[:, None, :] * d
         return plan
-
-    def eval_tables(self, kernels) -> list[tuple]:
-        """Total 2D kernel+gradient on the pairs for each evaluator.
-
-        Returns ``(B, M)`` arrays ``(g, gx, gz)`` per evaluator. The
-        :class:`~repro.swm.fastkernel2d.KummerTables` share one fused
-        lookup (node map, weights and the exact log remainder computed
-        once), bit-identical to looking each table up alone. An exact
-        evaluator gets one ``evaluate`` call.
-        """
-        kernels = list(kernels)
-        tables = [kern for kern in kernels
-                  if isinstance(kern, fastkernel2d.KummerTables)]
-        with span("kernel"):
-            fused = iter(fastkernel2d.lookup(
-                tables, _profile_fold(self.meshes[0].n, self.period),
-                self.dz) if tables else ())
-            return [next(fused)
-                    if isinstance(kern, fastkernel2d.KummerTables)
-                    else kern.evaluate(self.dx, self.dz)
-                    for kern in kernels]
 
     def assemble_k(self, kk: complex, totals, g_reg0: complex
                    ) -> tuple[np.ndarray, np.ndarray]:

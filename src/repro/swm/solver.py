@@ -149,12 +149,18 @@ class _SWMSolver:
     - ``smooth_power(period_um, frequency_hz)``.
 
     Both keep a kernel-table cache, ``(which_medium, frequency, period,
-    n) -> tables``. The tables amortize MC/SSCM sweeps (hundreds of
-    samples per frequency reuse one table build) and only grow: a chunk
-    whose height range outgrows a table replaces it with a longer one
-    (1.5x margin). Tables of one configuration sample the same nodes,
-    so which table serves a solve never changes its values.
+    n) -> tables``, behind one policy (:meth:`_cached_tables`); each
+    subclass supplies only its table builder (in ``_get_tables``) and
+    build counter (``_table_builds``). The tables amortize MC/SSCM
+    sweeps (hundreds of samples per frequency reuse one table build)
+    and only grow: a chunk whose height range outgrows a table replaces
+    it with a longer one (1.5x margin). Tables of one configuration
+    sample the same nodes, so which table serves a solve never changes
+    its values.
     """
+
+    #: The telemetry counter of this solver's table builds.
+    _table_builds: telemetry.Counter
 
     def __init__(self, system: TwoMediumSystem = PAPER_SYSTEM,
                  options=None) -> None:
@@ -171,6 +177,32 @@ class _SWMSolver:
         a warm solver and a fresh one agree bit for bit.
         """
         self._tables.clear()
+
+    def _cached_tables(self, keys: list[tuple[int, float]],
+                       ks: list[complex], meshes: list,
+                       build: Callable[[list[complex], float], list]
+                       ) -> list:
+        """The cached tables of each ``(which_medium, frequency)`` in
+        ``keys`` (wavenumbers ``ks``) on the chunk's grid.
+
+        Those that do not cover the chunk's height range are rebuilt by
+        one ``build(stale_ks, z_extent)`` call, with a 1.5x margin,
+        inside a ``tables`` span, and counted in :attr:`_table_builds`.
+        """
+        n, period = meshes[0].n, float(meshes[0].period)
+        z_extent = self._height_extent(meshes)
+        full = [(which, float(f), period, n) for which, f in keys]
+        stale = [i for i, key in enumerate(full)
+                 if key not in self._tables
+                 or not self._tables[key].covers(z_extent)]
+        if stale:
+            with span("tables", n=n, media=len(stale)):
+                built = build([ks[i] for i in stale],
+                              max(z_extent * 1.5, 1e-6))
+            for i, tables in zip(stale, built):
+                self._tables[full[i]] = tables
+            self._table_builds.inc(len(stale))
+        return [self._tables[key] for key in full]
 
     @staticmethod
     def _height_extent(meshes: list) -> float:
@@ -425,27 +457,21 @@ class SWMSolver3D(_SWMSolver):
     _stack_rank = 3
     _build_mesh = staticmethod(build_mesh_3d)
     _options_type = SWMOptions
+    _table_builds = _M_TABLE_BUILDS
 
     def _get_tables(self, which: int, k: complex, frequency_hz: float,
                     meshes: list[SurfaceMesh3D]):
-        """The cached tables of one medium, frequency and grid, grown
-        (with a 1.5x margin) when they do not cover the chunk's height
-        range."""
+        """The cached tables of one medium, frequency and grid
+        (:meth:`_cached_tables`), built as one :class:`KernelTables`."""
         from .fastkernel import KernelTables
 
-        n = meshes[0].n
-        key = (which, float(frequency_hz), float(meshes[0].period), n)
-        z_extent = self._height_extent(meshes)
-        cached = self._tables.get(key)
-        if cached is not None and cached.covers(z_extent):
-            return cached
-        cfg = self.options.assembly.ewald_config(meshes[0].period)
-        with span("tables", n=n):
-            tables = KernelTables(k, cfg, n,
-                                  z_extent=max(z_extent * 1.5, 1e-6))
-        self._tables[key] = tables
-        _M_TABLE_BUILDS.inc()
-        return tables
+        def build(ks: list[complex], z_extent: float) -> list:
+            cfg = self.options.assembly.ewald_config(meshes[0].period)
+            return [KernelTables(kk, cfg, meshes[0].n, z_extent=z_extent)
+                    for kk in ks]
+
+        return self._cached_tables([(which, frequency_hz)], [k], meshes,
+                                   build)[0]
 
     def _chunk_assembly(self, meshes: list[SurfaceMesh3D],
                         freqs: list[float],

@@ -25,7 +25,6 @@ models underestimate the loss.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -91,42 +90,29 @@ class SWMSolver2D(_SWMSolver):
     _stack_rank = 2
     _build_mesh = staticmethod(build_mesh_2d)
     _options_type = SWM2DOptions
+    _table_builds = _M_TABLE_BUILDS_2D
 
     def _get_tables(self, keys: list[tuple[int, float]], ks: list[complex],
                     meshes: list[SurfaceMesh2D]) -> list[KummerTables]:
         """The cached tables of each ``(which_medium, frequency)`` in
-        ``keys`` on the chunk's grid. Those that do not cover the chunk's
-        height range are built (with a 1.5x margin) in one fused pass."""
-        n, period = meshes[0].n, float(meshes[0].period)
-        z_extent = self._height_extent(meshes)
-        full = [(which, float(f), period, n) for which, f in keys]
-        stale = [i for i, key in enumerate(full)
-                 if key not in self._tables
-                 or not self._tables[key].covers(z_extent)]
-        if stale:
-            with span("tables", n=n, media=len(stale)):
-                built = build_tables([ks[i] for i in stale], period, n,
-                                     self.options.assembly.m_max,
-                                     z_extent=max(z_extent * 1.5, 1e-6))
-            for i, tables in zip(stale, built):
-                self._tables[full[i]] = tables
-            _M_TABLE_BUILDS_2D.inc(len(stale))
-        return [self._tables[key] for key in full]
+        ``keys`` on the chunk's grid (:meth:`_cached_tables`); those
+        that do not cover the chunk are built in one fused pass."""
+        n, period = meshes[0].n, meshes[0].period
+        m_max = self.options.assembly.m_max
+        return self._cached_tables(
+            keys, ks, meshes, lambda stale, z_extent: build_tables(
+                stale, period, n, m_max, z_extent=z_extent))
 
     def _chunk_assembly(self, meshes: list[SurfaceMesh2D],
                         freqs: list[float],
                         ks: list[tuple[complex, complex]], meta: dict
                         ) -> Callable[[], list]:
-        """Every medium's kernel evaluator
-        (:meth:`Assembly2DOptions.kernels`: the cached tables, built or
-        grown here in one pass, or the exact Kummer sum), then the
-        ``plan`` span; the call runs one kernel pass and every medium's
-        assembly on the one plan, whichever kernel it is."""
+        """Every medium's cached Kummer tables, built or grown here in
+        one pass, then the ``plan`` span; the call runs one fused
+        kernel lookup and every medium's assembly on the one plan."""
         media = [k for pair in ks for k in pair]
         keys = [(which, f) for f in freqs for which in (1, 2)]
-        kernels = self.options.assembly.kernels(
-            media, meshes[0].period,
-            partial(self._get_tables, keys, media, meshes))
+        kernels = self._get_tables(keys, media, meshes)
         with span("plan", **meta):
             plan = AssemblyPlan2D.build(meshes, self.options.assembly)
         media = list(zip(media, kernels))

@@ -7,8 +7,8 @@ from repro.errors import ConfigurationError
 from repro.greens.ewald import (
     EwaldConfig,
     periodic_green,
+    periodic_green_and_gradient,
     periodic_green_direct,
-    periodic_green_gradient,
 )
 from repro.greens.freespace import green3d
 
@@ -91,7 +91,7 @@ class TestGradient:
         # smooth on the scale of L, making h = 1e-3 safely in-range.
         dx, dy, dz = separations
         cfg = EwaldConfig(period=L)
-        gx, gy, gz = periodic_green_gradient(dx, dy, dz, k, cfg)
+        _, gx, gy, gz = periodic_green_and_gradient(dx, dy, dz, k, cfg)
         h = 1e-3
         fx = (periodic_green(dx + h, dy, dz, k, cfg)
               - periodic_green(dx - h, dy, dz, k, cfg)) / (2 * h)

@@ -12,12 +12,17 @@ from repro.greens.special import (
     _exp_erfc,
     erfc_complex,
     erfc_scaled_pair,
-    erfc_scaled_pair_derivative,
     erfc_scaled_pair_with_derivative,
-    ewald_spectral_bracket,
-    ewald_spectral_bracket_minus,
     ewald_spectral_brackets,
 )
+
+
+def _bracket(x, q, split):
+    return ewald_spectral_brackets(x, q, split)[0]
+
+
+def _bracket_minus(x, q, split):
+    return ewald_spectral_brackets(x, q, split)[1]
 
 
 class TestErfcComplex:
@@ -78,7 +83,7 @@ class TestSpatialBracket:
         h = 1e-6
         fd = (erfc_scaled_pair(r + h, k, e)
               - erfc_scaled_pair(r - h, k, e)) / (2 * h)
-        got = erfc_scaled_pair_derivative(r, k, e)
+        got = erfc_scaled_pair_with_derivative(r, k, e)[1]
         np.testing.assert_allclose(got, fd, rtol=1e-6)
 
     def test_large_lossy_r_no_overflow(self):
@@ -93,7 +98,7 @@ class TestSpectralBracket:
         """E -> infinity: bracket -> 2 exp(j q |x|) (O(1/E) approach)."""
         q = 1.5 + 0.8j
         x = np.linspace(-2, 2, 11)
-        got = ewald_spectral_bracket(x, q, split=2.0e4)
+        got = _bracket(x, q, split=2.0e4)
         want = 2.0 * np.exp(1j * q * np.abs(x))
         np.testing.assert_allclose(got, want, rtol=2e-4, atol=1e-6)
 
@@ -105,14 +110,14 @@ class TestSpectralBracket:
         """
         q = 0.5 + 1.2j
         x = np.linspace(-2, 2, 11)
-        got = ewald_spectral_bracket(x, q, split=0.05)
+        got = _bracket(x, q, split=0.05)
         np.testing.assert_allclose(got, 0.0, atol=1e-12)
 
     def test_even_in_x(self):
         q = 0.9 + 1.1j
         x = np.linspace(0.1, 2.0, 7)
-        a = ewald_spectral_bracket(x, q, 0.5)
-        b = ewald_spectral_bracket(-x, q, 0.5)
+        a = _bracket(x, q, 0.5)
+        b = _bracket(-x, q, 0.5)
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_minus_is_derivative_over_jq(self):
@@ -120,9 +125,9 @@ class TestSpectralBracket:
         q = 1.2 + 0.6j
         x = np.linspace(-1.5, 1.5, 13)
         h = 1e-6
-        fd = (ewald_spectral_bracket(x + h, q, 0.45)
-              - ewald_spectral_bracket(x - h, q, 0.45)) / (2 * h)
-        got = 1j * q * ewald_spectral_bracket_minus(x, q, 0.45)
+        fd = (_bracket(x + h, q, 0.45)
+              - _bracket(x - h, q, 0.45)) / (2 * h)
+        got = 1j * q * _bracket_minus(x, q, 0.45)
         np.testing.assert_allclose(got, fd, rtol=1e-5, atol=1e-8)
 
     def test_evanescent_mode_decays(self):
@@ -132,8 +137,7 @@ class TestSpectralBracket:
         for q = 8j is ``2 e^{-8 |x|}``.
         """
         q = 8.0j
-        vals = np.abs(ewald_spectral_bracket(np.array([0.0, 1.0, 2.0]),
-                                             q, 50.0))
+        vals = np.abs(_bracket(np.array([0.0, 1.0, 2.0]), q, 50.0))
         assert vals[1] < vals[0] * 1e-2
         assert vals[2] < vals[1]
 
@@ -148,8 +152,8 @@ class TestFusedPasses:
 
     @staticmethod
     def _separate_terms(r, k, e):
-        """``exp(+-jkr) erfc(rE +- jk/2E)``, one term at a time, as the
-        standalone value and derivative computed them."""
+        """``exp(+-jkr) erfc(rE +- jk/2E)``, one term at a time, as
+        separate value and derivative passes would compute them."""
         c = 1j * k / (2.0 * e)
         shared = k * k / (4.0 * e * e) - (r * e) ** 2
         terms = []
@@ -177,8 +181,6 @@ class TestFusedPasses:
         np.testing.assert_array_equal(deriv,
                                       1j * k * (plus - minus) - gauss)
         np.testing.assert_array_equal(value, erfc_scaled_pair(r, k, split))
-        np.testing.assert_array_equal(
-            deriv, erfc_scaled_pair_derivative(r, k, split))
 
     @pytest.mark.parametrize("k", KS)
     @pytest.mark.parametrize("split", [0.35, 0.9])
@@ -191,10 +193,6 @@ class TestFusedPasses:
         plus, minus = ewald_spectral_brackets(x, k, split)
         np.testing.assert_array_equal(plus, t1 + t2)
         np.testing.assert_array_equal(minus, t1 - t2)
-        np.testing.assert_array_equal(plus, ewald_spectral_bracket(x, k,
-                                                                   split))
-        np.testing.assert_array_equal(
-            minus, ewald_spectral_bracket_minus(x, k, split))
 
     def test_scalar_shapes(self):
         value, deriv = erfc_scaled_pair_with_derivative(1.5, 1.0 + 0.5j, 0.4)

@@ -3,12 +3,13 @@ Kummer sum.
 
 Every accuracy bound here names its tolerance, its norm and its
 reference: the exact evaluator :class:`KummerKernel`
-(``periodic_green2d_pair``, ``use_tables=False``), read through the same
-plan as the tables. The sweep covers eta 1 to 3 um (L = 5 eta), 1 and
-5 GHz and both media, on perfbench's 64-point profiles.
+(``periodic_green2d_pair``), read through the same plan as the tables.
+The sweep covers eta 1 to 3 um (L = 5 eta), 1 and 5 GHz and both media,
+on perfbench's 64-point profiles.
 """
 
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from repro.swm.assembly2d import (
 )
 from repro.swm.fastkernel2d import (
     KERNEL_REVISION_2D,
-    KUMMER_KERNEL_REVISION,
     KummerKernel,
     NodeMap,
     build_tables,
@@ -66,6 +66,15 @@ def _both(meshes, ks):
     period = meshes[0].period
     tables = build_tables(ks, period, N, M_MAX, 1.5 * _extent(meshes))
     return tables, [KummerKernel(k, period, M_MAX) for k in ks]
+
+
+class ExactSolver2D(SWMSolver2D):
+    """The 2D solver on the exact Kummer sum, the tables' reference: its
+    chunks get :class:`KummerKernel` evaluators instead of tables."""
+
+    def _get_tables(self, keys, ks, meshes):
+        return [KummerKernel(k, meshes[0].period, self.options.assembly.m_max)
+                for k in ks]
 
 
 def _rel(got, want):
@@ -110,13 +119,10 @@ class TestAccuracy:
         exact Kummer solve at 1 and 5 GHz (perfbench's reference gate;
         worst measured: 1.7e-8)."""
         freqs = [f * GHZ for f in FREQS_GHZ]
-        exact_opts = SWM2DOptions(assembly=Assembly2DOptions(
-            use_tables=False))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             fast = SWMSolver2D().solve_mesh_many_multi_k(eta_meshes, freqs)
-            ref = SWMSolver2D(options=exact_opts).solve_mesh_many_multi_k(
-                eta_meshes, freqs)
+            ref = ExactSolver2D().solve_mesh_many_multi_k(eta_meshes, freqs)
         for row_f, row_e in zip(fast, ref):
             for a, b in zip(row_f, row_e):
                 assert abs(a.enhancement - b.enhancement) <= (
@@ -289,25 +295,14 @@ class TestSolverTables:
         with pytest.raises(SolverError):
             SWMSolver2D().solve_um(profile, 5.0, 5 * GHZ)
 
-    def test_exact_solver_builds_no_tables(self):
-        opts = SWM2DOptions(assembly=Assembly2DOptions(use_tables=False))
-        solver = SWMSolver2D(options=opts)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            solver.solve_um(np.zeros(16), 5.0, 5 * GHZ)
-        assert not solver._tables
-
 
 class TestRevisions:
-    def test_each_kernel_keys_its_own_revision(self, monkeypatch):
+    def test_tables_revision_keys_every_2d_hash(self, monkeypatch):
         from repro.swm import assembly2d
 
-        fast = Assembly2DOptions()
-        exact = Assembly2DOptions(use_tables=False)
-        assert fast.to_spec()["kernel"] == KERNEL_REVISION_2D == 2
-        assert exact.to_spec()["kernel"] == KUMMER_KERNEL_REVISION
-        spec = exact.to_spec()
+        opts = Assembly2DOptions()
+        assert KERNEL_REVISION_2D == 2
+        assert opts.to_spec() == {**asdict(opts), "kernel": 2}
         monkeypatch.setattr(assembly2d, "KERNEL_REVISION_2D",
                             KERNEL_REVISION_2D + 1)
-        assert exact.to_spec() == spec
-        assert fast.to_spec()["kernel"] == KERNEL_REVISION_2D + 1
+        assert opts.to_spec()["kernel"] == KERNEL_REVISION_2D + 1

@@ -22,10 +22,7 @@ from repro.swm.fastkernel import (
 from repro.swm.geometry import build_mesh_3d, grid_coords
 from repro.swm.plan import AssemblyPlan3D, _grid_fold, _grid_pairs, _wrap
 from repro.errors import ConfigurationError, MeshError
-from repro.greens.special import (
-    ewald_spectral_bracket,
-    ewald_spectral_bracket_minus,
-)
+from repro.greens.special import ewald_spectral_brackets
 
 
 def _rough_mesh(n=8, period=5.0, amp=0.5, seed=0):
@@ -246,8 +243,9 @@ class TestShellKernel:
                 if gamma.imag < 0:
                     gamma = -gamma
                 coef = 1j / (4.0 * period * period * gamma)
-                b = ewald_spectral_bracket(z, gamma, e) * coef
-                minus = ewald_spectral_bracket_minus(z, gamma, e) * coef
+                plus, minus = ewald_spectral_brackets(z, gamma, e)
+                b = plus * coef
+                minus = minus * coef
                 phase = np.exp(1j * (kx * dx + ky * dy))[:, None]
                 ref[0] += phase * b
                 ref[1] += 1j * kx * phase * b
