@@ -27,6 +27,7 @@ O(1); the public API takes SI meters/Hz.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -154,9 +155,10 @@ class _SWMSolver:
     build counter (``_table_builds``). The tables amortize MC/SSCM
     sweeps (hundreds of samples per frequency reuse one table build)
     and only grow: a chunk whose height range outgrows a table replaces
-    it with a longer one (1.5x margin). Tables of one configuration
-    sample the same nodes, so which table serves a solve never changes
-    its values.
+    it with a longer one, covering the range reserved by
+    :meth:`reset_tables` when that holds the chunk, else the chunk's own
+    range with a 1.5x margin. Tables of one configuration sample the
+    same nodes, so which table serves a solve never changes its values.
     """
 
     #: The telemetry counter of this solver's table builds.
@@ -167,16 +169,30 @@ class _SWMSolver:
         self.system = system
         self.options = options or self._options_type()
         self._tables: dict[tuple[int, float, float, int], object] = {}
+        self._z_reserve = 0.0
 
-    def reset_tables(self) -> None:
-        """Drop cached kernel tables to release their memory.
+    def reset_tables(self, z_reserve: float = 0.0) -> None:
+        """Drop cached kernel tables to release their memory, and have
+        the next ones cover ``|dz| <= z_reserve``.
 
-        Results do not depend on it: every table of one configuration
+        A caller that knows the height range of the coming surfaces (a
+        random surface model's, say) reserves it, so that every sample
+        within it is served by one build per medium. Without a reserve
+        each table covers the chunk that built it (1.5x margin) and is
+        rebuilt when a taller sample arrives, so a run's build cost
+        follows the order and ranges of its samples.
+
+        Results depend on neither: every table of one configuration
         returns the same values on the separations it covers
         (:mod:`repro.swm.fastkernel`, :mod:`repro.swm.fastkernel2d`), so
         a warm solver and a fresh one agree bit for bit.
         """
+        z_reserve = float(z_reserve)
+        if not (math.isfinite(z_reserve) and z_reserve >= 0.0):
+            raise ConfigurationError(
+                f"z_reserve must be finite and >= 0, got {z_reserve}")
         self._tables.clear()
+        self._z_reserve = z_reserve
 
     def _cached_tables(self, keys: list[tuple[int, float]],
                        ks: list[complex], meshes: list,
@@ -186,8 +202,10 @@ class _SWMSolver:
         ``keys`` (wavenumbers ``ks``) on the chunk's grid.
 
         Those that do not cover the chunk's height range are rebuilt by
-        one ``build(stale_ks, z_extent)`` call, with a 1.5x margin,
-        inside a ``tables`` span, and counted in :attr:`_table_builds`.
+        one ``build(stale_ks, z_extent)`` call inside a ``tables`` span,
+        and counted in :attr:`_table_builds`. They cover the reserved
+        range when it holds the chunk, else the chunk's range with a
+        1.5x margin.
         """
         n, period = meshes[0].n, float(meshes[0].period)
         z_extent = self._height_extent(meshes)
@@ -196,9 +214,10 @@ class _SWMSolver:
                  if key not in self._tables
                  or not self._tables[key].covers(z_extent)]
         if stale:
+            cover = (self._z_reserve if z_extent <= self._z_reserve
+                     else z_extent * 1.5)
             with span("tables", n=n, media=len(stale)):
-                built = build([ks[i] for i in stale],
-                              max(z_extent * 1.5, 1e-6))
+                built = build([ks[i] for i in stale], max(cover, 1e-6))
             for i, tables in zip(stale, built):
                 self._tables[full[i]] = tables
             self._table_builds.inc(len(stale))

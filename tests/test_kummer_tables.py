@@ -289,6 +289,73 @@ class TestSolverTables:
         solver.reset_tables()
         assert not solver._tables
 
+    def test_reserve_serves_every_covered_chunk_from_one_build(self):
+        """With a reserved height range, the first chunk builds tables
+        that cover the reserve, and taller chunks within it reuse them;
+        a chunk past it grows them to its range with the 1.5x margin.
+        Values equal those of the unreserved solver bit for bit."""
+        rng = np.random.default_rng(5)
+        profiles = np.stack([rng.normal(0.0, 0.1, 16),
+                             rng.normal(0.0, 1.0, 16)])
+        tall = rng.normal(0.0, 4.0, 16)
+        z_reserve = 1.2 * float(np.ptp(profiles[1]))
+        plain = SWMSolver2D(options=SWM2DOptions(batch_size=1))
+        solver = SWMSolver2D(options=SWM2DOptions(batch_size=1))
+        solver.reset_tables(z_reserve=z_reserve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = solver.solve_many_um(profiles, 5.0, 5 * GHZ)
+            first = dict(solver._tables)
+            want = plain.solve_many_um(profiles, 5.0, 5 * GHZ)
+            assert [r.absorbed_power for r in got] == \
+                [r.absorbed_power for r in want]
+            nmap = NodeMap(5.0, Assembly2DOptions().m_max)
+            assert len(first) == 2
+            for tables in first.values():
+                assert tables._last == nmap.last_row(z_reserve)
+            solver.solve_um(tall, 5.0, 5 * GHZ)
+        for key, tables in solver._tables.items():
+            assert tables is not first[key]
+            assert tables._last == nmap.last_row(1.5 * float(np.ptp(tall)))
+
+    def test_reserve_must_be_finite_and_non_negative(self):
+        solver = SWMSolver2D()
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                solver.reset_tables(z_reserve=bad)
+
+    def test_profile_groups_build_the_same_tables_for_every_seed(self):
+        """The engine reserves the profile model's height range, so a
+        group's table sizes, and so its build cost, do not depend on the
+        samples its seed draws."""
+        from repro.engine import (EstimatorSpec, ProfileScenario,
+                                  ResultCache, SerialExecutor, SweepSpec,
+                                  run_sweep)
+        from repro.engine.runtime import (PROFILE_TABLE_RANGE_SIGMAS,
+                                          _profile_components, clear_memo)
+
+        scenario = ProfileScenario("bem2", GaussianCorrelation(sigma=0.5,
+                                                               eta=1.0),
+                                   period_um=5.0, n=16, normalize=True)
+        nmap = NodeMap(5.0, Assembly2DOptions().m_max)
+        sizes = set()
+        for seed in range(4):
+            clear_memo()
+            spec = SweepSpec(scenarios=[scenario],
+                             frequencies_hz=[5 * GHZ],
+                             estimators=EstimatorSpec(kind="montecarlo",
+                                                      n_samples=4,
+                                                      seed=seed))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                run_sweep(spec, executor=SerialExecutor(),
+                          cache=ResultCache(disk_dir=None))
+            _, solver = _profile_components(scenario)
+            assert len(solver._tables) == 2
+            sizes |= {tables._last for tables in solver._tables.values()}
+        clear_memo()
+        assert sizes == {nmap.last_row(PROFILE_TABLE_RANGE_SIGMAS * 0.5)}
+
     def test_non_finite_heights_fail_cleanly(self):
         profile = np.zeros(16)
         profile[3] = np.nan
