@@ -24,7 +24,10 @@ the benchmark asserts that before it reports throughput. On a 2-vCPU
 host with one BLAS thread the ratio measured 0.92-1.17x with the
 per-pair Kummer mode loop and 0.97-1.06x with the tables, both sides
 about 4.5x faster with the tables (per-sample 0.58-0.81 s -> 0.12-0.17
-s).
+s). With the tables built as a mode-matrix product and the near-pair
+Hankel terms from the fused small-argument series it measured
+1.08-1.10x, against 0.96-1.01x just before them (per-sample 0.12-0.13
+s -> 0.08-0.09 s).
 The default wall-clock floor is 1.2 (CI keeps it); set
 ``REPRO_BENCH_2D_MIN_SPEEDUP=0`` to record timings without gating.
 

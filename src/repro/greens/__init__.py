@@ -13,10 +13,8 @@ from .ewald import (
 )
 from .freespace import (
     green2d,
-    green2d_gradient,
-    green2d_radial_derivative,
+    green2d_and_gradient,
     green3d,
-    green3d_gradient,
     green3d_radial_derivative,
 )
 from .periodic2d import (
@@ -31,10 +29,8 @@ __all__ = [
     "EwaldConfig",
     "erfc_complex",
     "green2d",
-    "green2d_gradient",
-    "green2d_radial_derivative",
+    "green2d_and_gradient",
     "green3d",
-    "green3d_gradient",
     "green3d_radial_derivative",
     "periodic_green",
     "periodic_green_and_gradient",

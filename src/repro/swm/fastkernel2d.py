@@ -14,10 +14,12 @@ What one sample then pays for is organized by what the work depends on:
 - **per table** (one per medium wavenumber, period, grid size and
   ``m_max``, reused by every sample): the residual's value, x-gradient
   and z-gradient (without ``sign(dz)``) at the ``n//2`` positive offsets
-  on the ``|dz|`` nodes of :class:`NodeMap`. :func:`build_tables` runs
-  one Kummer mode loop for every medium of a chunk, on the ``(nodes,
-  offsets)`` grid: its exponentials run over the nodes only, its mode
-  seeds over the offsets only;
+  on the ``|dz|`` nodes of :class:`NodeMap`. :func:`build_tables`
+  splits the Kummer mode sum into each medium's per-mode node terms on
+  the ``(nodes, m_max)`` grid (exponentials over the nodes only) and
+  the k-independent offset factors on ``(m_max, offsets)`` (one seed
+  pass over the offsets), both from :mod:`repro.greens.periodic2d`,
+  and contracts the mode axis with one matrix product per quantity;
 - **per grid** (cached by :mod:`repro.swm.plan`): each pair's offset
   column, x-sign and log-remainder seeds (:func:`fold_profile_offsets`);
 - **per sample** (on the plan's ``(B, M)`` pair arrays): the node map
@@ -36,9 +38,21 @@ kink, so the first cell reads a one-sided stencil (nodes 0 to 3) rather
 than an even mirror.
 
 Node positions depend only on ``(period, m_max)`` and the node index,
-and every per-node and per-pair operation is elementwise, so any two
-tables of one ``(k, period, n, m_max)`` that cover a separation return
-the same bits for it, and batched and per-sample evaluations agree.
+a build runs one fixed block of :data:`NODE_BLOCK` nodes at a time
+(node terms, then one BLAS call of a fixed shape per quantity and
+medium), and every per-pair operation is elementwise, so any two tables
+of one ``(k, period, n, m_max)`` that cover a separation return the
+same bits for it, and batched and per-sample evaluations agree. (One
+product over all nodes would leave that to the BLAS kernels, which are
+chosen by shape: on OpenBLAS 0.3.31 a real product with one to three
+offset columns returns row-count-dependent bits.) Blocks also keep a
+build's memory from growing with the table's length.
+
+The tables hold the total periodic kernel; the plan subtracts the
+free-space term only at its near pairs, with the fused evaluator
+:func:`~repro.greens.freespace.green2d_and_gradient` (a small-argument
+series inside ``|k rho| <= 2.5``, within 1e-13 of ``max(1, |hankel1|)``,
+and ``hankel1`` beyond).
 
 Accuracy against the exact Kummer sum (:class:`KummerKernel`), which the
 plan consumes like the tables, so these bounds compare two kernels in
@@ -61,21 +75,27 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..greens.periodic2d import (log_remainder, mode_residual, mode_seed,
-                                 periodic_green2d, periodic_green2d_pair)
+from ..greens.periodic2d import (log_remainder, mode_factors, mode_seed,
+                                 mode_terms, mode_wavenumbers,
+                                 periodic_green2d, periodic_green2d_pair,
+                                 zero_mode)
 from .fastkernel import check_range, check_tables, cubic_gather
 
 #: Identifies the tabulated 2D kernel's arithmetic in content hashes
 #: (``Assembly2DOptions.to_spec``). Kernels that agree only to rounding
 #: must never share a result-cache entry, so bump this with any change
 #: that moves a 2D kernel value.
-KERNEL_REVISION_2D = 2
+KERNEL_REVISION_2D = 3
 
 #: Far from the plane the ``|dz|`` nodes are ``L / 128`` apart.
 Z_NODES_PER_PERIOD_2D = 128
 
 #: Weight ``beta`` of the node map's logarithmic near-plane term.
 NEAR_PLANE_WEIGHT = 16.0
+
+#: Nodes per block of a table build (node terms and one BLAS call per
+#: quantity and medium).
+NODE_BLOCK = 64
 
 
 class NodeMap:
@@ -206,9 +226,18 @@ class KummerTables:
 def build_tables(ks, period: float, n: int, m_max: int,
                  z_extent: float) -> list[KummerTables]:
     """One :class:`KummerTables` per wavenumber in ``ks``, covering
-    ``|dz| <= z_extent`` on the n-point grid of period ``period``, from
-    one mode loop: the node map, mode seeds and asymptotes are shared by
-    every medium, and each medium's table is what it would be alone."""
+    ``|dz| <= z_extent`` on the n-point grid of period ``period``.
+
+    Each medium's node terms (:func:`~repro.greens.periodic2d.mode_terms`
+    on the ``(nodes, m_max)`` grid) are contracted with the
+    k-independent offset factors
+    (:func:`~repro.greens.periodic2d.mode_factors`, ``(m_max,
+    offsets)``) by one matrix product per quantity. The node map, the
+    asymptotes and the factors are shared by every medium, and each
+    medium's table is what it would be alone. Both run one block of
+    :data:`NODE_BLOCK` nodes at a time, so a node's row does not depend
+    on how many nodes the table holds.
+    """
     if not math.isfinite(z_extent) or z_extent < 0.0:
         raise ConfigurationError(
             f"z_extent must be finite and >= 0, got {z_extent}")
@@ -216,14 +245,32 @@ def build_tables(ks, period: float, n: int, m_max: int,
         raise ConfigurationError(f"grid size must be >= 2, got {n}")
     nmap = NodeMap(period, m_max)
     last = nmap.last_row(z_extent)
-    z = nmap.heights(last + 1)
+    rows = -(-(last + 1) // NODE_BLOCK) * NODE_BLOCK
+    z = nmap.heights(rows)[:, None]
     dx = np.arange(1, int(n) // 2 + 1) * (nmap.period / int(n))
-    c1, s1 = mode_seed(dx, nmap.period)
+    km = mode_wavenumbers(nmap.period, nmap.m_max)
+    cos_f, sin_f = (np.stack(f) for f in zip(
+        *mode_factors(*mode_seed(dx, nmap.period), km)))
     ks = [complex(k) for k in ks]
-    residuals = mode_residual(c1[None, :], s1[None, :], z[:, None], ks,
-                              nmap.period, nmap.m_max)
-    return [KummerTables(k, nmap, n, last, [q.ravel() for q in res])
-            for k, res in zip(ks, residuals)]
+    # Per medium: the value, x-gradient and z-gradient sums (the last
+    # without its common j sign(dz) factor), one block of nodes at a
+    # time, so a block's rows depend on its own nodes only.
+    sums = np.empty((len(ks), 3, rows, dx.size), dtype=np.complex128)
+    for lo in range(0, rows, NODE_BLOCK):
+        zb = z[lo:lo + NODE_BLOCK]
+        for k, (d, e), out in zip(ks, mode_terms(zb, ks, km),
+                                  sums[:, :, lo:lo + NODE_BLOCK]):
+            d0, e0 = zero_mode(zb, k)
+            out[0] = d0 + d @ cos_f
+            out[1] = d @ sin_f
+            out[2] = e0 + e @ cos_f
+    half = 0.5 / nmap.period
+    tables = []
+    for k, (g, gx, gz) in zip(ks, sums[:, :, :last + 1]):
+        values = (g * (1j * half), gx * (1j * half), gz * -half)
+        tables.append(KummerTables(k, nmap, n, last,
+                                   [q.ravel() for q in values]))
+    return tables
 
 
 class KummerKernel:

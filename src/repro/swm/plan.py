@@ -29,6 +29,15 @@ the *source* cell's tangent plane), the analytic self terms on the
 diagonal, and the ``D``/``S`` matrices, whose columns carry the source
 cell's Jacobian and slopes.
 
+In 2D the near-pair free-space term comes from the fused evaluator
+:func:`~repro.greens.freespace.green2d_and_gradient`: ``G`` and
+``(1/rho) dG/drho`` together, from a small-argument series in
+``rho^2`` inside ``|k rho| <= 2.5`` (within 1e-13 of ``max(1,
+|hankel1|)``) and from ``hankel1`` beyond, chosen per element. The
+build stores ``rho^2`` and ``ln rho`` of every near centre (once per
+unordered pair) and sub-segment point, which every medium and stacked
+frequency reuses.
+
 Pair indices, wrapped offsets and the pairs' kernel-table columns
 depend only on the grid, so bounded caches keyed by the grid share
 them, as read-only arrays, with every plan on that grid.
@@ -48,8 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import ConfigurationError, MeshError
-from ..greens.freespace import green2d, green2d_radial_derivative, green3d
-from ..greens.periodic2d import EULER_GAMMA
+from ..greens.freespace import EULER_GAMMA, green2d_and_gradient, green3d
 from ..telemetry import span
 from . import fastkernel2d
 from .fastkernel import KernelTables, OffsetFold, fold_offsets, lookup
@@ -126,6 +134,8 @@ def _near_set(pairs: GridPairs, radius: float):
     Returns ``(rows, cols, pair, sign)``: entry ``e`` of the near set is
     matrix element ``(rows[e], cols[e])``, which is pair ``pair[e]`` read
     with ``sign[e]`` (+1 on the upper triangle, -1 on the lower one).
+    The P upper entries come first; entry ``e + P`` is entry ``e``'s
+    reversed pair.
     """
     dx, dy = pairs.dx, pairs.dy
     rho = np.abs(dx) if dy is None else np.sqrt(dx * dx + dy * dy)
@@ -329,15 +339,16 @@ class AssemblyPlan3D(_PairPlan):
         gz_total = self.mirror(gz_reg + dgdr_r * self.dz, odd=True)
 
         if rows.size:
-            grr = green3d(self.rr, k)
-            dg_sub = ((1j * k - self.inv_rr) * grr) / self.rr
-            g_total[:, rows, cols] = g_reg[:, pair] + grr.mean(axis=-1)
-            gx_total[:, rows, cols] = (sign * gx_reg[:, pair]
-                                       + (dg_sub * self.sx).mean(axis=-1))
-            gy_total[:, rows, cols] = (sign * gy_reg[:, pair]
-                                       + (dg_sub * self.sy).mean(axis=-1))
-            gz_total[:, rows, cols] = (sign * gz_reg[:, pair]
-                                       + (dg_sub * self.sz).mean(axis=-1))
+            with span("near"):
+                grr = green3d(self.rr, k)
+                dg_sub = ((1j * k - self.inv_rr) * grr) / self.rr
+                g_total[:, rows, cols] = g_reg[:, pair] + grr.mean(axis=-1)
+                gx_total[:, rows, cols] = (sign * gx_reg[:, pair]
+                                           + (dg_sub * self.sx).mean(axis=-1))
+                gy_total[:, rows, cols] = (sign * gy_reg[:, pair]
+                                           + (dg_sub * self.sy).mean(axis=-1))
+                gz_total[:, rows, cols] = (sign * gz_reg[:, pair]
+                                           + (dg_sub * self.sz).mean(axis=-1))
 
         s_mat = g_total * self.jac_area
         s_mat[:, self.diag, self.diag] = (
@@ -388,22 +399,29 @@ class AssemblyPlan2D(_PairPlan):
         jac = np.stack([mesh.jac for mesh in meshes])
         plan.dz = dz = z[:, pairs.iu] - z[:, pairs.ju]
 
-        # Near pairs, in both orientations: their separations (for the
-        # free-space term the total kernel carries) and sub-segment
-        # geometry.
+        # Near pairs: the separations of each unordered pair's centres
+        # (for the free-space term the total kernel carries) and, in
+        # both orientations, the sub-segment geometry. The free-space
+        # evaluator reads rho^2 and ln rho, which serve every medium.
         rows, cols, pair, sign = _near_set(
             pairs, options.near_radius_cells * d)
-        plan.rows, plan.cols, plan.pair, plan.sign = rows, cols, pair, sign
+        plan.rows, plan.cols, plan.pair = rows, cols, pair
         if rows.size:
-            plan.near_dx = near_dx = sign * pairs.dx[pair]
-            plan.near_dz = near_dz = sign * dz[:, pair]
-            plan.near_rho = np.sqrt(near_dx * near_dx + near_dz * near_dz)
+            plan.centre = centre = pair[:pair.size // 2]
+            plan.centre_dx = cdx = pairs.dx[centre]
+            plan.centre_dz = cdz = dz[:, centre]
             q = options.near_quadrature
             du = ((np.arange(q) + 0.5) / q - 0.5) * d
-            plan.sx = near_dx[:, None] - du[None, :]
-            plan.sz = (near_dz[:, :, None]
+            plan.sx = (sign * pairs.dx[pair])[:, None] - du[None, :]
+            plan.sz = ((sign * dz[:, pair])[:, :, None]
                        - fx[:, cols][:, :, None] * du[None, None, :])
-            plan.rr = np.sqrt(plan.sx * plan.sx + plan.sz * plan.sz)
+            # One (B, P + 2 P q) row per sample: the P centres, then
+            # the sub-segment points, for one evaluator call per medium.
+            plan.near_rho2 = np.concatenate(
+                [cdx * cdx + cdz * cdz,
+                 (plan.sx * plan.sx + plan.sz * plan.sz).reshape(
+                     len(meshes), -1)], axis=1)
+            plan.near_log = 0.5 * np.log(plan.near_rho2)
 
         # Self-term geometry.
         plan.h = jac * d
@@ -418,24 +436,35 @@ class AssemblyPlan2D(_PairPlan):
         :meth:`eval_tables` and ``g_reg0`` its evaluator's
         ``regular_at_zero()``.
         At the near pairs the free-space term is subtracted from the
-        total and replaced by its sub-segment average.
+        total, once per unordered pair, and replaced by its sub-segment
+        average in each orientation; both come from the fused
+        :func:`~repro.greens.freespace.green2d_and_gradient`.
         """
         g, gx, gz = totals
-        rows, cols, pair, sign = self.rows, self.cols, self.pair, self.sign
+        rows, cols = self.rows, self.cols
         g_total = self.mirror(g, odd=False)
         gx_total = self.mirror(gx, odd=True)
         gz_total = self.mirror(gz, odd=True)
 
         if rows.size:
-            h0 = green2d(self.near_rho, kk)
-            dh = green2d_radial_derivative(self.near_rho, kk) / self.near_rho
-            g_total[:, rows, cols] = ((g[:, pair] - h0)
-                                      + green2d(self.rr, kk).mean(axis=-1))
-            dg = green2d_radial_derivative(self.rr, kk) / self.rr
-            gx_total[:, rows, cols] = ((sign * gx[:, pair] - dh * self.near_dx)
-                                       + (dg * self.sx).mean(axis=-1))
-            gz_total[:, rows, cols] = ((sign * gz[:, pair] - dh * self.near_dz)
-                                       + (dg * self.sz).mean(axis=-1))
+            with span("near"):
+                g_all, dg_all = green2d_and_gradient(self.near_rho2,
+                                                     self.near_log, kk)
+                centre = self.centre
+                g0, dg0 = g_all[:, :centre.size], dg_all[:, :centre.size]
+                g_sub = g_all[:, centre.size:].reshape(self.sz.shape)
+                dg_sub = dg_all[:, centre.size:].reshape(self.sz.shape)
+                g_reg = g[:, centre] - g0
+                gx_reg = gx[:, centre] - dg0 * self.centre_dx
+                gz_reg = gz[:, centre] - dg0 * self.centre_dz
+                g_total[:, rows, cols] = (np.concatenate([g_reg, g_reg], 1)
+                                          + g_sub.mean(axis=-1))
+                gx_total[:, rows, cols] = (
+                    np.concatenate([gx_reg, -gx_reg], 1)
+                    + (dg_sub * self.sx).mean(axis=-1))
+                gz_total[:, rows, cols] = (
+                    np.concatenate([gz_reg, -gz_reg], 1)
+                    + (dg_sub * self.sz).mean(axis=-1))
 
         s_mat = g_total * self.jac_d
         log_part = np.log(kk * self.h / 4.0) + EULER_GAMMA - 1.0

@@ -35,7 +35,7 @@ from repro.swm.fastkernel2d import (
     _g_reg0_cached,
     regular_at_zero,
 )
-from repro.greens.freespace import green2d, green2d_gradient
+from repro.greens.freespace import green2d_and_gradient
 from repro.swm.geometry import build_mesh_2d
 from repro.swm.plan import AssemblyPlan2D, _wrap
 from repro.swm.solver2d import SWM2DOptions, SWMSolver2D
@@ -227,12 +227,13 @@ class TestPairPlan2D:
         far = np.ones(plan.dx.size, dtype=bool)
         far[plan.pair] = False
         dx, dz = plan.dx[far], plan.dz[:, far]
-        rho = np.sqrt(dx * dx + dz * dz)
+        rho2 = dx * dx + dz * dz
         for kk, (g, gx, gz) in zip(_wavenumbers(), plan.eval_tables(
                 _kernels(_wavenumbers()))):
             reg = periodic_green2d_pair(dx, dz, (kk,), L, m_max=96,
                                         exclude_primary=True)[0]
-            free = (green2d(rho, kk), *green2d_gradient(dx, dz, kk))
+            g0, dg0 = green2d_and_gradient(rho2, 0.5 * np.log(rho2), kk)
+            free = (g0, dg0 * dx, dg0 * dz)
             for got, r, f in zip((g[:, far], gx[:, far], gz[:, far]),
                                  reg, free):
                 want = r + f
@@ -274,14 +275,14 @@ class TestZeroLimitCache:
 class TestLargeGridParity:
     """Regression for the fig6 quick-scale grid (n = 96).
 
-    numpy's elided in-place complex multiply inside
-    ``green2d`` / ``green2d_radial_derivative`` rounded a final ulp
-    differently from the out-of-place multiply depending on buffer
-    alignment, so per-sample ``(N, N)`` and batched ``(B, N, N)``
-    assemblies disagreed bitwise at this size (they agreed at the
-    n = 16 grids the original parity tests used). The Hankel factors
-    are now materialized before the scalar multiply; per-sample and
-    batched solves must agree on the grid that exposed it.
+    numpy's elided in-place complex multiply inside the free-space
+    Hankel terms rounded a final ulp differently from the out-of-place
+    multiply depending on buffer alignment, so per-sample ``(N, N)`` and
+    batched ``(B, N, N)`` assemblies disagreed bitwise at this size
+    (they agreed at the n = 16 grids the original parity tests used).
+    The Hankel factors are now materialized before the scalar multiply;
+    per-sample and batched solves must agree on the grid that exposed
+    it.
     """
 
     def test_fig6_grid_bit_identical(self):

@@ -8,15 +8,22 @@ The sweep covers eta 1 to 3 um (L = 5 eta), 1 and 5 GHz and both media,
 on perfbench's 64-point profiles.
 """
 
+import hashlib
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import repro
 from repro import telemetry
 from repro.constants import GHZ, METER_TO_UM
 from repro.errors import ConfigurationError, SolverError
+from repro.greens.periodic2d import (log_remainder, mode_seed,
+                                     periodic_green2d_pair)
 from repro.materials import PAPER_SYSTEM
 from repro.surfaces import GaussianCorrelation, ProfileGenerator
 from repro.swm import fastkernel2d
@@ -161,6 +168,51 @@ class TestBitIdentity:
             np.testing.assert_array_equal(a, b[:a.size])
         assert all(a.size == rows * short.n_offsets for a in short._values)
 
+    @pytest.mark.parametrize("n", [6, 15, N])
+    def test_builds_of_any_length_share_node_rows(self, n):
+        """Builds of 13, 46, 101 and 203 nodes (none a multiple of 8;
+        one, two and four node blocks) return the same bytes on the
+        nodes they share, in both media, also on grids with few offsets
+        (n = 6: three), where one product over all nodes could pick
+        row-count-dependent BLAS kernels."""
+        nmap = NodeMap(5.0, M_MAX)
+        counts = (13, 46, 101, 203)
+        builds = [build_tables(_ks(5), 5.0, n, M_MAX,
+                               float(nmap.heights(c - 2)[c - 3]))
+                  for c in counts]
+        assert [tabs[0]._last + 1 for tabs in builds] == list(counts)
+        for tabs in builds[:-1]:
+            for tab, ref in zip(tabs, builds[-1]):
+                for a, b in zip(tab._values, ref._values):
+                    assert a.tobytes() == b[:a.size].tobytes()
+
+    @pytest.mark.parametrize("n", [N, 96])
+    def test_build_under_other_blas_threads(self, n):
+        """A build in a fresh interpreter under another
+        ``OPENBLAS_NUM_THREADS`` returns this process's bytes."""
+        ks = _ks(5)
+        script = (
+            "import hashlib, sys\n"
+            "from repro.swm.fastkernel2d import build_tables\n"
+            "ks = [complex(a) for a in sys.argv[2:]]\n"
+            "for tab in build_tables(ks, 5.0, int(sys.argv[1]), 96, 6.0):\n"
+            "    for q in tab._values:\n"
+            "        print(hashlib.sha256(q.tobytes()).hexdigest())\n")
+        want = [hashlib.sha256(q.tobytes()).hexdigest()
+                for tab in build_tables(ks, 5.0, n, 96, 6.0)
+                for q in tab._values]
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                               if p)
+        for threads in ("1", "3"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": path}
+            got = subprocess.run(
+                [sys.executable, "-c", script, str(n), *map(repr, ks)],
+                env=env, capture_output=True, text=True,
+                check=True).stdout.split()
+            assert got == want
+
     def test_fused_lookup_equals_each_table_alone(self):
         meshes = _meshes(1.0)
         tables, _ = _both(meshes, _ks(1) + _ks(5))
@@ -222,6 +274,25 @@ class TestTables:
         # Fine at the plane, L/128 far from it.
         assert z[1] < 5.0 / (2 * np.pi * M_MAX)
         assert np.diff(z)[-1] == pytest.approx(5.0 / 128, rel=0.1)
+
+    def test_nodes_hold_the_exact_residual(self):
+        """At its nodes (``dz > 0``) and offsets, the matrix-form build
+        equals the exact sum's mode-by-mode contraction minus the
+        closed-form log remainder, per component within 1e-13 of the
+        exact kernel's maximum."""
+        period, n = 5.0, 16
+        ks = _ks(5)
+        tables = build_tables(ks, period, n, M_MAX, 2.0)
+        rows = tables[0]._last + 1
+        z = tables[0].nmap.heights(rows)[1:, None]
+        dx = np.arange(1, n // 2 + 1) * (period / n)
+        logs = log_remainder(*mode_seed(dx, period), z, period)
+        exact = periodic_green2d_pair(dx, z, ks, period, M_MAX)
+        for tab, totals in zip(tables, exact):
+            for values, total, log in zip(tab._values, totals, logs):
+                got = values.reshape(rows, -1)[1:]
+                assert np.max(np.abs(got - (total - log))) <= (
+                    1e-13 * np.max(np.abs(total)))
 
     def test_covers_and_out_of_range_lookup(self):
         meshes = _meshes(1.0)
@@ -368,8 +439,8 @@ class TestRevisions:
         from repro.swm import assembly2d
 
         opts = Assembly2DOptions()
-        assert KERNEL_REVISION_2D == 2
-        assert opts.to_spec() == {**asdict(opts), "kernel": 2}
+        assert KERNEL_REVISION_2D == 3
+        assert opts.to_spec() == {**asdict(opts), "kernel": 3}
         monkeypatch.setattr(assembly2d, "KERNEL_REVISION_2D",
                             KERNEL_REVISION_2D + 1)
         assert opts.to_spec()["kernel"] == KERNEL_REVISION_2D + 1

@@ -208,6 +208,27 @@ class TestTracing:
         names = {s["name"] for s in spans}
         assert {"assemble", "factor", "power"} <= names
 
+    def test_2d_solve_records_near_inside_assemble(self):
+        """The near-pair block of a traced 2D solve is a ``near`` span
+        that lies inside an ``assemble`` span."""
+        from repro.swm.solver2d import SWMSolver2D
+
+        telemetry.enable()
+        profile = np.random.default_rng(2).normal(0.0, 0.2, 16)
+        with telemetry.record_spans() as spans:
+            SWMSolver2D().solve_um(profile, 5.0, 5e9)
+        assembles = [s for s in spans if s["name"] == "assemble"]
+        near = [s for s in spans if s["name"] == "near"]
+        assert assembles and len(near) == 2  # one per medium
+
+        def inside(inner, outer):
+            start = outer["start_unix"] - 1e-4
+            end = outer["start_unix"] + outer["duration_s"] + 1e-4
+            return (start <= inner["start_unix"]
+                    and inner["start_unix"] + inner["duration_s"] <= end)
+
+        assert all(any(inside(s, a) for a in assembles) for s in near)
+
     def test_execute_job_payload_carries_spans(self):
         from repro.engine.runtime import execute_job
         from repro.engine.spec import DeterministicScenario, SweepSpec
