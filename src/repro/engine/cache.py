@@ -370,25 +370,6 @@ class ResultCache:
                     self._disk_total = max(0, self._disk_total - size)
         return purged
 
-    def get_record(self, key: str) -> dict | None:
-        """The full stored record for ``key``: payload plus provenance.
-
-        This is the artifact read path (``GET /v1/jobs/<hash>``):
-        unlike :func:`get` it also returns the human-readable metadata
-        and creation time the directory tier records. Memory-only
-        caches synthesize a metadata-free record from the hot tier.
-        """
-        if self.disk_dir is not None:
-            record = self._disk_record(key)
-            if record is not None:
-                return record
-        payload = self._memory.get(key)
-        if payload is None:
-            return None
-        return {"engine_version": ENGINE_VERSION, "key": key,
-                "created_unix": None, "payload": dict(payload),
-                "metadata": {}}
-
     def manifest(self) -> list[dict]:
         """One provenance entry per stored artifact, oldest first.
 

@@ -62,8 +62,7 @@ def _serve_main(argv: list[str]) -> int:
                         help="worker processes per dispatch round "
                              "(default: 1 = serial)")
     parser.add_argument("--cache-dir", default=None, metavar="PATH",
-                        help="persistent result-cache directory (also "
-                             "the /v1/jobs/<hash> artifact store)")
+                        help="persistent result-cache directory")
     parser.add_argument("--max-disk-bytes", type=int, default=None,
                         metavar="B",
                         help="disk-cache budget; least-recently-used "

@@ -18,13 +18,11 @@ single process:
   worker runs its leases on any engine :class:`~repro.engine.Executor`.
 - :mod:`.server` — stdlib-only streaming HTTP front-end
   (``POST /v1/sweeps``, NDJSON ``/events``, registry-backed
-  ``/v1/experiments``, and the ``/v1/jobs/<hash>`` artifact-store read
-  path over the disk cache tier). Start one with
+  ``/v1/experiments`` and ``/v1/cache`` stats). Start one with
   ``repro-experiments serve`` or :func:`repro.service.server.serve`.
-- :mod:`.client` — :class:`ServiceClient` (remote ``run_sweep``) and
-  :class:`RemoteExecutor`, the drop-in third executor tier:
-  ``engine_session(executor=RemoteExecutor(url))`` routes every sweep
-  in scope to the server.
+- :mod:`.client` — :class:`ServiceClient`, the remote ``run_sweep``:
+  every ticket is a sweep, submitted as a spec and read back as a
+  decoded :class:`~repro.engine.SweepResult`.
 
 Pull workers (:mod:`repro.fleet`) speak the same lease protocol over
 ``/v1/workers/*`` — claim, heartbeat, upload — scaling one server
@@ -41,7 +39,7 @@ Quickstart::
     result = ServiceClient("http://127.0.0.1:8321").run_sweep(spec)
 """
 
-from .client import RemoteExecutor, ServiceClient, ServiceUnavailable
+from .client import ServiceClient, ServiceUnavailable
 from .scheduler import SweepScheduler, estimate_job_cost
 from .server import ServiceError, SweepService, make_server, serve
 from .wire import (
@@ -54,7 +52,6 @@ from .wire import (
 
 __all__ = [
     "WIRE_VERSION",
-    "RemoteExecutor",
     "ServiceClient",
     "ServiceError",
     "ServiceUnavailable",

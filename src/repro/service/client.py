@@ -1,22 +1,11 @@
 """Thin urllib client for the sweep service.
 
-Two ways to consume a remote server:
-
-- :class:`ServiceClient` — the high-level API, mirroring
-  :func:`repro.engine.run_sweep`'s call signature: ``submit`` a
-  :class:`~repro.engine.SweepSpec`, stream progress, and get back a
-  fully decoded :class:`~repro.engine.SweepResult` that is
-  bit-identical to an in-process run of the same spec against the same
-  cache.
-
-- :class:`RemoteExecutor` — an :class:`~repro.engine.Executor` whose
-  backend is the server's ``POST /v1/jobs`` batch endpoint. Because it
-  speaks the standard executor contract, ``engine_session
-  (executor=RemoteExecutor(url))`` makes the remote service a drop-in
-  **third executor tier** (serial -> process pool -> service): every
-  ``run_sweep``/``run_batch`` in scope executes on the server and
-  benefits from its global cache and cross-client deduplication,
-  with zero changes to experiment code.
+:class:`ServiceClient` mirrors :func:`repro.engine.run_sweep`'s call
+signature: ``submit`` a :class:`~repro.engine.SweepSpec`, stream
+progress, and get back a fully decoded :class:`~repro.engine
+.SweepResult` that is bit-identical to an in-process run of the same
+spec against the same cache. The fleet worker (:mod:`repro.fleet`)
+speaks the lease protocol through the same client.
 
 Standard library only (``urllib.request``); errors surface as
 :class:`ServiceUnavailable` (transport) or
@@ -32,12 +21,12 @@ import random
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 from ..errors import ConfigurationError, ReproError
-from ..engine.executors import Executor, ProgressFn, ResultFn
+from ..engine.executors import ProgressFn
 from ..engine.results import SweepResult
-from ..engine.spec import Job, SweepSpec
+from ..engine.spec import SweepSpec
 from . import wire
 
 #: ``progress(done, total)`` — same shape the engine uses.
@@ -311,13 +300,6 @@ class ServiceClient:
             )
         return status["experiment"]
 
-    def job_record(self, key: str) -> dict:
-        """Artifact-store read: the cached record for a content hash,
-        with its ``values`` array decoded."""
-        record = self._get(f"/v1/jobs/{key}")
-        record["payload"] = wire.decode_payload(record["payload"])
-        return record
-
     # ------------------------------------------------------------------
     # Fleet worker protocol
     # ------------------------------------------------------------------
@@ -385,64 +367,3 @@ class ServiceClient:
         """The sweep's merged Chrome trace document."""
         return self._get(f"/v1/sweeps/{ticket_id}/trace")
 
-
-class RemoteExecutor(Executor):
-    """Executor backend that ships job batches to a sweep service.
-
-    The third executor tier: ``SerialExecutor`` runs in-process,
-    ``ParallelExecutor`` on a local pool, ``RemoteExecutor`` on a
-    shared server — same contract, so the engine (and everything above
-    it: ``run_sweep``, ``run_batch``, ``repro.api``) is oblivious::
-
-        from repro.engine import engine_session, run_sweep
-        from repro.service.client import RemoteExecutor
-
-        with engine_session(executor=RemoteExecutor("http://host:8321")):
-            result = run_sweep(spec)   # solves happen on the server
-
-    ``fn`` is ignored — the server always runs
-    :func:`repro.engine.execute_job`; items must be engine
-    :class:`~repro.engine.Job` objects. Results come back in item
-    order, and ``on_result`` fires for every payload after the batch
-    completes (the engine then commits them to the *local* cache, so
-    subsequent local runs replay without any HTTP).
-    """
-
-    name = "remote"
-
-    def __init__(self, base_url: str | ServiceClient,
-                 poll_interval: float = 0.25,
-                 timeout: float | None = None) -> None:
-        self.client = (base_url if isinstance(base_url, ServiceClient)
-                       else ServiceClient(base_url,
-                                          poll_interval=poll_interval))
-        self.timeout = timeout
-
-    def run(self, fn: Callable[[Any], Any], items: Sequence[Any],
-            progress: ProgressFn | None = None,
-            on_result: ResultFn | None = None) -> list:
-        if not items:
-            return []
-        if not all(isinstance(item, Job) for item in items):
-            raise ConfigurationError(
-                "RemoteExecutor can only run engine Jobs "
-                "(the server always executes execute_job)"
-            )
-        client = self.client
-        submitted = client._post(
-            "/v1/jobs", wire.dumps(list(items)).encode("utf-8"))
-        status = client.wait(submitted["id"], progress=progress,
-                             timeout=self.timeout)
-        if status["state"] == "failed":
-            raise ConfigurationError(
-                f"remote batch {submitted['id']} failed: "
-                f"{status.get('error')}"
-            )
-        payloads = [wire.decode_payload(p) for p in status["payloads"]]
-        if on_result is not None:
-            for i, payload in enumerate(payloads):
-                on_result(i, payload)
-        return payloads
-
-    def __repr__(self) -> str:
-        return f"RemoteExecutor({self.client.base_url!r})"

@@ -44,7 +44,7 @@ import time
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from .. import telemetry
 from ..errors import ConfigurationError
@@ -89,10 +89,10 @@ _MAX_EXPIRATIONS = 64
 
 @dataclass
 class _Ticket:
-    """One submitted sweep (or raw job batch) and its progress."""
+    """One submitted sweep and its progress."""
 
     id: str
-    spec: SweepSpec | None
+    spec: SweepSpec
     jobs: list[Job]
     payloads: list[dict | None]
     hits: list[bool]
@@ -300,24 +300,7 @@ class SweepScheduler:
             raise ConfigurationError(
                 f"submit expects a SweepSpec, got {type(spec).__name__}"
             )
-        return self._admit(spec, spec.jobs(), meta)
-
-    def submit_jobs(self, jobs: Sequence[Job],
-                    meta: Mapping[str, Any] | None = None) -> str:
-        """Queue an explicit job batch (the remote-executor wire path).
-
-        The ticket's payloads come back in the order given; no
-        :class:`SweepResult` assembly is available for raw batches.
-        """
-        jobs = list(jobs)
-        if not jobs:
-            raise ConfigurationError("submit_jobs needs at least one job")
-        if not all(isinstance(j, Job) for j in jobs):
-            raise ConfigurationError("submit_jobs expects engine Jobs")
-        return self._admit(None, jobs, meta)
-
-    def _admit(self, spec: SweepSpec | None, jobs: list[Job],
-               meta: Mapping[str, Any] | None) -> str:
+        jobs = spec.jobs()
         with self._lock:
             if self._closed:
                 raise ConfigurationError("scheduler is shut down")
@@ -327,13 +310,6 @@ class SweepScheduler:
             # queued" — each unique content hash is computed exactly
             # once even under concurrent overlapping submissions.
             hits, _ = cache_split(jobs, self.cache)
-            # Cache hits replay the *original* compute's wall_time_s /
-            # spans; tag them so downstream consumers (the cost
-            # calibrator above all) never mistake a replay for a fresh
-            # measurement. cache.get returned per-call copies, so this
-            # never touches the cached entry itself.
-            for payload in hits.values():
-                payload["cached"] = True
             kinds = [job_kind(job) for job in jobs]
             costs = [estimate_job_cost(job) for job in jobs]
             ticket = _Ticket(
@@ -473,22 +449,18 @@ class SweepScheduler:
         self._m_jobs.inc(kind=kind, outcome="computed")
         self._update_gauges_locked()
         wall = payload.get("wall_time_s")
-        # Committed payloads always come straight from the executor
-        # (cache hits never enter a slot), but guard on the
-        # ``cached`` tag anyway: a replayed wall time must never
-        # reach the calibrator.
+        # Cache hits never enter a slot, but a fleet upload comes from
+        # outside the program: one tagged ``cached`` replays an older
+        # compute's wall time, which must never reach the calibrator.
         if (not payload.get("cached") and isinstance(wall, (int, float))
                 and wall > 0.0):
             self.calibrator.observe(kind, slot.cost, float(wall))
             self._m_job_wall.observe(float(wall), kind=kind)
         if job.cacheable:
             self._slot_by_key.pop(job.key, None)
-            owner = slot.waiters[0][0]
-            meta = self._tickets[owner].meta if owner in self._tickets \
-                else {}
-            tags = (dict(self._tickets[owner].spec.tags)
-                    if owner in self._tickets
-                    and self._tickets[owner].spec is not None else {})
+            owner = self._tickets.get(slot.waiters[0][0])
+            tags = dict(owner.spec.tags) if owner is not None else {}
+            meta = owner.meta if owner is not None else {}
             self.cache.put(job.key, payload,
                            metadata=job.cache_metadata(tags or meta))
         for ticket_id, index in slot.waiters:
@@ -1116,11 +1088,6 @@ class SweepScheduler:
                     f"sweep {ticket_id} is {t.state} "
                     f"({t.done}/{t.total} points)"
                 )
-            if t.spec is None:
-                raise ConfigurationError(
-                    f"ticket {ticket_id} is a raw job batch; use "
-                    "payloads() for it"
-                )
             points = tuple(
                 PointResult.from_payload(job, payload, hit)
                 for job, payload, hit in zip(t.jobs, t.payloads, t.hits)
@@ -1133,21 +1100,6 @@ class SweepScheduler:
                 wall_time_s=((t.finished_monotonic or t.created_monotonic)
                              - t.created_monotonic),
             )
-
-    def payloads(self, ticket_id: str) -> list[dict]:
-        """The completed ticket's payload dicts, in job order."""
-        with self._lock:
-            t = self._ticket_locked(ticket_id)
-            if t.state == FAILED:
-                raise ConfigurationError(
-                    f"batch {ticket_id} failed: {t.error}"
-                )
-            if t.state != COMPLETE:
-                raise ConfigurationError(
-                    f"batch {ticket_id} is {t.state} "
-                    f"({t.done}/{t.total} points)"
-                )
-            return [dict(p) for p in t.payloads]
 
     def tickets(self) -> list[dict]:
         """Summaries of every ticket (newest first)."""

@@ -11,8 +11,6 @@ Endpoints (all JSON unless noted):
 ========================================  =============================
 ``POST /v1/sweeps``                       submit a wire ``SweepSpec``;
                                           returns a ticket
-``POST /v1/jobs``                         submit a wire ``Job`` batch
-                                          (the remote-executor path)
 ``GET  /v1/sweeps``                       ticket summaries
 ``GET  /v1/sweeps/<id>``                  status + partial results
                                           (+ full wire ``SweepResult``
@@ -27,8 +25,6 @@ Endpoints (all JSON unless noted):
 ``POST /v1/experiments/<name>/run``       plan+submit a registered
                                           experiment (body:
                                           ``{"scale": "quick"}``)
-``GET  /v1/jobs/<hash>``                  artifact-store read path
-                                          over the disk cache tier
 ``GET  /v1/cache``                        cache stats + manifest size
 ``POST /v1/workers/claim``                lease queued jobs to a pull
                                           worker (wire ``WorkerClaim``
@@ -79,7 +75,7 @@ from .. import telemetry
 from ..errors import ReproError
 from ..engine.cache import ResultCache
 from ..engine.executors import Executor, ParallelExecutor, SerialExecutor
-from ..engine.spec import Job, SweepSpec
+from ..engine.spec import SweepSpec
 from ..experiments import registry
 from ..experiments.presets import SCALES, resolve_scale
 from .scheduler import COMPLETE, SweepScheduler
@@ -149,7 +145,7 @@ class SweepService:
         self.token = token or None
         # ticket id -> (experiment name, scale name) for reduce-on-read
         self._experiment_tickets: dict[str, tuple[str, str]] = {}
-        # ticket id -> encoded result/payloads/experiment extras; a
+        # ticket id -> encoded result/experiment extras; a
         # completed ticket is immutable, so re-assembling + base64
         # re-encoding it (and re-running reduce) on every poll would be
         # pure repeated work.
@@ -182,19 +178,6 @@ class SweepService:
         ticket_id = self.scheduler.submit(spec)
         return self._ticket_links(ticket_id)
 
-    def submit_jobs(self, body: bytes) -> dict:
-        try:
-            jobs = wire.loads(body)
-        except wire.WireError as exc:
-            raise ServiceError(400, str(exc)) from exc
-        if isinstance(jobs, Job):
-            jobs = [jobs]
-        if (not isinstance(jobs, list)
-                or not all(isinstance(j, Job) for j in jobs)):
-            raise ServiceError(400, "body must be a wire Job list")
-        ticket_id = self.scheduler.submit_jobs(jobs)
-        return self._ticket_links(ticket_id)
-
     def _ticket_links(self, ticket_id: str) -> dict:
         status = self.scheduler.status(ticket_id)
         return {
@@ -220,27 +203,18 @@ class SweepService:
         return status
 
     def _completed_extras(self, ticket_id: str) -> dict:
-        """Encoded result/payloads (+ experiment reduction) of a
-        completed ticket, memoized — the ticket is immutable now."""
+        """Encoded result (+ experiment reduction) of a completed
+        ticket, memoized — the ticket is immutable now."""
         with self._exp_lock:
             extras = self._completed.get(ticket_id)
             if extras is not None:
                 self._completed.move_to_end(ticket_id)
                 return extras
             exp = self._experiment_tickets.get(ticket_id)
-        extras = {}
-        try:
-            result = self.scheduler.result(ticket_id)
-        except ReproError:
-            # Raw job batches have payloads, not SweepResults.
-            extras["payloads"] = [
-                wire.encode_payload(p)
-                for p in self.scheduler.payloads(ticket_id)
-            ]
-        else:
-            extras["result"] = wire.envelope(wire.to_wire(result))
-            if exp is not None:
-                extras["experiment"] = self._reduce(result, *exp)
+        result = self.scheduler.result(ticket_id)
+        extras = {"result": wire.envelope(wire.to_wire(result))}
+        if exp is not None:
+            extras["experiment"] = self._reduce(result, *exp)
         with self._exp_lock:
             self._completed[ticket_id] = extras
             while len(self._completed) > self.MAX_MEMOIZED_RESULTS:
@@ -443,14 +417,6 @@ class SweepService:
 
     # ------------------------------------------------------------------
 
-    def job_record(self, key: str) -> dict:
-        record = self.cache.get_record(key)
-        if record is None:
-            raise ServiceError(404, f"no cached result for {key!r}")
-        record = dict(record)
-        record["payload"] = wire.encode_payload(record["payload"])
-        return record
-
     def cache_info(self) -> dict:
         stats = self.cache.stats.snapshot()
         stats.pop("hits", None)  # derived; keep the wire doc as before
@@ -593,7 +559,7 @@ class _Handler(BaseHTTPRequestHandler):
         out: list[str] = []
         prev = None
         for part in parts:
-            if prev in ("sweeps", "jobs", "experiments"):
+            if prev in ("sweeps", "experiments"):
                 out.append("*")
             elif (prev == "workers"
                     and part not in ("claim", "heartbeat", "result")):
@@ -666,11 +632,6 @@ class _Handler(BaseHTTPRequestHandler):
                 self._stream_events(ticket_id)
             case ("GET", ["sweeps", ticket_id, "trace"]):
                 self._send_json(service.sweep_trace(ticket_id))
-            case ("POST", ["jobs"]):
-                self._send_json(service.submit_jobs(self._body()),
-                                status=202)
-            case ("GET", ["jobs", key]):
-                self._send_json(service.job_record(key))
             case ("POST", ["workers", "claim"]):
                 self._send_json(service.worker_claim(self._body()))
             case ("POST", ["workers", "heartbeat"]):

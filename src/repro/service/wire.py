@@ -685,12 +685,9 @@ def _json_default(obj: Any) -> Any:
 
 def dumps(obj: Any, indent: int | None = None) -> str:
     """Serialize an engine object to a wire JSON string (with
-    envelope). Lists of engine objects are supported (job batches)."""
-    if isinstance(obj, (list, tuple)):
-        body = [to_wire(o) for o in obj]
-    else:
-        body = to_wire(obj)
-    return json.dumps(envelope(body), indent=indent, default=_json_default)
+    envelope)."""
+    return json.dumps(envelope(to_wire(obj)), indent=indent,
+                      default=_json_default)
 
 
 def loads(text: str | bytes) -> Any:

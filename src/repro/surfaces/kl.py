@@ -60,15 +60,6 @@ class KLExpansion:
             )
         return self.modes @ (np.sqrt(self.eigenvalues) * xi)
 
-    def realize_many(self, xi: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`realize` for an (S, M) batch; returns (S, N)."""
-        xi = np.asarray(xi, dtype=np.float64)
-        if xi.ndim != 2 or xi.shape[1] != self.dimension:
-            raise StochasticError(
-                f"xi must have shape (S, {self.dimension}), got {xi.shape}"
-            )
-        return (self.modes @ (np.sqrt(self.eigenvalues)[:, None] * xi.T)).T
-
 
 def build_kl(covariance: np.ndarray, energy_fraction: float = 0.95,
              max_modes: int | None = None) -> KLExpansion:

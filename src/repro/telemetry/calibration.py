@@ -21,7 +21,8 @@ returns ``None`` — an honest "no ETA yet", not a guess.
 
 Cache-replayed payloads must never be observed: their ``wall_time_s``
 is the *original* compute time, unrelated to this process's hardware or
-current load (the scheduler tags them ``cached: true`` and skips them).
+current load (cache hits never reach the scheduler's commit funnel,
+and it skips an upload tagged ``cached: true``).
 """
 
 from __future__ import annotations

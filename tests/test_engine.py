@@ -21,6 +21,7 @@ from repro.core import (
     StochasticLossModel,
 )
 from repro.engine import (
+    ENGINE_VERSION,
     DeterministicScenario,
     EstimatorSpec,
     Executor,
@@ -1025,25 +1026,29 @@ class TestDiskCacheGC:
     def test_purge_memory_only_cache_is_noop(self):
         assert ResultCache().purge(older_than_s=0.0) == 0
 
-    def test_get_record_read_path(self, tmp_path):
+    def test_manifest_carries_stored_metadata(self, tmp_path):
         cache = ResultCache(disk_dir=tmp_path / "store")
         payload = self._payload(7)
         cache.put("deadbeef", payload, metadata={"scenario": "m",
                                                  "tags": {"scale": "quick"}})
-        record = cache.get_record("deadbeef")
-        assert record["key"] == "deadbeef"
-        assert record["metadata"]["scenario"] == "m"
-        assert record["payload"]["mean"] == 7.0
-        np.testing.assert_array_equal(record["payload"]["values"],
-                                      payload["values"])
-        assert cache.get_record("feedface") is None
+        fresh = ResultCache(disk_dir=tmp_path / "store")
+        [entry] = fresh.manifest()
+        assert entry["key"] == "deadbeef"
+        assert entry["metadata"] == {"scenario": "m",
+                                     "tags": {"scale": "quick"}}
+        assert entry["engine_version"] == ENGINE_VERSION
+        assert entry["created_unix"] is not None
+        assert entry["bytes"] == fresh.disk_size_bytes()
+        got = fresh.get("deadbeef")
+        assert got["mean"] == 7.0
+        np.testing.assert_array_equal(got["values"], payload["values"])
+        assert fresh.get("feedface") is None
 
-    def test_get_record_memory_fallback(self):
+    def test_memory_only_cache_serves_hits_without_manifest(self):
         cache = ResultCache()
         cache.put("aa", self._payload(3))
-        record = cache.get_record("aa")
-        assert record["payload"]["mean"] == 3.0
-        assert record["metadata"] == {}
+        assert cache.get("aa")["mean"] == 3.0
+        assert cache.manifest() == []
 
     def test_directory_layout_and_membership(self, tmp_path):
         cache = ResultCache(disk_dir=tmp_path / "s")

@@ -370,7 +370,7 @@ class TestLeaseProtocol:
                 payload) == "committed"
             assert scheduler.wait(ticket, timeout=10)
             assert scheduler.status(ticket)["state"] == "complete"
-            assert scheduler.payloads(ticket)[0]["__job_error__"] \
+            assert scheduler.cache.get(claim.key)["__job_error__"] \
                 == "not an error"
         finally:
             scheduler.shutdown()

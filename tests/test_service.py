@@ -1,6 +1,6 @@
 """Tests of the async sweep service (``repro.service``).
 
-Four layers, four test groups:
+Three layers, three test groups:
 
 - the wire format round-trips every engine object — in particular,
   every registered experiment's planned spec keeps its content hash
@@ -10,8 +10,8 @@ Four layers, four test groups:
   content hash, ordered longest-first by the dense-solve cost model;
 - the HTTP server + client produce results bit-identical to the
   in-process engine path (the ``smoke`` marker selects the fig3
-  version CI runs as its service smoke job);
-- the remote executor behaves as a drop-in engine tier.
+  version CI runs as its service smoke job), and only sweep routes
+  submit work.
 """
 
 import json
@@ -38,7 +38,6 @@ from repro.engine import (
     SerialExecutor,
     StochasticScenario,
     SweepSpec,
-    engine_session,
     run_sweep,
 )
 from repro.engine.results import PointResult, SweepResult
@@ -46,7 +45,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.presets import PAPER, QUICK
 from repro import telemetry
 from repro.service import wire
-from repro.service.client import RemoteExecutor, ServiceClient
+from repro.service.client import ServiceClient
 from repro.service.scheduler import (
     LOCAL_WORKER,
     SweepScheduler,
@@ -506,27 +505,38 @@ class TestScheduler:
         finally:
             scheduler.shutdown()
 
-    def test_submit_jobs_payload_order(self):
-        jobs = _tiny_spec().jobs()
-        scheduler = SweepScheduler(cache=ResultCache())
+    def test_points_follow_spec_order_not_dispatch_order(self):
+        """Longest-first dispatch runs the 12x12 job before the 8x8
+        one, yet ``status`` and ``result`` list points in the spec's
+        job order."""
+        spec = SweepSpec(
+            scenarios=[StochasticScenario(
+                name, GaussianCorrelation(1 * UM, 1 * UM),
+                StochasticLossConfig(points_per_side=n, max_modes=2))
+                for name, n in (("small", 8), ("big", 12))],
+            frequencies_hz=[1 * GHZ],
+            estimators=EstimatorSpec(kind="sscm", order=1))
+        keys = [job.key for job in spec.jobs()]
+        counting = _CountingExecutor()
+        scheduler = SweepScheduler(executor=counting, cache=ResultCache())
         try:
-            ticket = scheduler.submit_jobs(jobs)
+            ticket = scheduler.submit(spec)
             assert scheduler.wait(ticket, timeout=120)
-            payloads = scheduler.payloads(ticket)
-            with pytest.raises(ConfigurationError, match="raw job batch"):
-                scheduler.result(ticket)
+            status = scheduler.status(ticket)
+            result = scheduler.result(ticket)
         finally:
             scheduler.shutdown()
-        assert len(payloads) == len(jobs)
-        assert all(p["n_evals"] > 0 for p in payloads)
+        assert counting.executed == keys[::-1]
+        assert [p["key"] for p in status["points"]] == keys
+        assert [p.key for p in result.points] == keys
+        assert [p.scenario for p in result.points] == ["small", "big"]
+        assert all(p.n_evals > 0 for p in result.points)
 
     def test_validation(self):
         scheduler = SweepScheduler(cache=ResultCache())
         try:
             with pytest.raises(ConfigurationError, match="SweepSpec"):
                 scheduler.submit("nope")
-            with pytest.raises(ConfigurationError, match="at least one"):
-                scheduler.submit_jobs([])
             with pytest.raises(KeyError):
                 scheduler.status("missing")
         finally:
@@ -705,7 +715,7 @@ class TestLocalWorker:
             with _quiet():
                 ticket = scheduler.submit(spec)
                 assert scheduler.wait(ticket, timeout=120)
-            payloads = scheduler.payloads(ticket)
+            points = scheduler.result(ticket).points
             trace = scheduler.trace(ticket)
         finally:
             scheduler.shutdown()
@@ -715,8 +725,7 @@ class TestLocalWorker:
         local = [e for e in events if e.get("ph") == "X"
                  and lanes[e["pid"]] == f"worker {LOCAL_WORKER}"]
         assert [e["name"] for e in local].count("job_group") == 1
-        spanless = [job.key for job, payload in zip(spec.jobs(), payloads)
-                    if not payload.get("spans")]
+        spanless = [point.key for point in points if not point.spans]
         assert len(spanless) == 1
         assert [e["args"]["key"] for e in local
                 if e["name"] == "solve"] == spanless
@@ -806,19 +815,12 @@ class TestHTTPService:
         assert kinds[0] == "submitted" and kinds[-1] == "complete"
         assert kinds.count("point") == spec.n_jobs
 
-    def test_experiments_listing_and_job_read_path(self, service_url):
+    def test_experiments_listing_and_cache_info(self, service_url):
         client = ServiceClient(service_url, poll_interval=0.02)
         names = [e["name"] for e in client.experiments()]
         assert names == repro.api.experiments()
         spec = _tiny_spec()
-        result = client.run_sweep(spec, timeout=120)
-        record = client.job_record(result.points[0].key)
-        payload = record["payload"]
-        assert payload["mean"] == result.points[0].mean
-        assert np.array_equal(np.asarray(payload["values"]),
-                              np.asarray(result.points[0].values))
-        with pytest.raises(ConfigurationError, match="HTTP 404"):
-            client.job_record("0" * 64)
+        client.run_sweep(spec, timeout=120)
         info = client.cache_info()
         assert info["stats"]["stores"] >= spec.n_jobs
 
@@ -838,6 +840,34 @@ class TestHTTPService:
             client._post("/v1/sweeps", b"{not json")
         with pytest.raises(ConfigurationError, match="HTTP 404"):
             client._get("/v1/teapot")
+
+    def test_job_routes_are_gone(self, service_url):
+        """Work enters only as a sweep: a raw ``Job`` POST to ``jobs``
+        and a per-hash read under it both answer 404 "no route"."""
+        client = ServiceClient(service_url)
+        job = _tiny_spec().jobs()[0]
+        root = "/".join(("", "v1", "jobs"))
+        with pytest.raises(ConfigurationError, match="HTTP 404: no route"):
+            client._post(root, wire.dumps(job).encode("utf-8"))
+        with pytest.raises(ConfigurationError, match="HTTP 404: no route"):
+            client._get(f"{root}/{job.key}")
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["job", "job-list"])
+    def test_sweep_route_rejects_job_documents(self, service_url, batch):
+        """A well-formed wire body that is not a ``SweepSpec`` — one
+        ``Job``, or an envelope holding a list of them — is a 400 naming
+        what it decoded to, and opens no ticket."""
+        jobs = _tiny_spec().jobs()
+        body = ([wire.to_wire(job) for job in jobs] if batch
+                else wire.to_wire(jobs[0]))
+        decoded = "list" if batch else "Job"
+        client = ServiceClient(service_url)
+        with pytest.raises(ConfigurationError,
+                           match=f"HTTP 400: body decodes to {decoded}, "
+                                 f"expected SweepSpec"):
+            client._post("/v1/sweeps",
+                         json.dumps(wire.envelope(body)).encode("utf-8"))
+        assert client._get("/v1/sweeps")["sweeps"] == []
 
     @pytest.mark.parametrize("path, tag", [
         (("options",), "SWMOptions"),
@@ -912,29 +942,6 @@ class TestHTTPService:
     def test_unreachable_server(self):
         client = ServiceClient("http://127.0.0.1:9", timeout=0.5)
         assert not client.healthy()
-
-    def test_remote_executor_is_drop_in_tier(self, service_url):
-        spec = _tiny_spec()
-        with _quiet():
-            reference = run_sweep(spec, executor=SerialExecutor(),
-                                  cache=ResultCache())
-        local_cache = ResultCache()
-        executor = RemoteExecutor(ServiceClient(service_url,
-                                                poll_interval=0.02))
-        with engine_session(executor=executor, cache=local_cache):
-            remote = run_sweep(spec)
-        assert remote.executor == "remote"
-        assert np.array_equal(reference.mean_curve("m"),
-                              remote.mean_curve("m"))
-        # payloads were committed to the LOCAL cache: replay is free
-        with engine_session(executor=executor, cache=local_cache):
-            replay = run_sweep(spec)
-        assert replay.cache_hits == replay.n_points
-
-    def test_remote_executor_rejects_non_jobs(self, service_url):
-        executor = RemoteExecutor(service_url)
-        with pytest.raises(ConfigurationError, match="engine Jobs"):
-            executor.run(str, [1, 2, 3])
 
 
 @pytest.mark.smoke
@@ -1073,23 +1080,25 @@ class _GatedExecutor(SerialExecutor):
 
 class TestSchedulerTelemetry:
     def test_cache_hits_are_tagged_and_never_calibrated(self):
-        """Satellite 1: replayed payloads carry ``cached: True`` and
-        their (original) wall times never reach the calibrator."""
+        """A warm resubmission's points are marked ``cache_hit``, and
+        their replayed (original) wall times never reach the
+        calibrator."""
         spec = _tiny_spec()
         scheduler = SweepScheduler(cache=ResultCache())
         try:
             with _quiet():
-                cold = scheduler.submit_jobs(spec.jobs())
+                cold = scheduler.submit(spec)
                 assert scheduler.wait(cold, timeout=120)
             kind = job_kind(spec.jobs()[0])
             n_obs = scheduler.calibrator.observations(kind)
             assert n_obs == spec.n_jobs
-            assert not any(p.get("cached")
-                           for p in scheduler.payloads(cold))
-            warm = scheduler.submit_jobs(spec.jobs())
+            assert not any(p.cache_hit
+                           for p in scheduler.result(cold).points)
+            warm = scheduler.submit(spec)
             assert scheduler.wait(warm, timeout=10)
-            replayed = scheduler.payloads(warm)
-            assert all(p.get("cached") is True for p in replayed)
+            assert all(p["cache_hit"]
+                       for p in scheduler.status(warm)["points"])
+            assert all(p.cache_hit for p in scheduler.result(warm).points)
             # warm replay contributed zero observations
             assert scheduler.calibrator.observations(kind) == n_obs
         finally:

@@ -57,15 +57,23 @@ class TestBuildKL:
         got = total / n_s
         assert got == pytest.approx(np.sum(kl.eigenvalues), rel=0.1)
 
-    def test_realize_many_matches_loop(self):
+    def test_realize_bits_ignore_xi_layout(self):
+        """Realizing one sample from a row, a strided column or a copy
+        gives the same bits, so a sampler may walk its normals in any
+        layout without breaking serial-vs-batched identity."""
         cf = GaussianCorrelation(1.0, 1.0)
         cov = cf.periodic_covariance_matrix(_grid_points(6, 5.0), 5.0)
         kl = build_kl(cov)
         xi = np.random.default_rng(1).standard_normal((5, kl.dimension))
-        batch = kl.realize_many(xi)
+        columns = np.asfortranarray(xi).T  # (M, 5), columns strided
         for s in range(5):
-            np.testing.assert_allclose(batch[s], kl.realize(xi[s]),
-                                       rtol=1e-12)
+            f = kl.realize(xi[s])
+            np.testing.assert_array_equal(f, kl.realize(xi[s].copy()))
+            np.testing.assert_array_equal(f, kl.realize(columns[:, s]))
+            np.testing.assert_allclose(
+                f, sum(np.sqrt(lam) * x * kl.modes[:, m] for m, (lam, x)
+                       in enumerate(zip(kl.eigenvalues, xi[s]))),
+                rtol=1e-12, atol=1e-14)
 
     def test_validation(self):
         with pytest.raises(StochasticError):
