@@ -98,7 +98,7 @@ __version__ = "1.0.0"
 
 def __getattr__(name: str):
     # The facade pulls in the whole experiments package; loading it
-    # lazily keeps `import repro` (and every pool-worker interpreter)
+    # lazily keeps `import repro` (and every fleet-worker interpreter)
     # from paying for all seven figure modules up front. NB: must use
     # import_module — `from . import api` here would re-enter this
     # __getattr__ through the fromlist hasattr check and recurse.

@@ -31,7 +31,8 @@ from __future__ import annotations
 from typing import Callable, Iterable, Mapping
 
 from .engine import ResultCache, engine_session, run_batch
-from .engine.executors import Executor, ProgressFn
+from .engine.api import ProgressFn
+from .engine.executors import Executor
 from .engine.spec import SweepSpec
 from .errors import ConfigurationError
 from .experiments import registry
@@ -81,7 +82,7 @@ def run(name: str, scale: Scale | str | None = None, *,
     """Reproduce one figure/table: plan -> one engine sweep -> reduce.
 
     ``jobs > 1`` runs the figure's whole job stream (all scenarios x
-    frequencies x estimators) on a process pool; ``cache_dir`` adds a
+    frequencies x estimators) on a thread pool; ``cache_dir`` adds a
     persistent result-cache tier so re-runs replay point by point.
     ``experiment`` substitutes a pre-built (e.g. non-default-parameter)
     instance; ``name`` is ignored for lookup then.

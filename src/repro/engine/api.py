@@ -19,20 +19,21 @@ the sweep that owns them.
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .. import telemetry
 from ..errors import ConfigurationError
 from .cache import ResultCache
-from .executors import Executor, ParallelExecutor, ProgressFn, SerialExecutor
+from .executors import Executor, ParallelExecutor, SerialExecutor
 from .results import PointResult, SweepResult
 from .runtime import execute_job
 from .spec import Job, SweepSpec
+
+#: ``progress(done, total)`` — points finished so far, cache hits included.
+ProgressFn = Callable[[int, int], None]
 
 #: ``batch_progress(name, done, total)`` — per-sweep point attribution.
 BatchProgressFn = Callable[[str, int, int], None]
@@ -198,35 +199,11 @@ def run_batch(specs: Mapping[str, SweepSpec],
                     batch_progress(name, done, totals[name])
 
     if slots:
-        committed = [False] * len(slots)
-        n_committed = 0
-        last_reported = done_points
-
-        def _report(points_done: int) -> None:
-            # Progress must stay monotone even when the executor's own
-            # slot-level reports interleave with per-commit point counts.
-            nonlocal last_reported
-            if progress is not None and points_done > last_reported:
-                last_reported = points_done
-                progress(points_done, total)
-
         def _commit(slot_idx: int, payload: dict) -> None:
             # Committed per result as it arrives, so a batch that dies
             # midway (worker error, Ctrl-C) keeps everything finished.
-            nonlocal done_points, n_committed
-            if committed[slot_idx]:
-                return
-            committed[slot_idx] = True
-            n_committed += 1
+            nonlocal done_points
             job, targets = slots[slot_idx]
-            if (telemetry.enabled() and payload.get("spans")
-                    and payload.get("pid") != os.getpid()):
-                # Pool workers record spans into their own process;
-                # fold them into this process's aggregates so profile
-                # tables cover parallel runs. Same-pid payloads already
-                # aggregated locally — ingesting again would double
-                # count.
-                telemetry.ingest_spans(payload["spans"])
             if job.cacheable:
                 owner, _ = targets[0]
                 cache.put(job.key, payload,
@@ -235,26 +212,14 @@ def run_batch(specs: Mapping[str, SweepSpec],
                 payloads[name][i] = payload
                 done_in[name] += 1
             done_points += len(targets)
-            _report(done_points)
+            if progress is not None:
+                progress(done_points, total)
             if batch_progress is not None:
                 for name in dict.fromkeys(name for name, _ in targets):
                     batch_progress(name, done_in[name], totals[name])
 
-        cached_points = done_points
-
-        def _executor_progress(done_slots: int, _n_slots: int) -> None:
-            # Custom executors that honor progress but ignore on_result
-            # (the fallback loop below commits for them) still get a
-            # live bar: each finished slot is at least one point.
-            if n_committed == 0:
-                _report(cached_points + done_slots)
-
-        computed = executor.run(execute_job, [job for job, _ in slots],
-                                progress=_executor_progress,
-                                on_result=_commit)
-        # Fallback for custom executors that ignore on_result.
-        for slot_idx, payload in enumerate(computed):
-            _commit(slot_idx, payload)
+        executor.run(execute_job, [job for job, _ in slots],
+                     on_result=_commit)
 
     wall = time.perf_counter() - start
     results: dict[str, SweepResult] = {}

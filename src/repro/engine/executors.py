@@ -2,36 +2,35 @@
 
 Both executors implement the same contract::
 
-    run(fn, items, progress=None, on_result=None) -> list  # item order
+    run(fn, items, on_result=None) -> list  # item order
 
-``progress(done, total)`` is invoked as items complete, and
 ``on_result(index, result)`` fires per finished item **as results
 arrive** — that is what lets the engine commit each point to the cache
-immediately, so an interrupted sweep keeps everything that finished. The parallel
-executor schedules **chunks** of jobs onto a
-:class:`~concurrent.futures.ProcessPoolExecutor`: chunking amortizes the
-per-task pickling overhead and lets workers reuse their per-process
-model memo (see :mod:`repro.engine.runtime`) across the jobs of a
-chunk. Because every job is independent and internally deterministic,
-serial and parallel execution produce bit-identical results.
+immediately, so an interrupted sweep keeps everything that finished. The
+parallel executor runs one item per task on a
+:class:`~concurrent.futures.ThreadPoolExecutor`: numpy and LAPACK
+release the interpreter lock in the phases that dominate a solve, each
+thread keeps its own model memo (see :mod:`repro.engine.runtime`), and
+spans recorded in a worker thread land in the process aggregate like
+any other. Because every job is independent and internally
+deterministic, serial and parallel execution produce bit-identical
+results.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from abc import ABC, abstractmethod
 from concurrent.futures import (
     FIRST_COMPLETED,
     CancelledError,
-    ProcessPoolExecutor,
+    ThreadPoolExecutor,
     wait,
 )
 from typing import Any, Callable, Sequence
 
 from ..errors import ConfigurationError
 
-ProgressFn = Callable[[int, int], None]
 ResultFn = Callable[[int, Any], None]
 
 
@@ -42,7 +41,6 @@ class Executor(ABC):
 
     @abstractmethod
     def run(self, fn: Callable[[Any], Any], items: Sequence[Any],
-            progress: ProgressFn | None = None,
             on_result: ResultFn | None = None) -> list:
         """Apply ``fn`` to every item, preserving input order."""
 
@@ -53,113 +51,83 @@ class SerialExecutor(Executor):
     name = "serial"
 
     def run(self, fn: Callable[[Any], Any], items: Sequence[Any],
-            progress: ProgressFn | None = None,
             on_result: ResultFn | None = None) -> list:
-        total = len(items)
         out = []
         for i, item in enumerate(items):
             result = fn(item)
             out.append(result)
             if on_result is not None:
                 on_result(i, result)
-            if progress is not None:
-                progress(i + 1, total)
         return out
 
     def __repr__(self) -> str:
         return "SerialExecutor()"
 
 
-def _run_chunk(fn: Callable[[Any], Any], chunk: list) -> list:
-    """Module-level so the process pool can pickle it."""
-    return [fn(item) for item in chunk]
-
-
 class ParallelExecutor(Executor):
-    """Process-pool execution with chunked scheduling.
+    """Thread-pool execution, one item per task.
 
     Parameters
     ----------
     n_jobs:
-        Worker process count; ``None`` uses ``os.cpu_count()``.
-    chunksize:
-        Jobs per scheduled task; ``None`` targets ~4 chunks per worker
-        (load balancing) while never splitting below one job.
+        Worker thread count; ``None`` uses ``os.cpu_count()``.
     """
 
     name = "parallel"
 
-    def __init__(self, n_jobs: int | None = None,
-                 chunksize: int | None = None) -> None:
+    def __init__(self, n_jobs: int | None = None) -> None:
         if n_jobs is None:
             n_jobs = os.cpu_count() or 1
         if n_jobs < 1:
             raise ConfigurationError(f"n_jobs must be >= 1, got {n_jobs}")
-        if chunksize is not None and chunksize < 1:
-            raise ConfigurationError(
-                f"chunksize must be >= 1, got {chunksize}"
-            )
         self.n_jobs = int(n_jobs)
-        self.chunksize = chunksize
-
-    def _chunks(self, items: Sequence[Any]) -> list[list]:
-        size = self.chunksize
-        if size is None:
-            size = max(1, math.ceil(len(items) / (4 * self.n_jobs)))
-        return [list(items[i:i + size])
-                for i in range(0, len(items), size)]
 
     def run(self, fn: Callable[[Any], Any], items: Sequence[Any],
-            progress: ProgressFn | None = None,
             on_result: ResultFn | None = None) -> list:
         total = len(items)
-        if total == 0:
-            return []
-        if self.n_jobs == 1 or total == 1:
-            return SerialExecutor().run(fn, items, progress=progress,
-                                        on_result=on_result)
+        if self.n_jobs == 1 or total <= 1:
+            return SerialExecutor().run(fn, items, on_result=on_result)
 
-        chunks = self._chunks(items)
-        offsets = [0] * len(chunks)
-        for i in range(1, len(chunks)):
-            offsets[i] = offsets[i - 1] + len(chunks[i - 1])
-        results: list[list | None] = [None] * len(chunks)
-        done_items = 0
+        results: list = [None] * total
         error: Exception | None = None
-        with ProcessPoolExecutor(
-                max_workers=min(self.n_jobs, len(chunks))) as pool:
-            future_index = {pool.submit(_run_chunk, fn, chunk): i
-                            for i, chunk in enumerate(chunks)}
+        with ThreadPoolExecutor(max_workers=min(self.n_jobs, total),
+                                thread_name_prefix="repro-job") as pool:
+            future_index = {pool.submit(fn, item): i
+                            for i, item in enumerate(items)}
             pending = set(future_index)
-            while pending:
-                finished, pending = wait(pending,
-                                         return_when=FIRST_COMPLETED)
-                for future in finished:
-                    i = future_index[future]
-                    try:
-                        results[i] = future.result()
-                    except CancelledError:
-                        continue
-                    except Exception as exc:  # noqa: BLE001 — first failure wins, re-raised after drain
-                        # First failure wins; cancel what hasn't started
-                        # but keep draining running chunks so their
-                        # results still reach on_result (the engine
-                        # commits them to the cache before we re-raise).
-                        if error is None:
-                            error = exc
-                            for f in pending:
-                                f.cancel()
-                        continue
-                    if on_result is not None:
-                        for j, result in enumerate(results[i]):
-                            on_result(offsets[i] + j, result)
-                    done_items += len(chunks[i])
-                    if progress is not None:
-                        progress(done_items, total)
+            try:
+                while pending:
+                    finished, pending = wait(pending,
+                                             return_when=FIRST_COMPLETED)
+                    for future in finished:
+                        i = future_index[future]
+                        try:
+                            results[i] = future.result()
+                        except CancelledError:
+                            continue
+                        except Exception as exc:  # noqa: BLE001 — first failure wins, re-raised after drain
+                            # First failure wins; cancel what hasn't
+                            # started but keep draining running items so
+                            # their results still reach on_result (the
+                            # engine commits them to the cache before we
+                            # re-raise).
+                            if error is None:
+                                error = exc
+                                for f in pending:
+                                    f.cancel()
+                            continue
+                        if on_result is not None:
+                            on_result(i, results[i])
+            except BaseException:  # noqa: BLE001 — cancels the queue, then re-raises
+                # Ctrl-C (or a failing on_result) in the waiting thread:
+                # threads cannot be interrupted, so drop every queued
+                # item; the pool's exit waits only for running ones.
+                for f in pending:
+                    f.cancel()
+                raise
         if error is not None:
             raise error
-        return [payload for chunk in results for payload in chunk]
+        return results
 
     def __repr__(self) -> str:
-        return (f"ParallelExecutor(n_jobs={self.n_jobs}, "
-                f"chunksize={self.chunksize})")
+        return f"ParallelExecutor(n_jobs={self.n_jobs})"

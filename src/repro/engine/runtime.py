@@ -3,11 +3,9 @@
 :func:`execute_job_group` is the one job executor: it runs a list of
 jobs sharing a scenario and estimator as one frequency stack, and
 :func:`execute_job` is a group of one. Every executor runs one of the
-two — in the parent process (serial) or in pool workers (parallel).
-They are plain module-level functions so :mod:`concurrent.futures` can
-pickle a reference to them, and they return plain payload dicts
-(scalars + one float array) so results cross process boundaries and
-serialize to the cache without custom reducers.
+two, in the calling thread (serial) or on worker threads (parallel).
+They return plain payload dicts (scalars + one float array) so results
+serialize to the cache and the service wire without custom reducers.
 :func:`execute_group_isolated` wraps a group for callers that must
 fail one job without failing its stackmates (the scheduler, the fleet
 worker).
@@ -15,13 +13,13 @@ worker).
 Models are memoized per *thread* keyed by the scenario's content hash:
 a sweep with F frequencies per scenario pays the KL eigendecomposition
 once per worker thread, not once per job. The memo stays thread-local
-(the fleet worker runs claims on a thread pool): a job group releases
-its solver's kernel tables when it starts, so a shared solver would
-drop tables another thread's job is still using and make it rebuild
-them, and the LRU ``OrderedDict`` has no lock. Values would not change:
-a kernel value does not depend on which table serves it. The memo is
-bounded (LRU) so long multi-scenario sweeps cannot grow worker memory
-without limit.
+(the parallel executor and the fleet worker run jobs on thread
+pools): a job group releases its solver's kernel tables when it
+starts, so a shared solver would drop tables another thread's job is
+still using and make it rebuild them, and the LRU ``OrderedDict`` has
+no lock. Values would not change: a kernel value does not depend on
+which table serves it. The memo is bounded (LRU) so long
+multi-scenario sweeps cannot grow worker memory without limit.
 """
 
 from __future__ import annotations
@@ -81,12 +79,12 @@ def seed_model(scenario: StochasticScenario, model: object) -> None:
     """Pre-register an already-built model for a scenario.
 
     Lets the pipeline hand its own :class:`StochasticLossModel` to
-    same-thread execution (serial, or forked workers inheriting the
-    forking thread's memo) instead of paying the KL eigendecomposition
-    a second time. Other threads build their own, because the memo is
-    thread-local (module docstring). Job values do not depend on the
-    model's solver history: kernel tables of one configuration return
-    the same values whichever of them serves a solve.
+    same-thread (serial) execution instead of paying the KL
+    eigendecomposition a second time. Other threads build their own,
+    because the memo is thread-local (module docstring). Job values do
+    not depend on the model's solver history: kernel tables of one
+    configuration return the same values whichever of them serves a
+    solve.
     """
     _memoized(scenario.key, lambda: model)
 

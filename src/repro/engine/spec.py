@@ -6,7 +6,7 @@ scenarios (surface processes or explicit surfaces) x frequencies x
 estimator settings. This module describes that product *declaratively*
 so that
 
-- any executor (serial, process pool, future distributed backends) can
+- any executor (serial, thread pool, the service's fleet workers) can
   run the same :class:`SweepSpec` and produce identical results;
 - every :class:`Job` carries a **stable content hash** derived from the
   physics inputs (correlation parameters, pipeline configuration,

@@ -31,7 +31,8 @@ import numpy as np
 
 if TYPE_CHECKING:
     from ..engine import ResultCache, SweepResult, SweepSpec
-    from ..engine.executors import Executor, ProgressFn
+    from ..engine.api import ProgressFn
+    from ..engine.executors import Executor
     from .presets import Scale
 
 

@@ -59,7 +59,7 @@ def _serve_main(argv: list[str]) -> int:
     parser.add_argument("--port", type=int, default=8321,
                         help="bind port (default: 8321; 0 = ephemeral)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes per dispatch round "
+                        help="worker threads per dispatch round "
                              "(default: 1 = serial)")
     parser.add_argument("--cache-dir", default=None, metavar="PATH",
                         help="persistent result-cache directory")
@@ -229,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--list", action="store_true", dest="list_",
                         help="list available experiments and exit")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for the sweep engine "
+                        help="worker threads for the sweep engine "
                              "(default: 1 = serial)")
     parser.add_argument("--cache-dir", default=None, metavar="PATH",
                         help="persistent result-cache directory "

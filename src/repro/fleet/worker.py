@@ -3,10 +3,10 @@
 One :class:`FleetWorker` is one process's worth of fleet capacity. A
 single control loop owns all HTTP traffic (claims, heartbeats,
 uploads) while a :class:`~concurrent.futures.ThreadPoolExecutor` of
-``concurrency`` threads runs the solves — dense LAPACK factorizations
-release the GIL, so threads scale the same way the engine's in-process
-``ParallelExecutor`` does, without a second process tree on the worker
-host.
+``concurrency`` threads runs the solves — numpy and LAPACK release the
+GIL, so threads scale the same way the engine's in-process
+``ParallelExecutor`` threads do. The worker keeps its own pool because
+its loop heartbeats between completions.
 
 Failure handling mirrors the lease protocol's guarantees:
 

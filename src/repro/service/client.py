@@ -24,7 +24,7 @@ import urllib.request
 from typing import Any, Callable, Mapping
 
 from ..errors import ConfigurationError, ReproError
-from ..engine.executors import ProgressFn
+from ..engine.api import ProgressFn
 from ..engine.results import SweepResult
 from ..engine.spec import SweepSpec
 from . import wire

@@ -89,7 +89,8 @@ PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
 
 # HTTP-layer instruments (no-ops until telemetry is enabled). Routes
 # are normalized (`/v1/sweeps/*`) so per-ticket ids don't explode the
-# label space.
+# label space, and every path that matches no route shares one label.
+_UNMATCHED_ROUTE = "unmatched"
 _M_REQUESTS = telemetry.counter(
     "repro_http_requests_total", "HTTP requests served.",
     labels=("method", "route", "status"))
@@ -572,9 +573,11 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
         parts = self._route()
         self._status = 200
+        self._routed = True
         start = time.perf_counter()
         try:
             if not parts or parts[0] != "v1":
+                self._routed = False
                 raise ServiceError(404, f"unknown path {self.path!r}")
             self._dispatch_v1(method, parts[1:])
         except ServiceError as exc:
@@ -587,7 +590,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_json(500, f"{type(exc).__name__}: {exc}")
         finally:
             if telemetry.enabled():
-                route = self._normalize_route(parts)
+                route = (self._normalize_route(parts) if self._routed
+                         else _UNMATCHED_ROUTE)
                 _M_REQUEST_LATENCY.observe(time.perf_counter() - start,
                                            method=method, route=route)
                 _M_REQUESTS.inc(method=method, route=route,
@@ -645,6 +649,7 @@ class _Handler(BaseHTTPRequestHandler):
             case ("GET", ["logs"]):
                 self._send_json(service.logs_info(self._query()))
             case _:
+                self._routed = False
                 raise ServiceError(
                     404, f"no route for {method} {self.path!r}")
 

@@ -37,6 +37,9 @@ from scipy.special import j0, kv
 
 from ..errors import ConfigurationError
 
+#: Rows of ``k`` per block of the numeric spectral transforms.
+_SPECTRUM_BLOCK = 256
+
 
 class CorrelationFunction(ABC):
     """Isotropic correlation function of a stationary surface process."""
@@ -73,22 +76,33 @@ class CorrelationFunction(ABC):
         d = np.linspace(0.0, d_max, n)
         return d, d[1] - d[0]
 
-    def _numeric_spectrum_2d(self, k: np.ndarray) -> np.ndarray:
-        k = np.atleast_1d(np.asarray(k, dtype=np.float64))
+    def _numeric_transform(self, k: np.ndarray, kernel, weight,
+                           norm: float) -> np.ndarray:
+        """``(1/norm) int_0^inf weight(d) kernel(k d) dd`` by the
+        trapezoid rule on the lag grid, one row per ``k``.
+
+        Rows are formed ``_SPECTRUM_BLOCK`` at a time: each row's sum is
+        the one a single ``(k, lag)`` array gives, but the temporaries
+        stay ``_SPECTRUM_BLOCK x 4096`` instead of growing with ``k``.
+        """
+        k = np.asarray(k, dtype=np.float64).ravel()
         d, dd = self._lag_grid()
-        c = self(d)
-        # W2(k) = (1/2pi) * int_0^inf C(d) J0(k d) d dd   (trapezoid)
-        kern = j0(np.outer(k, d)) * (c * d)[None, :]
-        out = np.trapezoid(kern, dx=dd, axis=1) / (2.0 * math.pi)
+        w = weight(d)
+        out = np.empty(k.size)
+        for lo in range(0, k.size, _SPECTRUM_BLOCK):
+            hi = lo + _SPECTRUM_BLOCK
+            rows = kernel(np.outer(k[lo:hi], d)) * w[None, :]
+            out[lo:hi] = np.trapezoid(rows, dx=dd, axis=1) / norm
         return out
 
+    def _numeric_spectrum_2d(self, k: np.ndarray) -> np.ndarray:
+        # W2(k) = (1/2pi) * int_0^inf C(d) J0(k d) d dd   (trapezoid)
+        return self._numeric_transform(k, j0, lambda d: self(d) * d,
+                                       2.0 * math.pi)
+
     def _numeric_spectrum_1d(self, k: np.ndarray) -> np.ndarray:
-        k = np.atleast_1d(np.asarray(k, dtype=np.float64))
-        d, dd = self._lag_grid()
-        c = self(d)
-        kern = np.cos(np.outer(k, d)) * c[None, :]
         # even integrand: W1 = (1/pi) * int_0^inf C(d) cos(kd) dd
-        return np.trapezoid(kern, dx=dd, axis=1) / math.pi
+        return self._numeric_transform(k, np.cos, self, math.pi)
 
     # ------------------------------------------------------------------
     # Derived quantities used throughout the library.

@@ -45,7 +45,6 @@ from .metrics import (
 )
 from .tracing import (
     chrome_trace,
-    ingest_spans,
     phase_stats,
     record_spans,
     reset_tracing,
@@ -70,7 +69,7 @@ __all__ = [
     "DEFAULT_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "REGISTRY", "counter", "gauge", "histogram", "render_prometheus",
     "parse_prometheus",
-    "chrome_trace", "ingest_spans", "phase_stats", "record_spans",
+    "chrome_trace", "phase_stats", "record_spans",
     "reset_tracing", "span",
     "CostCalibrator",
     "GLOBAL_BUFFER", "LEVELS", "LogBuffer", "StructuredLogger",

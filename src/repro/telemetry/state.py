@@ -5,8 +5,8 @@ metric mutation must cost no more than a flag check on the solver hot
 paths when nobody is looking. Long-lived entry points that want
 visibility (the sweep service, ``repro-experiments --profile``) flip it
 on explicitly; the ``REPRO_TELEMETRY`` environment variable enables it
-for anything else (including forked pool workers, which inherit both
-the environment and the flag state at fork time).
+for anything else. The flag is process-wide, so the engine's worker
+threads record spans whenever the thread that started them does.
 """
 
 from __future__ import annotations
@@ -22,19 +22,12 @@ def enabled() -> bool:
 
 
 def enable() -> None:
-    """Turn telemetry on (spans recorded, metrics mutated).
-
-    Also exported through the environment so *spawned* pool workers
-    (which re-import this module instead of inheriting memory) come up
-    enabled and their payloads carry spans.
-    """
+    """Turn telemetry on (spans recorded, metrics mutated)."""
     global _ENABLED
     _ENABLED = True
-    os.environ["REPRO_TELEMETRY"] = "1"
 
 
 def disable() -> None:
     """Turn telemetry off (spans and metric updates become no-ops)."""
     global _ENABLED
     _ENABLED = False
-    os.environ["REPRO_TELEMETRY"] = "0"

@@ -12,14 +12,10 @@ wire format untouched. Two sinks receive every finished span:
 
 - the **thread-local recorder** installed by :func:`record_spans` —
   this is how :func:`repro.engine.runtime.execute_job` captures the
-  spans of exactly one job, whatever thread or worker process runs it;
+  spans of exactly one job, whatever thread runs it;
 - the **process-global aggregate**: per-name count/total statistics
   (:func:`phase_stats`, the ``--profile`` table) and a bounded buffer
   of raw spans (:func:`chrome_trace`, the ``--trace-out`` export).
-
-Spans produced in *another* process (pool workers, remote services)
-re-enter the global aggregate via :func:`ingest_spans` when their
-payloads are committed.
 
 When telemetry is disabled (:mod:`repro.telemetry.state`),
 :func:`span` returns a shared no-op context manager: the hot-path cost
@@ -126,18 +122,6 @@ def _aggregate(record: Mapping[str, Any]) -> None:
             stats[0] += 1
             stats[1] += float(record["duration_s"])
         _trace.append(dict(record))
-
-
-def ingest_spans(spans: Iterable[Mapping[str, Any]]) -> None:
-    """Feed externally produced span dicts (worker payloads, remote
-    results) into the global aggregate, so ``--profile`` and
-    ``--trace-out`` see cross-process work."""
-    if not state.enabled():
-        return
-    for record in spans:
-        if isinstance(record, Mapping) and "name" in record \
-                and "duration_s" in record:
-            _aggregate(record)
 
 
 def phase_stats() -> dict[str, dict[str, float]]:

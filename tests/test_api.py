@@ -227,8 +227,9 @@ class TestResultSerialization:
 
 class TestLazyFacadeImport:
     def test_import_repro_does_not_load_experiments(self):
-        """`import repro` must stay cheap (pool workers re-import it);
-        the facade and the figure modules load on first attribute use."""
+        """`import repro` must stay cheap (every CLI call and fleet
+        worker process imports it); the facade and the figure modules
+        load on first attribute use."""
         import subprocess
         import sys
 

@@ -2,8 +2,8 @@
 
 The two acceptance properties of the subsystem are pinned here:
 
-- ``ParallelExecutor`` results are numerically identical (<= 1e-12) to
-  ``SerialExecutor`` for the same ``SweepSpec``;
+- ``ParallelExecutor`` results are bit-identical to ``SerialExecutor``
+  for the same ``SweepSpec``;
 - a repeated sweep against a warm on-disk cache performs **zero** SWM
   solves (asserted by making the solver raise).
 """
@@ -24,7 +24,6 @@ from repro.engine import (
     ENGINE_VERSION,
     DeterministicScenario,
     EstimatorSpec,
-    Executor,
     ParallelExecutor,
     ProfileScenario,
     ResultCache,
@@ -328,7 +327,7 @@ class TestSweepSpec:
 
 
 class TestExecutorEquivalence:
-    """Acceptance: parallel results identical to serial within 1e-12."""
+    """Acceptance: parallel results bit-identical to serial."""
 
     def test_parallel_matches_serial(self):
         spec = small_spec()
@@ -338,12 +337,31 @@ class TestExecutorEquivalence:
                              cache=ResultCache())
         assert serial.cache_hits == 0 and parallel.cache_hits == 0
         for name in ("eta1", "eta2"):
-            diff = np.abs(serial.mean_curve(name) -
-                          parallel.mean_curve(name))
-            assert np.max(diff) <= 1e-12
+            np.testing.assert_array_equal(serial.mean_curve(name),
+                                          parallel.mean_curve(name))
         for ps, pp in zip(serial.points, parallel.points):
-            np.testing.assert_allclose(ps.values, pp.values, rtol=0,
-                                       atol=1e-12)
+            np.testing.assert_array_equal(ps.values, pp.values)
+
+    def test_parallel_spans_reach_the_profile_like_serial(self):
+        """Spans recorded on worker threads land in the process
+        aggregate: ``--profile`` counts the same phases either way."""
+        from repro import telemetry
+
+        was = telemetry.enabled()
+        telemetry.enable()
+        counts = []
+        try:
+            for executor in (SerialExecutor(), ParallelExecutor(2)):
+                telemetry.reset_tracing()
+                run_sweep(small_spec(), executor=executor,
+                          cache=ResultCache())
+                stats = telemetry.phase_stats()
+                counts.append([stats[name]["count"]
+                               for name in ("job", "assemble", "factor")])
+        finally:
+            telemetry.reset_tracing()
+            (telemetry.enable if was else telemetry.disable)()
+        assert counts[0] == counts[1] == [4, 24, 24]  # 6 solves a point
 
     def test_progress_reaches_total_in_order(self):
         spec = small_spec()
@@ -355,7 +373,7 @@ class TestExecutorEquivalence:
     def test_parallel_progress_counts_all_points(self):
         spec = small_spec()
         seen = []
-        run_sweep(spec, executor=ParallelExecutor(n_jobs=2, chunksize=1),
+        run_sweep(spec, executor=ParallelExecutor(n_jobs=2),
                   cache=ResultCache(),
                   progress=lambda done, total: seen.append((done, total)))
         assert seen[-1] == (4, 4)
@@ -367,26 +385,18 @@ class TestExecutorEquivalence:
                         cache=ResultCache())
         assert res.points[0].mean > 1.0
 
-    def test_chunking(self):
-        ex = ParallelExecutor(n_jobs=2, chunksize=3)
-        assert [len(c) for c in ex._chunks(list(range(8)))] == [3, 3, 2]
-        auto = ParallelExecutor(n_jobs=2)
-        assert sum(len(c) for c in auto._chunks(list(range(20)))) == 20
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             ParallelExecutor(n_jobs=0)
-        with pytest.raises(ConfigurationError):
-            ParallelExecutor(chunksize=0)
 
     def test_worker_error_propagates(self):
-        ex = ParallelExecutor(n_jobs=2, chunksize=1)
+        ex = ParallelExecutor(n_jobs=2)
         with pytest.raises(ZeroDivisionError):
             ex.run(_reciprocal, [1.0, 0.0, 2.0])
 
     def test_on_result_fires_with_item_indices(self):
         seen = {}
-        ParallelExecutor(n_jobs=2, chunksize=2).run(
+        ParallelExecutor(n_jobs=2).run(
             _reciprocal, [1.0, 2.0, 4.0, 5.0],
             on_result=lambda i, r: seen.setdefault(i, r))
         assert seen == {0: 1.0, 1: 0.5, 2: 0.25, 3: 0.2}
@@ -399,20 +409,37 @@ class TestExecutorEquivalence:
         assert seen == [0]
 
     def test_parallel_failure_still_commits_finished_chunks(self):
-        """A failing chunk must not discard results that completed on
+        """A failing item must not discard results that completed on
         other workers before/while it failed."""
         seen = {}
         with pytest.raises(ZeroDivisionError):
-            ParallelExecutor(n_jobs=2, chunksize=1).run(
+            ParallelExecutor(n_jobs=2).run(
                 _slow_reciprocal, [0.0, 1.0, 2.0, 4.0],
                 on_result=lambda i, r: seen.setdefault(i, r))
         # items 1-3 are sub-ms on the other worker while item 0 spends
         # 0.5 s before raising: their results must have been delivered.
         assert seen == {1: 1.0, 2: 0.5, 3: 0.25}
 
+    def test_interrupt_cancels_queued_items(self):
+        """Ctrl-C in the waiting thread cannot stop a running thread, so
+        the executor must cancel every queued item before re-raising
+        instead of running the rest of the batch."""
+        ran = []
+
+        def interrupt_first(x):
+            ran.append(x)
+            if x == 0:
+                raise KeyboardInterrupt
+            import time
+            time.sleep(0.05)
+            return x
+
+        with pytest.raises(KeyboardInterrupt):
+            ParallelExecutor(n_jobs=2).run(interrupt_first, range(40))
+        assert len(ran) <= 4
+
 
 def _reciprocal(x):
-    """Module-level so the process pool can pickle it."""
     return 1.0 / x
 
 
@@ -721,30 +748,6 @@ class TestRunBatch:
     def test_empty_batch(self):
         assert run_batch({}, cache=ResultCache()) == {}
 
-    def test_progress_flows_from_executors_that_ignore_on_result(self):
-        """A custom executor honoring only the progress callback still
-        drives a live (slot-granularity) progress bar; the fallback
-        commit loop finishes the exact count afterwards."""
-        class ProgressOnlyExecutor(Executor):
-            name = "progress-only"
-
-            def run(self, fn, items, progress=None, on_result=None):
-                out = []
-                for i, item in enumerate(items):
-                    out.append(fn(item))
-                    if progress is not None:
-                        progress(i + 1, len(items))
-                return out
-
-        spec = SweepSpec(small_scenario("x"), [2 * GHZ, 5 * GHZ])
-        seen = []
-        cache = ResultCache()
-        run_batch({"a": spec}, executor=ProgressOnlyExecutor(),
-                  cache=cache,
-                  progress=lambda done, total: seen.append((done, total)))
-        assert seen == [(1, 2), (2, 2)]
-        assert cache.stats.stores == 2  # fallback loop still committed
-
     def test_run_sweep_rejects_non_spec(self):
         with pytest.raises(ConfigurationError, match="SweepSpec"):
             run_sweep([small_scenario("a")])
@@ -822,7 +825,7 @@ class TestPipelineRouting:
         parallel = model.mean_enhancement(freqs, order=1,
                                           executor=ParallelExecutor(2),
                                           cache=ResultCache())
-        assert np.max(np.abs(serial - parallel)) <= 1e-12
+        np.testing.assert_array_equal(serial, parallel)
 
     def test_deterministic_enhancement_routed(self):
         dm = DeterministicLossModel()

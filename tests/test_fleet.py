@@ -435,6 +435,7 @@ def fleet_server():
     finally:
         service.shutdown()
         server.shutdown()
+        server.server_close()
         thread.join(5)
 
 
@@ -582,6 +583,7 @@ class TestHTTPFleet:
         finally:
             service.shutdown()
             server.shutdown()
+            server.server_close()
             thread.join(5)
 
     def test_token_defaults_from_environment(self, monkeypatch):
@@ -642,6 +644,7 @@ def flaky_url():
         yield f"http://127.0.0.1:{server.server_address[1]}", handler
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(5)
 
 

@@ -276,13 +276,12 @@ class _CountingExecutor(SerialExecutor):
         self.executed = []
         self.lock = threading.Lock()
 
-    def run(self, fn, items, progress=None, on_result=None):
+    def run(self, fn, items, on_result=None):
         with self.lock:
             for group in items:
                 self.executed.extend(job.key for job in group)
         with _quiet():
-            return super().run(fn, items, progress=progress,
-                               on_result=on_result)
+            return super().run(fn, items, on_result=on_result)
 
 
 class TestCostModel:
@@ -486,7 +485,7 @@ class TestScheduler:
 
     def test_failed_job_fails_ticket(self):
         class Exploding(SerialExecutor):
-            def run(self, fn, items, progress=None, on_result=None):
+            def run(self, fn, items, on_result=None):
                 raise RuntimeError("worker exploded")
 
         scheduler = SweepScheduler(executor=Exploding(),
@@ -546,7 +545,7 @@ class TestScheduler:
 
     def test_parallel_executor_matches_engine(self):
         """The ``serve --jobs N`` configuration: the local worker runs
-        its rounds on a process pool, bit-identical to serial."""
+        its rounds on a thread pool, bit-identical to serial."""
         spec = SweepSpec(
             scenarios=[StochasticScenario(
                 f"eta{eta}", GaussianCorrelation(1 * UM, eta * UM),
@@ -609,10 +608,10 @@ class _InstantExecutor(SerialExecutor):
     """Answers each job with :func:`_instant_payload` instead of
     solving, so a stress test can run many rounds."""
 
-    def run(self, fn, items, progress=None, on_result=None):
+    def run(self, fn, items, on_result=None):
         return super().run(
             lambda group: [(_instant_payload(job), None) for job in group],
-            items, progress=progress, on_result=on_result)
+            items, on_result=on_result)
 
 
 class TestLocalWorker:
@@ -780,6 +779,7 @@ def service_url():
     finally:
         server.service.shutdown()
         server.shutdown()
+        server.server_close()
         thread.join(5)
 
 
@@ -937,6 +937,7 @@ class TestHTTPService:
             executor.release.set()
             server.service.shutdown()
             server.shutdown()
+            server.server_close()
             thread.join(5)
 
     def test_unreachable_server(self):
@@ -972,6 +973,7 @@ def test_service_smoke_fig3_http_matches_inprocess(tmp_path):
     finally:
         server.service.shutdown()
         server.shutdown()
+        server.server_close()
         thread.join(5)
     assert remote.cache_hits == remote.n_points, "warm cache must serve all"
     for scenario in reference.scenario_names:
@@ -1070,12 +1072,11 @@ class _GatedExecutor(SerialExecutor):
         self.release = threading.Event()
         self.started = threading.Event()
 
-    def run(self, fn, items, progress=None, on_result=None):
+    def run(self, fn, items, on_result=None):
         self.started.set()
         assert self.release.wait(timeout=60)
         with _quiet():
-            return super().run(fn, items, progress=progress,
-                               on_result=on_result)
+            return super().run(fn, items, on_result=on_result)
 
 
 class TestSchedulerTelemetry:
@@ -1180,6 +1181,25 @@ class TestServiceTelemetryHTTP:
         assert ('repro_http_request_seconds_count{method="GET",'
                 'route="/v1/sweeps/*"}') in text
         assert "# TYPE repro_http_requests_total counter" in text
+
+    def test_unmatched_paths_share_one_route_label(self, service_url):
+        """404 probes of arbitrary paths must not grow the request
+        counter's series without bound: they share one route label."""
+        client = ServiceClient(service_url)
+
+        def series():
+            return {line.rsplit(" ", 1)[0]
+                    for line in client.metrics_text().splitlines()
+                    if line.startswith("repro_http_requests_total{")}
+
+        series()  # the scrape's own route is counted from here on
+        before = series()
+        for path in ("/v1/teapot/aaa", "/v1/teapot/bbb", "/x/8831"):
+            with pytest.raises(urllib.error.HTTPError) as info:
+                urllib.request.urlopen(service_url + path)
+            info.value.close()
+            assert info.value.code == 404
+        assert len(series() - before) <= 1
 
     def test_trace_events_interleave_with_points(self, service_url):
         client, ticket = self._submit_and_wait(service_url, _tiny_spec())

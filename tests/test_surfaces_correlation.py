@@ -110,6 +110,24 @@ class TestExtracted:
         b = cf.spectrum_2d(k)  # cached path
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("n", [4096, 1000])
+    def test_blocked_transforms_match_one_shot_formula(self, n):
+        """The numeric transforms run in row blocks of k; each row's
+        trapezoid sum must equal the one-array formula bit for bit,
+        also when ``n`` is not a multiple of the block."""
+        from scipy.special import j0
+
+        cf = ExtractedCorrelation(1.0, 1.4, 0.53)
+        k = np.linspace(0.0, 80.0 / cf.reference_length, n)
+        d = np.linspace(0.0, 40.0 * cf.reference_length, 4096)
+        c = cf(d)
+        w2 = np.trapezoid(j0(np.outer(k, d)) * (c * d)[None, :],
+                          dx=d[1] - d[0], axis=1) / (2.0 * np.pi)
+        w1 = np.trapezoid(np.cos(np.outer(k, d)) * c[None, :],
+                          dx=d[1] - d[0], axis=1) / np.pi
+        np.testing.assert_array_equal(cf._numeric_spectrum_2d(k), w2)
+        np.testing.assert_array_equal(cf._numeric_spectrum_1d(k), w1)
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             ExtractedCorrelation(1.0, -1.4, 0.53)

@@ -167,20 +167,6 @@ class TestTracing:
         assert spans == []
         assert telemetry.phase_stats() == {}
 
-    def test_ingest_spans_feeds_aggregates(self):
-        telemetry.enable()
-        telemetry.reset_tracing()
-        telemetry.ingest_spans([
-            {"name": "factor", "start_unix": 1.0, "duration_s": 0.25,
-             "pid": 999, "tid": 1},
-            {"name": "factor", "start_unix": 2.0, "duration_s": 0.75,
-             "pid": 999, "tid": 1},
-            {"not-a-span": True},  # silently skipped
-        ])
-        stats = telemetry.phase_stats()
-        assert stats["factor"]["count"] == 2
-        assert stats["factor"]["total_s"] == pytest.approx(1.0)
-
     def test_chrome_trace_export(self):
         telemetry.enable()
         telemetry.reset_tracing()
