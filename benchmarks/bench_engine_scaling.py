@@ -56,15 +56,14 @@ def _timed(executor, cache) -> tuple[float, object]:
     return time.perf_counter() - start, result
 
 
-def test_serial_vs_parallel_speedup(benchmark):
+def test_serial_vs_parallel_speedup():
     serial_s, serial_res = _timed(SerialExecutor(), ResultCache())
     assert serial_res.n_evals > 0
 
     def parallel():
         return _timed(ParallelExecutor(n_jobs=N_JOBS), ResultCache())
 
-    parallel_s, parallel_res = benchmark.pedantic(parallel, iterations=1,
-                                                  rounds=1)
+    parallel_s, parallel_res = parallel()
     print(f"\nserial:   {serial_s:7.2f} s  ({serial_res.summary()})")
     print(f"parallel: {parallel_s:7.2f} s  at n_jobs={N_JOBS}  "
           f"speedup x{serial_s / parallel_s:.2f}")
@@ -74,7 +73,7 @@ def test_serial_vs_parallel_speedup(benchmark):
         assert np.max(diff) <= 1e-12
 
 
-def test_cache_hit_replay_latency(benchmark, tmp_path):
+def test_cache_hit_replay_latency(tmp_path):
     cache = ResultCache(disk_dir=tmp_path)
     warm_s, warm_res = _timed(SerialExecutor(), cache)
 
@@ -82,8 +81,7 @@ def test_cache_hit_replay_latency(benchmark, tmp_path):
         # Fresh memory tier: every hit comes off the on-disk store.
         return _timed(SerialExecutor(), ResultCache(disk_dir=tmp_path))
 
-    replay_s, replay_res = benchmark.pedantic(replay, iterations=1,
-                                              rounds=5)
+    replay_s, replay_res = replay()
     assert replay_res.cache_hits == replay_res.n_points
     assert replay_res.n_evals == 0
     print(f"\ncold sweep: {warm_s:7.3f} s  ({warm_res.summary()})")

@@ -325,8 +325,7 @@ def _run_job_group(jobs: list[Job]) -> list[tuple]:
                 period_um)
 
         return _estimate_group(est, scenario.options, int(scenario.n),
-                               realize, solver.solve_mesh_many_multi_k,
-                               freqs)
+                               realize, solver, int(scenario.n), freqs)
 
     from ..swm.geometry import build_mesh_3d
 
@@ -342,34 +341,42 @@ def _run_job_group(jobs: list[Job]) -> list[tuple]:
             period_um)
 
     return _estimate_group(est, scenario.options, int(model.dimension),
-                           realize, model.solver.solve_mesh_many_multi_k,
-                           freqs)
+                           realize, model.solver, int(model.n) ** 2, freqs)
 
 
-def _estimate_group(est, options, dim: int, realize, solve_multi_k,
-                    freqs: list[float]) -> list[tuple]:
+#: Solver chunks per engine block: a block's meshes are realized
+#: together and solved in one call, whose buffers serve every chunk.
+_BLOCK_CHUNKS = 8
+
+
+def _estimate_group(est, options, dim: int, realize, solver,
+                    unknowns: int, freqs: list[float]) -> list[tuple]:
     """Run one estimator over the frequency stack; one tuple per freq.
 
     Walks the estimator's own evaluation-point stream
     (:func:`~repro.stochastic.montecarlo.sample_blocks` or
     :func:`~repro.stochastic.sscm.node_blocks`) block by block: each
-    block's meshes are realized once and solved at every frequency in
-    one stacked call, so grouped values are bit-identical to the
-    public estimators' runs.
+    block's meshes (``unknowns`` points each) are realized once and
+    solved at every frequency in one stacked call. A block is the
+    ``batch_size`` override, else :data:`_BLOCK_CHUNKS` of the
+    solver's budgeted chunks (:meth:`~repro.swm.solver.SWMSolver3D.
+    chunk_size`). Blocks and chunks only group the stream, so grouped
+    values are bit-identical to the public estimators' runs.
     """
     from ..stochastic.montecarlo import MonteCarloResult, sample_blocks
     from ..stochastic.sparsegrid import smolyak_grid
     from ..stochastic.sscm import node_blocks, reproject_node_values
 
-    batch_size = _batch_size_for(est, options)
+    block = (_batch_size_for(est, options)
+             or _BLOCK_CHUNKS * solver.chunk_size(unknowns))
     if est.kind == "sscm":
-        blocks = node_blocks(smolyak_grid(dim, est.order), batch_size)
+        blocks = node_blocks(smolyak_grid(dim, est.order), block)
     else:
-        blocks = sample_blocks(dim, int(est.n_samples), est.seed,
-                               batch_size)
+        blocks = sample_blocks(dim, int(est.n_samples), est.seed, block)
     columns = []
     for xis in blocks:
-        stacks = solve_multi_k([realize(xi) for xi in xis], freqs)
+        stacks = solver.solve_mesh_many_multi_k([realize(xi) for xi in xis],
+                                                freqs)
         columns.append([[r.enhancement for r in results]
                         for results in stacks])
     values = np.concatenate(columns, axis=1)  # (F, S) enhancements

@@ -125,7 +125,8 @@ class EstimatorSpec:
     ``seed``). Deterministic scenarios ignore the estimator entirely.
 
     ``batch_size`` stacks that many sample/node solves per dense
-    factorization in the worker (``None`` = per-sample solves). It is a
+    factorization in the worker (``None`` = the solver's budgeted
+    chunk, :meth:`~repro.swm.solver.SWMSolver3D.chunk_size`). It is a
     pure performance knob — batched solves are bit-identical to
     sequential ones, seed stream included — so it is **excluded** from
     :meth:`to_spec` and therefore from job content hashes: batched and

@@ -5,10 +5,10 @@
 - :class:`SWMSolver2D` — the simplified y-uniform formulation (Fig. 6);
 - mesh builders and assembly internals for advanced use.
 
-Both solvers share one solve path (entry points, chunk loop, block
-systems, factorization, power) and return :class:`SWMResult`; each
-supplies only its mesh, its kernel assembly, its surface elements and
-its smooth-surface reference.
+Both solvers share one solve path (entry points, budgeted chunk loop,
+block systems written in place, factorization, power) and return
+:class:`SWMResult`; each supplies only its mesh, its kernel assembly,
+its surface elements and its smooth-surface reference.
 """
 
 from .assembly import AssemblyOptions, assemble_medium

@@ -28,6 +28,9 @@ treatment for near pairs.
 
 All of it runs in :class:`~repro.swm.plan.AssemblyPlan3D`, whichever
 kernel evaluator supplies ``G_reg`` (:meth:`AssemblyOptions.kernel`).
+The plan writes each medium's ``D`` and ``S`` once, straight into the
+solver's coupled block system; :func:`assemble_medium` and
+:func:`assemble_media_multi_k` return them as plain matrices.
 """
 
 from __future__ import annotations
@@ -99,19 +102,18 @@ class AssemblyOptions:
 
 
 def assemble_media_multi_k(plan: AssemblyPlan3D, media) -> list[tuple]:
-    """Assemble ``(D, S)`` stacks for every ``(k, kernel)`` in ``media``.
+    """``(D, S)`` stacks for every ``(k, kernel)`` in ``media``.
 
-    The one 3D assembly, for both kernels: one kernel pass on the
-    plan's pairs (the tables in one fused lookup shared by two media x
-    F stacked frequencies), then one per-k consumption of the plan per
-    entry. Returns ``[(d, s), ...]`` as ``(B, N, N)`` stacks in
-    ``media`` order, **bit-identical** to assembling each entry alone,
-    and each sample to a one-mesh plan.
+    The plan's one write path (:meth:`AssemblyPlan3D.write`), for both
+    kernels, into plain matrices (:meth:`AssemblyPlan3D.dense`): one
+    kernel pass on the plan's pairs (the tables in one fused lookup
+    shared by two media x F stacked frequencies), then per entry its
+    pairs, diagonal and near blocks. Returns ``[(d, s), ...]`` as ``(B,
+    N, N)`` stacks in ``media`` order, **bit-identical** to assembling
+    each entry alone, and each sample to a one-mesh plan. The solver
+    writes the same values straight into its block systems.
     """
-    media = list(media)
-    regs = plan.eval_tables([tab for _, tab in media])
-    return [plan.assemble_k(k, reg, tab.regular_at_zero())
-            for (k, tab), reg in zip(media, regs)]
+    return plan.dense(media)
 
 
 def assemble_medium(mesh: SurfaceMesh3D, k: complex,

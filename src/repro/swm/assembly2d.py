@@ -18,7 +18,10 @@ points from a kernel evaluator: the Kummer offset tables
 (:mod:`repro.swm.fastkernel2d`), which every solve uses, or the exact
 Kummer sum (:class:`~repro.swm.fastkernel2d.KummerKernel`), their
 reference, passed in by the caller. Only the near pairs subtract the
-free-space Hankel term, to replace it by its sub-segment average.
+free-space Hankel term, to replace it by its sub-segment average. The
+plan writes each medium's ``D`` and ``S`` once, straight into the
+solver's coupled block system; :func:`assemble_medium_2d` and
+:func:`assemble_media_multi_k_2d` return them as plain matrices.
 """
 
 from __future__ import annotations
@@ -55,19 +58,17 @@ class Assembly2DOptions:
 
 
 def assemble_media_multi_k_2d(plan: AssemblyPlan2D, media) -> list[tuple]:
-    """Assemble ``(D, S)`` stacks for every ``(k, kernel)`` in ``media``.
+    """``(D, S)`` stacks for every ``(k, kernel)`` in ``media``.
 
-    The one 2D assembly, for both kernels: one kernel pass on the
-    plan's pairs (the tables in one fused lookup shared by two media x
-    F stacked frequencies), then one per-k consumption of the plan per
-    entry. Returns ``[(d, s), ...]`` as ``(B, N, N)`` stacks in
-    ``media`` order, **bit-identical** to assembling each entry alone,
-    and each sample to a one-profile plan.
+    The 2D plan's one write path (:meth:`AssemblyPlan2D.write`), for
+    both kernels, into plain matrices (:meth:`AssemblyPlan2D.dense`):
+    one kernel pass on the plan's pairs (the tables in one fused lookup
+    shared by two media x F stacked frequencies), then per entry its
+    pairs, diagonal and near blocks. Returns ``[(d, s), ...]`` as ``(B,
+    N, N)`` stacks in ``media`` order, **bit-identical** to assembling
+    each entry alone, and each sample to a one-profile plan.
     """
-    media = list(media)
-    regs = plan.eval_tables([kern for _, kern in media])
-    return [plan.assemble_k(k, reg, kern.regular_at_zero())
-            for (k, kern), reg in zip(media, regs)]
+    return plan.dense(media)
 
 
 def assemble_medium_2d(mesh: SurfaceMesh2D, k: complex,

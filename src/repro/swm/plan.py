@@ -2,11 +2,11 @@
 
 An :class:`AssemblyPlan3D` / :class:`AssemblyPlan2D` holds the
 k-independent intermediates of one mesh-batch assembly — pair
-separations and distances, near-pair sub-cell geometry, self-term
-factors — built once per mesh batch and consumed by any number of
-per-wavenumber assemblies (two media x F frequencies). That is what
-lets the solver stack neighboring frequencies
-(``solve_mesh_many_multi_k``) and the engine fuse same-scenario jobs.
+separations and distances, near-pair inputs, self-term factors — built
+once per mesh batch and consumed by any number of per-wavenumber
+assemblies (two media x F frequencies). That is what lets the solver
+stack neighboring frequencies (``solve_mesh_many_multi_k``) and the
+engine fuse same-scenario jobs.
 
 **Pair form.** The periodic kernel is reciprocal: with in-plane
 separations wrapped to the minimum image, ``G(r_i - r_j) = G(r_j -
@@ -20,39 +20,56 @@ arrays. The kernel is a value the plan is handed: in 3D tabulated
 tables (:class:`~repro.swm.fastkernel2d.KummerTables`) or the exact
 Kummer sum (:class:`~repro.swm.fastkernel2d.KummerKernel`). Tables of
 one call share one fused lookup; an exact evaluator gets one
-``evaluate`` call. ``assemble_k``
-mirrors each medium's totals into ``(B, N, N)`` by parity
-(:meth:`mirror`): the value is symmetric, the gradient antisymmetric
-and the diagonal zero. What is not symmetric
-stays full-size: the near-pair sub-cell quadrature (it averages over
-the *source* cell's tangent plane), the analytic self terms on the
-diagonal, and the ``D``/``S`` matrices, whose columns carry the source
-cell's Jacobian and slopes.
+``evaluate`` call.
+
+**Written once.** :meth:`_PairPlan.write` puts each medium's ``D`` and
+``S`` straight into its block row of the coupled ``(B, 2N, 2N)``
+system (:class:`MediumBlocks`), already in the row's form: ``½I - D1 |
+(β S1) s`` or ``½I + D2 | (-S2) s``; no ``(B, N, N)`` stack is formed.
+On pair ``p = (i, j)`` the columns carry the source cell's factors,
+``S_ij = G_p J_j dA`` and ``S_ji = G_p J_i dA``, and the odd gradient
+makes ``D_ji`` the negation of ``D_ij``'s expression read at column
+``i``, so each triangle is one ``(B, M)`` expression, scattered once
+with ascending flat indices (:func:`_system_index`). The near pairs
+then overwrite their entries with the sub-cell quadrature (it averages
+over the *source* cell's tangent plane), in blocks of at most
+:data:`NEAR_BLOCK_POINTS` sub-points so that no near array grows with
+the batch, and the diagonal gets the analytic self terms.
+
+Every entry keeps the dense formula's operations: ``½I - D`` is the
+subtraction ``0.0 - D`` (it fixes the sign of a zero), ``(β S) s``
+multiplies in that order, and products written with ``out=`` keep the
+operand order of the expression they replace (numpy's complex multiply
+is not commutative bit for bit, in place or not). The lower triangle
+adds ``0.0 + D'`` where the upper subtracts (and the reverse), ``D'``
+being the negated expression: negation is exact, and the sum with
+``0.0`` erases the one thing it can change, the sign of a zero.
 
 In 2D the near-pair free-space term comes from the fused evaluator
 :func:`~repro.greens.freespace.green2d_and_gradient`: ``G`` and
 ``(1/rho) dG/drho`` together, from a small-argument series in
 ``rho^2`` inside ``|k rho| <= 2.5`` (within 1e-13 of ``max(1,
-|hankel1|)``) and from ``hankel1`` beyond, chosen per element. The
-build stores ``rho^2`` and ``ln rho`` of every near centre (once per
-unordered pair) and sub-segment point, which every medium and stacked
-frequency reuses.
+|hankel1|)``) and from ``hankel1`` beyond, chosen per element. Each
+near block evaluates ``rho^2`` and ``ln rho`` of every near centre
+(once per unordered pair) and sub-segment point once, for every medium
+and stacked frequency.
 
-Pair indices, wrapped offsets and the pairs' kernel-table columns
-depend only on the grid, so bounded caches keyed by the grid share
-them, as read-only arrays, with every plan on that grid.
+Pair indices, wrapped offsets, the pairs' kernel-table columns and
+their positions in the block system depend only on the grid, so
+bounded caches keyed by the grid share them, as read-only arrays, with
+every plan on that grid.
 
-Plans never mutate their captured arrays in :meth:`assemble_k`, so one
-plan can serve arbitrarily many wavenumbers. Every per-entry expression
-is elementwise in the sample axis, so a plan over B meshes and B plans
-over one mesh give bit-identical stacks.
+Plans never mutate their captured arrays, so one plan can serve
+arbitrarily many wavenumbers. Every per-entry expression is elementwise
+in the sample axis, so a plan over B meshes and B plans over one mesh
+write bit-identical systems.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -186,11 +203,72 @@ def check_same_grid(meshes, what: str) -> None:
             )
 
 
+#: Sub-cell (3D) or sub-segment (2D) points one near block evaluates:
+#: a block holds as many samples as fit, one at least, so the near
+#: pass's arrays keep one size whatever the batch.
+NEAR_BLOCK_POINTS = 16384
+
+
+class SystemIndex(NamedTuple):
+    """Flat positions in a ``(2N, 2N)`` block system, from a block's
+    corner: pair ``p``'s ``(iu[p], ju[p])`` (``upper``), the entries
+    below the diagonal in row-major order (``lower``) with the pair
+    each reads (``lower_pair``: ``(r, c)`` reads ``(c, r)``), and the
+    diagonal."""
+
+    upper: np.ndarray
+    lower: np.ndarray
+    lower_pair: np.ndarray
+    diag: np.ndarray
+
+
+@lru_cache(maxsize=4)
+def _system_index(n: int) -> SystemIndex:
+    """Block-system positions of the N-point grid's pairs, shared by
+    every plan with ``n`` unknowns."""
+    iu, ju = np.triu_indices(n, 1)
+    rows, cols = np.tril_indices(n, -1)
+    stride = 2 * n
+    # triu_indices numbers pair (i, j), i < j, as i n - i (i + 1) / 2
+    # + j - i - 1.
+    index = SystemIndex(iu * stride + ju, rows * stride + cols,
+                        cols * n - cols * (cols + 1) // 2 + rows - cols - 1,
+                        np.arange(n) * (stride + 1))
+    for arr in index:
+        arr.setflags(write=False)
+    return index
+
+
+class MediumBlocks(NamedTuple):
+    """One medium's block row of a ``(B, 2N, 2N)`` system: where its
+    ``D`` and ``S`` are written, and in which form.
+
+    Rows ``row`` to ``row + N`` of the C-contiguous ``out``, whose rows
+    are ``2N`` long, receive ``diag I + D`` (``sign`` +1) or ``diag I -
+    D`` (``sign`` -1) in their first N columns and ``s_form(S)`` in the
+    last N; ``s_form`` transforms a ``(b, E)`` array of ``S`` entries in
+    place. The solver's rows are ``½I - D1 | (β S1) s`` and ``½I + D2 |
+    (-S2) s``; :meth:`_PairPlan.dense` writes ``D | S`` alone.
+    """
+
+    out: np.ndarray
+    row: int
+    sign: float
+    diag: float
+    s_form: Callable[[np.ndarray], None]
+
+
+def _as_is(values: np.ndarray) -> None:
+    """The ``s_form`` that writes ``S`` itself."""
+
+
 class _PairPlan:
-    """What both plans share: the mesh batch, its grid pairs and the
-    kernel pass on them. Each plan supplies its tables class
-    (``_table_type``), their fused ``_lookup`` and its grid's cached
-    ``_fold``."""
+    """What both plans share: the mesh batch, its grid pairs, the kernel
+    pass on them and the writes into the block system. Each plan
+    supplies its tables class (``_table_type``), their fused
+    ``_lookup``, its grid's cached ``_fold`` and, per medium, the pairs'
+    totals (``_write_pairs``), the near blocks' shared geometry
+    (``_near_geometry``) and their entries (``_write_near``)."""
 
     def __init__(self, meshes, options, pairs: GridPairs) -> None:
         self.meshes = meshes
@@ -199,7 +277,11 @@ class _PairPlan:
         self.n = meshes[0].size
         self.period = meshes[0].period
         self.spacing = meshes[0].spacing
-        self.diag = np.arange(self.n)
+        self.index = _system_index(self.n)
+        rows, cols, pair, sign = _near_set(
+            pairs, options.near_radius_cells * self.spacing)
+        self.rows, self.cols, self.pair, self.sign = rows, cols, pair, sign
+        self.near_at = rows * (2 * self.n) + cols
 
     @property
     def batch(self) -> int:
@@ -233,18 +315,91 @@ class _PairPlan:
                     else kern.evaluate(*self.separations)
                     for kern in kernels]
 
-    def mirror(self, values: np.ndarray, odd: bool) -> np.ndarray:
-        """``(B, N, N)`` stack of per-pair ``(B, M)`` values by parity.
+    def write(self, media, blocks) -> None:
+        """Write each ``(k, kernel)`` medium's ``D`` and ``S`` into its
+        :class:`MediumBlocks`, in order.
 
-        Pair ``p`` fills ``(iu[p], ju[p])`` with its value and
-        ``(ju[p], iu[p])`` with the value (``odd=False``, a kernel) or
-        its negation (``odd=True``, a gradient); the diagonal is zero.
+        One kernel pass serves every medium (:meth:`eval_tables`). Per
+        medium the pairs' totals fill both triangles and the diagonal
+        gets the self terms; then the near pairs overwrite their
+        entries, block by block, each block's geometry shared by every
+        medium.
         """
-        iu, ju = self.pairs.iu, self.pairs.ju
-        out = np.zeros((self.batch, self.n, self.n), dtype=np.complex128)
-        out[:, iu, ju] = values
-        out[:, ju, iu] = -values if odd else values
-        return out
+        media = list(media)
+        regs = self.eval_tables([kern for _, kern in media])
+        for (k, kern), reg, out in zip(media, regs, blocks):
+            self._write_pairs(out, k, reg, kern.regular_at_zero())
+        if self.rows.size:
+            with span("near"):
+                for samples in self._near_blocks():
+                    near = self._near_geometry(samples)
+                    for (k, _), reg, out in zip(media, regs, blocks):
+                        self._write_near(out, samples, k, reg, near)
+
+    def dense(self, media) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each ``(k, kernel)`` medium's ``(D, S)`` as ``(B, N, N)``
+        stacks: :meth:`write` with no system around them."""
+        media, n = list(media), self.n
+        # One block row each: the write layout's row stride is 2N.
+        bufs = [np.empty((self.batch, n, 2 * n), dtype=np.complex128)
+                for _ in media]
+        self.write(media, [MediumBlocks(buf, 0, 1.0, 0.0, _as_is)
+                           for buf in bufs])
+        return [(buf[:, :n, :n], buf[:, :n, n:]) for buf in bufs]
+
+    def _near_blocks(self) -> list[slice]:
+        """Sample slices of at most :data:`NEAR_BLOCK_POINTS` near
+        sub-points each, one sample at least."""
+        per = max(1, NEAR_BLOCK_POINTS // self.sx.size)
+        return [slice(lo, lo + per) for lo in range(0, self.batch, per)]
+
+    def _put(self, out: MediumBlocks, col: int, at: np.ndarray,
+             values, samples: slice = slice(None)) -> None:
+        """Scatter ``values`` to the flat positions ``at`` of the block
+        whose corner is ``(out.row, col)``."""
+        flat = out.out.reshape(len(out.out), -1)
+        flat[samples, out.row * 2 * self.n + col:][:, at] = values
+
+    def _scatter(self, out: MediumBlocks, col: int, upper: np.ndarray,
+                 lower: np.ndarray, diag) -> None:
+        """Both triangles and the diagonal of the block whose corner is
+        ``(out.row, col)``; ``lower`` is in pair order."""
+        index = self.index
+        with span("scatter"):
+            self._put(out, col, index.upper, upper)
+            self._put(out, col, index.lower,
+                      np.take(lower, index.lower_pair, axis=1))
+            self._put(out, col, index.diag, diag)
+
+    def _write_s(self, out: MediumBlocks, upper: np.ndarray,
+                 lower: np.ndarray, diag: np.ndarray) -> None:
+        """``S`` on the pairs (column ``j``'s factor above the diagonal,
+        column ``i``'s below) and on the diagonal, in ``out``'s form."""
+        for values in (upper, lower, diag):
+            out.s_form(values)
+        self._scatter(out, self.n, upper, lower, diag)
+
+    def _write_d(self, out: MediumBlocks, upper: np.ndarray,
+                 lower: np.ndarray) -> None:
+        """``D`` on the pairs: ``upper`` is ``D_ij``, ``lower`` the same
+        expression read at column ``i``, which is ``-D_ji`` up to the
+        sign of a zero; then ``out.diag`` on the diagonal, where the
+        odd gradient leaves ``D`` zero (the flat-cell principal
+        value)."""
+        toward, away = ((np.add, np.subtract) if out.sign > 0
+                        else (np.subtract, np.add))
+        toward(0.0, upper, out=upper)
+        away(0.0, lower, out=lower)
+        self._scatter(out, 0, upper, lower, out.diag)
+
+    def _write_entries(self, out: MediumBlocks, samples: slice,
+                       s: np.ndarray, d: np.ndarray) -> None:
+        """A near block's ``S`` and ``D`` entries, at ``(rows, cols)``."""
+        out.s_form(s)
+        (np.add if out.sign > 0 else np.subtract)(0.0, d, out=d)
+        with span("scatter"):
+            self._put(out, self.n, self.near_at, s, samples)
+            self._put(out, 0, self.near_at, d, samples)
 
 
 class AssemblyPlan3D(_PairPlan):
@@ -252,8 +407,8 @@ class AssemblyPlan3D(_PairPlan):
 
     Build with :meth:`build`; evaluate the regularized kernel ``(g, gx,
     gy, gz)`` (tables or exact Ewald) on the collocation pairs for any
-    number of media/frequencies with :meth:`eval_tables`; assemble each
-    medium's ``(D, S)`` stacks with :meth:`assemble_k`.
+    number of media/frequencies with :meth:`eval_tables`; write each
+    medium's ``D`` and ``S`` into the block system with :meth:`write`.
     """
 
     _table_type = KernelTables
@@ -277,96 +432,99 @@ class AssemblyPlan3D(_PairPlan):
         plan.dx, plan.dy = pairs.dx, pairs.dy
         z = np.stack([mesh.z for mesh in meshes])
         plan.fx = fx = np.stack([mesh.fx for mesh in meshes])
-        plan.fy = fy = np.stack([mesh.fy for mesh in meshes])
+        plan.fy = np.stack([mesh.fy for mesh in meshes])
         jac = np.stack([mesh.jac for mesh in meshes])
         plan.dz = dz = z[:, pairs.iu] - z[:, pairs.ju]
 
         # Free-space primary distances on the pairs (the per-k phase is
-        # applied in assemble_k).
+        # applied per medium).
         plan.r = np.sqrt(pairs.dx * pairs.dx + pairs.dy * pairs.dy
                          + dz * dz)
         plan.inv_r = 1.0 / plan.r
 
-        # Near-pair sub-cell geometry, in both orientations: source
-        # sub-points on the local tangent plane of the source cell. (A
-        # quadratic/Hessian cell model was evaluated and rejected: at
-        # practical grid resolutions the curvature radius of a
+        # Near-pair sub-cell offsets, in both orientations: source
+        # sub-points on the local tangent plane of the source cell,
+        # whose heights each near block adds (:meth:`_near_geometry`).
+        # (A quadratic/Hessian cell model was evaluated and rejected:
+        # at practical grid resolutions the curvature radius of a
         # sigma ~ eta surface is below the cell size, so the parabolic
         # expansion diverges and destabilizes the system.)
-        rows, cols, pair, sign = _near_set(
-            pairs, options.near_radius_cells * d)
-        plan.rows, plan.cols, plan.pair, plan.sign = rows, cols, pair, sign
-        if rows.size:
-            du, dv = _subcell_offsets(options.near_quadrature, d)
-            plan.sx = (sign * pairs.dx[pair])[:, None] - du[None, :]
-            plan.sy = (sign * pairs.dy[pair])[:, None] - dv[None, :]
-            plan.sz = ((sign * dz[:, pair])[:, :, None]
-                       - (fx[:, cols][:, :, None] * du[None, None, :]
-                          + fy[:, cols][:, :, None] * dv[None, None, :]))
-            plan.rr = np.sqrt(plan.sx * plan.sx + plan.sy * plan.sy
-                              + plan.sz * plan.sz)
-            plan.inv_rr = 1.0 / plan.rr
+        if plan.rows.size:
+            plan.du, plan.dv = _subcell_offsets(options.near_quadrature, d)
+            plan.sx = (plan.sign * pairs.dx[plan.pair])[:, None] - plan.du
+            plan.sy = (plan.sign * pairs.dy[plan.pair])[:, None] - plan.dv
+            plan.sxy2 = plan.sx * plan.sx + plan.sy * plan.sy
 
         # Self-term geometry: the tilted cell as a rectangle with the
         # cell's x edge, d sqrt(1 + fx^2), as one side and the exact
-        # true area.
+        # true area, which is also each column's J dA.
         plan.ds_true = jac * plan.area
         side_a = d * np.sqrt(1.0 + fx ** 2)
         plan.i_rect = rectangle_inverse_distance_integral(
             side_a, plan.ds_true / side_a)
-        plan.jac_area = jac[:, None, :] * plan.area
         return plan
 
-    def assemble_k(self, k: complex, regs, g_reg0: complex
-                   ) -> tuple[np.ndarray, np.ndarray]:
-        """Assemble one medium's ``(D, S)`` stacks at wavenumber ``k``.
+    def _write_pairs(self, out: MediumBlocks, k: complex, regs,
+                     g_reg0: complex) -> None:
+        """One medium's pair totals and self terms at wavenumber ``k``.
 
         ``regs`` is this medium's ``(g_reg, gx_reg, gy_reg, gz_reg)``
         from :meth:`eval_tables`; ``g_reg0`` its evaluator's
-        ``regular_at_zero()``. The free-space primary is
-        added on the pairs (``dG/dr = (jk - 1/r) G``), the totals are
-        mirrored, and the near pairs and the diagonal are then
-        overwritten with their sub-cell and self terms.
+        ``regular_at_zero()``. The free-space primary is added on the
+        pairs (``dG/dr = (jk - 1/r) G``).
         """
         g_reg, gx_reg, gy_reg, gz_reg = regs
-        rows, cols, pair, sign = self.rows, self.cols, self.pair, self.sign
-
+        iu, ju = self.pairs.iu, self.pairs.ju
         g0 = green3d(self.r, k)
         dgdr_r = (1j * k - self.inv_r) * g0 * self.inv_r
-        g_total = self.mirror(g_reg + g0, odd=False)
-        gx_total = self.mirror(gx_reg + dgdr_r * self.dx, odd=True)
-        gy_total = self.mirror(gy_reg + dgdr_r * self.dy, odd=True)
-        gz_total = self.mirror(gz_reg + dgdr_r * self.dz, odd=True)
+        g = np.add(g_reg, g0, out=g0)
+        self._write_s(out, g * self.ds_true[:, ju], g * self.ds_true[:, iu],
+                      self.i_rect / (4.0 * math.pi)
+                      + (1j * k / (4.0 * math.pi)) * self.ds_true
+                      + g_reg0 * self.ds_true)
+        del g, g0
+        gx = gx_reg + dgdr_r * self.dx
+        gy = gy_reg + dgdr_r * self.dy
+        gz = gz_reg + dgdr_r * self.dz
+        del dgdr_r
+        # The diagonal keeps D's zero: the flat-cell principal value.
+        # (The leading curvature correction, (f_xx + f_yy) I_cell / 16
+        # pi, was implemented and rejected: it assumes the curvature is
+        # resolved, |kappa| dx << 1, which fails precisely on the rough
+        # meshes where it would matter, and then destabilizes (1/2 I -
+        # D). Accuracy at fixed roughness comes from grid refinement
+        # instead.)
+        self._write_d(out, (gx * self.fx[:, ju] + gy * self.fy[:, ju]
+                            - gz) * self.area,
+                      (gx * self.fx[:, iu] + gy * self.fy[:, iu]
+                       - gz) * self.area)
 
-        if rows.size:
-            with span("near"):
-                grr = green3d(self.rr, k)
-                dg_sub = ((1j * k - self.inv_rr) * grr) / self.rr
-                g_total[:, rows, cols] = g_reg[:, pair] + grr.mean(axis=-1)
-                gx_total[:, rows, cols] = (sign * gx_reg[:, pair]
-                                           + (dg_sub * self.sx).mean(axis=-1))
-                gy_total[:, rows, cols] = (sign * gy_reg[:, pair]
-                                           + (dg_sub * self.sy).mean(axis=-1))
-                gz_total[:, rows, cols] = (sign * gz_reg[:, pair]
-                                           + (dg_sub * self.sz).mean(axis=-1))
+    def _near_geometry(self, samples: slice) -> tuple:
+        """The source cells' slopes at a block's near entries and its
+        sub-cell heights and distances, which every medium reads."""
+        fx = self.fx[samples][:, self.cols]
+        fy = self.fy[samples][:, self.cols]
+        sz = ((self.sign * self.dz[samples][:, self.pair])[:, :, None]
+              - (fx[:, :, None] * self.du + fy[:, :, None] * self.dv))
+        rr = np.sqrt(self.sxy2 + sz * sz)
+        return fx, fy, sz, rr, 1.0 / rr
 
-        s_mat = g_total * self.jac_area
-        s_mat[:, self.diag, self.diag] = (
-            self.i_rect / (4.0 * math.pi)
-            + (1j * k / (4.0 * math.pi)) * self.ds_true
-            + g_reg0 * self.ds_true)
-
-        # The mirrored gradients have a zero diagonal, so D does too:
-        # the flat-cell principal value. (The leading curvature
-        # correction, (f_xx + f_yy) I_cell / 16 pi, was implemented and
-        # rejected: it assumes the curvature is resolved, |kappa| dx <<
-        # 1, which fails precisely on the rough meshes where it would
-        # matter, and then destabilizes (1/2 I - D). Accuracy at fixed
-        # roughness comes from grid refinement instead.)
-        d_mat = (gx_total * self.fx[:, None, :]
-                 + gy_total * self.fy[:, None, :]
-                 - gz_total) * self.area
-        return d_mat, s_mat
+    def _write_near(self, out: MediumBlocks, samples: slice, k: complex,
+                    regs, near: tuple) -> None:
+        """One medium's near entries in a block: the regularized kernel
+        plus the free-space primary averaged over the source sub-cell."""
+        fx, fy, sz, rr, inv_rr = near
+        g_reg, gx_reg, gy_reg, gz_reg = regs
+        pair, sign = self.pair, self.sign
+        grr = green3d(rr, k)
+        dg_sub = ((1j * k - inv_rr) * grr) / rr
+        g = g_reg[samples, pair] + grr.mean(axis=-1)
+        gx = sign * gx_reg[samples, pair] + (dg_sub * self.sx).mean(axis=-1)
+        gy = sign * gy_reg[samples, pair] + (dg_sub * self.sy).mean(axis=-1)
+        gz = sign * gz_reg[samples, pair] + (dg_sub * sz).mean(axis=-1)
+        self._write_entries(out, samples,
+                            g * self.ds_true[samples][:, self.cols],
+                            (gx * fx + gy * fy - gz) * self.area)
 
 
 class AssemblyPlan2D(_PairPlan):
@@ -375,7 +533,7 @@ class AssemblyPlan2D(_PairPlan):
     The 2D analog of :class:`AssemblyPlan3D`: :meth:`build` once per
     profile batch, :meth:`eval_tables` for the kernel pass ``(g, gx,
     gz)`` on the pairs over any number of evaluators (Kummer tables or
-    the exact Kummer sum), :meth:`assemble_k` per medium. Both
+    the exact Kummer sum), :meth:`write` for every medium. Both
     evaluators return the *total* periodic kernel — no off-diagonal
     pair has zero separation — so the free-space Hankel terms are
     needed only at the near pairs.
@@ -395,81 +553,78 @@ class AssemblyPlan2D(_PairPlan):
         pairs, d = plan.pairs, plan.spacing
         plan.dx = pairs.dx
         z = np.stack([mesh.z for mesh in meshes])
-        plan.fx = fx = np.stack([mesh.fx for mesh in meshes])
+        plan.fx = np.stack([mesh.fx for mesh in meshes])
         jac = np.stack([mesh.jac for mesh in meshes])
-        plan.dz = dz = z[:, pairs.iu] - z[:, pairs.ju]
+        plan.dz = z[:, pairs.iu] - z[:, pairs.ju]
 
-        # Near pairs: the separations of each unordered pair's centres
-        # (for the free-space term the total kernel carries) and, in
-        # both orientations, the sub-segment geometry. The free-space
-        # evaluator reads rho^2 and ln rho, which serve every medium.
-        rows, cols, pair, sign = _near_set(
-            pairs, options.near_radius_cells * d)
-        plan.rows, plan.cols, plan.pair = rows, cols, pair
-        if rows.size:
-            plan.centre = centre = pair[:pair.size // 2]
-            plan.centre_dx = cdx = pairs.dx[centre]
-            plan.centre_dz = cdz = dz[:, centre]
+        # Near pairs: the in-plane separations of each unordered pair's
+        # centres (for the free-space term the total kernel carries)
+        # and, in both orientations, of the sub-segment points; each
+        # near block adds their heights (:meth:`_near_geometry`).
+        if plan.rows.size:
+            plan.centre = plan.pair[:plan.pair.size // 2]
+            plan.centre_dx = pairs.dx[plan.centre]
             q = options.near_quadrature
-            du = ((np.arange(q) + 0.5) / q - 0.5) * d
-            plan.sx = (sign * pairs.dx[pair])[:, None] - du[None, :]
-            plan.sz = ((sign * dz[:, pair])[:, :, None]
-                       - fx[:, cols][:, :, None] * du[None, None, :])
-            # One (B, P + 2 P q) row per sample: the P centres, then
-            # the sub-segment points, for one evaluator call per medium.
-            plan.near_rho2 = np.concatenate(
-                [cdx * cdx + cdz * cdz,
-                 (plan.sx * plan.sx + plan.sz * plan.sz).reshape(
-                     len(meshes), -1)], axis=1)
-            plan.near_log = 0.5 * np.log(plan.near_rho2)
+            plan.du = ((np.arange(q) + 0.5) / q - 0.5) * d
+            plan.sx = (plan.sign * pairs.dx[plan.pair])[:, None] - plan.du
 
-        # Self-term geometry.
+        # Self-term geometry: the true segment lengths, which are also
+        # each column's J d.
         plan.h = jac * d
-        plan.jac_d = jac[:, None, :] * d
         return plan
 
-    def assemble_k(self, kk: complex, totals, g_reg0: complex
-                   ) -> tuple[np.ndarray, np.ndarray]:
-        """Assemble one medium's ``(D, S)`` stacks at wavenumber ``kk``.
-
-        ``totals`` is this medium's ``(g, gx, gz)`` from
+    def _write_pairs(self, out: MediumBlocks, kk: complex, totals,
+                     g_reg0: complex) -> None:
+        """One medium's pair totals and self terms at wavenumber
+        ``kk``. ``totals`` is this medium's ``(g, gx, gz)`` from
         :meth:`eval_tables` and ``g_reg0`` its evaluator's
-        ``regular_at_zero()``.
-        At the near pairs the free-space term is subtracted from the
-        total, once per unordered pair, and replaced by its sub-segment
-        average in each orientation; both come from the fused
-        :func:`~repro.greens.freespace.green2d_and_gradient`.
-        """
+        ``regular_at_zero()``."""
         g, gx, gz = totals
-        rows, cols = self.rows, self.cols
-        g_total = self.mirror(g, odd=False)
-        gx_total = self.mirror(gx, odd=True)
-        gz_total = self.mirror(gz, odd=True)
-
-        if rows.size:
-            with span("near"):
-                g_all, dg_all = green2d_and_gradient(self.near_rho2,
-                                                     self.near_log, kk)
-                centre = self.centre
-                g0, dg0 = g_all[:, :centre.size], dg_all[:, :centre.size]
-                g_sub = g_all[:, centre.size:].reshape(self.sz.shape)
-                dg_sub = dg_all[:, centre.size:].reshape(self.sz.shape)
-                g_reg = g[:, centre] - g0
-                gx_reg = gx[:, centre] - dg0 * self.centre_dx
-                gz_reg = gz[:, centre] - dg0 * self.centre_dz
-                g_total[:, rows, cols] = (np.concatenate([g_reg, g_reg], 1)
-                                          + g_sub.mean(axis=-1))
-                gx_total[:, rows, cols] = (
-                    np.concatenate([gx_reg, -gx_reg], 1)
-                    + (dg_sub * self.sx).mean(axis=-1))
-                gz_total[:, rows, cols] = (
-                    np.concatenate([gz_reg, -gz_reg], 1)
-                    + (dg_sub * self.sz).mean(axis=-1))
-
-        s_mat = g_total * self.jac_d
+        iu, ju = self.pairs.iu, self.pairs.ju
         log_part = np.log(kk * self.h / 4.0) + EULER_GAMMA - 1.0
         free = 0.25j * self.h * (1.0 + (2j / math.pi) * log_part)
-        s_mat[:, self.diag, self.diag] = free + g_reg0 * self.h
+        self._write_s(out, g * self.h[:, ju], g * self.h[:, iu],
+                      free + g_reg0 * self.h)
+        self._write_d(out, (gx * self.fx[:, ju] - gz) * self.spacing,
+                      (gx * self.fx[:, iu] - gz) * self.spacing)
 
-        d_mat = (gx_total * self.fx[:, None, :] - gz_total) * self.spacing
-        return d_mat, s_mat
+    def _near_geometry(self, samples: slice) -> tuple:
+        """A block's source slopes and centre heights at the near
+        entries, its sub-segment heights, and ``rho^2`` and ``ln rho``
+        of one ``(b, P + 2 P q)`` row per sample: the P centres, then
+        the sub-segment points, for one evaluator call per medium."""
+        dz = self.dz[samples]
+        fx = self.fx[samples][:, self.cols]
+        centre_dz = dz[:, self.centre]
+        sz = ((self.sign * dz[:, self.pair])[:, :, None]
+              - fx[:, :, None] * self.du)
+        rho2 = np.concatenate(
+            [self.centre_dx * self.centre_dx + centre_dz * centre_dz,
+             (self.sx * self.sx + sz * sz).reshape(len(dz), -1)], axis=1)
+        return fx, centre_dz, sz, rho2, 0.5 * np.log(rho2)
+
+    def _write_near(self, out: MediumBlocks, samples: slice, kk: complex,
+                    totals, near: tuple) -> None:
+        """One medium's near entries in a block. The free-space term is
+        subtracted from the total, once per unordered pair, and replaced
+        by its sub-segment average in each orientation; both come from
+        the fused :func:`~repro.greens.freespace.green2d_and_gradient`.
+        """
+        fx, centre_dz, sz, rho2, log_rho = near
+        g, gx, gz = totals
+        centre = self.centre
+        g_all, dg_all = green2d_and_gradient(rho2, log_rho, kk)
+        g0, dg0 = g_all[:, :centre.size], dg_all[:, :centre.size]
+        g_sub = g_all[:, centre.size:].reshape(sz.shape)
+        dg_sub = dg_all[:, centre.size:].reshape(sz.shape)
+        g_reg = g[samples, centre] - g0
+        gx_reg = gx[samples, centre] - dg0 * self.centre_dx
+        gz_reg = gz[samples, centre] - dg0 * centre_dz
+        g_near = np.concatenate([g_reg, g_reg], 1) + g_sub.mean(axis=-1)
+        gx_near = (np.concatenate([gx_reg, -gx_reg], 1)
+                   + (dg_sub * self.sx).mean(axis=-1))
+        gz_near = (np.concatenate([gz_reg, -gz_reg], 1)
+                   + (dg_sub * sz).mean(axis=-1))
+        self._write_entries(out, samples,
+                            g_near * self.h[samples][:, self.cols],
+                            (gx_near * fx - gz_near) * self.spacing)

@@ -40,9 +40,10 @@ from ..errors import ConfigurationError, SolverError
 from ..materials import PAPER_SYSTEM, TwoMediumSystem
 from .. import telemetry
 from ..telemetry import span
-from .assembly import AssemblyOptions, assemble_media_multi_k
+from .assembly import AssemblyOptions
 from .geometry import SurfaceMesh2D, SurfaceMesh3D, build_mesh_3d
-from .plan import AssemblyPlan3D, check_same_grid
+from .plan import (NEAR_BLOCK_POINTS, AssemblyPlan3D, MediumBlocks,
+                   check_same_grid)
 
 
 @dataclass(frozen=True)
@@ -75,9 +76,10 @@ class SWMOptions:
     ``batch_size`` bounds how many sample systems the batched solve path
     (:meth:`SWMSolver3D.solve_many_um`) stacks at once, and is the
     default sample-batch size for stochastic estimators running against
-    this solver (``None`` = per-sample solves). It is a pure performance
-    knob: batched results are bit-identical to per-sample solves, so it
-    is **excluded** from the content hash.
+    this solver (``None`` = the solver's budgeted chunk,
+    :meth:`SWMSolver3D.chunk_size`). It is a pure performance knob:
+    batched results are bit-identical to per-sample solves, so it is
+    **excluded** from the content hash.
     """
 
     #: Fields deliberately outside the content hash; the hash-purity
@@ -111,22 +113,21 @@ _M_TABLE_BUILDS = telemetry.counter(
     "3D kernel tables built because no cached table covered a chunk's "
     "height range.")
 
-#: Target bytes per stacked (B, N, N) assembly array. Measured optimum
-#: on current hardware: past ~0.6 MB per intermediate the batched
-#: kernel's working set falls out of cache and stacking *larger*
-#: batches gets slower, so the auto policy chunks to stay near it.
-_AUTO_STACK_BYTES = 600_000
+#: Bytes one stacked chunk's working set may take per frequency: its
+#: ``(B, 2N, 2N)`` system, both media's ``(B, M)`` kernel-pass arrays
+#: and the near block. Measured at perfbench's 8 x 8 grids, where it
+#: stacks 4 samples: more cut little further wall time and grew the
+#: peak resident memory. Grids of 20 x 20 and up get one sample per
+#: chunk; their per-solve fixed costs are a small share of a solve.
+#: Frequencies stacked in one call each add their own system and media
+#: (a scheduler group's 6 frequencies at 8 x 8 ran 1.5x slower at one
+#: sample per chunk than at 4), so the budget is not divided by them.
+_CHUNK_BYTES = 3 << 20
 
-
-def _auto_stack(n_unknowns: int) -> int:
-    """Default sample-stack size for a mesh with ``n_unknowns`` points.
-
-    Chunking is invisible to results (each chunk is assembled and
-    factored exactly as a standalone batch), so this is purely a cache
-    heuristic; ``SWMOptions.batch_size`` overrides it.
-    """
-    per_sample = n_unknowns * n_unknowns * 16  # one complex128 matrix
-    return max(2, min(64, _AUTO_STACK_BYTES // max(per_sample, 1)))
+#: The near block's share of the budget: four complex arrays of its
+#: sub-points (the kernel, its gradient factor, one product and the
+#: geometry).
+_NEAR_BYTES = 64 * NEAR_BLOCK_POINTS
 
 
 class _SWMSolver:
@@ -141,11 +142,14 @@ class _SWMSolver:
     - ``_build_mesh(heights_um, period_um)``, and ``_stack_rank``, the
       ``ndim`` of a batched height stack (3 for ``(B, n, n)`` maps, 2
       for ``(B, n)`` profiles);
+    - ``_kernel_parts``, the ``(B, M)`` arrays one medium's kernel pass
+      returns (for :meth:`chunk_size`);
     - ``_chunk_assembly(meshes, freqs, ks, meta)``: the work that stays
       outside the ``assemble`` span (kernel fetches, the ``plan`` span
       with ``meta``), returning a call that :meth:`_solve_stack` runs
-      inside that span; the call returns the ``(B, N, N)`` ``(d, s)``
-      stacks ordered ``(k1, k2)`` per frequency;
+      inside that span; the call writes each medium's ``D`` and ``S``
+      into the :class:`~repro.swm.plan.MediumBlocks` it is handed,
+      ordered ``(k1, k2)`` per frequency;
     - ``_elements(mesh)``, the surface elements of the power integral;
     - ``smooth_power(period_um, frequency_hz)``.
 
@@ -344,12 +348,32 @@ class _SWMSolver:
         """
         return self._solve_stack(list(meshes), frequencies_hz, stacklevel=4)
 
+    def chunk_size(self, n_unknowns: int) -> int:
+        """Samples per stacked chunk on a mesh of ``n_unknowns`` points.
+
+        ``options.batch_size`` when set; else the most samples whose
+        working set per frequency fits :data:`_CHUNK_BYTES` next to the
+        near block: per sample one ``(2N, 2N)`` system and both media's
+        ``(M,)`` kernel-pass arrays (``M = N(N-1)/2`` pairs). Chunking
+        is invisible to results (each chunk is assembled and factored
+        exactly as a standalone batch).
+        """
+        if self.options.batch_size is not None:
+            return self.options.batch_size
+        pairs = n_unknowns * (n_unknowns - 1) // 2
+        per_sample = 16 * (4 * n_unknowns * n_unknowns
+                           + 2 * self._kernel_parts * pairs)
+        return max(1, (_CHUNK_BYTES - _NEAR_BYTES) // per_sample)
+
     def _solve_stack(self, meshes: list, frequencies_hz,
                      stacklevel: int) -> list[list[SWMResult]]:
         """The solve kernel behind :meth:`solve_mesh_many_multi_k`.
 
         Every solve of both solvers runs here: a single solve is one
-        mesh at one frequency, a batched solve one frequency.
+        mesh at one frequency, a batched solve one frequency. The
+        meshes run in chunks of :meth:`chunk_size`; one buffer of
+        ``F`` block systems serves every chunk of the call, since each
+        chunk's writes cover all of its systems' entries.
         ``stacklevel`` is the resolution warning's, threaded from the
         public entry point.
         """
@@ -365,53 +389,63 @@ class _SWMSolver:
         ks = [self._wavenumbers_um(f) for f in freqs]
 
         n = base.size
-        max_stack = self.options.batch_size or _auto_stack(n)
+        stack = min(len(meshes), self.chunk_size(n))
+        # One buffer per frequency, not one for all: glibc raises its
+        # mmap threshold to the largest block freed, and a block F times
+        # larger moves every later temporary onto the heap.
+        systems = [np.empty((stack, 2 * n, 2 * n), dtype=np.complex128)
+                   for _ in freqs]
         results: list[list[SWMResult]] = [[] for _ in freqs]
-        for lo in range(0, len(meshes), max_stack):
-            sub = meshes[lo:lo + max_stack]
+        for lo in range(0, len(meshes), stack):
+            sub = meshes[lo:lo + stack]
             nb = len(sub)
             meta = {"n": n, "batch": nb, "freqs": len(freqs)}
-            assemble = self._chunk_assembly(sub, freqs, ks, meta)
+            write = self._chunk_assembly(sub, freqs, ks, meta)
+            chunk = [a[:nb] for a in systems]
+            blocks = [rows for a, f, (_, k2) in zip(chunk, freqs, ks)
+                      for rows in self._medium_blocks(a, f, k2)]
             with span("assemble", **meta):
-                mats = assemble()
-                systems = []
-                for f, (k1, k2) in zip(freqs, ks):
-                    (d1, s1), (d2, s2) = mats.pop(0), mats.pop(0)
-                    systems.append(self._block_system(
-                        sub, f, k1, k2, d1, s1, d2, s2))
-            for fi, f in enumerate(freqs):
-                a, rhs, scale_v = systems.pop(0)
-                sol = self._factor_stack(a, rhs, n, nb)
-                results[fi].extend(self._finish_many(
-                    sub, f, sol[:, :n], sol[:, n:] * scale_v))
+                write(blocks)
+            for a, f, (k1, k2), out in zip(chunk, freqs, ks, results):
+                sol = self._factor_stack(a, self._incident(sub, k1), n, nb)
+                out.extend(self._finish_many(sub, f, sol[:, :n],
+                                             sol[:, n:] * abs(k2)))
         return results
 
-    def _block_system(self, meshes: list, frequency_hz: float,
-                      k1: complex, k2: complex,
-                      d1: np.ndarray, s1: np.ndarray,
-                      d2: np.ndarray, s2: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Stack the coupled ``(B, 2n, 2n)`` block systems and RHS."""
+    def _medium_blocks(self, a: np.ndarray, frequency_hz: float,
+                       k2: complex) -> tuple[MediumBlocks, MediumBlocks]:
+        """The two block rows of the coupled ``(B, 2n, 2n)`` systems
+        ``a`` at one frequency: ``½I - D1 | (β S1) s`` and ``½I + D2 |
+        (-S2) s``, with the column scaling ``s = |k2|`` that solves for
+        ``v_hat = v / |k2|`` so both unknown blocks are O(1) (``v ~ k2
+        psi`` for a good conductor)."""
         beta = self.system.beta(frequency_hz)
-        nb = len(meshes)
-        n = meshes[0].size
-        half = 0.5 * np.eye(n)
-        # Column scaling: solve for v_hat = v / |k2| so both unknown
-        # blocks are O(1) (v ~ k2 * psi for a good conductor).
         scale_v = abs(k2)
-        a = np.empty((nb, 2 * n, 2 * n), dtype=np.complex128)
-        a[:, :n, :n] = half - d1
-        a[:, :n, n:] = beta * s1 * scale_v
-        a[:, n:, :n] = half + d2
-        a[:, n:, n:] = -s2 * scale_v
 
-        rhs = np.zeros((nb, 2 * n), dtype=np.complex128)
+        def beta_scaled(s: np.ndarray) -> None:
+            np.multiply(beta, s, out=s)
+            np.multiply(s, scale_v, out=s)
+
+        def negated_scaled(s: np.ndarray) -> None:
+            np.negative(s, out=s)
+            np.multiply(s, scale_v, out=s)
+
+        n = a.shape[-1] // 2
+        return (MediumBlocks(a, 0, -1.0, 0.5, beta_scaled),
+                MediumBlocks(a, n, 1.0, 0.5, negated_scaled))
+
+    @staticmethod
+    def _incident(meshes: list, k1: complex) -> np.ndarray:
+        """The ``(B, 2n)`` right-hand sides: the incident field on the
+        surface, zero in the second block row."""
+        n = meshes[0].size
+        rhs = np.zeros((len(meshes), 2 * n), dtype=np.complex128)
         # z is materialized so the -1j*k1 multiply cannot elide into
         # the stack temporary; the per-sample path multiplies a held
         # mesh.z reference, and parity with it is asserted bit-exact.
         z = np.stack([m.z for m in meshes])
         rhs[:, :n] = np.exp(-1j * k1 * z)
-        return a, rhs, scale_v
+        return rhs
 
     def _factor_stack(self, a: np.ndarray, rhs: np.ndarray,
                       n: int, nb: int) -> np.ndarray:
@@ -474,6 +508,7 @@ class SWMSolver3D(_SWMSolver):
     """
 
     _stack_rank = 3
+    _kernel_parts = 4
     _build_mesh = staticmethod(build_mesh_3d)
     _options_type = SWMOptions
     _table_builds = _M_TABLE_BUILDS
@@ -495,11 +530,11 @@ class SWMSolver3D(_SWMSolver):
     def _chunk_assembly(self, meshes: list[SurfaceMesh3D],
                         freqs: list[float],
                         ks: list[tuple[complex, complex]], meta: dict
-                        ) -> Callable[[], list]:
+                        ) -> Callable[[list], None]:
         """Each medium's kernel evaluator (:meth:`AssemblyOptions.kernel`:
         the cached tables, built or grown here, or exact Ewald), then
-        the ``plan`` span; the call runs one kernel pass and every
-        medium's assembly on the one plan, whichever kernel it is."""
+        the ``plan`` span; the call runs one kernel pass and writes
+        every medium on the one plan, whichever kernel it is."""
         opts = self.options.assembly
         period = meshes[0].period
         media = [(k, opts.kernel(k, period, partial(self._get_tables, which,
@@ -508,7 +543,7 @@ class SWMSolver3D(_SWMSolver):
                  for which, k in enumerate(pair, 1)]
         with span("plan", **meta):
             plan = AssemblyPlan3D.build(meshes, opts)
-        return lambda: assemble_media_multi_k(plan, media)
+        return lambda blocks: plan.write(media, blocks)
 
     @staticmethod
     def _elements(mesh: SurfaceMesh3D) -> np.ndarray:

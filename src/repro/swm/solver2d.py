@@ -12,10 +12,10 @@ absorbed power per unit length ``Pr = (1/2) int Re{psi* v} dl`` and the
 smooth reference ``Ps = |T0|^2 L / (2 delta)``.
 
 :class:`SWMSolver2D` runs the 3D solver's solve path (entry points,
-chunk loop, block systems, factorization, power) and returns the same
-:class:`~repro.swm.solver.SWMResult`; this module holds only what the
-2D problem changes: the profile mesh, the Kummer tables and assembly,
-the segment lengths and the smooth reference.
+budgeted chunk loop, block systems, factorization, power) and returns
+the same :class:`~repro.swm.solver.SWMResult`; this module holds only
+what the 2D problem changes: the profile mesh, the Kummer tables and
+assembly, the segment lengths and the smooth reference.
 
 The paper's Fig. 6 point: a 2D (ridged) surface of the same sigma/eta
 absorbs noticeably *less* than a true 3D rough surface — 2D roughness
@@ -33,7 +33,7 @@ from .. import telemetry
 from ..constants import METER_TO_UM
 from ..errors import ConfigurationError
 from ..telemetry import span
-from .assembly2d import Assembly2DOptions, assemble_media_multi_k_2d
+from .assembly2d import Assembly2DOptions
 from .fastkernel2d import KummerTables, build_tables
 from .geometry import SurfaceMesh2D, build_mesh_2d
 from .plan import AssemblyPlan2D
@@ -47,8 +47,9 @@ class SWM2DOptions:
     ``batch_size`` bounds how many sample systems the batched solve path
     (:meth:`SWMSolver2D.solve_many_um`) stacks at once, and is the
     default sample-batch size for estimators running against this
-    solver. Perf-only (batched results are bit-identical), so it is
-    excluded from content hashes.
+    solver (``None`` = the solver's budgeted chunk,
+    :meth:`SWMSolver2D.chunk_size`). Perf-only (batched results are
+    bit-identical), so it is excluded from content hashes.
     """
 
     #: Fields deliberately outside the content hash; the hash-purity
@@ -88,6 +89,7 @@ class SWMSolver2D(_SWMSolver):
     profiles."""
 
     _stack_rank = 2
+    _kernel_parts = 3
     _build_mesh = staticmethod(build_mesh_2d)
     _options_type = SWM2DOptions
     _table_builds = _M_TABLE_BUILDS_2D
@@ -106,17 +108,17 @@ class SWMSolver2D(_SWMSolver):
     def _chunk_assembly(self, meshes: list[SurfaceMesh2D],
                         freqs: list[float],
                         ks: list[tuple[complex, complex]], meta: dict
-                        ) -> Callable[[], list]:
+                        ) -> Callable[[list], None]:
         """Every medium's cached Kummer tables, built or grown here in
         one pass, then the ``plan`` span; the call runs one fused
-        kernel lookup and every medium's assembly on the one plan."""
+        kernel lookup and writes every medium on the one plan."""
         media = [k for pair in ks for k in pair]
         keys = [(which, f) for f in freqs for which in (1, 2)]
         kernels = self._get_tables(keys, media, meshes)
         with span("plan", **meta):
             plan = AssemblyPlan2D.build(meshes, self.options.assembly)
         media = list(zip(media, kernels))
-        return lambda: assemble_media_multi_k_2d(plan, media)
+        return lambda blocks: plan.write(media, blocks)
 
     @staticmethod
     def _elements(mesh: SurfaceMesh2D) -> np.ndarray:

@@ -168,7 +168,7 @@ class TestSharedSolvePath:
     ENTRY_POINTS = ("solve", "solve_um", "solve_mesh", "solve_many",
                     "solve_many_um", "solve_mesh_many",
                     "solve_mesh_many_multi_k")
-    KERNEL = ("_solve_stack", "_block_system", "_factor_stack",
+    KERNEL = ("_solve_stack", "_medium_blocks", "_factor_stack",
               "_finish_many")
 
     def test_2d_solver_defines_no_solve_path(self):

@@ -42,7 +42,6 @@ from repro.surfaces import GaussianCorrelation, ProfileGenerator
 from repro.swm.assembly import AssemblyOptions
 from repro.swm.geometry import build_mesh_2d, build_mesh_3d
 from repro.swm.plan import AssemblyPlan3D
-from repro.swm import solver as solver_module
 from repro.swm.solver import SWMOptions, SWMSolver3D
 from repro.swm.solver2d import SWMSolver2D
 
@@ -114,16 +113,17 @@ class TestExactEwaldSolve:
     plan serves every frequency and medium, as it does for the tables."""
 
     def test_assembles_through_the_plan(self, monkeypatch):
-        """Each chunk calls ``AssemblyPlan3D.assemble_k`` 2 x F times,
-        once per medium and frequency, on one plan per chunk."""
+        """Each chunk writes the pairs of 2 x F media
+        (``AssemblyPlan3D._write_pairs``), once per medium and
+        frequency, on one plan per chunk."""
         calls = []
-        real = AssemblyPlan3D.assemble_k
+        real = AssemblyPlan3D._write_pairs
 
-        def spy(plan, k, regs, g_reg0):
+        def spy(plan, out, k, regs, g_reg0):
             calls.append(plan)
-            return real(plan, k, regs, g_reg0)
+            return real(plan, out, k, regs, g_reg0)
 
-        monkeypatch.setattr(AssemblyPlan3D, "assemble_k", spy)
+        monkeypatch.setattr(AssemblyPlan3D, "_write_pairs", spy)
         rng = np.random.default_rng(5)
         meshes = [build_mesh_3d(rng.normal(0.0, 0.2, (6, 6)), L)
                   for _ in range(3)]
@@ -186,13 +186,13 @@ class TestWarmTableCaches:
         solver = SWMSolver3D()
         solver.solve_mesh(tall, freqs[0])  # warms freqs[0] only
         calls = []
-        real = solver_module.assemble_media_multi_k
+        real = AssemblyPlan3D.write
 
-        def spy(plan, media):
+        def spy(plan, media, blocks):
             calls.append(len(media))
-            return real(plan, media)
+            return real(plan, media, blocks)
 
-        monkeypatch.setattr(solver_module, "assemble_media_multi_k", spy)
+        monkeypatch.setattr(AssemblyPlan3D, "write", spy)
         stacked = solver.solve_mesh_many_multi_k([low, mid], freqs)
         assert calls == [2 * len(freqs)]
         warm, cold = (solver._tables[(1, f, L, 8)] for f in freqs)
@@ -324,17 +324,17 @@ class TestGroupFailureIsolation:
 
     @pytest.fixture
     def solves(self, monkeypatch):
-        """Block systems built per frequency; FAIL_HZ raises."""
+        """Block systems laid out per frequency; FAIL_HZ raises."""
         counts = Counter()
-        real = SWMSolver3D._block_system
+        real = SWMSolver3D._medium_blocks
 
-        def counted(solver, meshes, frequency_hz, *args):
+        def counted(solver, systems, frequency_hz, *args):
             counts[frequency_hz] += 1
             if frequency_hz == self.FAIL_HZ:
                 raise SolverError("synthetic failure")
-            return real(solver, meshes, frequency_hz, *args)
+            return real(solver, systems, frequency_hz, *args)
 
-        monkeypatch.setattr(SWMSolver3D, "_block_system", counted)
+        monkeypatch.setattr(SWMSolver3D, "_medium_blocks", counted)
         was = telemetry.enabled()
         telemetry.enable()  # the fallback counter is a no-op otherwise
         yield counts
