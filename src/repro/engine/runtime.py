@@ -318,16 +318,16 @@ def _run_job_group(jobs: list[Job]) -> list[tuple]:
                             * gen.correlation.sigma)
         period_um = float(scenario.period_um)
 
-        def realize(xi: np.ndarray):
+        def realize(xis: np.ndarray) -> list:
             # Matches solve_um / solve_many_um mesh construction.
-            return build_mesh_2d(
-                np.asarray(gen.from_white_noise(xi), dtype=np.float64),
-                period_um)
+            return [build_mesh_2d(np.asarray(gen.from_white_noise(xi),
+                                             dtype=np.float64), period_um)
+                    for xi in xis]
 
         return _estimate_group(est, scenario.options, int(scenario.n),
                                realize, solver, int(scenario.n), freqs)
 
-    from ..swm.geometry import build_mesh_3d
+    from ..swm.geometry import build_meshes_3d
 
     model = _model_for(scenario)
     # Bounds memory, not values: without the release, a memoized model
@@ -335,9 +335,12 @@ def _run_job_group(jobs: list[Job]) -> list[tuple]:
     model.solver.reset_tables()
     period_um = float(model.period_um)
 
-    def realize(xi: np.ndarray):
-        return build_mesh_3d(
-            np.asarray(model.surface_from_xi(xi), dtype=np.float64),
+    def realize(xis: np.ndarray) -> list:
+        # Surfaces one at a time (a stacked KL realize is a gemm, not
+        # the per-sample gemv), then all their slopes from one FFT.
+        return build_meshes_3d(
+            np.stack([np.asarray(model.surface_from_xi(xi),
+                                 dtype=np.float64) for xi in xis]),
             period_um)
 
     return _estimate_group(est, scenario.options, int(model.dimension),
@@ -356,8 +359,9 @@ def _estimate_group(est, options, dim: int, realize, solver,
     Walks the estimator's own evaluation-point stream
     (:func:`~repro.stochastic.montecarlo.sample_blocks` or
     :func:`~repro.stochastic.sscm.node_blocks`) block by block: each
-    block's meshes (``unknowns`` points each) are realized once and
-    solved at every frequency in one stacked call. A block is the
+    block's meshes (``unknowns`` points each) are realized once, by one
+    ``realize(xis)`` call, and solved at every frequency in one stacked
+    call. A block is the
     ``batch_size`` override, else :data:`_BLOCK_CHUNKS` of the
     solver's budgeted chunks (:meth:`~repro.swm.solver.SWMSolver3D.
     chunk_size`). Blocks and chunks only group the stream, so grouped
@@ -375,8 +379,7 @@ def _estimate_group(est, options, dim: int, realize, solver,
         blocks = sample_blocks(dim, int(est.n_samples), est.seed, block)
     columns = []
     for xis in blocks:
-        stacks = solver.solve_mesh_many_multi_k([realize(xi) for xi in xis],
-                                                freqs)
+        stacks = solver.solve_mesh_many_multi_k(realize(xis), freqs)
         columns.append([[r.enhancement for r in results]
                         for results in stacks])
     values = np.concatenate(columns, axis=1)  # (F, S) enhancements

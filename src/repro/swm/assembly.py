@@ -24,7 +24,12 @@ gets:
 
 The double-layer free-space primary integrates to ~0 on the diagonal
 (principal value over a symmetric flat cell) and gets the same sub-cell
-treatment for near pairs.
+treatment for near pairs. Every sub-point of source cell ``j`` lies on
+``j``'s tangent plane, so its separation ``s`` from the field point
+satisfies ``s . (f_x, f_y, -1)_j = sign (dx f_x + dy f_y - dz)``, one
+projection per entry: the near ``D`` entry is ``sign (g_x f_x + g_y f_y
+- g_z)`` of the regularized gradient plus that projection times the
+sub-cell mean of ``G'(r)/r``, and ``S`` takes the mean of ``G``.
 
 All of it runs in :class:`~repro.swm.plan.AssemblyPlan3D`, whichever
 kernel evaluator supplies ``G_reg`` (:meth:`AssemblyOptions.kernel`).

@@ -78,12 +78,12 @@ from ..greens.special import (
 #: (``AssemblyOptions.to_spec``). Kernels that agree only to rounding
 #: must never share a result-cache entry, so bump this with any change
 #: that moves a kernel value.
-KERNEL_REVISION = 5
+KERNEL_REVISION = 6
 
 #: The same for exact Ewald (:class:`EwaldKernel`, ``use_tables=False``);
 #: a string, so it never equals a tables revision. A change to the
 #: assembly both kernels share (``AssemblyPlan3D``) bumps both.
-EWALD_KERNEL_REVISION = "ewald-1"
+EWALD_KERNEL_REVISION = "ewald-2"
 
 #: ``|dz|`` nodes per period: the offset tables sample ``|dz| = j L / 128``.
 Z_NODES_PER_PERIOD = 128
@@ -353,11 +353,19 @@ class KernelTables:
         a, b = _canonical_offsets(self.n)
         self.n_offsets = a.size
         spacing = self.period / self.n
+        dx, dy = a * spacing, b * spacing
+        # offset_kernel's two passes, the spectral one with the zero
+        # offset appended: that column's node 0 is the self term's
+        # spectral part (_regular_at_zero), and it is dropped here.
+        spectral = _spectral_terms(k, cfg, np.append(dx, 0.0),
+                                   np.append(dy, 0.0), nodes)
+        self._spectral0 = complex(spectral[0][-1, 0])
         # Row r holds node r - 1: row 0 is node -1, mirrored from node 1
         # (g, gx, gy even in dz; gz odd), so every stencil is one slice.
         values = []
-        for which, q in enumerate(offset_kernel(k, cfg, a * spacing,
-                                                b * spacing, nodes)):
+        for which, (image, spec) in enumerate(zip(
+                _image_terms(k, cfg, dx, dy, nodes), spectral)):
+            q = image + spec[:-1]
             rows = np.empty((nodes.size + 1, a.size), dtype=np.complex128)
             rows[1:] = q.T
             rows[0] = -q[:, 1] if which == 3 else q[:, 1]
@@ -392,19 +400,20 @@ class KernelTables:
         return self._reg0
 
     def _regular_at_zero(self) -> complex:
+        """The primary's screened limit, the other spatial images (one
+        bracket call for all of them, summed in lattice order) and the
+        spectral sum the build evaluated at zero offset and height."""
         e = self.cfg.effective_split
         lat = self.period
         nim = self.cfg.n_images
         g = _primary_minus_free_limit(self.k, e)
         # Non-primary spatial images at zero separation.
-        for p in range(-nim, nim + 1):
-            for q in range(-nim, nim + 1):
-                if p or q:
-                    r = math.hypot(p * lat, q * lat)
-                    g += complex(erfc_scaled_pair(np.array(r), self.k, e)) / (8.0 * math.pi * r)
-        zero = np.zeros(1)
-        spectral = _spectral_terms(self.k, self.cfg, zero, zero, zero)[0]
-        return g + complex(spectral[0, 0])
+        r = np.array([math.hypot(p * lat, q * lat)
+                      for p in range(-nim, nim + 1)
+                      for q in range(-nim, nim + 1) if p or q])
+        for r_i, bracket in zip(r, erfc_scaled_pair(r, self.k, e)):
+            g += complex(bracket) / (8.0 * math.pi * float(r_i))
+        return g + self._spectral0
 
 
 class EwaldKernel:

@@ -21,11 +21,14 @@ from ..errors import MeshError
 
 def spectral_gradient_2d(heights: np.ndarray, period: float
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Periodic (FFT) partial derivatives ``(f_x, f_y)`` of a height map."""
+    """Periodic (FFT) partial derivatives ``(f_x, f_y)`` of a height map,
+    or of every map of a ``(B, n, n)`` stack from one FFT over it (each
+    map's slopes are the bits it gets alone)."""
     h = np.asarray(heights, dtype=np.float64)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise MeshError("heights must be a square 2D array")
-    n = h.shape[0]
+    if h.ndim not in (2, 3) or h.shape[-2] != h.shape[-1]:
+        raise MeshError("heights must be a square 2D array or a (B, n, n) "
+                        "stack of them")
+    n = h.shape[-1]
     k1 = 2.0 * math.pi * np.fft.fftfreq(n, d=period / n)
     kx, ky = np.meshgrid(k1, k1, indexing="ij")
     # Zero the (unpaired) Nyquist mode in each axis for a clean derivative.
@@ -102,25 +105,37 @@ def grid_coords(n: int, period: float) -> np.ndarray:
     return (np.arange(n) + 0.0) * (period / n)
 
 
-def build_mesh_3d(heights: np.ndarray, period: float) -> SurfaceMesh3D:
-    """Build a :class:`SurfaceMesh3D` from an n x n height map."""
+def build_meshes_3d(heights: np.ndarray, period: float
+                    ) -> list[SurfaceMesh3D]:
+    """One :class:`SurfaceMesh3D` per map of a ``(B, n, n)`` height stack,
+    every map's slopes from one FFT (:func:`spectral_gradient_2d`)."""
     h = np.asarray(heights, dtype=np.float64)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise MeshError(f"heights must be square 2D, got shape {h.shape}")
+    if h.ndim != 3 or h.shape[1] != h.shape[2]:
+        raise MeshError(f"heights must be a (B, n, n) stack of square maps, "
+                        f"got shape {h.shape}")
     if period <= 0.0:
         raise MeshError(f"period must be positive, got {period}")
-    n = h.shape[0]
+    n = h.shape[-1]
     if n < 4:
         raise MeshError(f"mesh needs at least 4 points per side, got {n}")
     coords = grid_coords(n, period)
     xx, yy = np.meshgrid(coords, coords, indexing="ij")
     fx, fy = spectral_gradient_2d(h, period)
     jac = np.sqrt(1.0 + fx * fx + fy * fy)
-    return SurfaceMesh3D(
-        x=xx.ravel(), y=yy.ravel(), z=h.ravel(),
-        fx=fx.ravel(), fy=fy.ravel(), jac=jac.ravel(),
+    return [SurfaceMesh3D(
+        x=xx.ravel(), y=yy.ravel(), z=h[i].ravel(),
+        fx=fx[i].ravel(), fy=fy[i].ravel(), jac=jac[i].ravel(),
         period=float(period), n=n,
-    )
+    ) for i in range(h.shape[0])]
+
+
+def build_mesh_3d(heights: np.ndarray, period: float) -> SurfaceMesh3D:
+    """Build a :class:`SurfaceMesh3D` from an n x n height map: the
+    one-map case of :func:`build_meshes_3d`."""
+    h = np.asarray(heights, dtype=np.float64)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise MeshError(f"heights must be square 2D, got shape {h.shape}")
+    return build_meshes_3d(h[None], period)[0]
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,18 @@ adds ``0.0 + D'`` where the upper subtracts (and the reverse), ``D'``
 being the negated expression: negation is exact, and the sum with
 ``0.0`` erases the one thing it can change, the sign of a zero.
 
+In 3D every near sub-point lies on the source cell's tangent plane,
+where ``sx fx + sy fy - sz`` is the entry's one projection ``sign (dx fx
++ dy fy - dz)``. The free-space primary's gradient, projected on the
+cell's ``(fx, fy, -1)``, is then that projection times ``G'/r``, so a
+near ``D`` entry needs one sub-cell mean, of ``G'/r = jk G/r - G/r^2``,
+beside the mean of ``G`` that ``S`` needs. A near block lays its
+sub-points out sub-point-major, ``(b, q^2, E)``, so each mean (of
+``G``, ``G/r`` and ``G/r^2``) is a sum over a leading axis; its
+k-independent distances, their reciprocals and the projections are
+computed once for every medium and stacked frequency, and each medium
+pays one complex ``exp`` per sub-point.
+
 In 2D the near-pair free-space term comes from the fused evaluator
 :func:`~repro.greens.freespace.green2d_and_gradient`: ``G`` and
 ``(1/rho) dG/drho`` together, from a small-argument series in
@@ -350,7 +362,7 @@ class _PairPlan:
     def _near_blocks(self) -> list[slice]:
         """Sample slices of at most :data:`NEAR_BLOCK_POINTS` near
         sub-points each, one sample at least."""
-        per = max(1, NEAR_BLOCK_POINTS // self.sx.size)
+        per = max(1, NEAR_BLOCK_POINTS // self.sub_points)
         return [slice(lo, lo + per) for lo in range(0, self.batch, per)]
 
     def _put(self, out: MediumBlocks, col: int, at: np.ndarray,
@@ -442,18 +454,25 @@ class AssemblyPlan3D(_PairPlan):
                          + dz * dz)
         plan.inv_r = 1.0 / plan.r
 
-        # Near-pair sub-cell offsets, in both orientations: source
-        # sub-points on the local tangent plane of the source cell,
-        # whose heights each near block adds (:meth:`_near_geometry`).
-        # (A quadratic/Hessian cell model was evaluated and rejected:
-        # at practical grid resolutions the curvature radius of a
-        # sigma ~ eta surface is below the cell size, so the parabolic
-        # expansion diverges and destabilizes the system.)
+        # Near pairs, in both orientations: each entry's in-plane
+        # separation from the source cell's centre (``sdx``, ``sdy``)
+        # and, sub-point-major as ``(q^2, E)``, the squared in-plane
+        # distances to the source sub-points on the local tangent plane
+        # of the source cell, whose heights each near block adds
+        # (:meth:`_near_geometry`). (A quadratic/Hessian cell model was
+        # evaluated and rejected: at practical grid resolutions the
+        # curvature radius of a sigma ~ eta surface is below the cell
+        # size, so the parabolic expansion diverges and destabilizes
+        # the system.)
         if plan.rows.size:
-            plan.du, plan.dv = _subcell_offsets(options.near_quadrature, d)
-            plan.sx = (plan.sign * pairs.dx[plan.pair])[:, None] - plan.du
-            plan.sy = (plan.sign * pairs.dy[plan.pair])[:, None] - plan.dv
-            plan.sxy2 = plan.sx * plan.sx + plan.sy * plan.sy
+            du, dv = _subcell_offsets(options.near_quadrature, d)
+            plan.du, plan.dv = du[:, None], dv[:, None]
+            plan.sdx = plan.sign * pairs.dx[plan.pair]
+            plan.sdy = plan.sign * pairs.dy[plan.pair]
+            sx = plan.sdx - plan.du
+            sy = plan.sdy - plan.dv
+            plan.sxy2 = sx * sx + sy * sy
+            plan.sub_points = plan.sxy2.size
 
         # Self-term geometry: the tilted cell as a rectangle with the
         # cell's x edge, d sqrt(1 + fx^2), as one side and the exact
@@ -500,31 +519,62 @@ class AssemblyPlan3D(_PairPlan):
                        - gz) * self.area)
 
     def _near_geometry(self, samples: slice) -> tuple:
-        """The source cells' slopes at a block's near entries and its
-        sub-cell heights and distances, which every medium reads."""
-        fx = self.fx[samples][:, self.cols]
-        fy = self.fy[samples][:, self.cols]
-        sz = ((self.sign * self.dz[samples][:, self.pair])[:, :, None]
-              - (fx[:, :, None] * self.du + fy[:, :, None] * self.dv))
+        """What every medium reads of a block's near entries: the source
+        cells' slopes, the sub-point distances ``r`` as ``(b, q^2, E)``,
+        ``1/r`` stored twice per value, ``(b, q^2, 2E)``, to scale a
+        complex ``(b, q^2, E)`` array through its float view (a real
+        product, which rounds alike wherever it runs), and the
+        projection ``sign (dx fx + dy fy - dz)``.
+        """
+        # np.take keeps the gathers C-ordered, and with them every
+        # (b, q^2, E) array: the means sum whole rows of it.
+        fx_cell, fy_cell = self.fx[samples], self.fy[samples]
+        fx = np.take(fx_cell, self.cols, axis=1)
+        fy = np.take(fy_cell, self.cols, axis=1)
+        sdz = self.sign * np.take(self.dz[samples], self.pair, axis=1)
+        # Sub-point heights over each source cell's centre, per cell.
+        rise = fx_cell[:, None] * self.du + fy_cell[:, None] * self.dv
+        sz = sdz[:, None] - np.take(rise, self.cols, axis=2)
         rr = np.sqrt(self.sxy2 + sz * sz)
-        return fx, fy, sz, rr, 1.0 / rr
+        inv_r = np.empty(rr.shape[:-1] + (2 * rr.shape[-1],))
+        inv_r[..., 0::2] = inv_r[..., 1::2] = 1.0 / rr
+        proj = self.sdx * fx + self.sdy * fy - sdz
+        return fx, fy, rr, inv_r, proj
 
     def _write_near(self, out: MediumBlocks, samples: slice, k: complex,
                     regs, near: tuple) -> None:
         """One medium's near entries in a block: the regularized kernel
-        plus the free-space primary averaged over the source sub-cell."""
-        fx, fy, sz, rr, inv_rr = near
+        plus the free-space primary averaged over the source sub-cell.
+
+        Every sub-point lies on the source cell's tangent plane, so the
+        primary's gradient projects onto the cell's ``(fx, fy, -1)`` as
+        ``proj G'/r`` with one ``proj`` per entry: ``S`` needs the mean
+        of ``G = exp(jkr) / (4 pi r)`` and ``D`` the mean of ``G'/r =
+        jk G/r - G/r^2``. Each mean is a sum over the leading sub-point
+        axis of the phase ``exp(jkr)``, the one transcendental, scaled
+        in place by ``1/r`` once more per mean.
+        """
+        fx, fy, rr, inv_r, proj = near
         g_reg, gx_reg, gy_reg, gz_reg = regs
-        pair, sign = self.pair, self.sign
-        grr = green3d(rr, k)
-        dg_sub = ((1j * k - inv_rr) * grr) / rr
-        g = g_reg[samples, pair] + grr.mean(axis=-1)
-        gx = sign * gx_reg[samples, pair] + (dg_sub * self.sx).mean(axis=-1)
-        gy = sign * gy_reg[samples, pair] + (dg_sub * self.sy).mean(axis=-1)
-        gz = sign * gz_reg[samples, pair] + (dg_sub * sz).mean(axis=-1)
+        pair, jk = self.pair, 1j * k
+        phase = jk * rr
+        np.exp(phase, out=phase)
+        flat = phase.view(np.float64)
+        # Sub-cell means of G, G/r and G/r^2.
+        scale = 1.0 / (4.0 * math.pi * self.du.size)
+        means = []
+        for _ in range(3):
+            np.multiply(flat, inv_r, out=flat)
+            means.append(flat.sum(axis=1).view(np.complex128) * scale)
+        g_mean, g_r, g_r2 = means
+        dg_mean = jk * g_r - g_r2
+        tangent = (gx_reg[samples, pair] * fx + gy_reg[samples, pair] * fy
+                   - gz_reg[samples, pair])
         self._write_entries(out, samples,
-                            g * self.ds_true[samples][:, self.cols],
-                            (gx * fx + gy * fy - gz) * self.area)
+                            (g_reg[samples, pair] + g_mean)
+                            * self.ds_true[samples][:, self.cols],
+                            (self.sign * tangent + proj * dg_mean)
+                            * self.area)
 
 
 class AssemblyPlan2D(_PairPlan):
@@ -567,6 +617,7 @@ class AssemblyPlan2D(_PairPlan):
             q = options.near_quadrature
             plan.du = ((np.arange(q) + 0.5) / q - 0.5) * d
             plan.sx = (plan.sign * pairs.dx[plan.pair])[:, None] - plan.du
+            plan.sub_points = plan.sx.size
 
         # Self-term geometry: the true segment lengths, which are also
         # each column's J d.

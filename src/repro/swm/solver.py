@@ -41,7 +41,8 @@ from ..materials import PAPER_SYSTEM, TwoMediumSystem
 from .. import telemetry
 from ..telemetry import span
 from .assembly import AssemblyOptions
-from .geometry import SurfaceMesh2D, SurfaceMesh3D, build_mesh_3d
+from .geometry import (SurfaceMesh2D, SurfaceMesh3D, build_mesh_3d,
+                       build_meshes_3d)
 from .plan import (NEAR_BLOCK_POINTS, AssemblyPlan3D, MediumBlocks,
                    check_same_grid)
 
@@ -124,9 +125,11 @@ _M_TABLE_BUILDS = telemetry.counter(
 #: sample per chunk than at 4), so the budget is not divided by them.
 _CHUNK_BYTES = 3 << 20
 
-#: The near block's share of the budget: four complex arrays of its
-#: sub-points (the kernel, its gradient factor, one product and the
-#: geometry).
+#: The near block's share of the budget, 64 bytes per sub-point. A block
+#: holds at most 40: each sub-point's distance and its reciprocal, the
+#: latter twice to scale a complex array's float view (24 bytes, shared
+#: by every medium), and one medium's complex phase at a time (16);
+#: building that geometry peaks at the same 40.
 _NEAR_BYTES = 64 * NEAR_BLOCK_POINTS
 
 
@@ -139,9 +142,10 @@ class _SWMSolver:
     evaluation live here once. A subclass supplies only what differs:
 
     - ``_options_type``, its options class;
-    - ``_build_mesh(heights_um, period_um)``, and ``_stack_rank``, the
-      ``ndim`` of a batched height stack (3 for ``(B, n, n)`` maps, 2
-      for ``(B, n)`` profiles);
+    - ``_build_mesh(heights_um, period_um)``, ``_build_meshes`` for a
+      batched height stack (the 3D one takes one FFT per stack) and
+      ``_stack_rank``, that stack's ``ndim`` (3 for ``(B, n, n)`` maps,
+      2 for ``(B, n)`` profiles);
     - ``_kernel_parts``, the ``(B, M)`` arrays one medium's kernel pass
       returns (for :meth:`chunk_size`);
     - ``_chunk_assembly(meshes, freqs, ks, meta)``: the work that stays
@@ -298,8 +302,14 @@ class _SWMSolver:
                 f"batched heights must be a {self._stack_rank}-D (B, ...) "
                 f"stack, got shape {heights_um.shape}"
             )
-        meshes = [self._build_mesh(h, period_um) for h in heights_um]
-        return self._solve_stack(meshes, [frequency_hz], stacklevel)[0]
+        return self._solve_stack(self._build_meshes(heights_um, period_um),
+                                 [frequency_hz], stacklevel)[0]
+
+    def _build_meshes(self, heights_um: np.ndarray, period_um: float
+                      ) -> list:
+        """One mesh per height stack entry (2D profiles, one at a time;
+        :class:`SWMSolver3D` builds its maps' slopes from one FFT)."""
+        return [self._build_mesh(h, period_um) for h in heights_um]
 
     def _check_resolution(self, spacing_um: float, frequency_hz: float,
                           stacklevel: int) -> None:
@@ -510,6 +520,7 @@ class SWMSolver3D(_SWMSolver):
     _stack_rank = 3
     _kernel_parts = 4
     _build_mesh = staticmethod(build_mesh_3d)
+    _build_meshes = staticmethod(build_meshes_3d)
     _options_type = SWMOptions
     _table_builds = _M_TABLE_BUILDS
 

@@ -1,5 +1,8 @@
 """Tests of the 3D MOM assembly (exact vs tabulated kernels, self terms)."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,9 +23,14 @@ from repro.swm.fastkernel import (
     tables_for_mesh,
 )
 from repro.swm.geometry import build_mesh_3d, grid_coords
-from repro.swm.plan import AssemblyPlan3D, _grid_fold, _grid_pairs, _wrap
+from repro.swm import plan as plan_module
+from repro.swm.plan import (AssemblyPlan3D, _grid_fold, _grid_pairs,
+                            _subcell_offsets, _wrap)
+from repro.swm.solver import SWMOptions, SWMSolver3D, _SWMSolver
 from repro.errors import ConfigurationError, MeshError
-from repro.greens.special import ewald_spectral_brackets
+from repro.greens.ewald import _primary_minus_free_limit
+from repro.greens.freespace import green3d
+from repro.greens.special import erfc_scaled_pair, ewald_spectral_brackets
 
 
 def _mirror(plan, values, odd):
@@ -167,6 +175,98 @@ class TestKernelAccuracyNorms:
             assert err <= 1e-5
 
 
+def _component_near(plan, k, regs):
+    """The near entries' ``(S, D)`` as ``(B, E)`` arrays in component
+    form: the free-space gradient's x, y and z sub-cell means, each
+    added to its regularized component and then projected on the source
+    cell's ``(fx, fy, -1)``."""
+    g_reg, gx_reg, gy_reg, gz_reg = regs
+    pair, sign, cols = plan.pair, plan.sign, plan.cols
+    du, dv = _subcell_offsets(plan.options.near_quadrature, plan.spacing)
+    sx = (sign * plan.pairs.dx[pair])[:, None] - du
+    sy = (sign * plan.pairs.dy[pair])[:, None] - dv
+    fx, fy = plan.fx[:, cols], plan.fy[:, cols]
+    sz = ((sign * plan.dz[:, pair])[..., None]
+          - (fx[..., None] * du + fy[..., None] * dv))
+    rr = np.sqrt(sx * sx + sy * sy + sz * sz)
+    grr = green3d(rr, k)
+    dg = (1j * k - 1.0 / rr) * grr / rr
+    g = g_reg[:, pair] + grr.mean(axis=-1)
+    gx = sign * gx_reg[:, pair] + (dg * sx).mean(axis=-1)
+    gy = sign * gy_reg[:, pair] + (dg * sy).mean(axis=-1)
+    gz = sign * gz_reg[:, pair] + (dg * sz).mean(axis=-1)
+    return (g * plan.ds_true[:, cols],
+            (gx * fx + gy * fy - gz) * plan.area)
+
+
+class TestNearTangentPlane:
+    """The near pass averages the free-space primary over the source
+    sub-cell's tangent plane, where ``sx fx + sy fy - sz`` is one
+    projection per entry: its two means must reproduce the component
+    form's three gradient means to rounding."""
+
+    @pytest.mark.parametrize("n", [6, 8, 12])
+    @pytest.mark.parametrize("use_tables", [True, False])
+    def test_entries_match_component_form(self, n, use_tables):
+        """``max|plan - component form|`` over ``max|component form|``
+        on each sample's near entries, flat and rough, stays <= 1e-13
+        for S and D in both media at 1 and 5 GHz, with tables and with
+        exact Ewald."""
+        meshes = [_rough_mesh(n=n, amp=0.8, seed=n),
+                  build_mesh_3d(np.zeros((n, n)), 5.0)]
+        opts = AssemblyOptions(use_tables=use_tables)
+        cfg = opts.ewald_config(5.0)
+        plan = AssemblyPlan3D.build(meshes, opts)
+        rows, cols = plan.rows, plan.cols
+        for f_ghz in (1, 5):
+            for which in (1, 2):
+                k = _medium_k(which, f_ghz)
+                kern = (KernelTables(k, cfg, n, z_extent=3.0) if use_tables
+                        else EwaldKernel(k, cfg))
+                d, s = plan.dense([(k, kern)])[0]
+                s_ref, d_ref = _component_near(
+                    plan, k, plan.eval_tables([kern])[0])
+                for got, want in ((s[:, rows, cols], s_ref),
+                                  (d[:, rows, cols], d_ref)):
+                    for a, b in zip(got, want):
+                        err = np.max(np.abs(a - b))
+                        assert err <= 1e-13 * np.max(np.abs(b)), (
+                            f_ghz, which, err)
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_near_blocks_never_change_a_system(self, monkeypatch, n):
+        """Near blocks of 1 sample, 2 samples and all samples write the
+        same bits into every solver system, two frequencies stacked."""
+        rng = np.random.default_rng(n)
+        meshes = [build_mesh_3d(rng.normal(0.0, 0.4, (n, n)), 5.0)
+                  for _ in range(4)]
+        meshes.append(build_mesh_3d(np.zeros((n, n)), 5.0))
+        points = AssemblyPlan3D.build(meshes[:1],
+                                      AssemblyOptions()).sub_points
+        systems = {}
+
+        def capture(solver, a, rhs, n_unknowns, nb):
+            systems[per].append(a.copy())
+            return np.ones((nb, 2 * n_unknowns), dtype=np.complex128)
+
+        monkeypatch.setattr(_SWMSolver, "_factor_stack", capture)
+        for per in (1, 2, len(meshes)):
+            monkeypatch.setattr(plan_module, "NEAR_BLOCK_POINTS",
+                                per * points)
+            systems[per] = []
+            solver = SWMSolver3D(options=SWMOptions(batch_size=len(meshes)))
+            plan = AssemblyPlan3D.build(meshes, solver.options.assembly)
+            assert len(plan._near_blocks()) == -(-len(meshes) // per)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                solver.solve_mesh_many_multi_k(meshes, [2 * GHZ, 5 * GHZ])
+        for per in (2, len(meshes)):
+            assert len(systems[per]) == len(systems[1]) == 2
+            for got, want in zip(systems[per], systems[1]):
+                np.testing.assert_array_equal(got.view(np.uint64),
+                                              want.view(np.uint64))
+
+
 class TestFlatRowSums:
     """On a flat surface, sum_j S_ij ~ integral of G over the patch =
     j/(2k) (only the specular spectral mode survives)."""
@@ -284,6 +384,45 @@ class TestShellKernel:
                                     tables=tables)
         assert calls == [tables]
         np.testing.assert_array_equal(again[1], first[1])
+
+    @pytest.mark.parametrize("period", [5.0, 15.0])
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("f_ghz", [1, 9])
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_self_term_and_columns_from_one_spectral_pass(self, which,
+                                                          f_ghz, n,
+                                                          period):
+        """The build's spectral pass, with the zero offset appended,
+        gives the self term the bits of one scalar bracket call per
+        lattice image plus a standalone zero-offset spectral call, and
+        leaves every table column the bits of ``offset_kernel``."""
+        k = _medium_k(which, f_ghz)
+        cfg = AssemblyOptions().ewald_config(period)
+        tab = KernelTables(k, cfg, n, z_extent=1.0)
+        e, nim = cfg.effective_split, cfg.n_images
+        want = _primary_minus_free_limit(k, e)
+        for p in range(-nim, nim + 1):
+            for q in range(-nim, nim + 1):
+                if p or q:
+                    r = math.hypot(p * period, q * period)
+                    want += (complex(erfc_scaled_pair(np.array(r), k, e))
+                             / (8.0 * math.pi * r))
+        zero = np.zeros(1)
+        want += complex(fastkernel._spectral_terms(k, cfg, zero, zero,
+                                                   zero)[0][0, 0])
+        got = tab.regular_at_zero()
+        assert (np.array([got]).view(np.uint64).tolist()
+                == np.array([want]).view(np.uint64).tolist())
+
+        a, b = fastkernel._canonical_offsets(n)
+        nodes = np.arange(tab._last + 1) * (period
+                                            / fastkernel.Z_NODES_PER_PERIOD)
+        spacing = period / n
+        for values, q in zip(tab._values, offset_kernel(
+                k, cfg, a * spacing, b * spacing, nodes)):
+            np.testing.assert_array_equal(
+                values.reshape(nodes.size + 1, a.size)[1:].view(np.uint64),
+                np.ascontiguousarray(q.T).view(np.uint64))
 
     def test_multi_table_evaluation_is_bit_identical(self):
         """On the plan's pair arrays, the fused pass equals a direct

@@ -7,6 +7,7 @@ from repro.errors import MeshError
 from repro.swm.geometry import (
     build_mesh_2d,
     build_mesh_3d,
+    build_meshes_3d,
     spectral_gradient_1d,
     spectral_gradient_2d,
 )
@@ -79,6 +80,37 @@ class TestMesh3D:
             build_mesh_3d(np.zeros((8, 8)), -1.0)
         with pytest.raises(MeshError):
             build_mesh_3d(np.zeros(8), 5.0)
+        with pytest.raises(MeshError):
+            build_meshes_3d(np.zeros((8, 8)), 5.0)
+        with pytest.raises(MeshError):
+            build_meshes_3d(np.zeros((2, 8, 9)), 5.0)
+        with pytest.raises(MeshError):
+            spectral_gradient_2d(np.zeros((2, 8, 9)), 5.0)
+
+
+class TestStackedMeshes:
+    """A block's meshes take their slopes from one FFT over the stack;
+    each must keep the bits of its map built alone."""
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 8, 12, 20, 32])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 17])
+    def test_stacked_meshes_match_per_map(self, n, batch):
+        rng = np.random.default_rng(n * 100 + batch)
+        heights = rng.normal(0.0, 0.4, (batch, n, n))
+        stacked = build_meshes_3d(heights, 5.0)
+        assert len(stacked) == batch
+        for h, got in zip(heights, stacked):
+            alone = build_mesh_3d(h, 5.0)
+            fx, fy = spectral_gradient_2d(h, 5.0)
+            for name in ("x", "y", "z", "fx", "fy", "jac"):
+                np.testing.assert_array_equal(
+                    getattr(got, name).view(np.uint64),
+                    getattr(alone, name).view(np.uint64))
+            np.testing.assert_array_equal(got.fx.view(np.uint64),
+                                          fx.ravel().view(np.uint64))
+            np.testing.assert_array_equal(got.fy.view(np.uint64),
+                                          fy.ravel().view(np.uint64))
+            assert (got.n, got.period) == (alone.n, alone.period)
 
 
 class TestMesh2D:
