@@ -6,6 +6,12 @@ formulation of Fig. 6.
 
 Both use the ``exp(-j*omega*t)`` convention: ``Im(k) >= 0`` gives decay.
 
+**The 3D phase.** :func:`exp_jkr_parts` forms ``exp(jkr)`` at real
+distances from real, vectorized passes (one ``tan`` of the half angle
+and, for a lossy medium, one real ``exp``), as separate real and
+imaginary planes; :func:`green3d`, the 3D assembly plan's near pass and
+the kernel tables' radial tables all take their phase from it.
+
 **The fused 2D evaluator.** :func:`green2d_and_gradient` returns ``G``
 and its gradient factor ``(1/rho) dG/drho = -(j k / 4) H1(k rho) / rho``
 together (the Cartesian gradient is that factor times the separation).
@@ -50,13 +56,78 @@ SERIES_TERMS = 14
 EULER_GAMMA = 0.5772156649015329
 
 
+def exp_jkr_parts(k: complex, r: np.ndarray) -> np.ndarray:
+    """The real and imaginary parts of ``exp(jkr)`` at real ``r``, as a
+    ``(2,) + r.shape`` stack, from real passes only.
+
+    With ``t = tan(Re(k) r / 2)``::
+
+        exp(jkr) = exp(-Im(k) r) ((1 - t^2) + 2jt) / (1 + t^2)
+
+    one ``tan``, one real ``exp`` (skipped when ``Im k == 0``),
+    products and two divisions, each a contiguous pass over one plane
+    of the stack or one float temporary. numpy's complex ``exp`` runs
+    one element at a time, while its float64 ``tan`` and ``exp`` are
+    vectorized where numpy dispatches its AVX-512 loops (an AVX2-only
+    host falls back to libm for ``tan``, unmeasured). Every operation is
+    elementwise and ``tan`` and ``exp`` run on fresh contiguous
+    buffers, so an element's bits do not depend on the shape or strides
+    of ``r``. Against ``exp``, ``cos`` and ``sin`` of the same
+    float64 arguments ``r * -Im(k)`` and ``r * Re(k)`` in extended
+    precision it stays within 1e-15 of ``|exp(jkr)|`` (measured: 4.0e-16
+    over ``r`` in [0, 60] for conductor- and dielectric-like ``k``;
+    numpy's complex ``exp`` 2.6e-16), and it stays finite where ``Re(k) r / 2`` meets a pole of
+    the tangent: ``(1 - t^2) / (1 + t^2)`` tends to -1 and ``2t / (1 +
+    t^2)`` to 0 as ``|t|`` grows.
+    """
+    k = complex(k)
+    r = np.asarray(r, dtype=np.float64)
+    parts = np.empty((2,) + r.shape)
+    re, im = parts[0, ...], parts[1, ...]
+    denom = np.empty(r.shape)
+    np.multiply(r, 0.5 * k.real, out=im)
+    np.tan(im, out=im)
+    np.multiply(im, im, out=re)
+    np.add(re, 1.0, out=denom)
+    np.subtract(1.0, re, out=re)
+    np.add(im, im, out=im)
+    np.divide(parts, denom, out=parts)
+    if k.imag != 0.0:
+        np.multiply(r, -k.imag, out=denom)
+        np.exp(denom, out=denom)
+        np.multiply(parts, denom, out=parts)
+    return parts
+
+
+def complex_from_parts(parts: np.ndarray) -> np.ndarray:
+    """A complex array from a ``(2, ...)`` stack of its real and
+    imaginary parts (exact copies)."""
+    out = np.empty(parts.shape[1:], dtype=np.complex128)
+    out.real, out.imag = parts
+    return out
+
+
+def exp_jkr(k: complex, r: np.ndarray) -> np.ndarray:
+    """``exp(jkr)`` at real ``r``: :func:`exp_jkr_parts` as one complex
+    array."""
+    return complex_from_parts(exp_jkr_parts(k, r))
+
+
 def green3d(r: np.ndarray, k: complex) -> np.ndarray:
     """3D scalar Green's function ``exp(jkr)/(4 pi r)`` for distances ``r``.
 
     ``r`` must be positive; the caller handles the self-term singularity.
+    The phase comes from :func:`exp_jkr_parts`, the half-angle identity
+    ``exp(jkr) = exp(-Im(k) r) ((1 - t^2) + 2jt) / (1 + t^2)`` with ``t =
+    tan(Re(k) r / 2)`` in real passes, within 1e-15 of ``|exp(jkr)|``
+    (4.0e-16 measured against an extended-precision reference, where
+    numpy's complex ``exp`` reads 2.6e-16); both of its parts are then
+    divided by ``4 pi r``.
     """
     r = np.asarray(r, dtype=np.float64)
-    return np.exp(1j * k * r) / (4.0 * np.pi * r)
+    parts = exp_jkr_parts(k, r)
+    np.divide(parts, 4.0 * np.pi * r, out=parts)
+    return complex_from_parts(parts)
 
 
 def green3d_radial_derivative(r: np.ndarray, k: complex) -> np.ndarray:

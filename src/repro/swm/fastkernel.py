@@ -67,6 +67,7 @@ from ..errors import ConfigurationError
 from .geometry import SurfaceMesh3D
 from ..greens.ewald import (EwaldConfig, _gamma_mn, _primary_minus_free_limit,
                             periodic_green, periodic_green_and_gradient)
+from ..greens.freespace import exp_jkr
 from ..greens.special import (
     erfc_scaled_pair,
     erfc_scaled_pair_with_derivative,
@@ -78,12 +79,13 @@ from ..greens.special import (
 #: (``AssemblyOptions.to_spec``). Kernels that agree only to rounding
 #: must never share a result-cache entry, so bump this with any change
 #: that moves a kernel value.
-KERNEL_REVISION = 6
+KERNEL_REVISION = 7
 
 #: The same for exact Ewald (:class:`EwaldKernel`, ``use_tables=False``);
 #: a string, so it never equals a tables revision. A change to the
-#: assembly both kernels share (``AssemblyPlan3D``) bumps both.
-EWALD_KERNEL_REVISION = "ewald-2"
+#: assembly both kernels share (``AssemblyPlan3D`` and the free-space
+#: primary it adds, ``green3d``) bumps both.
+EWALD_KERNEL_REVISION = "ewald-3"
 
 #: ``|dz|`` nodes per period: the offset tables sample ``|dz| = j L / 128``.
 Z_NODES_PER_PERIOD = 128
@@ -199,11 +201,11 @@ def _radial_tables(k: complex, cfg: EwaldConfig, r_max: float):
     x_term = (2.0 * e / math.sqrt(math.pi)) * np.exp(
         k * k / (4.0 * e * e) - (r * e) ** 2)
     d2b = (4.0 * e * e) * r * x_term - k * k * b
-    exp_jkr = np.exp(1j * k * r)
+    phase = exp_jkr(k, r)
     image = _hermite_pack(b * inv8pi, db * inv8pi, d2b * inv8pi)
-    primary = _hermite_pack((b - 2.0 * exp_jkr) * inv8pi,
-                            (db - 2j * k * exp_jkr) * inv8pi,
-                            (d2b + 2.0 * k * k * exp_jkr) * inv8pi)
+    primary = _hermite_pack((b - 2.0 * phase) * inv8pi,
+                            (db - 2j * k * phase) * inv8pi,
+                            (d2b + 2.0 * k * k * phase) * inv8pi)
     return h_r, image, primary
 
 

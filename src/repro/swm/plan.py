@@ -54,8 +54,12 @@ beside the mean of ``G`` that ``S`` needs. A near block lays its
 sub-points out sub-point-major, ``(b, q^2, E)``, so each mean (of
 ``G``, ``G/r`` and ``G/r^2``) is a sum over a leading axis; its
 k-independent distances, their reciprocals and the projections are
-computed once for every medium and stacked frequency, and each medium
-pays one complex ``exp`` per sub-point.
+computed once for every medium and stacked frequency. Each medium's
+phase ``exp(jkr)`` comes as separate real and imaginary planes from
+real passes (:func:`~repro.greens.freespace.exp_jkr_parts`: one
+``tan``, plus one real ``exp`` for a lossy medium, per sub-point), and
+so does the pairs' free-space primary
+(:func:`~repro.greens.freespace.green3d`).
 
 In 2D the near-pair free-space term comes from the fused evaluator
 :func:`~repro.greens.freespace.green2d_and_gradient`: ``G`` and
@@ -86,7 +90,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ..errors import ConfigurationError, MeshError
-from ..greens.freespace import EULER_GAMMA, green2d_and_gradient, green3d
+from ..greens.freespace import (EULER_GAMMA, complex_from_parts,
+                                 exp_jkr_parts, green2d_and_gradient, green3d)
 from ..telemetry import span
 from . import fastkernel2d
 from .fastkernel import KernelTables, OffsetFold, fold_offsets, lookup
@@ -446,7 +451,8 @@ class AssemblyPlan3D(_PairPlan):
         plan.fx = fx = np.stack([mesh.fx for mesh in meshes])
         plan.fy = np.stack([mesh.fy for mesh in meshes])
         jac = np.stack([mesh.jac for mesh in meshes])
-        plan.dz = dz = z[:, pairs.iu] - z[:, pairs.ju]
+        plan.dz = dz = (np.take(z, pairs.iu, axis=1)
+                        - np.take(z, pairs.ju, axis=1))
 
         # Free-space primary distances on the pairs (the per-k phase is
         # applied per medium).
@@ -494,13 +500,16 @@ class AssemblyPlan3D(_PairPlan):
         """
         g_reg, gx_reg, gy_reg, gz_reg = regs
         iu, ju = self.pairs.iu, self.pairs.ju
+        # np.take gathers the columns' factors: a third of the time of
+        # fancy indexing, and the same values.
+        ds, fx, fy = self.ds_true, self.fx, self.fy
         g0 = green3d(self.r, k)
         dgdr_r = (1j * k - self.inv_r) * g0 * self.inv_r
         g = np.add(g_reg, g0, out=g0)
-        self._write_s(out, g * self.ds_true[:, ju], g * self.ds_true[:, iu],
+        self._write_s(out, g * np.take(ds, ju, axis=1),
+                      g * np.take(ds, iu, axis=1),
                       self.i_rect / (4.0 * math.pi)
-                      + (1j * k / (4.0 * math.pi)) * self.ds_true
-                      + g_reg0 * self.ds_true)
+                      + (1j * k / (4.0 * math.pi)) * ds + g_reg0 * ds)
         del g, g0
         gx = gx_reg + dgdr_r * self.dx
         gy = gy_reg + dgdr_r * self.dy
@@ -513,18 +522,16 @@ class AssemblyPlan3D(_PairPlan):
         # meshes where it would matter, and then destabilizes (1/2 I -
         # D). Accuracy at fixed roughness comes from grid refinement
         # instead.)
-        self._write_d(out, (gx * self.fx[:, ju] + gy * self.fy[:, ju]
-                            - gz) * self.area,
-                      (gx * self.fx[:, iu] + gy * self.fy[:, iu]
-                       - gz) * self.area)
+        self._write_d(out, (gx * np.take(fx, ju, axis=1)
+                            + gy * np.take(fy, ju, axis=1) - gz) * self.area,
+                      (gx * np.take(fx, iu, axis=1)
+                       + gy * np.take(fy, iu, axis=1) - gz) * self.area)
 
     def _near_geometry(self, samples: slice) -> tuple:
         """What every medium reads of a block's near entries: the source
-        cells' slopes, the sub-point distances ``r`` as ``(b, q^2, E)``,
-        ``1/r`` stored twice per value, ``(b, q^2, 2E)``, to scale a
-        complex ``(b, q^2, E)`` array through its float view (a real
-        product, which rounds alike wherever it runs), and the
-        projection ``sign (dx fx + dy fy - dz)``.
+        cells' slopes, the sub-point distances ``r`` and their
+        reciprocals as ``(b, q^2, E)``, and the projection ``sign (dx fx
+        + dy fy - dz)``.
         """
         # np.take keeps the gathers C-ordered, and with them every
         # (b, q^2, E) array: the means sum whole rows of it.
@@ -536,10 +543,8 @@ class AssemblyPlan3D(_PairPlan):
         rise = fx_cell[:, None] * self.du + fy_cell[:, None] * self.dv
         sz = sdz[:, None] - np.take(rise, self.cols, axis=2)
         rr = np.sqrt(self.sxy2 + sz * sz)
-        inv_r = np.empty(rr.shape[:-1] + (2 * rr.shape[-1],))
-        inv_r[..., 0::2] = inv_r[..., 1::2] = 1.0 / rr
         proj = self.sdx * fx + self.sdy * fy - sdz
-        return fx, fy, rr, inv_r, proj
+        return fx, fy, rr, 1.0 / rr, proj
 
     def _write_near(self, out: MediumBlocks, samples: slice, k: complex,
                     regs, near: tuple) -> None:
@@ -550,29 +555,31 @@ class AssemblyPlan3D(_PairPlan):
         primary's gradient projects onto the cell's ``(fx, fy, -1)`` as
         ``proj G'/r`` with one ``proj`` per entry: ``S`` needs the mean
         of ``G = exp(jkr) / (4 pi r)`` and ``D`` the mean of ``G'/r =
-        jk G/r - G/r^2``. Each mean is a sum over the leading sub-point
-        axis of the phase ``exp(jkr)``, the one transcendental, scaled
-        in place by ``1/r`` once more per mean.
+        jk G/r - G/r^2``. The phase ``exp(jkr)`` comes as its real and
+        imaginary parts, ``(2, b, q^2, E)``, from real passes
+        (:func:`~repro.greens.freespace.exp_jkr_parts`); each mean scales
+        both in place by ``1/r`` once more and sums the sub-point axis.
         """
         fx, fy, rr, inv_r, proj = near
-        g_reg, gx_reg, gy_reg, gz_reg = regs
-        pair, jk = self.pair, 1j * k
-        phase = jk * rr
-        np.exp(phase, out=phase)
-        flat = phase.view(np.float64)
+        parts = exp_jkr_parts(k, rr)
         # Sub-cell means of G, G/r and G/r^2.
         scale = 1.0 / (4.0 * math.pi * self.du.size)
         means = []
         for _ in range(3):
-            np.multiply(flat, inv_r, out=flat)
-            means.append(flat.sum(axis=1).view(np.complex128) * scale)
+            np.multiply(parts, inv_r, out=parts)
+            means.append(complex_from_parts(parts.sum(axis=2)) * scale)
+        # Freed before the per-entry gathers, which would otherwise
+        # raise the block's peak (``solver._NEAR_BYTES``).
+        del parts
         g_mean, g_r, g_r2 = means
-        dg_mean = jk * g_r - g_r2
-        tangent = (gx_reg[samples, pair] * fx + gy_reg[samples, pair] * fy
-                   - gz_reg[samples, pair])
+        dg_mean = 1j * k * g_r - g_r2
+        g_reg, gx_reg, gy_reg, gz_reg = (np.take(reg[samples], self.pair,
+                                                 axis=1) for reg in regs)
+        tangent = gx_reg * fx + gy_reg * fy - gz_reg
         self._write_entries(out, samples,
-                            (g_reg[samples, pair] + g_mean)
-                            * self.ds_true[samples][:, self.cols],
+                            (g_reg + g_mean)
+                            * np.take(self.ds_true[samples], self.cols,
+                                      axis=1),
                             (self.sign * tangent + proj * dg_mean)
                             * self.area)
 

@@ -126,10 +126,11 @@ _M_TABLE_BUILDS = telemetry.counter(
 _CHUNK_BYTES = 3 << 20
 
 #: The near block's share of the budget, 64 bytes per sub-point. A block
-#: holds at most 40: each sub-point's distance and its reciprocal, the
-#: latter twice to scale a complex array's float view (24 bytes, shared
-#: by every medium), and one medium's complex phase at a time (16);
-#: building that geometry peaks at the same 40.
+#: holds at most 40: each sub-point's distance and its reciprocal (16
+#: bytes, shared by every medium), and one medium's phase at a time as
+#: real and imaginary planes (16) with the one float temporary that
+#: forms them (8); building that geometry peaks at 32. Traced at 8 x 8,
+#: a block peaks at 42 bytes per sub-point, per-entry arrays included.
 _NEAR_BYTES = 64 * NEAR_BLOCK_POINTS
 
 

@@ -1,4 +1,6 @@
-"""The fused 2D free-space evaluator against ``scipy.special.hankel1``.
+"""The free-space evaluators: the 3D phase ``exp(jkr)`` from real
+passes against an extended-precision reference, and the fused 2D
+evaluator against ``scipy.special.hankel1``.
 
 :func:`~repro.greens.freespace.green2d_and_gradient` returns ``G =
 (j/4) H0(k rho)`` and ``(1/rho) dG/drho``, from a small-argument series
@@ -14,8 +16,8 @@ import pytest
 from scipy.special import hankel1
 
 from repro.constants import GHZ, METER_TO_UM
-from repro.greens.freespace import (SERIES_RADIUS, green2d,
-                                    green2d_and_gradient)
+from repro.greens.freespace import (SERIES_RADIUS, exp_jkr, exp_jkr_parts,
+                                    green2d, green2d_and_gradient, green3d)
 from repro.materials import PAPER_SYSTEM
 
 
@@ -94,3 +96,79 @@ class TestBitIdentity:
             g_one, dg_one = _evaluate(rho[b:b + 1], k)
             np.testing.assert_array_equal(g[b:b + 1], g_one)
             np.testing.assert_array_equal(dg[b:b + 1], dg_one)
+
+
+#: Wavenumbers (1/um) for ``exp_jkr``: a dielectric-like real k, the
+#: conductor's ``(1 + j) / delta`` at skin depths 0.3 and 2.1 um, a
+#: generic lossy k and a large real k.
+PHASE_KS = [2.1e-4, (1 + 1j) / 0.3, (1 + 1j) / 2.1, 2.5 + 0.7j, 40.0]
+
+
+def _pole_distances(k, poles=40, ulps=4):
+    """Distances where ``Re(k) r / 2`` is within a few ulps of ``pi/2 +
+    m pi``, the tangent's poles, for the first ``poles`` values of m."""
+    centres = (2 * np.arange(poles) + 1) * np.pi / complex(k).real
+    steps = np.arange(-ulps, ulps + 1)
+    return np.concatenate([c + steps * np.spacing(c) for c in centres])
+
+
+def _reference_phase(k, r):
+    """``exp(a) (cos b + j sin b)`` in extended precision, from the
+    float64 arguments ``a = r * -Im(k)`` and ``b = r * Re(k)`` that
+    ``np.exp(1j * k * r)`` also forms. (``np.exp`` of a ``clongdouble``
+    is not accurate enough to serve here.) Returns the real part, the
+    imaginary part and the modulus."""
+    k = complex(k)
+    a = (r * -k.imag).astype(np.longdouble)
+    b = (r * k.real).astype(np.longdouble)
+    modulus = np.exp(a)
+    return modulus * np.cos(b), modulus * np.sin(b), modulus
+
+
+def _bits(a):
+    """The raw bits of an array, whatever its strides (zero signs
+    included, which ``==`` ignores)."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestExpJkr:
+    @pytest.mark.parametrize("k", PHASE_KS)
+    def test_within_1e_15_of_extended_reference(self, k):
+        """Over ``r`` in [0, 60] and at the tangent's poles, finite and
+        within 1e-15 of ``|exp(jkr)|``."""
+        r = np.concatenate([np.linspace(0.0, 60.0, 20001),
+                            _pole_distances(k)])
+        assert np.max(np.abs(np.tan(r * complex(k).real / 2.0))) > 1e14
+        got = exp_jkr(k, r)
+        assert np.all(np.isfinite(got))
+        re, im, modulus = _reference_phase(k, r)
+        err = np.hypot(got.real - re, got.imag - im) / modulus
+        assert np.max(err) <= 1e-15
+
+    @pytest.mark.parametrize("k", PHASE_KS)
+    def test_layout_never_changes_a_bit(self, k):
+        """A slice, a strided view, a transposed view and a 0-d element
+        return the bits of the whole array's call, as parts, as one
+        complex array and inside ``green3d``."""
+        r = np.random.default_rng(7).uniform(0.0, 12.0, (33, 40))
+        views = [np.s_[5:19], np.s_[:, ::3], np.s_[::-2, 7:]]
+        for func in (exp_jkr, lambda k_, r_: green3d(r_, k_)):
+            whole = func(k, r)
+            for at in views + [np.s_[4, 9]]:
+                np.testing.assert_array_equal(_bits(func(k, r[at])),
+                                              _bits(whole[at]))
+            np.testing.assert_array_equal(_bits(func(k, r.T)),
+                                          _bits(whole.T))
+        parts = exp_jkr_parts(k, r)
+        np.testing.assert_array_equal(_bits(exp_jkr_parts(k, r[:, ::3])),
+                                      _bits(parts[:, :, ::3]))
+        phase = exp_jkr(k, r)
+        np.testing.assert_array_equal(_bits(phase.real), _bits(parts[0]))
+        np.testing.assert_array_equal(_bits(phase.imag), _bits(parts[1]))
+
+    def test_green3d_is_the_phase_over_4_pi_r(self):
+        k = (1 + 1j) / 0.7
+        r = np.linspace(0.05, 9.0, 501)
+        want = np.exp(1j * k * r) / (4.0 * np.pi * r)
+        np.testing.assert_allclose(green3d(r, k), want, rtol=1e-15,
+                                   atol=0.0)

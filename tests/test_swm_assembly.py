@@ -29,7 +29,6 @@ from repro.swm.plan import (AssemblyPlan3D, _grid_fold, _grid_pairs,
 from repro.swm.solver import SWMOptions, SWMSolver3D, _SWMSolver
 from repro.errors import ConfigurationError, MeshError
 from repro.greens.ewald import _primary_minus_free_limit
-from repro.greens.freespace import green3d
 from repro.greens.special import erfc_scaled_pair, ewald_spectral_brackets
 
 
@@ -189,7 +188,8 @@ def _component_near(plan, k, regs):
     sz = ((sign * plan.dz[:, pair])[..., None]
           - (fx[..., None] * du + fy[..., None] * dv))
     rr = np.sqrt(sx * sx + sy * sy + sz * sz)
-    grr = green3d(rr, k)
+    # numpy's complex exp, not the plan's real-pass phase.
+    grr = np.exp(1j * k * rr) / (4.0 * np.pi * rr)
     dg = (1j * k - 1.0 / rr) * grr / rr
     g = g_reg[:, pair] + grr.mean(axis=-1)
     gx = sign * gx_reg[:, pair] + (dg * sx).mean(axis=-1)
@@ -265,6 +265,18 @@ class TestNearTangentPlane:
             for got, want in zip(systems[per], systems[1]):
                 np.testing.assert_array_equal(got.view(np.uint64),
                                               want.view(np.uint64))
+
+
+class TestRevisions:
+    def test_3d_revisions_are_pinned(self):
+        """Both 3D kernels share the plan's arithmetic and ``green3d``,
+        so a change to either bumps both revisions; each reaches its
+        content hash."""
+        assert fastkernel.KERNEL_REVISION == 7
+        assert fastkernel.EWALD_KERNEL_REVISION == "ewald-3"
+        assert AssemblyOptions().to_spec()["kernel"] == 7
+        assert AssemblyOptions(use_tables=False).to_spec()["kernel"] == (
+            "ewald-3")
 
 
 class TestFlatRowSums:
