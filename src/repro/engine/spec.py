@@ -66,8 +66,12 @@ def _canonical(obj: Any) -> Any:
 
 def content_hash(obj: Any) -> str:
     """Stable sha256 hex digest of a canonicalized spec object."""
-    payload = json.dumps(_canonical(obj), sort_keys=True,
-                         separators=(",", ":"))
+    return _digest(_canonical(obj))
+
+
+def _digest(canonical: Any) -> str:
+    """sha256 hex digest of an already-canonical object's JSON."""
+    payload = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -325,6 +329,19 @@ class ProfileScenario:
 Scenario = Union[StochasticScenario, DeterministicScenario, ProfileScenario]
 
 
+def _job_spec(scenario_spec: dict, frequency_hz: float,
+              estimator: EstimatorSpec | None) -> dict:
+    """What a job's content hash covers, around its scenario's spec."""
+    est = (estimator.to_spec() if estimator is not None
+           else {"kind": "solve"})
+    return {
+        "engine_version": ENGINE_VERSION,
+        "scenario": scenario_spec,
+        "frequency_hz": float(frequency_hz),
+        "estimator": est,
+    }
+
+
 # ----------------------------------------------------------------------
 # Jobs and sweeps
 # ----------------------------------------------------------------------
@@ -340,14 +357,8 @@ class Job:
     index: int  # position in the sweep's job order (not hashed)
 
     def to_spec(self) -> dict:
-        est = (self.estimator.to_spec() if self.estimator is not None
-               else {"kind": "solve"})
-        return {
-            "engine_version": ENGINE_VERSION,
-            "scenario": self.scenario.to_spec(),
-            "frequency_hz": float(self.frequency_hz),
-            "estimator": est,
-        }
+        return _job_spec(self.scenario.to_spec(), self.frequency_hz,
+                         self.estimator)
 
     @cached_property
     def key(self) -> str:
@@ -452,16 +463,26 @@ class SweepSpec:
         return self.estimator_map.get(scenario.name, self.estimators)
 
     def jobs(self) -> list[Job]:
-        """Materialize the cartesian product, scenario-major."""
+        """Materialize the cartesian product, scenario-major.
+
+        Each scenario's spec is built and canonicalized once, and every
+        job of it is keyed from that: ``_canonical`` maps a dict's
+        values one by one, so the key is ``content_hash(job.to_spec())``
+        byte for byte. The canonical form is not kept, since a service
+        holds the specs of its finished tickets.
+        """
         out: list[Job] = []
         for scenario in self.scenarios:
-            if scenario.kind == "deterministic":
+            scenario_spec = _canonical(scenario.to_spec())
+            estimators = ((None,) if scenario.kind == "deterministic"
+                          else self.estimators_for(scenario))
+            for est in estimators:
                 for f in self.frequencies_hz:
-                    out.append(Job(scenario, f, None, len(out)))
-            else:
-                for est in self.estimators_for(scenario):
-                    for f in self.frequencies_hz:
-                        out.append(Job(scenario, f, est, len(out)))
+                    job = Job(scenario, f, est, len(out))
+                    canonical = _canonical(_job_spec({}, f, est))
+                    canonical["scenario"] = scenario_spec
+                    object.__setattr__(job, "key", _digest(canonical))
+                    out.append(job)
         return out
 
     @property

@@ -136,8 +136,9 @@ def _worker_main(argv: list[str]) -> int:
     # back to the server's NDJSON stream.
     telemetry.enable()
     try:
+        client = ServiceClient(args.server, token=args.token)
         worker = FleetWorker(
-            ServiceClient(args.server, token=args.token),
+            client,
             worker_id=args.worker_id, concurrency=args.concurrency,
             lease_s=args.lease_s, exit_when_idle=args.exit_when_idle,
             quiet=args.quiet, log_json=args.log_json)
@@ -149,7 +150,8 @@ def _worker_main(argv: list[str]) -> int:
 
     signal.signal(signal.SIGTERM, _drain)
     signal.signal(signal.SIGINT, _drain)
-    stats = worker.run()
+    with client:
+        stats = worker.run()
     print(f"[worker {worker.worker_id}] "
           + ", ".join(f"{k}={v}" for k, v in stats.items()))
     return 0

@@ -149,22 +149,22 @@ def top(server: str, interval: float = 2.0, once: bool = False,
     scripts and CI smokes); otherwise the screen clears between
     refreshes like its namesake.
     """
-    client = ServiceClient(server)
     out = out if out is not None else sys.stdout
-    try:
-        while True:
-            reachable = True
-            try:
-                screen = render_view(fetch_view(client))
-            except ReproError as exc:
-                reachable = False
-                screen = (f"repro sweep service — {client.base_url}: "
-                          f"unreachable ({exc})\n")
-            if once:
-                out.write(screen)
-                return 0 if reachable else 1
-            out.write(_CLEAR + screen)
-            out.flush()
-            time.sleep(max(float(interval), 0.1))
-    except KeyboardInterrupt:
-        return 0
+    with ServiceClient(server) as client:
+        try:
+            while True:
+                reachable = True
+                try:
+                    screen = render_view(fetch_view(client))
+                except ReproError as exc:
+                    reachable = False
+                    screen = (f"repro sweep service — {client.base_url}: "
+                              f"unreachable ({exc})\n")
+                if once:
+                    out.write(screen)
+                    return 0 if reachable else 1
+                out.write(_CLEAR + screen)
+                out.flush()
+                time.sleep(max(float(interval), 0.1))
+        except KeyboardInterrupt:
+            return 0

@@ -80,7 +80,9 @@ class FleetWorker:
     ----------
     server:
         Base URL, or a configured :class:`ServiceClient` (the way to
-        pass a bearer token or custom retry policy).
+        pass a bearer token or custom retry policy). A client the worker
+        builds from a URL is closed when :meth:`run` returns; a passed
+        one stays its caller's to close.
     concurrency:
         Jobs executed at once on the local thread pool; claims are
         sized to keep the pool full.
@@ -115,8 +117,9 @@ class FleetWorker:
                 f"concurrency must be >= 1, got {concurrency}")
         if lease_s <= 0:
             raise ConfigurationError(f"lease_s must be > 0, got {lease_s}")
-        self.client = (server if isinstance(server, ServiceClient)
-                       else ServiceClient(server))
+        self._owns_client = not isinstance(server, ServiceClient)
+        self.client = (ServiceClient(server) if self._owns_client
+                       else server)
         self.worker_id = worker_id or default_worker_id()
         self.concurrency = int(concurrency)
         self.lease_s = float(lease_s)
@@ -279,6 +282,13 @@ class FleetWorker:
         Returns the lifetime counters: claimed / completed / failed /
         stale / abandoned.
         """
+        try:
+            return self._pull()
+        finally:
+            if self._owns_client:
+                self.client.close()
+
+    def _pull(self) -> dict:
         heartbeat_every = max(self.lease_s / 3.0, 0.05)
         next_heartbeat = time.monotonic() + heartbeat_every
         claim_failures = 0

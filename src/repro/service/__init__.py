@@ -22,7 +22,8 @@ single process:
   ``repro-experiments serve`` or :func:`repro.service.server.serve`.
 - :mod:`.client` — :class:`ServiceClient`, the remote ``run_sweep``:
   every ticket is a sweep, submitted as a spec and read back as a
-  decoded :class:`~repro.engine.SweepResult`.
+  decoded :class:`~repro.engine.SweepResult`, over persistent HTTP/1.1
+  connections.
 
 Pull workers (:mod:`repro.fleet`) speak the same lease protocol over
 ``/v1/workers/*`` — claim, heartbeat, upload — scaling one server
@@ -36,7 +37,8 @@ Quickstart::
     import repro.api
 
     spec = repro.api.plan("fig3", scale="quick")
-    result = ServiceClient("http://127.0.0.1:8321").run_sweep(spec)
+    with ServiceClient("http://127.0.0.1:8321") as client:
+        result = client.run_sweep(spec)
 """
 
 from .client import ServiceClient, ServiceUnavailable

@@ -1,4 +1,4 @@
-"""Thin urllib client for the sweep service.
+"""Thin HTTP client for the sweep service.
 
 :class:`ServiceClient` mirrors :func:`repro.engine.run_sweep`'s call
 signature: ``submit`` a :class:`~repro.engine.SweepSpec`, stream
@@ -7,19 +7,24 @@ progress, and get back a fully decoded :class:`~repro.engine
 spec against the same cache. The fleet worker (:mod:`repro.fleet`)
 speaks the lease protocol through the same client.
 
-Standard library only (``urllib.request``); errors surface as
-:class:`ServiceUnavailable` (transport) or
-:class:`~repro.errors.ConfigurationError` (HTTP 4xx with a decoded
-server message).
+Standard library only: calls travel over persistent HTTP/1.1
+connections (``http.client``), and the NDJSON event stream opens its
+own ``urllib`` connection. Errors surface as :class:`ServiceUnavailable`
+(transport) or :class:`~repro.errors.ConfigurationError` (HTTP 4xx with
+a decoded server message).
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import random
+import socket
+import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from typing import Any, Callable, Mapping
 
@@ -43,6 +48,16 @@ class ServiceUnavailable(ReproError):
 class ServiceClient:
     """HTTP client for one sweep-service base URL.
 
+    Calls reuse persistent HTTP/1.1 connections: each takes an idle
+    connection, or opens one, and puts it back once the response is
+    read, so threads sharing a client never interleave two requests on
+    one connection. :meth:`close`, or leaving a ``with ServiceClient(...)``
+    block, closes the idle connections; a later call opens a new one.
+    Connections go straight to the server: unlike ``urllib``,
+    ``http.client`` does not read the ``*_proxy`` environment variables.
+    :meth:`run_sweep` and :meth:`run_experiment` poll only while the
+    submitted ticket runs, so a warm sweep is one request.
+
     Parameters
     ----------
     base_url:
@@ -59,7 +74,10 @@ class ServiceClient:
         Extra attempts for **idempotent GETs** that hit a transport
         error or transient HTTP status (500/502/503/504), with capped
         exponential backoff + jitter. POSTs never retry here — the
-        fleet worker owns its own (lease-aware) retry policy.
+        fleet worker owns its own (lease-aware) retry policy. Apart
+        from that, any call whose reused connection fails before a
+        response byte arrives (the server closed it while it sat idle)
+        is sent once more on a fresh connection.
     """
 
     def __init__(self, base_url: str, timeout: float = 30.0,
@@ -71,6 +89,18 @@ class ServiceClient:
         if "://" not in base_url:
             base_url = "http://" + base_url
         self.base_url = base_url.rstrip("/")
+        url = urllib.parse.urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ConfigurationError(
+                f"service URL must be http(s)://host[:port], got "
+                f"{base_url!r}")
+        self._connection_class = (http.client.HTTPSConnection
+                                  if url.scheme == "https"
+                                  else http.client.HTTPConnection)
+        self._address = (url.hostname, url.port)
+        self._path_prefix = url.path
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
         self.timeout = timeout
         self.poll_interval = poll_interval
         if token is None:
@@ -80,15 +110,27 @@ class ServiceClient:
         self.backoff_base_s = float(backoff_base_s)
         self.backoff_cap_s = float(backoff_cap_s)
 
+    def close(self) -> None:
+        """Close the idle connections; a later call opens a new one."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
 
-    def _headers(self, body: bytes | None,
-                 content_type: str = "application/json") -> dict[str, str]:
+    def _headers(self, body: bytes | None) -> dict[str, str]:
         headers: dict[str, str] = {}
         if body:
-            headers["Content-Type"] = content_type
+            headers["Content-Type"] = "application/json"
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
         return headers
@@ -101,47 +143,85 @@ class ServiceClient:
                     self.backoff_base_s * (2.0 ** (attempt - 1)))
         time.sleep(delay * random.uniform(0.5, 1.0))
 
+    def _connect(self) -> http.client.HTTPConnection:
+        conn = self._connection_class(*self._address, timeout=self.timeout)
+        try:
+            conn.connect()
+            # http.client writes headers and body separately: with
+            # Nagle on, the body waits out the server's delayed ACK.
+            conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError:
+            conn.close()
+            raise
+        return conn
+
+    def _exchange(self, method: str, path: str, body: bytes | None,
+                  headers: Mapping[str, str]) -> tuple[int, bytes]:
+        """One request and its whole response, ``(status, body)``."""
+        with self._idle_lock:
+            conn = self._idle.pop() if self._idle else None
+        reused = conn is not None
+        if conn is None:
+            conn = self._connect()
+        keep = False
+        try:
+            while True:
+                try:
+                    conn.request(method, self._path_prefix + path,
+                                 body=body, headers=headers)
+                    response = conn.getresponse()
+                    break
+                except ConnectionError:
+                    # Reset or closed before any response byte: on a
+                    # reused connection, the server dropped it idle.
+                    if not reused:
+                        raise
+                    conn.close()
+                    conn, reused = self._connect(), False
+            data = response.read()
+            keep = not response.will_close
+        finally:
+            if keep:
+                with self._idle_lock:
+                    self._idle.append(conn)
+            else:
+                conn.close()
+        return response.status, data
+
     def _request(self, method: str, path: str,
-                 body: bytes | None = None,
-                 content_type: str = "application/json") -> dict:
-        headers = self._headers(body, content_type)
+                 body: bytes | None = None) -> bytes:
+        """One call's response body, under the retry policy."""
+        headers = self._headers(body)
         attempts = 1 + (self.max_retries if method == "GET" else 0)
         for attempt in range(1, attempts + 1):
-            req = urllib.request.Request(
-                self.base_url + path, data=body, method=method,
-                headers=headers)
             try:
-                with urllib.request.urlopen(req,
-                                            timeout=self.timeout) as resp:
-                    return json.loads(resp.read())
-            except urllib.error.HTTPError as exc:
-                detail = exc.read()
-                try:
-                    message = json.loads(detail).get("error",
-                                                     detail.decode())
-                except (ValueError, AttributeError):
-                    message = detail.decode("utf-8", "replace")
-                if exc.code in _TRANSIENT_HTTP and attempt < attempts:
-                    self._backoff(attempt)
-                    continue
-                raise ConfigurationError(
-                    f"{method} {path} -> HTTP {exc.code}: {message}"
-                ) from exc
-            except urllib.error.URLError as exc:
+                status, data = self._exchange(method, path, body, headers)
+            except (OSError, http.client.HTTPException) as exc:
                 if attempt < attempts:
                     self._backoff(attempt)
                     continue
                 raise ServiceUnavailable(
                     f"cannot reach sweep service at {self.base_url}: "
-                    f"{exc.reason}"
+                    f"{exc}"
                 ) from exc
+            if 200 <= status < 300:
+                return data
+            if status in _TRANSIENT_HTTP and attempt < attempts:
+                self._backoff(attempt)
+                continue
+            try:
+                message = json.loads(data).get("error", data.decode())
+            except (ValueError, AttributeError):
+                message = data.decode("utf-8", "replace")
+            raise ConfigurationError(
+                f"{method} {path} -> HTTP {status}: {message}")
         raise AssertionError("unreachable")  # loop always returns/raises
 
     def _get(self, path: str) -> dict:
-        return self._request("GET", path)
+        return json.loads(self._request("GET", path))
 
     def _post(self, path: str, body: bytes | None = None) -> dict:
-        return self._request("POST", path, body=body)
+        return json.loads(self._request("POST", path, body=body))
 
     # ------------------------------------------------------------------
     # Service API
@@ -164,16 +244,7 @@ class ServiceClient:
 
     def metrics_text(self) -> str:
         """The server's ``/v1/metrics`` Prometheus text document."""
-        req = urllib.request.Request(self.base_url + "/v1/metrics",
-                                     headers=self._headers(None))
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return resp.read().decode("utf-8")
-        except urllib.error.URLError as exc:
-            raise ServiceUnavailable(
-                f"cannot reach sweep service at {self.base_url}: "
-                f"{getattr(exc, 'reason', exc)}"
-            ) from exc
+        return self._request("GET", "/v1/metrics").decode("utf-8")
 
     def submit(self, spec: SweepSpec) -> str:
         """Submit a sweep; returns the ticket id immediately."""
@@ -219,19 +290,34 @@ class ServiceClient:
              progress: Progress | None = None,
              timeout: float | None = None) -> dict:
         """Poll until the ticket completes/fails; returns final status."""
+        return self._follow(self.status(ticket_id), progress, timeout)
+
+    def _follow(self, status: dict, progress: Progress | None,
+                timeout: float | None) -> dict:
+        """Poll from a ticket's status document while the ticket runs;
+        returns the final document.
+
+        A submit's answer is complete, with its result, when the cache
+        served every point, so a warm sweep makes no poll. An answer
+        that is complete without its result (a server that answers a
+        submit with the ticket's links only) is fetched once more.
+        """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            status = self.status(ticket_id)
             if progress is not None:
                 progress(status["done"], status["total"])
             if status["state"] in ("complete", "failed"):
-                return status
+                break
             if deadline is not None and time.monotonic() > deadline:
                 raise ConfigurationError(
-                    f"sweep {ticket_id} still {status['state']} after "
+                    f"sweep {status['id']} still {status['state']} after "
                     f"{timeout} s ({status['done']}/{status['total']})"
                 )
             time.sleep(self.poll_interval)
+            status = self.status(status["id"])
+        if status["state"] == "complete" and "result" not in status:
+            status = self.status(status["id"])
+        return status
 
     @staticmethod
     def _decode_result(status: dict) -> SweepResult:
@@ -263,18 +349,19 @@ class ServiceClient:
                   timeout: float | None = None) -> SweepResult:
         """Remote analogue of :func:`repro.engine.run_sweep`.
 
-        Submit, wait (polling, reporting ``progress(done, total)``),
-        decode — the final status poll already carries the encoded
-        result, so no extra fetch. A warm server cache answers without
-        any solve.
+        Submit, then poll (reporting ``progress(done, total)``) only
+        while the ticket runs, and decode. The submit's answer is the
+        ticket's status document, which carries the encoded result once
+        the ticket is complete: a sweep the server's cache serves in
+        full is one request, with no solve.
         """
         if not isinstance(spec, SweepSpec):
             raise ConfigurationError(
                 f"run_sweep expects a SweepSpec, got {type(spec).__name__}"
             )
-        ticket_id = self.submit(spec)
-        status = self.wait(ticket_id, progress=progress, timeout=timeout)
-        return self._decode_result(status)
+        submitted = self._post("/v1/sweeps", wire.dumps(spec).encode("utf-8"))
+        return self._decode_result(
+            self._follow(submitted, progress, timeout))
 
     def run_experiment(self, name: str, scale: str = "quick",
                        progress: Progress | None = None,
@@ -286,8 +373,7 @@ class ServiceClient:
             json.dumps({"scale": scale}).encode("utf-8"))
         if submitted.get("id") is None:  # solve-free: reduced inline
             return submitted["experiment"]
-        status = self.wait(submitted["id"], progress=progress,
-                           timeout=timeout)
+        status = self._follow(submitted, progress, timeout)
         if status["state"] == "failed":
             raise ConfigurationError(
                 f"experiment {name!r} failed remotely: "

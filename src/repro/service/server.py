@@ -10,7 +10,10 @@ Endpoints (all JSON unless noted):
 
 ========================================  =============================
 ``POST /v1/sweeps``                       submit a wire ``SweepSpec``;
-                                          returns a ticket
+                                          returns the ticket's status
+                                          document (+ ``links``),
+                                          complete with its result when
+                                          the cache served every point
 ``GET  /v1/sweeps``                       ticket summaries
 ``GET  /v1/sweeps/<id>``                  status + partial results
                                           (+ full wire ``SweepResult``
@@ -24,7 +27,9 @@ Endpoints (all JSON unless noted):
 ``GET  /v1/experiments``                  registered experiments
 ``POST /v1/experiments/<name>/run``       plan+submit a registered
                                           experiment (body:
-                                          ``{"scale": "quick"}``)
+                                          ``{"scale": "quick"}``); the
+                                          same status document, with
+                                          the reduction once complete
 ``GET  /v1/cache``                        cache stats + manifest size
 ``POST /v1/workers/claim``                lease queued jobs to a pull
                                           worker (wire ``WorkerClaim``
@@ -49,8 +54,11 @@ Endpoints (all JSON unless noted):
 ========================================  =============================
 
 Built on :class:`http.server.ThreadingHTTPServer` — no dependencies
-beyond the standard library, per-request threads, and the engine's
-context-local sessions (PR 3) keep concurrent requests isolated.
+beyond the standard library, one thread per connection, and the
+engine's context-local sessions keep concurrent requests isolated.
+Connections speak HTTP/1.1 keep-alive with Nagle's algorithm off, so a
+client's next request reuses its connection; one left idle for
+:data:`IDLE_TIMEOUT_S` is closed, which frees its thread.
 
 Setting ``REPRO_SERVICE_TOKEN`` (or passing ``token=``) requires
 ``Authorization: Bearer <token>`` on every mutating (POST) endpoint;
@@ -86,6 +94,10 @@ NDJSON = "application/x-ndjson"
 
 #: Media type of the Prometheus text exposition format.
 PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
+
+#: Seconds a kept-alive connection may wait for its next request before
+#: the server closes it, so an idle client cannot pin a handler thread.
+IDLE_TIMEOUT_S = 30.0
 
 # HTTP-layer instruments (no-ops until telemetry is enabled). Routes
 # are normalized (`/v1/sweeps/*`) so per-ticket ids don't explode the
@@ -176,22 +188,20 @@ class SweepService:
             raise ServiceError(
                 400, f"body decodes to "
                 f"{type(spec).__name__}, expected SweepSpec")
-        ticket_id = self.scheduler.submit(spec)
-        return self._ticket_links(ticket_id)
+        return self._submitted(self.scheduler.submit(spec))
 
-    def _ticket_links(self, ticket_id: str) -> dict:
-        status = self.scheduler.status(ticket_id)
-        return {
-            "id": ticket_id,
-            "state": status["state"],
-            "done": status["done"],
-            "total": status["total"],
-            "cache_hits": status["cache_hits"],
-            "links": {
-                "status": f"/v1/sweeps/{ticket_id}",
-                "events": f"/v1/sweeps/{ticket_id}/events",
-            },
+    def _submitted(self, ticket_id: str) -> dict:
+        """A submit's answer: the ticket's status document plus links.
+
+        A ticket the cache served in full is complete by now, so the
+        answer already carries its result and no poll is needed.
+        """
+        status = self.sweep_status(ticket_id)
+        status["links"] = {
+            "status": f"/v1/sweeps/{ticket_id}",
+            "events": f"/v1/sweeps/{ticket_id}/events",
         }
+        return status
 
     def sweep_status(self, ticket_id: str) -> dict:
         try:
@@ -275,9 +285,9 @@ class SweepService:
                           if t not in live]:
                 del self._experiment_tickets[stale]
             self._experiment_tickets[ticket_id] = (name, scale_name)
-        links = self._ticket_links(ticket_id)
-        links.update({"name": name, "scale": scale_name})
-        return links
+        status = self._submitted(ticket_id)
+        status.update({"name": name, "scale": scale_name})
+        return status
 
     # -- fleet ---------------------------------------------------------
 
@@ -489,6 +499,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-sweep-service/1"
+    # Headers and body leave in two writes; with Nagle on, the body
+    # waits for the client's delayed ACK of the headers on a kept-alive
+    # connection.
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT_S
 
     # Set by make_server() on the handler subclass.
     service: SweepService
@@ -509,6 +524,9 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:
+            # Tells a keep-alive client not to send on this connection.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 

@@ -114,6 +114,30 @@ class TestContentHash:
         with pytest.raises(ConfigurationError, match="table"):
             correlation_spec(BadCF())
 
+    def test_sweep_keys_equal_each_job_spec_hash(self):
+        """``jobs()`` keys a scenario's jobs from one canonical pass;
+        each key must still be the hash of the job's own spec, or every
+        warm cache would go cold."""
+        import repro.api
+
+        specs = [repro.api.plan(name, scale="quick")
+                 for name in repro.api.experiments()]
+        heights = np.random.default_rng(3).normal(size=(8, 8)) * 1e-7
+        specs.append(SweepSpec(
+            [DeterministicScenario("d", heights, 5 * UM),
+             ProfileScenario("p", GaussianCorrelation(1.0, 1.0),
+                             period_um=20.0, n=12)],
+            [1 * GHZ, 2.5 * GHZ],
+            estimators=(EstimatorSpec(order=1),
+                        EstimatorSpec(kind="montecarlo", n_samples=4,
+                                      seed=None))))
+        jobs = [job for spec in specs if spec is not None
+                for job in spec.jobs()]
+        kinds = {job.scenario.kind for job in jobs}
+        assert kinds == {"stochastic", "deterministic", "profile"}
+        for job in jobs:
+            assert job.key == content_hash(job.to_spec()), job
+
     def test_deterministic_scenario_hashes_heights(self):
         flat = np.zeros((8, 8))
         bump = flat.copy()

@@ -439,6 +439,13 @@ def fleet_server():
         thread.join(5)
 
 
+@pytest.fixture()
+def client(fleet_server):
+    """A client of the ``fleet_server`` server, closed after the test."""
+    with ServiceClient(fleet_server[0], poll_interval=0.02) as client:
+        yield client
+
+
 def _series(text, name):
     """Parse one metric family out of a Prometheus text document."""
     out = {}
@@ -451,11 +458,10 @@ def _series(text, name):
 
 class TestHTTPFleet:
     def test_workers_drain_queue_bit_identical_and_deduped(
-            self, fleet_server):
+            self, fleet_server, client):
         url, service = fleet_server
         spec = _tiny_spec()
         reference = _reference_result(spec)
-        client = ServiceClient(url, poll_interval=0.02)
         before = _series(client.metrics_text(),
                          "repro_scheduler_jobs_total")
         # two clients, overlapping work; two pull workers
@@ -487,10 +493,10 @@ class TestHTTPFleet:
         claimed = sum(w.stats["claimed"] for w in workers)
         committed = sum(w.stats["completed"] for w in workers)
         assert claimed == committed == 3
+        # Each worker built its client from the URL and closed it.
+        assert all(not w.client._idle for w in workers)
 
-    def test_healthz_and_workers_report_fleet_state(self, fleet_server):
-        url, service = fleet_server
-        client = ServiceClient(url, poll_interval=0.02)
+    def test_healthz_and_workers_report_fleet_state(self, client):
         health = client._get("/v1/healthz")
         assert health["ok"] is True
         assert health["local_dispatch"] is False
@@ -510,9 +516,9 @@ class TestHTTPFleet:
         assert _series(metrics, "repro_fleet_workers_active")[""] == 1
         assert _series(metrics, "repro_fleet_leases_active")[""] == 1
 
-    def test_malformed_upload_is_400_and_ticket_survives(self, fleet_server):
-        url, service = fleet_server
-        client = ServiceClient(url, poll_interval=0.02)
+    def test_malformed_upload_is_400_and_ticket_survives(self, fleet_server,
+                                                         client):
+        _url, service = fleet_server
         ticket = client.submit(_tiny_spec(freqs=(1.0,)))
         claim, = client.claim_jobs("hw", max_jobs=1, lease_s=30)
         with _quiet():
@@ -529,9 +535,8 @@ class TestHTTPFleet:
         assert client.wait(ticket, timeout=30)["state"] == "complete"
         assert client.result(ticket).points[0].mean == payload["mean"]
 
-    def test_worker_graceful_drain(self, fleet_server):
+    def test_worker_graceful_drain(self, fleet_server, client):
         url, _service = fleet_server
-        client = ServiceClient(url, poll_interval=0.02)
         ticket = client.submit(_tiny_spec())
         worker = FleetWorker(url, worker_id="drainer", concurrency=2,
                              lease_s=10, idle_poll_s=0.05)
@@ -560,20 +565,20 @@ class TestHTTPFleet:
         thread.start()
         host, port = server.server_address[:2]
         url = f"http://{host}:{port}"
+        anon = ServiceClient(url, token="", max_retries=0)
+        bad = ServiceClient(url, token="wrong", max_retries=0)
+        authed = ServiceClient(url, token="sekrit")
         try:
-            anon = ServiceClient(url, token="", max_retries=0)
             with pytest.raises(ConfigurationError, match="HTTP 401"):
                 anon.submit(_tiny_spec())
             with pytest.raises(ConfigurationError, match="HTTP 401"):
                 anon.claim_jobs("w", max_jobs=1)
-            bad = ServiceClient(url, token="wrong", max_retries=0)
             with pytest.raises(ConfigurationError, match="HTTP 401"):
                 bad.submit(_tiny_spec())
             # reads stay open
             assert anon.healthy()
             assert "repro_" in anon.metrics_text()
             # the authed pair works end to end, worker included
-            authed = ServiceClient(url, token="sekrit")
             ticket = authed.submit(_tiny_spec(freqs=(1.0,)))
             worker = FleetWorker(authed, worker_id="authw",
                                  exit_when_idle=True)
@@ -581,6 +586,8 @@ class TestHTTPFleet:
                 worker.run()
             assert authed.wait(ticket, timeout=30)["state"] == "complete"
         finally:
+            for client in (anon, bad, authed):
+                client.close()
             service.shutdown()
             server.shutdown()
             server.server_close()
@@ -799,9 +806,9 @@ def _run_fleet(url, n_workers=2, concurrency=2):
 
 
 class TestObservability:
-    def test_metrics_federate_per_worker_series(self, fleet_server):
+    def test_metrics_federate_per_worker_series(self, fleet_server,
+                                                client):
         url, service = fleet_server
-        client = ServiceClient(url, poll_interval=0.02)
         # one ticket per worker, drained sequentially, so *both* ship a
         # non-empty registry snapshot (racing workers can leave one
         # idle, and idle workers have nothing to federate)
@@ -829,9 +836,9 @@ class TestObservability:
         fed = service.scheduler.federation.render_prometheus()
         assert fed.count("# TYPE repro_worker_jobs_total counter") == 1
 
-    def test_worker_detail_and_logs_endpoints(self, fleet_server):
+    def test_worker_detail_and_logs_endpoints(self, fleet_server,
+                                              client):
         url, service = fleet_server
-        client = ServiceClient(url, poll_interval=0.02)
         ticket = client.submit(_tiny_spec())
         _run_fleet(url)
         client.wait(ticket, timeout=30)
@@ -852,9 +859,9 @@ class TestObservability:
             assert telemetry.level_rank(r["level"]) >= \
                 telemetry.level_rank("warning")
 
-    def test_sweep_trace_merges_worker_lanes(self, fleet_server):
+    def test_sweep_trace_merges_worker_lanes(self, fleet_server,
+                                             client):
         url, service = fleet_server
-        client = ServiceClient(url, poll_interval=0.02)
         ticket = client.submit(_tiny_spec())
         _run_fleet(url)
         assert client.wait(ticket, timeout=30)["state"] == "complete"
@@ -876,18 +883,15 @@ class TestObservability:
         with pytest.raises(ConfigurationError, match="404"):
             client.sweep_trace("no-such-ticket")
 
-    def test_healthz_uptime_and_telemetry_flag(self, fleet_server):
-        url, _service = fleet_server
-        client = ServiceClient(url, poll_interval=0.02)
+    def test_healthz_uptime_and_telemetry_flag(self, client):
         health = client._get("/v1/healthz")
         assert health["telemetry"] is True
         assert 0.0 <= health["uptime_s"] < 3600.0
 
-    def test_top_dashboard_renders_fleet(self, fleet_server):
+    def test_top_dashboard_renders_fleet(self, fleet_server, client):
         from repro.fleet.top import fetch_view, render_view, top
 
         url, _service = fleet_server
-        client = ServiceClient(url, poll_interval=0.02)
         ticket = client.submit(_tiny_spec())
         _run_fleet(url)
         client.wait(ticket, timeout=30)
@@ -958,9 +962,9 @@ def test_fleet_smoke_fig3_two_workers_matches_inprocess(tmp_path):
          "--cache-dir", str(tmp_path / "cache")],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
     workers = []
+    url = f"http://127.0.0.1:{port}"
+    client = ServiceClient(url, poll_interval=0.2)
     try:
-        url = f"http://127.0.0.1:{port}"
-        client = ServiceClient(url, poll_interval=0.2)
         deadline = time.monotonic() + 30
         while not client.healthy():
             assert time.monotonic() < deadline, "server never came up"
@@ -1015,6 +1019,7 @@ def test_fleet_smoke_fig3_two_workers_matches_inprocess(tmp_path):
             Path(trace_out).write_text(json.dumps(trace),
                                        encoding="utf-8")
     finally:
+        client.close()
         for p in workers:
             p.terminate()
         server.terminate()

@@ -15,6 +15,7 @@ Three layers, three test groups:
 """
 
 import json
+import select
 import socket
 import sys
 import threading
@@ -52,7 +53,7 @@ from repro.service.scheduler import (
     estimate_job_cost,
     job_kind,
 )
-from repro.service.server import make_server
+from repro.service.server import SweepService, make_server
 from repro.surfaces import (
     ExtractedCorrelation,
     GaussianCorrelation,
@@ -768,14 +769,14 @@ class TestLocalWorker:
 # HTTP server + client
 # ----------------------------------------------------------------------
 
-@pytest.fixture()
-def service_url():
-    server = make_server(port=0, cache=ResultCache())
+@contextlib.contextmanager
+def _serving(**kwargs):
+    """A live ``make_server(port=0, **kwargs)`` on a daemon thread."""
+    server = make_server(port=0, **kwargs)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    host, port = server.server_address[:2]
     try:
-        yield f"http://{host}:{port}"
+        yield server
     finally:
         server.service.shutdown()
         server.shutdown()
@@ -783,13 +784,35 @@ def service_url():
         thread.join(5)
 
 
+def _url(server):
+    host, port = server.server_address[:2]
+    return f"http://{host}:{port}"
+
+
+@pytest.fixture()
+def http_server():
+    with _serving(cache=ResultCache()) as server:
+        yield server
+
+
+@pytest.fixture()
+def service_url(http_server):
+    return _url(http_server)
+
+
+@pytest.fixture()
+def client(service_url):
+    """A client of the ``service_url`` server, closed after the test."""
+    with ServiceClient(service_url, poll_interval=0.02) as client:
+        yield client
+
+
 class TestHTTPService:
-    def test_submit_poll_result_bit_identical(self, service_url):
+    def test_submit_poll_result_bit_identical(self, client):
         spec = _tiny_spec()
         with _quiet():
             reference = run_sweep(spec, executor=SerialExecutor(),
                                   cache=ResultCache())
-        client = ServiceClient(service_url, poll_interval=0.02)
         assert client.healthy()
         remote = client.run_sweep(spec, timeout=120)
         assert np.array_equal(reference.mean_curve("m"),
@@ -804,8 +827,7 @@ class TestHTTPService:
         assert np.array_equal(reference.mean_curve("m"),
                               warm.mean_curve("m"))
 
-    def test_ndjson_event_stream(self, service_url):
-        client = ServiceClient(service_url, poll_interval=0.02)
+    def test_ndjson_event_stream(self, client):
         spec = _tiny_spec()
         ticket = client.submit(spec)
         seen = []
@@ -815,8 +837,7 @@ class TestHTTPService:
         assert kinds[0] == "submitted" and kinds[-1] == "complete"
         assert kinds.count("point") == spec.n_jobs
 
-    def test_experiments_listing_and_cache_info(self, service_url):
-        client = ServiceClient(service_url, poll_interval=0.02)
+    def test_experiments_listing_and_cache_info(self, client):
         names = [e["name"] for e in client.experiments()]
         assert names == repro.api.experiments()
         spec = _tiny_spec()
@@ -824,27 +845,29 @@ class TestHTTPService:
         info = client.cache_info()
         assert info["stats"]["stores"] >= spec.n_jobs
 
-    def test_solve_free_experiment_runs_inline(self, service_url):
-        client = ServiceClient(service_url, poll_interval=0.02)
+    def test_solve_free_experiment_runs_inline(self, client):
         with _quiet():
             doc = client.run_experiment("table1", scale="quick",
                                         timeout=120)
         assert doc["experiment"] == "Table I"
         assert doc["all_checks_pass"] is True
 
-    def test_http_errors_are_decoded(self, service_url):
-        client = ServiceClient(service_url)
+    def test_http_errors_are_decoded(self, client):
+        """Each error maps to ConfigurationError, and the server closes
+        that connection; the client's next call works."""
         with pytest.raises(ConfigurationError, match="HTTP 404"):
             client.status("nope")
+        assert client.healthy()
         with pytest.raises(ConfigurationError, match="HTTP 400"):
             client._post("/v1/sweeps", b"{not json")
+        assert client.healthy()
         with pytest.raises(ConfigurationError, match="HTTP 404"):
             client._get("/v1/teapot")
+        assert len(client._get("/v1/sweeps")["sweeps"]) == 0
 
-    def test_job_routes_are_gone(self, service_url):
+    def test_job_routes_are_gone(self, client):
         """Work enters only as a sweep: a raw ``Job`` POST to ``jobs``
         and a per-hash read under it both answer 404 "no route"."""
-        client = ServiceClient(service_url)
         job = _tiny_spec().jobs()[0]
         root = "/".join(("", "v1", "jobs"))
         with pytest.raises(ConfigurationError, match="HTTP 404: no route"):
@@ -853,7 +876,7 @@ class TestHTTPService:
             client._get(f"{root}/{job.key}")
 
     @pytest.mark.parametrize("batch", [False, True], ids=["job", "job-list"])
-    def test_sweep_route_rejects_job_documents(self, service_url, batch):
+    def test_sweep_route_rejects_job_documents(self, client, batch):
         """A well-formed wire body that is not a ``SweepSpec`` — one
         ``Job``, or an envelope holding a list of them — is a 400 naming
         what it decoded to, and opens no ticket."""
@@ -861,7 +884,6 @@ class TestHTTPService:
         body = ([wire.to_wire(job) for job in jobs] if batch
                 else wire.to_wire(jobs[0]))
         decoded = "list" if batch else "Job"
-        client = ServiceClient(service_url)
         with pytest.raises(ConfigurationError,
                            match=f"HTTP 400: body decodes to {decoded}, "
                                  f"expected SweepSpec"):
@@ -873,7 +895,7 @@ class TestHTTPService:
         (("options",), "SWMOptions"),
         (("system", "dielectric"), "Dielectric"),
     ], ids=["options", "materials"])
-    def test_unknown_wire_field_is_400(self, service_url, path, tag):
+    def test_unknown_wire_field_is_400(self, client, path, tag):
         """A document rebuilt by keyword that carries an unknown field
         is a client error naming the tag and the field, not a 500."""
         doc = json.loads(wire.dumps(_tiny_spec()))
@@ -883,13 +905,11 @@ class TestHTTPService:
         for key in path:
             target = target[key]
         target["bogus"] = 1
-        client = ServiceClient(service_url)
         with pytest.raises(ConfigurationError,
                            match=f"HTTP 400.*{tag}.*'bogus'"):
             client._post("/v1/sweeps", json.dumps(doc).encode("utf-8"))
 
-    def test_bad_since_parameter_is_400(self, service_url):
-        client = ServiceClient(service_url, poll_interval=0.02)
+    def test_bad_since_parameter_is_400(self, client):
         ticket = client.submit(_tiny_spec())
         client.wait(ticket, timeout=120)
         with pytest.raises(ConfigurationError, match="HTTP 400"):
@@ -923,10 +943,10 @@ class TestHTTPService:
         thread.start()
         host, port = server.server_address[:2]
         try:
-            client = ServiceClient(f"http://{host}:{port}")
-            ticket = client.submit(_tiny_spec())
-            assert executor.started.wait(timeout=30)
-            assert client.status(ticket)["state"] == "running"
+            with ServiceClient(f"http://{host}:{port}") as client:
+                ticket = client.submit(_tiny_spec())
+                assert executor.started.wait(timeout=30)
+                assert client.status(ticket)["state"] == "running"
             request = (f"GET /v1/sweeps/{ticket}/events?since=-1 HTTP/1.1"
                        "\r\nHost: test\r\n\r\n").encode()
             line = self._status_line(f"http://{host}:{port}", request)
@@ -943,6 +963,187 @@ class TestHTTPService:
     def test_unreachable_server(self):
         client = ServiceClient("http://127.0.0.1:9", timeout=0.5)
         assert not client.healthy()
+
+
+def _record_requests(server, monkeypatch):
+    """``(method, path, client port)`` of each request the server
+    dispatches from now on."""
+    seen = []
+    handler = server.RequestHandlerClass
+    dispatch = handler._dispatch
+
+    def recording(self, method):
+        seen.append((method, self.path, self.client_address[1]))
+        dispatch(self, method)
+
+    monkeypatch.setattr(handler, "_dispatch", recording)
+    return seen
+
+
+def _count_connects(client, monkeypatch):
+    """A list that grows by one per connection the client opens."""
+    opened = []
+    connect = client._connect
+
+    def counting():
+        opened.append(1)
+        return connect()
+
+    monkeypatch.setattr(client, "_connect", counting)
+    return opened
+
+
+class TestKeepAlive:
+    """A submit answers with the ticket's status document, and the
+    client keeps one HTTP/1.1 connection per concurrent caller."""
+
+    def test_warm_sweep_is_one_request_and_cold_one_polls(
+            self, monkeypatch):
+        executor = _GatedExecutor()
+        spec = _tiny_spec()
+        with _serving(cache=ResultCache(), executor=executor) as server, \
+                ServiceClient(_url(server), poll_interval=0.02) as client:
+            seen = _record_requests(server, monkeypatch)
+            # The round is gated, so the POST answer reports a running
+            # ticket; the first progress report opens the gate.
+            cold = client.run_sweep(
+                spec, progress=lambda done, total: executor.release.set(),
+                timeout=120)
+            assert seen[0][:2] == ("POST", "/v1/sweeps")
+            assert len(seen) >= 2
+            assert {method for method, _, _ in seen[1:]} == {"GET"}
+            del seen[:]
+            warm = client.run_sweep(spec, timeout=30)
+            assert [(m, p) for m, p, _ in seen] == [("POST", "/v1/sweeps")]
+        assert warm.cache_hits == warm.n_points == 2
+        for a, b in zip(cold.points, warm.points):
+            assert np.array_equal(np.asarray(a.values),
+                                  np.asarray(b.values))
+
+    def test_consecutive_calls_share_one_connection(
+            self, http_server, client, monkeypatch):
+        seen = _record_requests(http_server, monkeypatch)
+        opened = _count_connects(client, monkeypatch)
+        assert client.healthy()
+        client.experiments()
+        with _quiet():
+            client.run_sweep(_tiny_spec(), timeout=120)
+        client.run_sweep(_tiny_spec(), timeout=30)
+        assert "repro_http_requests_total" in client.metrics_text()
+        assert len(seen) >= 6
+        assert len({port for _, _, port in seen}) == 1
+        assert len(opened) == 1
+
+    @staticmethod
+    def _wait_dropped(client):
+        """Block until the server has closed the client's one idle
+        connection (its socket reads end of stream)."""
+        (conn,) = client._idle
+        ready, _, _ = select.select([conn.sock], [], [], 10)
+        assert ready and conn.sock.recv(1, socket.MSG_PEEK) == b""
+
+    def test_idle_drop_is_retried_once_on_a_fresh_connection(
+            self, monkeypatch):
+        """The server closes a connection idle past its timeout; the
+        next GET and POST each go out once more on a new connection,
+        and the POST opens exactly one ticket."""
+        with _serving(cache=ResultCache()) as server, \
+                ServiceClient(_url(server)) as client:
+            monkeypatch.setattr(server.RequestHandlerClass, "timeout", 0.2)
+            seen = _record_requests(server, monkeypatch)
+            opened = _count_connects(client, monkeypatch)
+            assert client.healthy()
+            self._wait_dropped(client)
+            assert client.healthy()
+            self._wait_dropped(client)
+            ticket = client.submit(_tiny_spec())
+            assert len(opened) == 3
+            assert [m for m, _, _ in seen] == ["GET", "GET", "POST"]
+            assert [t["id"] for t in server.service.scheduler.tickets()] \
+                == [ticket]
+
+    def test_submit_answer_without_result_still_completes(
+            self, http_server, client, monkeypatch):
+        """Against a server whose submit answers with the ticket's
+        links only, the client polls for the result, warm or cold."""
+        submit = SweepService.submit_sweep
+
+        def links_only(service, body):
+            doc = submit(service, body)
+            return {key: doc[key] for key in
+                    ("id", "state", "done", "total", "cache_hits", "links")}
+
+        monkeypatch.setattr(SweepService, "submit_sweep", links_only)
+        seen = _record_requests(http_server, monkeypatch)
+        with _quiet():
+            cold = client.run_sweep(_tiny_spec(), timeout=120)
+        del seen[:]
+        warm = client.run_sweep(_tiny_spec(), timeout=30)
+        assert [m for m, _, _ in seen] == ["POST", "GET"]
+        assert warm.cache_hits == warm.n_points
+        assert [p.mean for p in warm.points] == [p.mean for p in cold.points]
+
+    def test_urllib_post_then_get_still_works(self, service_url):
+        """A client that closes its connection after each request, and
+        reads the result from a status poll, is served as before."""
+        body = wire.dumps(_tiny_spec()).encode("utf-8")
+        request = urllib.request.Request(
+            f"{service_url}/v1/sweeps", data=body, method="POST",
+            headers={"Content-Type": "application/json"})
+        with urllib.request.urlopen(request) as resp:
+            ticket = json.loads(resp.read())["id"]
+        deadline = time.monotonic() + 120
+        while True:
+            with urllib.request.urlopen(
+                    f"{service_url}/v1/sweeps/{ticket}") as resp:
+                status = json.loads(resp.read())
+            if status["state"] != "running":
+                break
+            assert time.monotonic() < deadline
+            time.sleep(0.02)
+        assert status["state"] == "complete"
+        result = wire.from_wire(wire.open_envelope(status["result"]))
+        assert result.n_points == 2
+
+    def test_threads_share_one_client(self, http_server, client,
+                                      monkeypatch):
+        """4 threads x 20 calls on one client: no two requests ever
+        share a connection at once, so each answer is its caller's."""
+        spec = _tiny_spec()
+        with _quiet():
+            reference = client.run_sweep(spec, timeout=120)
+        tickets = [client.submit(spec) for _ in range(4)]
+        seen = _record_requests(http_server, monkeypatch)
+        errors = []
+
+        def caller(ticket):
+            try:
+                for i in range(20):
+                    if i % 2:
+                        assert client.status(ticket)["id"] == ticket
+                    else:
+                        warm = client.run_sweep(spec, timeout=30)
+                        assert [p.mean for p in warm.points] == \
+                            [p.mean for p in reference.points]
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=caller, args=(t,))
+                   for t in tickets]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(seen) == 80
+        assert len({port for _, _, port in seen}) <= 4
+        assert len(client._idle) <= 4
 
 
 @pytest.mark.smoke
@@ -965,11 +1166,11 @@ def test_service_smoke_fig3_http_matches_inprocess(tmp_path):
     thread.start()
     host, port = server.server_address[:2]
     try:
-        client = ServiceClient(f"http://{host}:{port}",
-                               poll_interval=0.05)
-        start = time.perf_counter()
-        remote = client.run_sweep(spec, timeout=300)
-        elapsed = time.perf_counter() - start
+        with ServiceClient(f"http://{host}:{port}",
+                           poll_interval=0.05) as client:
+            start = time.perf_counter()
+            remote = client.run_sweep(spec, timeout=300)
+            elapsed = time.perf_counter() - start
     finally:
         server.service.shutdown()
         server.shutdown()
@@ -1041,12 +1242,11 @@ class TestWireV2:
             n_evals=3, seed=None, wall_time_s=0.3, cache_hit=True)
         assert wire.from_wire(wire.to_wire(bare)).spans is None
 
-    def test_old_envelopes_are_rejected(self, service_url):
+    def test_old_envelopes_are_rejected(self, client):
         """Only the current wire version decodes: v1–v3 envelopes are a
         WireError, which the service answers with 400."""
         doc = json.loads(wire.dumps(_tiny_spec()))
         assert doc["wire_version"] == wire.WIRE_VERSION == 4
-        client = ServiceClient(service_url)
         for old in (1, 2, 3):
             doc["wire_version"] = old
             body = json.dumps(doc)
@@ -1146,12 +1346,12 @@ class TestSchedulerTelemetry:
 
 
 class TestServiceTelemetryHTTP:
-    def _submit_and_wait(self, service_url, spec):
-        client = ServiceClient(service_url, poll_interval=0.02)
+    @staticmethod
+    def _submit_and_wait(client, spec):
         with _quiet():
             ticket = client.submit(spec)
             client.wait(ticket, timeout=180)
-        return client, ticket
+        return ticket
 
     @staticmethod
     def _series(text, prefix):
@@ -1161,8 +1361,8 @@ class TestServiceTelemetryHTTP:
                 return float(line.rsplit(" ", 1)[1])
         raise AssertionError(f"no series {prefix!r} in scrape")
 
-    def test_metrics_endpoint_is_prometheus_text(self, service_url):
-        client, _ = self._submit_and_wait(service_url, _tiny_spec())
+    def test_metrics_endpoint_is_prometheus_text(self, client):
+        self._submit_and_wait(client, _tiny_spec())
         text = client.metrics_text()
         assert "# TYPE repro_scheduler_jobs_total counter" in text
         # the registry is process-global, so earlier tests may have
@@ -1182,10 +1382,10 @@ class TestServiceTelemetryHTTP:
                 'route="/v1/sweeps/*"}') in text
         assert "# TYPE repro_http_requests_total counter" in text
 
-    def test_unmatched_paths_share_one_route_label(self, service_url):
+    def test_unmatched_paths_share_one_route_label(self, service_url,
+                                                   client):
         """404 probes of arbitrary paths must not grow the request
         counter's series without bound: they share one route label."""
-        client = ServiceClient(service_url)
 
         def series():
             return {line.rsplit(" ", 1)[0]
@@ -1201,8 +1401,8 @@ class TestServiceTelemetryHTTP:
             assert info.value.code == 404
         assert len(series() - before) <= 1
 
-    def test_trace_events_interleave_with_points(self, service_url):
-        client, ticket = self._submit_and_wait(service_url, _tiny_spec())
+    def test_trace_events_interleave_with_points(self, client):
+        ticket = self._submit_and_wait(client, _tiny_spec())
         events = client.events(ticket)
         kinds = [e["event"] for e in events]
         assert kinds[0] == "submitted" and kinds[-1] == "complete"
@@ -1219,10 +1419,11 @@ class TestServiceTelemetryHTTP:
             names = {s["name"] for s in event["spans"]}
             assert {"job_group", "plan", "assemble", "factor"} <= names
 
-    def test_no_event_loss_between_since_cursors(self, service_url):
+    def test_no_event_loss_between_since_cursors(self, service_url,
+                                                 client):
         """Satellite 4: a slow consumer resuming from any ``since``
         cursor sees exactly the events it missed, in order."""
-        client, ticket = self._submit_and_wait(service_url, _tiny_spec())
+        ticket = self._submit_and_wait(client, _tiny_spec())
         full = client.events(ticket)
         assert [e["seq"] for e in full] == list(range(len(full)))
 
@@ -1240,8 +1441,8 @@ class TestServiceTelemetryHTTP:
             tail = fetch(since)
             assert tail == full[since:], f"cursor {since} lost events"
 
-    def test_status_eta_over_http(self, service_url):
-        client, ticket = self._submit_and_wait(service_url, _tiny_spec())
+    def test_status_eta_over_http(self, client):
+        ticket = self._submit_and_wait(client, _tiny_spec())
         status = client.status(ticket)
         assert status["eta_s"] == 0.0  # terminal
         # a second, colder sweep of the same kind now predicts finite
