@@ -13,7 +13,7 @@ profile on a 5 um period (fig6's quick-scale 2D grid), 16 samples at
   ``SWMSolver2D.solve_many_um`` — sample systems assembled with the
   sample axis vectorized on one ``AssemblyPlan2D``, both media's kernel
   read from their Kummer offset tables in one fused lookup
-  (``assemble_media_multi_k_2d``), stacked ``(B, 2n, 2n)`` and
+  (``AssemblyPlan2D.write``), stacked ``(B, 2n, 2n)`` and
   factored via batched ``np.linalg.solve``.
 
 Both paths share one solver, so the per-sample loop reuses the tables

@@ -60,8 +60,7 @@ def _jobs():
         StochasticLossConfig(points_per_side=POINTS_PER_SIDE,
                              max_modes=8))
     freqs = np.linspace(2.0, 12.0, N_FREQS) * GHZ
-    est = EstimatorSpec(kind="montecarlo", n_samples=N_SAMPLES,
-                        seed=SEED, batch_size=N_SAMPLES)
+    est = EstimatorSpec(kind="montecarlo", n_samples=N_SAMPLES, seed=SEED)
     return SweepSpec(scenario, freqs, est).jobs()
 
 

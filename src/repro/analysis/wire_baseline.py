@@ -39,9 +39,7 @@ WIRE_BASELINE: dict[str, dict] = {
     "EstimatorSpec": {
         "since": 1,
         "required": ("kind", "order", "n_samples", "seed"),
-        # batch_size is perf-only (outside the content hash) and absent
-        # from pre-batching documents.
-        "optional": ("batch_size",),
+        "optional": (),
     },
     "TwoMediumSystem": {
         "since": 1,

@@ -211,8 +211,8 @@ class StochasticLossModel:
     # ------------------------------------------------------------------
 
     def sscm_direct(self, frequency_hz: float, order: int = 2,
-                    progress: Callable[[int, int], None] | None = None,
-                    batch_size: int | None = None) -> SSCMResult:
+                    progress: Callable[[int, int], None] | None = None
+                    ) -> SSCMResult:
         """SSCM statistics computed in-process (no engine routing).
 
         Runs :class:`SSCMEstimator` over this model's solver directly;
@@ -220,29 +220,22 @@ class StochasticLossModel:
         (:func:`~repro.stochastic.sscm.node_blocks`), so its node values
         are bit-identical. Prefer :meth:`sscm`, which adds caching and
         executor policy on top. ``progress`` here counts individual
-        solver calls (sparse-grid nodes). ``batch_size`` solves that
-        many nodes per stacked dense factorization (bit-identical node
-        values).
+        solver calls (sparse-grid nodes), solved one node at a time.
         """
         est = SSCMEstimator(self.enhancement_model(frequency_hz),
-                            self.dimension, order=order,
-                            batch_model=self.enhancement_batch_model(
-                                frequency_hz))
-        return est.run(progress=progress, batch_size=batch_size)
+                            self.dimension, order=order)
+        return est.run(progress=progress)
 
     def sscm(self, frequency_hz: float, order: int = 2,
              progress: Callable[[int, int], None] | None = None,
-             executor=None, cache=None,
-             batch_size: int | None = None) -> SSCMResult:
+             executor=None, cache=None) -> SSCMResult:
         """SSCM statistics of Pr/Ps at one frequency.
 
         Routed through :mod:`repro.engine`: the node values are content
         addressed, so a repeated call (same physics inputs) replays from
         cache with zero solves, and the surrogate is re-projected from
         the stored values. ``progress`` counts sweep points (here: 1),
-        matching :meth:`montecarlo`. ``batch_size`` stacks that many
-        sparse-grid node solves per dense factorization (bit-identical
-        results; excluded from the content hash).
+        matching :meth:`montecarlo`.
         """
         from ..engine import EstimatorSpec, SweepSpec, run_sweep
         from ..stochastic.sscm import reproject_node_values
@@ -250,8 +243,7 @@ class StochasticLossModel:
         spec = SweepSpec(
             scenarios=self.scenario(),
             frequencies_hz=frequency_hz,
-            estimators=EstimatorSpec(kind="sscm", order=order,
-                                     batch_size=batch_size))
+            estimators=EstimatorSpec(kind="sscm", order=order))
         result = run_sweep(spec, executor=executor, cache=cache,
                            progress=progress)
         return reproject_node_values(result.points[0].values,
@@ -275,17 +267,12 @@ class StochasticLossModel:
     def montecarlo(self, frequency_hz: float, n_samples: int,
                    seed: int | None = 0,
                    progress: Callable[[int, int], None] | None = None,
-                   executor=None, cache=None,
-                   batch_size: int | None = None) -> MonteCarloResult:
+                   executor=None, cache=None) -> MonteCarloResult:
         """Monte-Carlo statistics of Pr/Ps at one frequency.
 
         Routed through :mod:`repro.engine`: seeded runs are content
         addressed (a repeated call replays from cache), unseeded runs
         always recompute. ``progress`` counts sweep points, not samples.
-        ``batch_size`` stacks that many sample solves per dense
-        factorization (bit-identical results and seed stream; excluded
-        from the content hash, so batched and per-sample runs share
-        cache entries).
         """
         from ..engine import EstimatorSpec, SweepSpec, run_sweep
 
@@ -293,31 +280,28 @@ class StochasticLossModel:
             scenarios=self.scenario(),
             frequencies_hz=frequency_hz,
             estimators=EstimatorSpec(kind="montecarlo",
-                                     n_samples=n_samples, seed=seed,
-                                     batch_size=batch_size))
+                                     n_samples=n_samples, seed=seed))
         result = run_sweep(spec, executor=executor, cache=cache,
                            progress=progress)
         return MonteCarloResult(samples=result.points[0].values, seed=seed)
 
     def mean_enhancement(self, frequencies_hz: np.ndarray, order: int = 1,
                          executor=None, cache=None,
-                         progress: Callable[[int, int], None] | None = None,
-                         batch_size: int | None = None) -> np.ndarray:
+                         progress: Callable[[int, int], None] | None = None
+                         ) -> np.ndarray:
         """Mean Pr/Ps over a frequency sweep via SSCM (the Fig. 3/4/6
         quantity: 'the mean values computed by SSCM').
 
         Each frequency is one engine job, so the sweep parallelizes over
         ``executor`` (or the active :func:`repro.engine.engine_session`)
-        and replays from the result cache when warm. ``batch_size``
-        batches the per-frequency node solves (bit-identical results).
+        and replays from the result cache when warm.
         """
         from ..engine import EstimatorSpec, SweepSpec, run_sweep
 
         spec = SweepSpec(
             scenarios=self.scenario(),
             frequencies_hz=frequencies_hz,
-            estimators=EstimatorSpec(kind="sscm", order=order,
-                                     batch_size=batch_size))
+            estimators=EstimatorSpec(kind="sscm", order=order))
         result = run_sweep(spec, executor=executor, cache=cache,
                            progress=progress)
         return result.mean_curve("model")

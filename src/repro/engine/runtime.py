@@ -117,14 +117,6 @@ def _profile_components(scenario: ProfileScenario):
     return _memoized(scenario.key, build)
 
 
-def _batch_size_for(estimator, options) -> int | None:
-    """Worker-side batch size: the estimator's knob, else the solver
-    options' default (both perf-only, excluded from content hashes)."""
-    if estimator.batch_size is not None:
-        return estimator.batch_size
-    return getattr(options, "batch_size", None) if options else None
-
-
 def _solver_for(scenario: DeterministicScenario):
     from ..swm.solver import SWMSolver3D
 
@@ -324,8 +316,8 @@ def _run_job_group(jobs: list[Job]) -> list[tuple]:
                                              dtype=np.float64), period_um)
                     for xi in xis]
 
-        return _estimate_group(est, scenario.options, int(scenario.n),
-                               realize, solver, int(scenario.n), freqs)
+        return _estimate_group(est, int(scenario.n), realize, solver,
+                               int(scenario.n), freqs)
 
     from ..swm.geometry import build_meshes_3d
 
@@ -343,8 +335,8 @@ def _run_job_group(jobs: list[Job]) -> list[tuple]:
                                  dtype=np.float64) for xi in xis]),
             period_um)
 
-    return _estimate_group(est, scenario.options, int(model.dimension),
-                           realize, model.solver, int(model.n) ** 2, freqs)
+    return _estimate_group(est, int(model.dimension), realize, model.solver,
+                           int(model.n) ** 2, freqs)
 
 
 #: Solver chunks per engine block: a block's meshes are realized
@@ -352,8 +344,8 @@ def _run_job_group(jobs: list[Job]) -> list[tuple]:
 _BLOCK_CHUNKS = 8
 
 
-def _estimate_group(est, options, dim: int, realize, solver,
-                    unknowns: int, freqs: list[float]) -> list[tuple]:
+def _estimate_group(est, dim: int, realize, solver, unknowns: int,
+                    freqs: list[float]) -> list[tuple]:
     """Run one estimator over the frequency stack; one tuple per freq.
 
     Walks the estimator's own evaluation-point stream
@@ -361,18 +353,17 @@ def _estimate_group(est, options, dim: int, realize, solver,
     :func:`~repro.stochastic.sscm.node_blocks`) block by block: each
     block's meshes (``unknowns`` points each) are realized once, by one
     ``realize(xis)`` call, and solved at every frequency in one stacked
-    call. A block is the
-    ``batch_size`` override, else :data:`_BLOCK_CHUNKS` of the
-    solver's budgeted chunks (:meth:`~repro.swm.solver.SWMSolver3D.
-    chunk_size`). Blocks and chunks only group the stream, so grouped
-    values are bit-identical to the public estimators' runs.
+    call. A block is :data:`_BLOCK_CHUNKS` of the solver's budgeted
+    chunks (:meth:`~repro.swm.solver.SWMSolver3D.chunk_size`), so the
+    solver's byte budget alone decides how the points stack. Blocks and
+    chunks only group the stream, so grouped values are bit-identical
+    to the public estimators' runs.
     """
     from ..stochastic.montecarlo import MonteCarloResult, sample_blocks
     from ..stochastic.sparsegrid import smolyak_grid
     from ..stochastic.sscm import node_blocks, reproject_node_values
 
-    block = (_batch_size_for(est, options)
-             or _BLOCK_CHUNKS * solver.chunk_size(unknowns))
+    block = _BLOCK_CHUNKS * solver.chunk_size(unknowns)
     if est.kind == "sscm":
         blocks = node_blocks(smolyak_grid(dim, est.order), block)
     else:

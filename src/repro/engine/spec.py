@@ -44,7 +44,8 @@ ENGINE_VERSION = 1
 # ----------------------------------------------------------------------
 
 def _canonical(obj: Any) -> Any:
-    """Reduce ``obj`` to a JSON-stable form with exact float encoding."""
+    """Reduce ``obj`` (plain dicts, lists, tuples, scalars, arrays) to a
+    JSON-stable form with exact float encoding."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, (float, np.floating)):
@@ -55,7 +56,7 @@ def _canonical(obj: Any) -> Any:
         a = np.ascontiguousarray(obj)
         digest = hashlib.sha256(a.tobytes()).hexdigest()
         return {"__ndarray__": [list(a.shape), a.dtype.str, digest]}
-    if isinstance(obj, Mapping):
+    if isinstance(obj, dict):
         return {str(k): _canonical(obj[k]) for k in sorted(obj)}
     if isinstance(obj, (list, tuple)):
         return [_canonical(v) for v in obj]
@@ -127,26 +128,14 @@ class EstimatorSpec:
     ``kind`` is ``"sscm"`` (sparse-grid collocation, the paper's method;
     uses ``order``) or ``"montecarlo"`` (uses ``n_samples`` and
     ``seed``). Deterministic scenarios ignore the estimator entirely.
-
-    ``batch_size`` stacks that many sample/node solves per dense
-    factorization in the worker (``None`` = the solver's budgeted
-    chunk, :meth:`~repro.swm.solver.SWMSolver3D.chunk_size`). It is a
-    pure performance knob — batched solves are bit-identical to
-    sequential ones, seed stream included — so it is **excluded** from
-    :meth:`to_spec` and therefore from job content hashes: batched and
-    per-sample runs share cache entries, and warmed caches stay valid.
+    The solver's byte budget, not the estimator, decides how the worker
+    stacks its evaluation points.
     """
-
-    #: Fields deliberately outside the content hash (perf-only knobs
-    #: that cannot change payloads); the hash-purity check (RPR003)
-    #: keeps this set honest against :meth:`to_spec`.
-    HASH_EXCLUDED = frozenset({"batch_size"})
 
     kind: str = "sscm"
     order: int = 1
     n_samples: int = 0
     seed: int | None = 0
-    batch_size: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("sscm", "montecarlo"):
@@ -159,10 +148,6 @@ class EstimatorSpec:
         if self.kind == "montecarlo" and self.n_samples < 2:
             raise ConfigurationError(
                 f"montecarlo needs n_samples >= 2, got {self.n_samples}"
-            )
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigurationError(
-                f"batch_size must be >= 1 or None, got {self.batch_size}"
             )
 
     @property
@@ -316,8 +301,6 @@ class ProfileScenario:
             "n": int(self.n),
             "normalize": bool(self.normalize),
             "system": _system_spec(self.system),
-            # to_spec, not asdict: perf-only knobs (batch_size) must not
-            # enter the content hash.
             "options": options.to_spec(),
         }
 

@@ -17,7 +17,7 @@ and decodes back to an equal object — in particular
 
 Documents are wrapped in a versioned envelope::
 
-    {"format": "repro-wire", "wire_version": 4, "engine_version": 1,
+    {"format": "repro-wire", "wire_version": 5, "engine_version": 1,
      "body": {...}}
 
 :func:`loads` rejects an envelope whose ``wire_version`` is not
@@ -27,8 +27,9 @@ anyway). Version 2 added the optional telemetry ``spans`` on
 :class:`PointResult`; version 3 added the worker-fleet messages
 (:class:`WorkerClaim`, :class:`WorkerResult` — job leases and result
 uploads for pull workers); version 4 added :class:`WorkerTelemetry`
-(federated metric snapshots + log records riding worker heartbeats).
-Only version 4 is accepted.
+(federated metric snapshots + log records riding worker heartbeats);
+version 5 dropped the stacking and finite-check knobs of the estimator
+and solver options documents. Only version 5 is accepted.
 
 Correlation functions are encoded by class name + public parameters
 (the same extraction :func:`repro.engine.correlation_spec` hashes) and
@@ -74,7 +75,8 @@ from ..engine.spec import (
 #: v2: PointResult grew the optional telemetry ``spans`` field.
 #: v3: worker-fleet messages (WorkerClaim / WorkerResult).
 #: v4: WorkerTelemetry (heartbeat-federated metrics + logs).
-WIRE_VERSION = 4
+#: v5: EstimatorSpec and the solver options lost their stacking knobs.
+WIRE_VERSION = 5
 
 #: Envelope format marker.
 WIRE_FORMAT = "repro-wire"
@@ -251,8 +253,7 @@ def _encode_estimator(est: EstimatorSpec | None) -> dict | None:
     if est is None:
         return None
     return {_TAG: "EstimatorSpec", "kind": est.kind, "order": est.order,
-            "n_samples": est.n_samples, "seed": est.seed,
-            "batch_size": est.batch_size}
+            "n_samples": est.n_samples, "seed": est.seed}
 
 
 def _encode_tags(tags: Mapping[str, Any]) -> dict:
@@ -460,10 +461,8 @@ def _decode_estimator(doc: Mapping | None) -> EstimatorSpec | None:
         return None
     kind, order, n_samples, seed = _expect(doc, "kind", "order",
                                            "n_samples", "seed")
-    # .get, not _expect: batch_size is absent from pre-batching wire
-    # documents (it is perf-only and outside the content hash).
     return EstimatorSpec(kind=kind, order=order, n_samples=n_samples,
-                         seed=seed, batch_size=doc.get("batch_size"))
+                         seed=seed)
 
 
 def _decode(doc: Any) -> Any:

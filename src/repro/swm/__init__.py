@@ -29,7 +29,7 @@ from .power import (
     area_ratio_2d,
     area_ratio_3d,
 )
-from .solver import SWMOptions, SWMResult, SWMSolver3D, enhancement_sweep
+from .solver import SWMOptions, SWMResult, SWMSolver3D
 from .solver2d import SWM2DOptions, SWMSolver2D
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "assemble_medium_2d",
     "build_mesh_2d",
     "build_mesh_3d",
-    "enhancement_sweep",
     "spectral_gradient_1d",
     "spectral_gradient_2d",
 ]

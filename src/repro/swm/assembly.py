@@ -34,8 +34,9 @@ sub-cell mean of ``G'(r)/r``, and ``S`` takes the mean of ``G``.
 All of it runs in :class:`~repro.swm.plan.AssemblyPlan3D`, whichever
 kernel evaluator supplies ``G_reg`` (:meth:`AssemblyOptions.kernel`).
 The plan writes each medium's ``D`` and ``S`` once, straight into the
-solver's coupled block system; :func:`assemble_medium` and
-:func:`assemble_media_multi_k` return them as plain matrices.
+solver's coupled block system; :meth:`~repro.swm.plan.AssemblyPlan3D.dense`
+returns them as plain ``(B, N, N)`` stacks, and :func:`assemble_medium`
+one mesh's pair.
 """
 
 from __future__ import annotations
@@ -106,21 +107,6 @@ class AssemblyOptions:
         return {**asdict(self), "kernel": kernel}
 
 
-def assemble_media_multi_k(plan: AssemblyPlan3D, media) -> list[tuple]:
-    """``(D, S)`` stacks for every ``(k, kernel)`` in ``media``.
-
-    The plan's one write path (:meth:`AssemblyPlan3D.write`), for both
-    kernels, into plain matrices (:meth:`AssemblyPlan3D.dense`): one
-    kernel pass on the plan's pairs (the tables in one fused lookup
-    shared by two media x F stacked frequencies), then per entry its
-    pairs, diagonal and near blocks. Returns ``[(d, s), ...]`` as ``(B,
-    N, N)`` stacks in ``media`` order, **bit-identical** to assembling
-    each entry alone, and each sample to a one-mesh plan. The solver
-    writes the same values straight into its block systems.
-    """
-    return plan.dense(media)
-
-
 def assemble_medium(mesh: SurfaceMesh3D, k: complex,
                     options: AssemblyOptions | None = None,
                     tables: KernelTables | EwaldKernel | None = None
@@ -138,5 +124,5 @@ def assemble_medium(mesh: SurfaceMesh3D, k: complex,
         tables = options.kernel(k, mesh.period, lambda: tables_for_mesh(
             k, mesh, options.ewald_config(mesh.period)))
     plan = AssemblyPlan3D.build([mesh], options)
-    d_mat, s_mat = assemble_media_multi_k(plan, ((k, tables),))[0]
+    d_mat, s_mat = plan.dense(((k, tables),))[0]
     return d_mat[0], s_mat[0]

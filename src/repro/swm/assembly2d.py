@@ -20,8 +20,9 @@ Kummer sum (:class:`~repro.swm.fastkernel2d.KummerKernel`), their
 reference, passed in by the caller. Only the near pairs subtract the
 free-space Hankel term, to replace it by its sub-segment average. The
 plan writes each medium's ``D`` and ``S`` once, straight into the
-solver's coupled block system; :func:`assemble_medium_2d` and
-:func:`assemble_media_multi_k_2d` return them as plain matrices.
+solver's coupled block system;
+:meth:`~repro.swm.plan.AssemblyPlan2D.dense` returns them as plain ``(B,
+N, N)`` stacks, and :func:`assemble_medium_2d` one profile's pair.
 """
 
 from __future__ import annotations
@@ -57,20 +58,6 @@ class Assembly2DOptions:
         return {**asdict(self), "kernel": KERNEL_REVISION_2D}
 
 
-def assemble_media_multi_k_2d(plan: AssemblyPlan2D, media) -> list[tuple]:
-    """``(D, S)`` stacks for every ``(k, kernel)`` in ``media``.
-
-    The 2D plan's one write path (:meth:`AssemblyPlan2D.write`), for
-    both kernels, into plain matrices (:meth:`AssemblyPlan2D.dense`):
-    one kernel pass on the plan's pairs (the tables in one fused lookup
-    shared by two media x F stacked frequencies), then per entry its
-    pairs, diagonal and near blocks. Returns ``[(d, s), ...]`` as ``(B,
-    N, N)`` stacks in ``media`` order, **bit-identical** to assembling
-    each entry alone, and each sample to a one-profile plan.
-    """
-    return plan.dense(media)
-
-
 def assemble_medium_2d(mesh: SurfaceMesh2D, k: complex,
                        options: Assembly2DOptions | None = None,
                        kernel: KummerTables | KummerKernel | None = None
@@ -87,5 +74,5 @@ def assemble_medium_2d(mesh: SurfaceMesh2D, k: complex,
         kernel, = build_tables((k,), mesh.period, mesh.n, options.m_max,
                                float(np.ptp(mesh.z)))
     plan = AssemblyPlan2D.build([mesh], options)
-    d_mat, s_mat = assemble_media_multi_k_2d(plan, ((k, kernel),))[0]
+    d_mat, s_mat = plan.dense(((k, kernel),))[0]
     return d_mat[0], s_mat[0]

@@ -355,7 +355,9 @@ class _PairPlan:
 
     def dense(self, media) -> list[tuple[np.ndarray, np.ndarray]]:
         """Each ``(k, kernel)`` medium's ``(D, S)`` as ``(B, N, N)``
-        stacks: :meth:`write` with no system around them."""
+        stacks: :meth:`write` with no system around them, so the values
+        are the solver's, bit for bit, and each sample's are a
+        one-sample plan's."""
         media, n = list(media), self.n
         # One block row each: the write layout's row stride is 2N.
         bufs = [np.empty((self.batch, n, 2 * n), dtype=np.complex128)

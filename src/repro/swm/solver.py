@@ -72,40 +72,19 @@ class SWMResult:
 
 @dataclass(frozen=True)
 class SWMOptions:
-    """Numerical options of the 3D solver.
+    """Numerical options of the 3D solver: its assembly.
 
-    ``batch_size`` bounds how many sample systems the batched solve path
-    (:meth:`SWMSolver3D.solve_many_um`) stacks at once, and is the
-    default sample-batch size for stochastic estimators running against
-    this solver (``None`` = the solver's budgeted chunk,
-    :meth:`SWMSolver3D.chunk_size`). It is a pure performance knob:
-    batched results are bit-identical to per-sample solves, so it is
-    **excluded** from the content hash.
+    How many samples a batched solve stacks is the solver's own
+    decision (:meth:`SWMSolver3D.chunk_size`, one byte budget), and
+    every assembled system is checked finite before it is factored.
     """
 
-    #: Fields deliberately outside the content hash; the hash-purity
-    #: check (RPR003) keeps this set honest against :meth:`to_spec`.
-    HASH_EXCLUDED = frozenset({"batch_size", "check_finite"})
-
     assembly: AssemblyOptions = field(default_factory=AssemblyOptions)
-    check_finite: bool = True
-    batch_size: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigurationError(
-                f"batch_size must be >= 1 or None, got {self.batch_size}"
-            )
 
     def to_spec(self) -> dict:
         """Content-hashable dict (keys the engine's result cache).
         The assembly part comes from :meth:`AssemblyOptions.to_spec`,
-        so the kernel revision reaches every 3D hash. Knobs that cannot
-        change payloads (:data:`HASH_EXCLUDED`) stay out so they never
-        split cache entries: ``batch_size`` (batched solves are
-        bit-identical) and ``check_finite`` (it only turns a non-finite
-        assembly into a clear error — every payload that *returns* is
-        identical either way)."""
+        so the kernel revision reaches every 3D hash."""
         return {"assembly": self.assembly.to_spec()}
 
 
@@ -362,15 +341,13 @@ class _SWMSolver:
     def chunk_size(self, n_unknowns: int) -> int:
         """Samples per stacked chunk on a mesh of ``n_unknowns`` points.
 
-        ``options.batch_size`` when set; else the most samples whose
-        working set per frequency fits :data:`_CHUNK_BYTES` next to the
-        near block: per sample one ``(2N, 2N)`` system and both media's
-        ``(M,)`` kernel-pass arrays (``M = N(N-1)/2`` pairs). Chunking
-        is invisible to results (each chunk is assembled and factored
-        exactly as a standalone batch).
+        The most samples whose working set per frequency fits
+        :data:`_CHUNK_BYTES` next to the near block: per sample one
+        ``(2N, 2N)`` system and both media's ``(M,)`` kernel-pass arrays
+        (``M = N(N-1)/2`` pairs). This budget alone decides how every
+        solve stacks. Chunking is invisible to results (each chunk is
+        assembled and factored exactly as a standalone batch).
         """
-        if self.options.batch_size is not None:
-            return self.options.batch_size
         pairs = n_unknowns * (n_unknowns - 1) // 2
         per_sample = 16 * (4 * n_unknowns * n_unknowns
                            + 2 * self._kernel_parts * pairs)
@@ -467,7 +444,7 @@ class _SWMSolver:
         ``np.linalg.solve`` call and one LAPACK build, and agree bit for
         bit whatever BLAS threading is in effect.
         """
-        if self.options.check_finite and not np.all(np.isfinite(a)):
+        if not np.all(np.isfinite(a)):
             raise SolverError("assembled SWM matrix contains non-finite "
                               "entries")
         try:
@@ -575,17 +552,3 @@ class SWMSolver3D(_SWMSolver):
         t0 = self.system.flat_transmission(frequency_hz)
         return abs(t0) ** 2 * period_um ** 2 / (2.0 * delta_um)
 
-
-def enhancement_sweep(solver: SWMSolver3D, heights_m: np.ndarray,
-                      period_m: float, frequencies_hz: np.ndarray
-                      ) -> np.ndarray:
-    """Loss-enhancement factor of one surface over a frequency sweep
-    (one frequency-stacked solve)."""
-    freqs = np.atleast_1d(np.asarray(frequencies_hz, dtype=np.float64))
-    if not freqs.size:
-        return np.empty(0, dtype=np.float64)
-    heights_um = np.asarray(heights_m, dtype=np.float64) * METER_TO_UM
-    period_um = float(period_m) * METER_TO_UM
-    mesh = build_mesh_3d(heights_um, period_um)
-    stacks = solver.solve_mesh_many_multi_k([mesh], freqs)
-    return np.array([row[0].enhancement for row in stacks], dtype=np.float64)

@@ -42,39 +42,19 @@ from .solver import _SWMSolver
 
 @dataclass(frozen=True)
 class SWM2DOptions:
-    """Numerical options of the 2D solver.
+    """Numerical options of the 2D solver: its assembly.
 
-    ``batch_size`` bounds how many sample systems the batched solve path
-    (:meth:`SWMSolver2D.solve_many_um`) stacks at once, and is the
-    default sample-batch size for estimators running against this
-    solver (``None`` = the solver's budgeted chunk,
-    :meth:`SWMSolver2D.chunk_size`). Perf-only (batched results are
-    bit-identical), so it is excluded from content hashes.
+    As in 3D, the solver's byte budget decides how samples stack
+    (:meth:`SWMSolver2D.chunk_size`), and every assembled system is
+    checked finite before it is factored.
     """
 
-    #: Fields deliberately outside the content hash; the hash-purity
-    #: check (RPR003) keeps this set honest against :meth:`to_spec`.
-    HASH_EXCLUDED = frozenset({"batch_size", "check_finite"})
-
     assembly: Assembly2DOptions = field(default_factory=Assembly2DOptions)
-    check_finite: bool = True
-    batch_size: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigurationError(
-                f"batch_size must be >= 1 or None, got {self.batch_size}"
-            )
 
     def to_spec(self) -> dict:
         """Content-hashable dict (keys the engine's result cache).
         The assembly part comes from :meth:`Assembly2DOptions.to_spec`,
-        so the 2D kernel revision reaches every 2D hash. Knobs that
-        cannot change payloads (:data:`HASH_EXCLUDED`) stay out so they
-        never split cache entries: ``batch_size`` (batched solves are
-        bit-identical) and ``check_finite`` (it only turns a non-finite
-        assembly into a clear error — every payload that *returns* is
-        identical either way)."""
+        so the 2D kernel revision reaches every 2D hash."""
         return {"assembly": self.assembly.to_spec()}
 
 

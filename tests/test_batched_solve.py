@@ -1,9 +1,9 @@
 """Tests of the batched sample-solve path (solver, engine, hashes).
 
-The contract under test everywhere: batching is a *pure performance*
-knob — batched solves are bit-identical to the sequential per-sample
+The contract under test everywhere: stacking is a *pure performance*
+move — batched solves are bit-identical to the sequential per-sample
 path (same kernel values, same LAPACK factorizations, same seed
-stream), and ``batch_size`` never enters a content hash.
+stream), whatever chunks the solver stacks.
 """
 
 import warnings
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.constants import GHZ, UM
-from repro.core import StochasticLossConfig, StochasticLossModel
+from repro.core import StochasticLossConfig
 from repro.engine.runtime import clear_memo, execute_job
 from repro.engine.spec import (
     DeterministicScenario,
@@ -23,15 +23,11 @@ from repro.engine.spec import (
 )
 from repro.errors import ConfigurationError, MeshError, SolverError
 from repro.surfaces import GaussianCorrelation
-from repro.swm.assembly import (
-    AssemblyOptions,
-    assemble_media_multi_k,
-    assemble_medium,
-)
+from repro.swm.assembly import AssemblyOptions, assemble_medium
 from repro.swm.assembly2d import Assembly2DOptions
 from repro.swm.fastkernel import KernelTables
 from repro.swm.geometry import build_mesh_3d
-from repro.swm.plan import AssemblyPlan3D
+from repro.swm.plan import AssemblyPlan3D, _PairPlan
 from repro.swm.solver import SWMOptions, SWMSolver3D
 from repro.swm.solver2d import SWM2DOptions, SWMSolver2D
 
@@ -61,14 +57,13 @@ class TestSolver3DBatchedParity:
             assert a.absorbed_power == b.absorbed_power
             assert a.smooth_power == b.smooth_power
 
-    def test_chunked_stacking_matches_full_batch(self):
+    def test_chunked_stacking_matches_full_batch(self, stacking):
         heights = _random_heights(5, 8)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             full = SWMSolver3D().solve_many_um(heights, 5.0, FREQ)
-            chunked = SWMSolver3D(
-                options=SWMOptions(batch_size=2)
-            ).solve_many_um(heights, 5.0, FREQ)
+            with stacking(2):
+                chunked = SWMSolver3D().solve_many_um(heights, 5.0, FREQ)
         for a, b in zip(full, chunked):
             assert a.enhancement == b.enhancement
 
@@ -116,13 +111,12 @@ class TestSolver2DBatchedParity:
             np.testing.assert_array_equal(a.psi, b.psi)
             np.testing.assert_array_equal(a.v, b.v)
 
-    def test_chunked_stacking_matches_full_batch(self):
+    def test_chunked_stacking_matches_full_batch(self, stacking):
         rng = np.random.default_rng(8)
         profiles = rng.normal(0.0, 0.3, (5, 16))
         full = SWMSolver2D().solve_many_um(profiles, 5.0, FREQ)
-        chunked = SWMSolver2D(
-            options=SWM2DOptions(batch_size=2)
-        ).solve_many_um(profiles, 5.0, FREQ)
+        with stacking(2):
+            chunked = SWMSolver2D().solve_many_um(profiles, 5.0, FREQ)
         for a, b in zip(full, chunked):
             assert a.enhancement == b.enhancement
 
@@ -193,7 +187,7 @@ class TestBatchedAssembly:
         tables = solver._get_tables(1, k1, FREQ, meshes)
         opts = solver.options.assembly
         plan = AssemblyPlan3D.build(meshes, opts)
-        d_many, s_many = assemble_media_multi_k(plan, ((k1, tables),))[0]
+        d_many, s_many = plan.dense(((k1, tables),))[0]
         for i, mesh in enumerate(meshes):
             d_one, s_one = assemble_medium(mesh, k1, opts, tables=tables)
             np.testing.assert_array_equal(d_many[i], d_one)
@@ -216,7 +210,7 @@ class TestBatchedAssembly:
         k = 0.5 + 0.3j
         kernel = EwaldKernel(k, opts.ewald_config(5.0))
         plan = AssemblyPlan3D.build(meshes, opts)
-        d_many, s_many = assemble_media_multi_k(plan, ((k, kernel),))[0]
+        d_many, s_many = plan.dense(((k, kernel),))[0]
         for i, mesh in enumerate(meshes):
             d_one, s_one = assemble_medium(mesh, k, opts)
             np.testing.assert_array_equal(d_many[i], d_one)
@@ -243,7 +237,7 @@ class TestKernelTablesCovers:
             solver.solve_um(0.5 * heights, 5.0, FREQ)  # smaller extent
         assert dict(solver._tables) == tables  # reused, not rebuilt
 
-    def test_table_growth_is_counted_once_per_medium(self):
+    def test_table_growth_is_counted_once_per_medium(self, stacking):
         """A later chunk that outgrows the first chunk's tables builds
         one more table per medium, replacing the old one, and
         ``repro_swm_table_builds_total`` counts every build."""
@@ -252,13 +246,13 @@ class TestKernelTablesCovers:
         rng = np.random.default_rng(5)
         heights = np.stack([rng.normal(0.0, 0.1, (8, 8)),
                             rng.normal(0.0, 1.0, (8, 8))])
-        solver = SWMSolver3D(options=SWMOptions(batch_size=1))
+        solver = SWMSolver3D()
         builds = telemetry.REGISTRY.counter("repro_swm_table_builds_total")
         was = telemetry.enabled()
         telemetry.enable()  # the counter is a no-op otherwise
         try:
             before = builds.value()
-            with warnings.catch_warnings():
+            with warnings.catch_warnings(), stacking(1):
                 warnings.simplefilter("ignore", RuntimeWarning)
                 solver.solve_many_um(heights, 5.0, FREQ)
             after = builds.value()
@@ -404,31 +398,31 @@ def _run_job(scenario, estimator, frequency_hz=5 * GHZ):
 
 
 class TestEngineBatchedParity:
-    def test_stochastic_montecarlo(self):
-        base = EstimatorSpec(kind="montecarlo", n_samples=10, seed=3)
-        for bs in (1, 4, 64):
-            scen = StochasticScenario("m", CORR_3D, CONFIG_3D)
-            a = _run_job(scen, base)
-            b = _run_job(StochasticScenario("m", CORR_3D, CONFIG_3D),
-                         EstimatorSpec(kind="montecarlo", n_samples=10,
-                                       seed=3, batch_size=bs))
+    def test_stochastic_montecarlo(self, stacking):
+        est = EstimatorSpec(kind="montecarlo", n_samples=10, seed=3)
+        a = _run_job(StochasticScenario("m", CORR_3D, CONFIG_3D), est)
+        # (samples per chunk, chunks per engine block): blocks of 1 and
+        # of 4, and one block of three chunks (4, 4, 2).
+        for chunk, block_chunks in ((1, 1), (4, 1), (4, 16)):
+            with stacking(chunk, block_chunks):
+                b = _run_job(StochasticScenario("m", CORR_3D, CONFIG_3D),
+                             est)
             np.testing.assert_array_equal(a["values"], b["values"])
             assert a["mean"] == b["mean"] and a["std"] == b["std"]
 
-    def test_stochastic_sscm(self):
-        scen = StochasticScenario("m", CORR_3D, CONFIG_3D)
-        a = _run_job(scen, EstimatorSpec(kind="sscm", order=1))
-        b = _run_job(StochasticScenario("m", CORR_3D, CONFIG_3D),
-                     EstimatorSpec(kind="sscm", order=1, batch_size=4))
+    def test_stochastic_sscm(self, stacking):
+        est = EstimatorSpec(kind="sscm", order=1)
+        a = _run_job(StochasticScenario("m", CORR_3D, CONFIG_3D), est)
+        with stacking(4, block_chunks=1):
+            b = _run_job(StochasticScenario("m", CORR_3D, CONFIG_3D), est)
         np.testing.assert_array_equal(a["values"], b["values"])
 
-    def test_profile_montecarlo(self):
-        scen = ProfileScenario("p", CORR_2D, period_um=5.0, n=16)
-        a = _run_job(scen, EstimatorSpec(kind="montecarlo", n_samples=9,
-                                         seed=1))
-        b = _run_job(ProfileScenario("p", CORR_2D, period_um=5.0, n=16),
-                     EstimatorSpec(kind="montecarlo", n_samples=9, seed=1,
-                                   batch_size=4))
+    def test_profile_montecarlo(self, stacking):
+        est = EstimatorSpec(kind="montecarlo", n_samples=9, seed=1)
+        a = _run_job(ProfileScenario("p", CORR_2D, period_um=5.0, n=16), est)
+        with stacking(4, block_chunks=1):
+            b = _run_job(ProfileScenario("p", CORR_2D, period_um=5.0, n=16),
+                         est)
         np.testing.assert_array_equal(a["values"], b["values"])
 
     def test_deterministic_matches_batched_solver(self):
@@ -441,87 +435,17 @@ class TestEngineBatchedParity:
                                                FREQ)
         assert payload["values"][0] == batched[0].enhancement
 
-    def test_options_batch_size_is_worker_default(self):
-        # batch_size via SWMOptions (no estimator knob) must hit the
-        # same bit-identical path.
-        opts = SWMOptions(batch_size=4)
-        a = _run_job(StochasticScenario("m", CORR_3D, CONFIG_3D),
-                     EstimatorSpec(kind="montecarlo", n_samples=8, seed=2))
-        b = _run_job(
-            StochasticScenario("m", CORR_3D, CONFIG_3D, options=opts),
-            EstimatorSpec(kind="montecarlo", n_samples=8, seed=2))
-        np.testing.assert_array_equal(a["values"], b["values"])
 
-    def test_pipeline_montecarlo_batch_size(self):
-        from repro.engine import ResultCache
-
-        # Fresh caches: the second run must *compute* through the
-        # batched path, not replay the first run's cache entry.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            model = StochasticLossModel(CORR_3D, CONFIG_3D)
-            a = model.montecarlo(5 * GHZ, 8, seed=11, cache=ResultCache())
-            model2 = StochasticLossModel(CORR_3D, CONFIG_3D)
-            b = model2.montecarlo(5 * GHZ, 8, seed=11, batch_size=3,
-                                  cache=ResultCache())
-        np.testing.assert_array_equal(a.samples, b.samples)
-
-
-class TestBatchSizeOutsideContentHash:
-    def test_estimator_spec_excludes_batch_size(self):
-        a = EstimatorSpec(kind="montecarlo", n_samples=10, seed=3)
-        b = EstimatorSpec(kind="montecarlo", n_samples=10, seed=3,
-                          batch_size=16)
-        assert a.to_spec() == b.to_spec()
-
-    def test_job_key_invariant(self):
-        scen = StochasticScenario("m", CORR_3D, CONFIG_3D)
-        j1 = Job(scen, 5 * GHZ, EstimatorSpec(kind="sscm", order=1), 0)
-        j2 = Job(scen, 5 * GHZ,
-                 EstimatorSpec(kind="sscm", order=1, batch_size=8), 0)
-        assert j1.key == j2.key
-
-    def test_swm_options_exclude_batch_size(self):
-        assert SWMOptions().to_spec() == SWMOptions(batch_size=16).to_spec()
-        assert (SWM2DOptions().to_spec()
-                == SWM2DOptions(batch_size=16).to_spec())
-
-    def test_scenario_key_invariant_under_options_batch_size(self):
-        s1 = StochasticScenario("m", CORR_3D, CONFIG_3D,
-                                options=SWMOptions())
-        s2 = StochasticScenario("m", CORR_3D, CONFIG_3D,
-                                options=SWMOptions(batch_size=16))
-        assert s1.key == s2.key
-        p1 = ProfileScenario("p", CORR_2D, period_um=5.0, n=16,
-                             options=SWM2DOptions())
-        p2 = ProfileScenario("p", CORR_2D, period_um=5.0, n=16,
-                             options=SWM2DOptions(batch_size=16))
-        assert p1.key == p2.key
-
-    def test_invalid_batch_size_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EstimatorSpec(kind="sscm", batch_size=0)
-        with pytest.raises(ConfigurationError):
-            SWMOptions(batch_size=0)
-        with pytest.raises(ConfigurationError):
-            SWM2DOptions(batch_size=-1)
-
-    def test_wire_round_trip_preserves_batch_size_and_hash(self):
-        from repro.service.wire import dumps, loads
-
-        scen = StochasticScenario("m", CORR_3D, CONFIG_3D)
-        job = Job(scen, 5 * GHZ,
-                  EstimatorSpec(kind="montecarlo", n_samples=10, seed=3,
-                                batch_size=8), 0)
-        back = loads(dumps(job))
-        assert back.estimator.batch_size == 8
-        assert back.key == job.key
+_EACH_SOLVER = pytest.mark.parametrize("solve", [
+    lambda: SWMSolver3D().solve_um(_random_heights(1, 4)[0], 5.0, 5 * GHZ),
+    lambda: SWMSolver2D().solve_um(np.zeros(16), 5.0, 5 * GHZ)],
+    ids=["3d", "2d"])
 
 
 class TestMalformedOptions:
     """Assembly knobs no assembly can honor raise at construction, so
     wire decoding (which the service answers with 400) rejects them
-    too; a non-finite solution raises in both solvers."""
+    too; a non-finite assembly or solution raises in both solvers."""
 
     @pytest.mark.parametrize("bad", [
         {"near_quadrature": 0}, {"near_radius_cells": -1.0},
@@ -558,11 +482,7 @@ class TestMalformedOptions:
         Assembly2DOptions(near_radius_cells=0.0, near_quadrature=1,
                           m_max=1)
 
-    @pytest.mark.parametrize("solve", [
-        lambda: SWMSolver3D(options=SWMOptions(check_finite=False))
-        .solve_um(_random_heights(1, 4)[0], 5.0, 5 * GHZ),
-        lambda: SWMSolver2D(options=SWM2DOptions(check_finite=False))
-        .solve_um(np.zeros(16), 5.0, 5 * GHZ)], ids=["3d", "2d"])
+    @_EACH_SOLVER
     def test_non_finite_solution_raises(self, monkeypatch, solve):
         def nan_solve(a, b):
             return np.full(b.shape, np.nan, dtype=np.complex128)
@@ -570,5 +490,23 @@ class TestMalformedOptions:
         monkeypatch.setattr(np.linalg, "solve", nan_solve)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(SolverError, match="non-finite"):
+            with pytest.raises(SolverError,
+                               match="solution contains non-finite"):
+                solve()
+
+    @_EACH_SOLVER
+    def test_non_finite_assembly_raises(self, monkeypatch, solve):
+        """One NaN written into the block system stops the solve before
+        the factorization."""
+        write = _PairPlan.write
+
+        def poisoned(plan, media, blocks):
+            write(plan, media, blocks)
+            blocks[0].out[0, blocks[0].row, 0] = np.nan
+
+        monkeypatch.setattr(_PairPlan, "write", poisoned)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(SolverError, match="assembled SWM matrix "
+                               "contains non-finite entries"):
                 solve()

@@ -10,6 +10,7 @@ The two acceptance properties of the subsystem are pinned here:
 
 import json
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -138,6 +139,14 @@ class TestContentHash:
         for job in jobs:
             assert job.key == content_hash(job.to_spec()), job
 
+    def test_only_plain_dicts_are_mappings(self):
+        """Specs are plain dicts; any other mapping is refused rather
+        than hashed by a different rule."""
+        from types import MappingProxyType
+
+        with pytest.raises(ConfigurationError, match="mappingproxy"):
+            content_hash(MappingProxyType({"f": 5.0}))
+
     def test_deterministic_scenario_hashes_heights(self):
         flat = np.zeros((8, 8))
         bump = flat.copy()
@@ -146,43 +155,11 @@ class TestContentHash:
         b = DeterministicScenario("s", bump, 5 * UM)
         assert a.key != b.key
 
-    def test_check_finite_outside_content_hash(self):
-        """check_finite cannot change payloads (it only turns a
-        non-finite assembly into a clear error), so like batch_size it
-        must not split engine/service cache entries."""
-        from repro.swm.solver import SWMOptions
-        from repro.swm.solver2d import SWM2DOptions
-
-        assert (SWMOptions(check_finite=False).to_spec()
-                == SWMOptions().to_spec())
-        assert (SWM2DOptions(check_finite=False).to_spec()
-                == SWM2DOptions().to_spec())
-        s1 = StochasticScenario("m", GaussianCorrelation(1 * UM, 1 * UM),
-                                SMALL_CONFIG, options=SWMOptions())
-        s2 = StochasticScenario("m", GaussianCorrelation(1 * UM, 1 * UM),
-                                SMALL_CONFIG,
-                                options=SWMOptions(check_finite=False))
-        assert s1.key == s2.key
-        p1 = ProfileScenario("p", GaussianCorrelation(1.0, 1.0),
-                             period_um=5.0, n=16, options=SWM2DOptions())
-        p2 = ProfileScenario("p", GaussianCorrelation(1.0, 1.0),
-                             period_um=5.0, n=16,
-                             options=SWM2DOptions(check_finite=False))
-        assert p1.key == p2.key
-        # The numerics knobs still change the hash.
-        from repro.swm.assembly2d import Assembly2DOptions
-
-        p3 = ProfileScenario(
-            "p", GaussianCorrelation(1.0, 1.0), period_um=5.0, n=16,
-            options=SWM2DOptions(assembly=Assembly2DOptions(m_max=48)))
-        assert p1.key != p3.key
-
 
 class TestKernelRevisionInContentHash:
     """Each solver's kernel revision keys every result of that solver, so
     a disk cache never mixes values from two kernels; the other
-    dimension's keys, the perf-knob exclusions and the wire format do
-    not see it."""
+    dimension's keys and the wire format do not see it."""
 
     @staticmethod
     def _keys():
@@ -226,14 +203,12 @@ class TestKernelRevisionInContentHash:
         from repro.swm.solver import SWMOptions
         from repro.swm.solver2d import SWM2DOptions
 
-        spec = SWMOptions(batch_size=16, check_finite=False).to_spec()
+        spec = SWMOptions().to_spec()
         assert spec == {"assembly": AssemblyOptions().to_spec()}
         assert spec["assembly"]["kernel"] == KERNEL_REVISION
-        assert spec == SWMOptions().to_spec()
-        spec2 = SWM2DOptions(batch_size=16, check_finite=False).to_spec()
+        spec2 = SWM2DOptions().to_spec()
         assert spec2 == {"assembly": Assembly2DOptions().to_spec()}
         assert spec2["assembly"]["kernel"] == KERNEL_REVISION_2D
-        assert spec2 == SWM2DOptions().to_spec()
 
     def test_exact_ewald_keys_its_own_revision(self, monkeypatch):
         """The tabulated spec keeps its form; exact Ewald
@@ -261,11 +236,9 @@ class TestKernelRevisionInContentHash:
         from repro.swm.solver2d import SWM2DOptions
 
         scen = StochasticScenario("x", GaussianCorrelation(1 * UM, 1 * UM),
-                                  SMALL_CONFIG,
-                                  options=SWMOptions(batch_size=4))
+                                  SMALL_CONFIG, options=SWMOptions())
         prof = ProfileScenario("p", GaussianCorrelation(1.0, 1.0),
-                               period_um=5.0, n=16,
-                               options=SWM2DOptions(batch_size=4))
+                               period_um=5.0, n=16, options=SWM2DOptions())
         for obj in (scen, prof):
             doc = wire.to_wire(obj)
             assert "kernel" not in json.dumps(doc)
@@ -662,6 +635,13 @@ class TestProfileScenario:
         other_period = ProfileScenario(
             "prof", GaussianCorrelation(1.0, 1.0), period_um=6.0, n=16)
         assert base.key != other_period.key
+        from repro.swm.assembly2d import Assembly2DOptions
+        from repro.swm.solver2d import SWM2DOptions
+
+        other_modes = ProfileScenario(
+            "prof", GaussianCorrelation(1.0, 1.0), period_um=5.0, n=16,
+            options=SWM2DOptions(assembly=Assembly2DOptions(m_max=48)))
+        assert base.key != other_modes.key
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -788,9 +768,11 @@ class TestPipelineRouting:
                                    SMALL_CONFIG)
 
     @pytest.mark.parametrize("batch_size", [None, 3])
-    def test_montecarlo_matches_direct_estimator(self, model, batch_size):
-        routed = model.montecarlo(5 * GHZ, 8, seed=0, cache=ResultCache(),
-                                  batch_size=batch_size)
+    def test_montecarlo_matches_direct_estimator(self, model, stacking,
+                                                 batch_size):
+        with stacking(batch_size, 1) if batch_size else nullcontext():
+            routed = model.montecarlo(5 * GHZ, 8, seed=0,
+                                      cache=ResultCache())
         direct = MonteCarloEstimator(
             model.enhancement_model(5 * GHZ), model.dimension,
             batch_model=model.enhancement_batch_model(5 * GHZ)).run(
@@ -798,7 +780,8 @@ class TestPipelineRouting:
         np.testing.assert_array_equal(routed.samples, direct.samples)
 
     @pytest.mark.parametrize("batch_size", [None, 3])
-    def test_profile_montecarlo_matches_direct_estimator(self, batch_size):
+    def test_profile_montecarlo_matches_direct_estimator(self, stacking,
+                                                         batch_size):
         """The engine and the public estimator walk one xi stream."""
         from repro.surfaces import ProfileGenerator
         from repro.swm.solver2d import SWMSolver2D
@@ -806,9 +789,10 @@ class TestPipelineRouting:
         corr = GaussianCorrelation(1.0, 1.0)
         spec = SweepSpec(
             ProfileScenario("prof", corr, period_um=5.0, n=16),
-            5 * GHZ, EstimatorSpec(kind="montecarlo", n_samples=7, seed=4,
-                                   batch_size=batch_size))
-        routed = run_sweep(spec, cache=ResultCache()).point("prof", 5 * GHZ)
+            5 * GHZ, EstimatorSpec(kind="montecarlo", n_samples=7, seed=4))
+        with stacking(batch_size, 1) if batch_size else nullcontext():
+            routed = run_sweep(spec, cache=ResultCache()).point("prof",
+                                                                5 * GHZ)
 
         gen = ProfileGenerator(corr, period=5.0, n=16, normalize=True)
         solver = SWMSolver2D()

@@ -3,7 +3,7 @@
 The contract under test: fusing is a *pure performance* move.
 ``periodic_green2d_pair`` must be bit-identical to per-call
 ``periodic_green2d`` + ``periodic_green2d_gradient``, the fused
-two-medium ``assemble_media_multi_k_2d`` pass to its per-medium call
+two-medium :meth:`AssemblyPlan2D.dense` pass to its per-medium call
 (and per-mesh ``assemble_medium_2d``), and the batched solver path
 routed through them to per-sample solves — in every regime the assembly
 exercises: ``dz = 0`` (the PV sign convention), zero separation (the
@@ -25,11 +25,7 @@ from repro.greens.periodic2d import (
 )
 from repro.materials import PAPER_SYSTEM
 from repro.surfaces import GaussianCorrelation
-from repro.swm.assembly2d import (
-    Assembly2DOptions,
-    assemble_media_multi_k_2d,
-    assemble_medium_2d,
-)
+from repro.swm.assembly2d import Assembly2DOptions, assemble_medium_2d
 from repro.swm.fastkernel2d import (
     KummerKernel,
     _g_reg0_cached,
@@ -38,7 +34,7 @@ from repro.swm.fastkernel2d import (
 from repro.greens.freespace import green2d_and_gradient
 from repro.swm.geometry import build_mesh_2d
 from repro.swm.plan import AssemblyPlan2D, _wrap
-from repro.swm.solver2d import SWM2DOptions, SWMSolver2D
+from repro.swm.solver2d import SWMSolver2D
 
 L = 5.0
 FREQ = 20 * GHZ
@@ -158,13 +154,12 @@ class TestPairAssemblyParity:
     def _pair(meshes, k1, k2, opts=None):
         opts = opts or Assembly2DOptions()
         plan = AssemblyPlan2D.build(meshes, opts)
-        return assemble_media_multi_k_2d(plan, _exact(opts, k1, k2))
+        return plan.dense(_exact(opts, k1, k2))
 
     @staticmethod
     def _medium(meshes, k):
         plan = AssemblyPlan2D.build(meshes, Assembly2DOptions())
-        return assemble_media_multi_k_2d(
-            plan, _exact(Assembly2DOptions(), k))[0]
+        return plan.dense(_exact(Assembly2DOptions(), k))[0]
 
     def test_matches_per_medium_batched_assembly(self):
         meshes = self._meshes()
@@ -274,12 +269,13 @@ class TestZeroLimitCache:
         # The two spellings share one entry: at most one new miss.
         assert after.misses <= before.misses + 1
 
-    def test_batch_chunks_share_one_evaluation(self):
+    def test_batch_chunks_share_one_evaluation(self, stacking):
         rng = np.random.default_rng(9)
         profiles = rng.normal(0.0, 0.3, (5, 12))
-        solver = SWMSolver2D(options=SWM2DOptions(batch_size=2))
+        solver = SWMSolver2D()
         before = _g_reg0_cached.cache_info()
-        solver.solve_many_um(profiles, L, FREQ)  # 3 chunks x 2 media
+        with stacking(2):
+            solver.solve_many_um(profiles, L, FREQ)  # 3 chunks x 2 media
         after = _g_reg0_cached.cache_info()
         assert after.misses <= before.misses + 2  # one per medium at most
 
@@ -324,15 +320,14 @@ class TestSolverMixedBatchSizes:
         return rng.normal(0.0, 0.3, (self.B, 16))
 
     @pytest.mark.parametrize("batch_size", [1, 3, 64])
-    def test_bit_identical_across_batch_sizes(self, batch_size):
-        """batch_size 1 (degenerate stacks), 3 (non-divisor of B) and
-        64 (> B, one full stack) all reproduce per-sample solves."""
+    def test_bit_identical_across_batch_sizes(self, stacking, batch_size):
+        """Chunks of 1 (degenerate stacks), 3 (non-divisor of B) and 64
+        (> B, one full stack) all reproduce per-sample solves."""
         profiles = self._profiles()
         ref = SWMSolver2D()
         serial = [ref.solve_um(p, L, FREQ) for p in profiles]
-        bat = SWMSolver2D(
-            options=SWM2DOptions(batch_size=batch_size)
-        ).solve_many_um(profiles, L, FREQ)
+        with stacking(batch_size):
+            bat = SWMSolver2D().solve_many_um(profiles, L, FREQ)
         assert len(bat) == len(serial)
         for a, b in zip(serial, bat):
             assert a.enhancement == b.enhancement

@@ -27,11 +27,7 @@ from repro.greens.periodic2d import (log_remainder, mode_seed,
 from repro.materials import PAPER_SYSTEM
 from repro.surfaces import GaussianCorrelation, ProfileGenerator
 from repro.swm import fastkernel2d
-from repro.swm.assembly2d import (
-    Assembly2DOptions,
-    assemble_media_multi_k_2d,
-    assemble_medium_2d,
-)
+from repro.swm.assembly2d import Assembly2DOptions, assemble_medium_2d
 from repro.swm.fastkernel2d import (
     KERNEL_REVISION_2D,
     KummerKernel,
@@ -42,7 +38,7 @@ from repro.swm.fastkernel2d import (
 )
 from repro.swm.geometry import build_mesh_2d
 from repro.swm.plan import AssemblyPlan2D, _profile_fold
-from repro.swm.solver2d import SWM2DOptions, SWMSolver2D
+from repro.swm.solver2d import SWMSolver2D
 
 N = 64
 M_MAX = 96
@@ -115,8 +111,8 @@ class TestAccuracy:
         plan = AssemblyPlan2D.build(eta_meshes, Assembly2DOptions())
         ks = _ks(f_ghz)
         tables, exact = _both(eta_meshes, ks)
-        fast = assemble_media_multi_k_2d(plan, zip(ks, tables))
-        ref = assemble_media_multi_k_2d(plan, zip(ks, exact))
+        fast = plan.dense(zip(ks, tables))
+        ref = plan.dense(zip(ks, exact))
         for (d_f, s_f), (d_e, s_e) in zip(fast, ref):
             assert _rel(d_f, d_e) <= 2e-6
             assert _rel(s_f, s_e) <= 2e-6
@@ -256,7 +252,7 @@ class TestBitIdentity:
         ks = _ks(5)
         tables, _ = _both(meshes, ks)
         plan = AssemblyPlan2D.build(meshes, Assembly2DOptions())
-        stacks = assemble_media_multi_k_2d(plan, zip(ks, tables))
+        stacks = plan.dense(zip(ks, tables))
         for k, (d_many, s_many) in zip(ks, stacks):
             for i, mesh in enumerate(meshes):
                 d_one, s_one = assemble_medium_2d(mesh, k)
@@ -334,7 +330,7 @@ class TestTables:
 
 
 class TestSolverTables:
-    def test_cache_reuse_growth_and_count(self):
+    def test_cache_reuse_growth_and_count(self, stacking):
         """A covering table is reused; a taller chunk rebuilds both
         media in one pass, and ``repro_swm_kummer_table_builds_total``
         counts every table built."""
@@ -342,14 +338,14 @@ class TestSolverTables:
         profiles = np.stack([rng.normal(0.0, 0.1, 16),
                              rng.normal(0.0, 0.1, 16),
                              rng.normal(0.0, 1.0, 16)])
-        solver = SWMSolver2D(options=SWM2DOptions(batch_size=1))
+        solver = SWMSolver2D()
         builds = telemetry.REGISTRY.counter(
             "repro_swm_kummer_table_builds_total")
         was = telemetry.enabled()
         telemetry.enable()
         try:
             before = builds.value()
-            with warnings.catch_warnings():
+            with warnings.catch_warnings(), stacking(1):
                 warnings.simplefilter("ignore", RuntimeWarning)
                 solver.solve_many_um(profiles, 5.0, 5 * GHZ)
             after = builds.value()
@@ -360,7 +356,8 @@ class TestSolverTables:
         solver.reset_tables()
         assert not solver._tables
 
-    def test_reserve_serves_every_covered_chunk_from_one_build(self):
+    def test_reserve_serves_every_covered_chunk_from_one_build(self,
+                                                               stacking):
         """With a reserved height range, the first chunk builds tables
         that cover the reserve, and taller chunks within it reuse them;
         a chunk past it grows them to its range with the 1.5x margin.
@@ -370,10 +367,10 @@ class TestSolverTables:
                              rng.normal(0.0, 1.0, 16)])
         tall = rng.normal(0.0, 4.0, 16)
         z_reserve = 1.2 * float(np.ptp(profiles[1]))
-        plain = SWMSolver2D(options=SWM2DOptions(batch_size=1))
-        solver = SWMSolver2D(options=SWM2DOptions(batch_size=1))
+        plain = SWMSolver2D()
+        solver = SWMSolver2D()
         solver.reset_tables(z_reserve=z_reserve)
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), stacking(1):
             warnings.simplefilter("ignore", RuntimeWarning)
             got = solver.solve_many_um(profiles, 5.0, 5 * GHZ)
             first = dict(solver._tables)

@@ -112,7 +112,7 @@ class TestExactEwaldSolve:
     more kernel evaluator on the solver's one assembly: each chunk's
     plan serves every frequency and medium, as it does for the tables."""
 
-    def test_assembles_through_the_plan(self, monkeypatch):
+    def test_assembles_through_the_plan(self, monkeypatch, stacking):
         """Each chunk writes the pairs of 2 x F media
         (``AssemblyPlan3D._write_pairs``), once per medium and
         frequency, on one plan per chunk."""
@@ -129,8 +129,9 @@ class TestExactEwaldSolve:
                   for _ in range(3)]
         freqs = FREQS[:2]
         exact = SWMSolver3D(options=SWMOptions(
-            batch_size=2, assembly=AssemblyOptions(use_tables=False)))
-        exact.solve_mesh_many_multi_k(meshes, freqs)
+            assembly=AssemblyOptions(use_tables=False)))
+        with stacking(2):
+            exact.solve_mesh_many_multi_k(meshes, freqs)
         per_chunk = 2 * len(freqs)
         assert len(calls) == 2 * per_chunk
         for chunk, batch in ((calls[:per_chunk], 2),
@@ -216,7 +217,7 @@ class TestWarmTableCaches:
             _assert_results_equal(result,
                                   SWMSolver3D().solve_um(h, L, 5 * GHZ))
 
-    def test_table_growth_mid_batch_matches_fresh_solves(self):
+    def test_table_growth_mid_batch_matches_fresh_solves(self, stacking):
         """One mesh per chunk: ``high`` outgrows the warm table and
         replaces it partway through the batch, and every sample still
         equals a fresh solver's."""
@@ -226,10 +227,11 @@ class TestWarmTableCaches:
         high = build_mesh_3d(rng.normal(0.0, 0.8, (8, 8)), L)
         freqs = FREQS[:2]
 
-        solver = SWMSolver3D(options=SWMOptions(batch_size=1))
+        solver = SWMSolver3D()
         solver.solve_mesh(mid, freqs[0])  # warms freqs[0] only
         before = solver._tables[(1, freqs[0], L, 8)]
-        stacked = solver.solve_mesh_many_multi_k([low, high], freqs)
+        with stacking(1):
+            stacked = solver.solve_mesh_many_multi_k([low, high], freqs)
         assert solver._tables[(1, freqs[0], L, 8)] is not before
         for freq, row in zip(freqs, stacked):
             for got, mesh in zip(row, (low, high)):
@@ -264,16 +266,17 @@ class TestGroupedExecutionParity:
         _assert_payloads_match(execute_job_group(jobs),
                                [execute_job(j) for j in jobs])
 
-    def test_stochastic_montecarlo_stack_matches_per_job(self):
+    def test_stochastic_montecarlo_stack_matches_per_job(self, stacking):
         scenario = StochasticScenario(
             "rough-mc", GaussianCorrelation(1 * UM, 1 * UM),
             StochasticLossConfig(points_per_side=8, max_modes=3))
-        # batch_size 2 does not divide n_samples 5: the stacked path
-        # must replicate the estimator's exact rng block shapes.
         jobs = self._jobs(scenario, EstimatorSpec(
-            kind="montecarlo", n_samples=5, seed=3, batch_size=2))
-        _assert_payloads_match(execute_job_group(jobs),
-                               [execute_job(j) for j in jobs])
+            kind="montecarlo", n_samples=5, seed=3))
+        # Blocks of 2 do not divide n_samples 5: the stacked path must
+        # replicate the estimator's exact rng block shapes.
+        with stacking(2, block_chunks=1):
+            _assert_payloads_match(execute_job_group(jobs),
+                                   [execute_job(j) for j in jobs])
 
     def test_profile_stack_matches_per_job(self):
         scenario = ProfileScenario("prof", GaussianCorrelation(1.0, 1.0),

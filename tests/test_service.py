@@ -1243,11 +1243,11 @@ class TestWireV2:
         assert wire.from_wire(wire.to_wire(bare)).spans is None
 
     def test_old_envelopes_are_rejected(self, client):
-        """Only the current wire version decodes: v1–v3 envelopes are a
+        """Only the current wire version decodes: v1–v4 envelopes are a
         WireError, which the service answers with 400."""
         doc = json.loads(wire.dumps(_tiny_spec()))
-        assert doc["wire_version"] == wire.WIRE_VERSION == 4
-        for old in (1, 2, 3):
+        assert doc["wire_version"] == wire.WIRE_VERSION == 5
+        for old in (1, 2, 3, 4):
             doc["wire_version"] = old
             body = json.dumps(doc)
             with pytest.raises(wire.WireError, match="unsupported"):

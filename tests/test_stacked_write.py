@@ -10,7 +10,7 @@ moves, so everything here is asserted bit for bit:
   s]]`` built from ``assemble_medium`` / ``assemble_medium_2d``, the
   sign of every zero included, through a shorter last chunk that
   reuses the first chunk's buffer;
-- job payloads at the default stacking equal ``batch_size=1`` payloads;
+- job payloads at the default stacking equal one-sample payloads;
 - the byte budget picks pinned chunk sizes.
 """
 
@@ -32,8 +32,8 @@ from repro.surfaces import GaussianCorrelation
 from repro.swm.assembly import assemble_medium
 from repro.swm.assembly2d import assemble_medium_2d
 from repro.swm.geometry import build_mesh_2d, build_mesh_3d
-from repro.swm.solver import SWMOptions, SWMSolver3D, _SWMSolver
-from repro.swm.solver2d import SWM2DOptions, SWMSolver2D
+from repro.swm.solver import SWMSolver3D, _SWMSolver
+from repro.swm.solver2d import SWMSolver2D
 
 L = 5.0
 FREQS = [2 * GHZ, 5 * GHZ]
@@ -101,40 +101,42 @@ def _check_chunks(solver, meshes, chunk, assemble, calls):
 class TestInPlaceSystem3D:
     @pytest.mark.parametrize("n,chunk,count", [
         (8, 1, 2), (8, 3, 7), (8, 7, 9), (20, 1, 2), (20, 3, 4)])
-    def test_chunk_system_is_the_block_formula(self, factored, n, chunk,
-                                               count):
+    def test_chunk_system_is_the_block_formula(self, factored, stacking, n,
+                                               chunk, count):
         rng = np.random.default_rng(n + chunk)
         meshes = [build_mesh_3d(rng.normal(0.0, 0.4, (n, n)), L)
                   for _ in range(count)]
         meshes[-1] = build_mesh_3d(np.zeros((n, n)), L)  # zeros' signs
-        solver = SWMSolver3D(options=SWMOptions(batch_size=chunk))
+        solver = SWMSolver3D()
         opts = solver.options.assembly
 
         def assemble(mesh, which, k, f):
             return assemble_medium(mesh, k, opts,
                                    tables=solver._tables[(which, f, L, n)])
 
-        _check_chunks(solver, meshes, chunk, assemble, factored)
+        with stacking(chunk):
+            _check_chunks(solver, meshes, chunk, assemble, factored)
 
 
 class TestInPlaceSystem2D:
     @pytest.mark.parametrize("n,chunk,count", [
         (64, 1, 2), (64, 3, 7), (64, 7, 9), (160, 1, 2), (160, 3, 4),
         (160, 7, 8)])
-    def test_chunk_system_is_the_block_formula(self, factored, n, chunk,
-                                               count):
+    def test_chunk_system_is_the_block_formula(self, factored, stacking, n,
+                                               chunk, count):
         rng = np.random.default_rng(n + chunk)
         meshes = [build_mesh_2d(rng.normal(0.0, 0.4, n), L)
                   for _ in range(count)]
         meshes[-1] = build_mesh_2d(np.zeros(n), L)
-        solver = SWMSolver2D(options=SWM2DOptions(batch_size=chunk))
+        solver = SWMSolver2D()
         opts = solver.options.assembly
 
         def assemble(mesh, which, k, f):
             return assemble_medium_2d(mesh, k, opts,
                                       kernel=solver._tables[(which, f, L, n)])
 
-        _check_chunks(solver, meshes, chunk, assemble, factored)
+        with stacking(chunk):
+            _check_chunks(solver, meshes, chunk, assemble, factored)
 
 
 # ----------------------------------------------------------------------
@@ -178,12 +180,13 @@ class TestDefaultStacking:
         (ProfileScenario("p", CORR_2D, period_um=5.0, n=64),
          dict(kind="montecarlo", n_samples=11, seed=4)),
     ], ids=["3d-sscm", "3d-mc", "2d-sscm", "2d-mc"])
-    def test_default_payload_equals_per_sample(self, batches, scenario,
-                                               estimator):
+    def test_default_payload_equals_per_sample(self, batches, stacking,
+                                               scenario, estimator):
         stacked = _payload(scenario, EstimatorSpec(**estimator))
         assert max(batches) > 1  # the default stacks samples
         del batches[:]
-        alone = _payload(scenario, EstimatorSpec(**estimator, batch_size=1))
+        with stacking(1, block_chunks=1):
+            alone = _payload(scenario, EstimatorSpec(**estimator))
         assert set(batches) == {1}
         np.testing.assert_array_equal(_bits(stacked["values"]),
                                       _bits(alone["values"]))
@@ -202,7 +205,3 @@ class TestChunkBudget:
     @pytest.mark.parametrize("n,chunk", [(64, 4), (320, 1)])
     def test_2d(self, n, chunk):
         assert SWMSolver2D().chunk_size(n) == chunk
-
-    def test_batch_size_overrides_the_budget(self):
-        solver = SWMSolver3D(options=SWMOptions(batch_size=5))
-        assert solver.chunk_size(64) == solver.chunk_size(1600) == 5

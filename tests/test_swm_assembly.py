@@ -26,7 +26,7 @@ from repro.swm.geometry import build_mesh_3d, grid_coords
 from repro.swm import plan as plan_module
 from repro.swm.plan import (AssemblyPlan3D, _grid_fold, _grid_pairs,
                             _subcell_offsets, _wrap)
-from repro.swm.solver import SWMOptions, SWMSolver3D, _SWMSolver
+from repro.swm.solver import SWMSolver3D, _SWMSolver
 from repro.errors import ConfigurationError, MeshError
 from repro.greens.ewald import _primary_minus_free_limit
 from repro.greens.special import erfc_scaled_pair, ewald_spectral_brackets
@@ -234,7 +234,8 @@ class TestNearTangentPlane:
                             f_ghz, which, err)
 
     @pytest.mark.parametrize("n", [6, 8])
-    def test_near_blocks_never_change_a_system(self, monkeypatch, n):
+    def test_near_blocks_never_change_a_system(self, monkeypatch, stacking,
+                                               n):
         """Near blocks of 1 sample, 2 samples and all samples write the
         same bits into every solver system, two frequencies stacked."""
         rng = np.random.default_rng(n)
@@ -254,10 +255,10 @@ class TestNearTangentPlane:
             monkeypatch.setattr(plan_module, "NEAR_BLOCK_POINTS",
                                 per * points)
             systems[per] = []
-            solver = SWMSolver3D(options=SWMOptions(batch_size=len(meshes)))
+            solver = SWMSolver3D()
             plan = AssemblyPlan3D.build(meshes, solver.options.assembly)
             assert len(plan._near_blocks()) == -(-len(meshes) // per)
-            with warnings.catch_warnings():
+            with warnings.catch_warnings(), stacking(len(meshes)):
                 warnings.simplefilter("ignore", RuntimeWarning)
                 solver.solve_mesh_many_multi_k(meshes, [2 * GHZ, 5 * GHZ])
         for per in (2, len(meshes)):

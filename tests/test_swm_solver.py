@@ -1,7 +1,5 @@
 """Tests of the 3D SWM solver — the paper's central machinery."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,7 @@ from repro.errors import ConfigurationError
 from repro.materials import PAPER_SYSTEM
 from repro.surfaces import GaussianCorrelation, SurfaceGenerator
 from repro.surfaces.deterministic import egg_carton
-from repro.swm.solver import SWMSolver3D, enhancement_sweep
+from repro.swm.solver import SWMSolver3D
 
 
 @pytest.fixture(scope="module")
@@ -103,15 +101,6 @@ class TestDiagnostics:
     def test_smooth_power_validation(self, solver):
         with pytest.raises(ConfigurationError):
             solver.smooth_power(-5.0, 5 * GHZ)
-
-    def test_sweep_helper(self, solver):
-        h = egg_carton(8, 5.0, amplitude=0.4) * UM
-        freqs = np.array([2.0, 6.0]) * GHZ
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            vals = enhancement_sweep(solver, h, 5.0 * UM, freqs)
-        assert vals.shape == (2,)
-        assert np.all(np.isfinite(vals))
 
     def test_table_cache_reused_across_samples(self):
         solver = SWMSolver3D()
