@@ -6,13 +6,15 @@ path (same kernel values, same LAPACK factorizations, same seed
 stream), whatever chunks the solver stacks.
 """
 
+import dataclasses
+import json
 import warnings
 
 import numpy as np
 import pytest
 
 from repro.constants import GHZ, UM
-from repro.core import StochasticLossConfig
+from repro.core import StochasticLossConfig, StochasticLossModel
 from repro.engine.runtime import clear_memo, execute_job
 from repro.engine.spec import (
     DeterministicScenario,
@@ -22,6 +24,7 @@ from repro.engine.spec import (
     StochasticScenario,
 )
 from repro.errors import ConfigurationError, MeshError, SolverError
+from repro.service.wire import WireError, dumps, loads, to_wire
 from repro.surfaces import GaussianCorrelation
 from repro.swm.assembly import AssemblyOptions, assemble_medium
 from repro.swm.assembly2d import Assembly2DOptions
@@ -434,6 +437,86 @@ class TestEngineBatchedParity:
             batched = SWMSolver3D().solve_many(heights[None, :, :], 5 * UM,
                                                FREQ)
         assert payload["values"][0] == batched[0].enhancement
+
+    def test_pipeline_montecarlo_stacking(self, stacking):
+        from repro.engine import ResultCache
+
+        # Fresh caches: the second run must *compute* in chunks of three
+        # inside one engine block, not replay the first run's entry.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            a = StochasticLossModel(CORR_3D, CONFIG_3D).montecarlo(
+                5 * GHZ, 8, seed=11, cache=ResultCache())
+            with stacking(3):
+                b = StochasticLossModel(CORR_3D, CONFIG_3D).montecarlo(
+                    5 * GHZ, 8, seed=11, cache=ResultCache())
+        np.testing.assert_array_equal(a.samples, b.samples)
+
+
+class TestStackingOutsideContentHash:
+    """The solver's byte budget is the one owner of stacking: no
+    estimator, solver options or wire document carries a stacking or
+    finite-check knob, and results keep the keys they had while those
+    knobs existed, so caches written then are still hit."""
+
+    def test_estimator_spec_has_no_stacking_field(self):
+        names = [f.name for f in dataclasses.fields(EstimatorSpec)]
+        assert names == ["kind", "order", "n_samples", "seed"]
+        with pytest.raises(TypeError, match="batch_size"):
+            EstimatorSpec(kind="montecarlo", n_samples=10, seed=3,
+                          batch_size=16)
+
+    @pytest.mark.parametrize("options", [SWMOptions, SWM2DOptions],
+                             ids=["3d", "2d"])
+    def test_solver_options_hold_assembly_only(self, options):
+        assert [f.name for f in dataclasses.fields(options)] == ["assembly"]
+        for knob in ("batch_size", "check_finite"):
+            with pytest.raises(TypeError, match=knob):
+                options(**{knob: 1})
+
+    @pytest.mark.parametrize("job,key", [
+        (Job(StochasticScenario("m", CORR_3D, CONFIG_3D), 5 * GHZ,
+             EstimatorSpec(kind="sscm", order=1), 0),
+         "3d95bfc8eed63cd70cd041d1592e602014184904c8c52c5049e5235ea62d73c4"),
+        (Job(StochasticScenario("m", CORR_3D, CONFIG_3D,
+                                options=SWMOptions()), 5 * GHZ,
+             EstimatorSpec(kind="montecarlo", n_samples=10, seed=3), 0),
+         "a34f796820b65a0bfa4a4d68a04d0c210aeeae8a6c878ab2f0f0415874e3bc3d"),
+        (Job(ProfileScenario("p", CORR_2D, period_um=5.0, n=16,
+                             options=SWM2DOptions()), 5 * GHZ,
+             EstimatorSpec(kind="montecarlo", n_samples=9, seed=1), 0),
+         "3b5e76b9755d29e79b338f28fd3d546f111cf1421b06e930ce0b1028e2bd8adc"),
+    ], ids=["3d-sscm", "3d-mc", "2d-mc"])
+    def test_job_keys_are_pinned(self, job, key):
+        """The keys these jobs had while the estimator and both
+        options still held ``batch_size`` and ``check_finite``. A change
+        that means to re-key results (a kernel revision, say) updates
+        them."""
+        assert job.key == key
+
+    def test_wire_round_trip_preserves_hash(self):
+        job = Job(StochasticScenario("m", CORR_3D, CONFIG_3D), 5 * GHZ,
+                  EstimatorSpec(kind="montecarlo", n_samples=10, seed=3), 0)
+        assert set(to_wire(job)["estimator"]) == {
+            "$type", "kind", "order", "n_samples", "seed"}
+        back = loads(dumps(job))
+        assert back.estimator == job.estimator
+        assert back.key == job.key
+
+    @pytest.mark.parametrize("scenario,knob", [
+        (StochasticScenario("m", CORR_3D, CONFIG_3D, options=SWMOptions()),
+         "batch_size"),
+        (ProfileScenario("p", CORR_2D, period_um=5.0, n=16,
+                         options=SWM2DOptions()), "check_finite"),
+    ], ids=["3d", "2d"])
+    def test_wire_options_refuse_removed_knobs(self, scenario, knob):
+        """An options document that still carries a removed knob is a
+        WireError (which the service answers with 400), not a knob
+        dropped in silence."""
+        doc = json.loads(dumps(scenario))
+        doc["body"]["options"][knob] = 4
+        with pytest.raises(WireError, match=knob):
+            loads(json.dumps(doc))
 
 
 _EACH_SOLVER = pytest.mark.parametrize("solve", [

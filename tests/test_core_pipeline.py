@@ -1,5 +1,7 @@
 """Tests of the end-to-end stochastic pipeline."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,10 @@ from repro.core import (
     StochasticLossConfig,
     StochasticLossModel,
 )
+from repro.engine import ResultCache
 from repro.errors import ConfigurationError
 from repro.surfaces import GaussianCorrelation
+from repro.surfaces.deterministic import egg_carton
 
 
 SMALL_CONFIG = StochasticLossConfig(points_per_side=8, max_modes=5)
@@ -106,3 +110,18 @@ class TestDeterministicModel:
         freqs = np.array([2.0, 5.0]) * GHZ
         vals = dm.enhancement(np.zeros((8, 8)), 5 * UM, freqs)
         np.testing.assert_allclose(vals, 1.0, atol=0.03)
+
+    def test_rough_sweep_matches_single_solves(self):
+        """The public frequency sweep of one surface gives, bit for bit,
+        what a standalone solve gives at each frequency."""
+        dm = DeterministicLossModel()
+        heights = egg_carton(8, 5.0, amplitude=0.4) * UM
+        freqs = np.array([2.0, 6.0]) * GHZ
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            vals = dm.enhancement(heights, 5 * UM, freqs,
+                                  cache=ResultCache())
+            alone = [dm.solve(heights, 5 * UM, f).enhancement
+                     for f in freqs]
+        assert vals.shape == (2,)
+        np.testing.assert_array_equal(vals, alone)

@@ -11,6 +11,7 @@ moves, so everything here is asserted bit for bit:
   sign of every zero included, through a shorter last chunk that
   reuses the first chunk's buffer;
 - job payloads at the default stacking equal one-sample payloads;
+- the engine's blocks are whole multiples of the budgeted chunk;
 - the byte budget picks pinned chunk sizes.
 """
 
@@ -192,6 +193,28 @@ class TestDefaultStacking:
                                       _bits(alone["values"]))
         assert (stacked["mean"], stacked["std"], stacked["n_evals"]) == (
             alone["mean"], alone["std"], alone["n_evals"])
+
+    @pytest.mark.parametrize("scenario", [
+        StochasticScenario("m", CORR_3D, CONFIG_3D),
+        ProfileScenario("p", CORR_2D, period_um=5.0, n=64),
+    ], ids=["3d", "2d"])
+    def test_engine_blocks_are_budget_chunks(self, batches, monkeypatch,
+                                             scenario):
+        """With 64 unknowns the budget stacks four samples per chunk and
+        the engine hands the solver eight chunks per call: 36 samples
+        run as a block of 32 and a block of 4, all in chunks of four."""
+        blocks = []
+        real = _SWMSolver.solve_mesh_many_multi_k
+
+        def count(solver, meshes, frequencies_hz):
+            blocks.append(len(meshes))
+            return real(solver, meshes, frequencies_hz)
+
+        monkeypatch.setattr(_SWMSolver, "solve_mesh_many_multi_k", count)
+        _payload(scenario, EstimatorSpec(kind="montecarlo", n_samples=36,
+                                         seed=2))
+        assert blocks == [32, 4]
+        assert batches == [4] * 9
 
 
 class TestChunkBudget:
